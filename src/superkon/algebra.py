@@ -36,12 +36,12 @@ projection of the degree-zero subalgebra onto ``C z + so_N``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import Scalar, UsageError
-from .grassmann import (EpsilonConfig, SuperFunction, format_monomial,
-                        members, parse_monomial, partial_sign, xi_mul)
+from .grassmann import (EpsilonConfig, SuperFunction, members, parse_monomial,
+                        partial_sign, xi_mul)
 
 
 # Negative-control mutations an AlgebraConfig accepts, each with the check
@@ -182,6 +182,8 @@ class AlgebraElement:
     @classmethod
     def parse(cls, params, text: str) -> "AlgebraElement":
         out = cls.zero(params)
+        if text.strip() == "0":
+            return out
         depth = 0
         chunks, cur = [], ""
         for ch in text:
@@ -238,8 +240,18 @@ def _split_coeff(chunk: str):
         elif ch == "*" and depth == 0:
             rest = chunk[idx + 1:].strip()
             if rest.startswith(("D[", "A[")) or rest == "C":
-                return chunk[:idx].strip().strip("()"), rest
+                return _unwrap(chunk[:idx].strip()), rest
     return "", chunk
+
+
+def _unwrap(text: str) -> str:
+    """Drop one pair of parentheses enclosing the whole text, if any."""
+    depth = 0
+    for idx, ch in enumerate(text):
+        depth += (ch == "(") - (ch == ")")
+        if depth == 0:
+            return text[1:-1] if 0 < idx == len(text) - 1 else text
+    return text
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ Text forms (used in JSON reports and CLI/config round trips):
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 class UsageError(ValueError):
@@ -32,8 +32,14 @@ class UsageError(ValueError):
     parameter lists, missing assignment, ...)."""
 
 
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
+def pair_content(pairs, g: int = 0) -> int:
+    """The gcd of ``g`` and every entry of the integer pairs ``(re, im)``;
+    stops early at 1.  Zero when ``g`` and all entries are zero."""
+    for r, m in pairs:
+        g = gcd(g, r, m)
+        if g == 1:
+            break
+    return g
 
 
 class GaussRat:
@@ -108,9 +114,6 @@ class GaussRat:
                 base = base * base
         return acc
 
-    def conjugate(self) -> "GaussRat":
-        return GaussRat(self.re, -self.im)
-
     # -- predicates / identity -------------------------------------
     def __bool__(self):
         return bool(self.re) or bool(self.im)
@@ -182,6 +185,15 @@ ZERO = GaussRat(0)
 ONE = GaussRat(1)
 
 
+def clear_denominators(gaussrats) -> tuple:
+    """``(den, pairs)``: the least common denominator of a sequence of
+    GaussRats and their integer pairs ``(re*den, im*den)``."""
+    den = 1
+    for g in gaussrats:
+        den = lcm(den, g.re.denominator, g.im.denominator)
+    return den, [(int(g.re * den), int(g.im * den)) for g in gaussrats]
+
+
 def _norm_terms(terms: dict, den: int):
     """Canonicalize: drop zero coefficients, make den > 0, gcd-reduce."""
     if den < 0:
@@ -190,11 +202,7 @@ def _norm_terms(terms: dict, den: int):
     terms = {k: v for k, v in terms.items() if v[0] or v[1]}
     if not terms:
         return {}, 1
-    g = den
-    for r, m in terms.values():
-        g = gcd(g, gcd(r, m))
-        if g == 1:
-            break
+    g = pair_content(terms.values(), den)
     if g > 1:
         terms = {k: (r // g, m // g) for k, (r, m) in terms.items()}
         den //= g
@@ -226,7 +234,7 @@ class Scalar:
             value = GaussRat.parse(value)
         if isinstance(value, (int, Fraction)):
             value = GaussRat(value)
-        d = _lcm(value.re.denominator, value.im.denominator)
+        d = lcm(value.re.denominator, value.im.denominator)
         nre = int(value.re * d)
         nim = int(value.im * d)
         zero = (0,) * len(params)

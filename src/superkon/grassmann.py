@@ -129,14 +129,6 @@ class EpsilonConfig:
     def is_zero_one(self) -> bool:
         return all(e in (0, 1) for e in self.eps)
 
-    @property
-    def lattice_step(self) -> int:
-        """Spacing of the weight lattice: 2 when eps is all-ones, else 1."""
-        return 2 if self.is_ramond else 1
-
-    def full_mask(self) -> int:
-        return (1 << self.N) - 1
-
 
 # ---------------------------------------------------------------------------
 

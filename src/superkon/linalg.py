@@ -5,37 +5,24 @@ common denominator already cleared; elimination is fraction-free (the
 update ``row' = pivot*row - entry*pivot_row`` stays integral), so ranks
 and memberships carry no rounding or pivot-threshold questions.
 
+:class:`WeightSpaces` keeps one :class:`Echelon` per weight space of a
+window; it is the one place where module vectors become rows.
+
 Also a few small helpers for dense matrices of Scalars (used for the
 orthogonal-algebra relation checks and the degree-zero projection).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
-
-from .exactnum import GaussRat, Scalar
+from .exactnum import Scalar, UsageError, pair_content
 
 
 # ---------------------------------------------------------------------------
 # integer-pair rows
 
 
-def row_from_gaussrats(vals) -> list:
-    """Clear denominators of a GaussRat sequence into an int-pair row."""
-    den = 1
-    for g in vals:
-        den = den // gcd(den, g.re.denominator) * g.re.denominator
-        den = den // gcd(den, g.im.denominator) * g.im.denominator
-    return [(int(g.re * den), int(g.im * den)) for g in vals]
-
-
 def _normalize_row(row: list) -> list:
-    g = 0
-    for r, m in row:
-        g = gcd(g, gcd(r, m))
-        if g == 1:
-            return row
+    g = pair_content(row)
     if g > 1:
         return [(r // g, m // g) for r, m in row]
     return row
@@ -104,8 +91,87 @@ class Echelon:
     def contains(self, row: list) -> bool:
         return row_is_zero(self.reduce(row))
 
-    def basis(self) -> list:
-        return [self.rows[c] for c in sorted(self.rows)]
+
+def _weight(vec: dict) -> int:
+    ws = {bv.l for bv in vec}
+    if len(ws) > 1:
+        raise UsageError(f"a row must lie in one weight space, not {sorted(ws)}")
+    return ws.pop()
+
+
+class WeightSpaces:
+    """One :class:`Echelon` per weight space of a window.
+
+    Vectors are dicts ``basis vector -> (re, im)`` whose basis vectors
+    carry their weight as ``.l``; a vector must lie in one weight space.
+    ``basis_at(l)`` lists the basis at weight ``l``, and only weights in
+    ``weights`` with a nonempty basis get a space.
+
+    With ``image_basis`` the rows are pairs ``[vec | image]`` with pivots
+    limited to the ``vec`` columns (an intertwining-map checker, see
+    :class:`Echelon`); the image of a vector at weight ``l`` lies at
+    ``l - shift`` of ``image_basis``.  Source and image keep separate
+    column maps because the two modules share basis labels.
+    """
+
+    def __init__(self, basis_at, weights, image_basis=None, shift: int = 0):
+        self.shift = shift
+        self._cols: dict = {}    # weight -> (source columns, image columns)
+        self._spaces: dict = {}
+        for l in weights:
+            cols = {bv: i for i, bv in enumerate(basis_at(l))}
+            image = image_basis(l - shift) if image_basis is not None else []
+            if cols or image:
+                self._cols[l] = (cols, {bv: len(cols) + i
+                                        for i, bv in enumerate(image)})
+                self._spaces[l] = Echelon(len(cols) + len(image),
+                                          pivot_limit=len(cols))
+
+    def weight(self, vec: dict, image: dict | None = None):
+        """The weight of a nonzero ``vec``; for a zero one, the weight of
+        a nonzero ``image`` plus ``shift``; None when both are zero."""
+        if vec:
+            l = _weight(vec)
+            if image and _weight(image) + self.shift != l:
+                raise UsageError("a pair row's image must lie at its weight "
+                                 "minus the shift")
+            return l
+        return _weight(image) + self.shift if image else None
+
+    def _space_row(self, vec: dict, image: dict | None):
+        """(Echelon, row) at the row's weight; (None, None) outside."""
+        l = self.weight(vec, image)
+        if l not in self._spaces:
+            return None, None
+        space = self._spaces[l]
+        cols, icols = self._cols[l]
+        row = [(0, 0)] * space.ncols
+        for bv, rm in vec.items():
+            row[cols[bv]] = rm
+        for bv, rm in (image or {}).items():
+            row[icols[bv]] = rm
+        return space, row
+
+    def insert(self, vec: dict, image: dict | None = None):
+        """The :meth:`Echelon.insert` outcome, or None when the row's
+        weight is outside the window (or both parts are zero)."""
+        space, row = self._space_row(vec, image)
+        return None if space is None else space.insert(row)
+
+    def contains(self, vec: dict):
+        """Whether ``vec`` lies in the span at its weight, or None when
+        that weight is outside the window (or ``vec`` is zero)."""
+        space, row = self._space_row(vec, None)
+        return None if space is None else space.contains(row)
+
+    def rank(self, l: int) -> int:
+        space = self._spaces.get(l)
+        return space.rank if space is not None else 0
+
+    def dim(self, l: int) -> int:
+        """The dimension of the source weight space at ``l``."""
+        space = self._spaces.get(l)
+        return space.pivot_limit if space is not None else 0
 
 
 # ---------------------------------------------------------------------------

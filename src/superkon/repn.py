@@ -26,7 +26,7 @@ Any user-supplied generator family is accepted for general ``N``;
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import GaussRat, Scalar, UsageError

@@ -54,14 +54,6 @@ class Window:
     def k_values(self):
         return range(self.k_min, self.k_max + 1)
 
-    @classmethod
-    def for_module(cls, k_min: int, k_max: int, N: int, inner_width: int = 6):
-        """Window whose inner margin covers the largest generator weight
-        shift (2*max|k| + N), with an inner range of ``inner_width``."""
-        m = 2 * max(abs(k_min), abs(k_max)) + N
-        half = (inner_width + 1) // 2
-        return cls(k_min, k_max, -(m + half), m + half, m)
-
 
 def violation(inputs, lhs="", rhs="", diff="") -> dict:
     return {"inputs": str(inputs), "lhs": str(lhs), "rhs": str(rhs),

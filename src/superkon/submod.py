@@ -29,12 +29,11 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 
-from .exactnum import GaussRat, Scalar, UsageError
-from .grassmann import EpsilonConfig
-from .linalg import Echelon, row_from_gaussrats
+from .exactnum import GaussRat, Scalar, UsageError, pair_content
+from .linalg import WeightSpaces
 from .repn import build_so2, build_so3_vm
 from .report import Report, Window, finish, violation
-from .tables import N2Table, N3Table, TableVec, make_table
+from .tables import N2Table, N3Table, TableVec
 from .tensmod import ModBasisVec, ModVec, TensorModule
 
 I_ = GaussRat(0, 1)
@@ -62,8 +61,6 @@ def named_submodule(module: TensorModule, name: str, l_range) -> list:
         kind = "vp" if sign > 0 else "vm"
         out = []
         for lam in l_range:
-            for sym in table.syms_at_table_l(0):
-                pass  # only need the lattice step below
             if table.twisted:
                 tl = lam
                 gens = [
@@ -181,7 +178,6 @@ def iso_target(source: TensorModule, name: str) -> TensorModule:
         c = source.rep.z_scalar
         b = source.rep.gen[(1, 2)][0][0]
         sign = 1 if name == "quotient_wplus" else -1
-        want_b = (c.scale_raw(0, sign) if True else c)
         _require(b == c.scale_raw(0, sign),
                  "the quotient map requires b = i c (resp. b = -i c)")
         c2 = c + one
@@ -304,38 +300,13 @@ def _check_quotient_map(source, target, name, w, params, t0):
     subgens = named_submodule(source, sub_name, l_range)
     shift = _weight_offset(source, target)
 
-    scols = {l: {bv: i for i, bv in enumerate(source.basis_at(l))}
-             for l in l_range}
-    tcols = {l: {bv: i for i, bv in enumerate(target.basis_at(l - shift))}
-             for l in l_range}
-    spaces = {l: Echelon(len(scols[l]) + len(tcols[l]),
-                         pivot_limit=len(scols[l])) for l in l_range}
-
-    def weight_of(vec: dict):
-        ws = {bv.l for bv in vec}
-        if len(ws) > 1:
-            raise UsageError("intertwining rows must be weight-homogeneous")
-        return ws.pop() if ws else None
-
-    def pair_row(l, svec, tvec):
-        row = [(0, 0)] * (len(scols[l]) + len(tcols[l]))
-        base = len(scols[l])
-        for bv, rm in svec.items():
-            row[scols[l][bv]] = rm
-        for bv, rm in tvec.items():
-            row[base + tcols[l][bv]] = rm
-        return row
+    spaces = WeightSpaces(source.basis_at, l_range, target.basis_at, shift)
 
     def cross(sd, sv, td, tv):
         # true pair (sv/sd, tv/td); projectively store (sv*td, tv*sd)
-        from math import gcd
         a = {bv: (r * td, m * td) for bv, (r, m) in sv.items()}
         b = {bv: (r * sd, m * sd) for bv, (r, m) in tv.items()}
-        g = 0
-        for (r, m) in list(a.values()) + list(b.values()):
-            g = gcd(g, gcd(r, m))
-            if g == 1:
-                return a, b
+        g = pair_content([*a.values(), *b.values()])
         if g > 1:
             a = {bv: (r // g, m // g) for bv, (r, m) in a.items()}
             b = {bv: (r // g, m // g) for bv, (r, m) in b.items()}
@@ -345,20 +316,13 @@ def _check_quotient_map(source, target, name, w, params, t0):
     n = 0
     work = []
     for g in subgens:
-        vec = src_eval.eval_modvec(g)[1]
-        l = weight_of(vec)
-        if l is None or l not in spaces:
-            continue
-        spaces[l].insert(pair_row(l, vec, {}))
+        spaces.insert(src_eval.eval_modvec(g)[1])
     for s, t in _quotient_seeds(source, target, name, l_range):
         sd, sv = src_eval.eval_modvec(s)
         td, tv = tgt_eval.eval_modvec(t)
         sv, tv = cross(sd, sv, td, tv)
-        l = weight_of(sv)
-        if l is None or l not in spaces:
-            continue
-        if spaces[l].insert(pair_row(l, sv, tv)) == "new":
-            work.append((l, sv, tv))
+        if sv and spaces.insert(sv, tv) == "new":
+            work.append((spaces.weight(sv), sv, tv))
     ops = sorted((p, im) for p in range(w.k_min + 1, w.k_max + 2)
                  for im in range(1 << source.cfg.N))
     idx = 0
@@ -369,30 +333,18 @@ def _check_quotient_map(source, target, name, w, params, t0):
             d2, sv2 = src_eval.act_vec(p, im, sv)
             e2, tv2 = tgt_eval.act_vec(p, im, tv)
             sv2, tv2 = cross(d2, sv2, e2, tv2)
-            l2 = weight_of(sv2)
-            if l2 is None:
-                if tv2:
-                    l2s = weight_of(tv2) + shift
-                    if l2s in spaces:
-                        n += 1
-                        res = spaces[l2s].insert(pair_row(l2s, {}, tv2))
-                        if res == "inconsistent":
-                            bad.append(violation(
-                                f"op=({p},{im}) from weight {l}",
-                                lhs="0", rhs=_fmt_vec(tv2),
-                                diff="zero class maps to a nonzero image"))
-                continue
-            if l2 not in spaces:
+            res = spaces.insert(sv2, tv2)
+            if res is None:
                 continue
             n += 1
-            res = spaces[l2].insert(pair_row(l2, sv2, tv2))
             if res == "inconsistent":
                 bad.append(violation(
                     f"op=({p},{im}) from weight {l}",
-                    lhs=_fmt_vec(sv2), rhs=_fmt_vec(tv2),
-                    diff="image conflicts with previously derived relations"))
+                    lhs=_fmt_vec(sv2) if sv2 else "0", rhs=_fmt_vec(tv2),
+                    diff=("image conflicts with previously derived relations"
+                          if sv2 else "zero class maps to a nonzero image")))
             elif res == "new":
-                work.append((l2, sv2, tv2))
+                work.append((spaces.weight(sv2), sv2, tv2))
     details = {"relations_derived": len(work)}
     return finish(f"iso[{name}]", bad, n, t0, details=details)
 

@@ -11,10 +11,8 @@ The tables are transcribed line by line in their original bases:
 
 Several source lines arrive mangled or internally inconsistent with the
 ladder conventions; the repaired readings used here are marked
-``# repaired:`` and the affected line ids are exported in
-``N3_SUSPECT_LINES`` so the comparison sweep can fence known
-discrepancies.  The generic action is the source of truth either way:
-the comparator logs, it never silently accepts.
+``# repaired:``.  The generic action is the source of truth: the
+comparator reports every discrepancy, it never silently accepts.
 """
 
 from __future__ import annotations
@@ -48,13 +46,6 @@ class TableTerms(dict):
             self[sym] = s
         elif prev is not None:
             del self[sym]
-
-
-# line ids with known-mangled source fragments (N=3)
-N3_SUSPECT_LINES = frozenset({
-    "D[t^k+1] . wpm",        # "r-mp1" fragment in the plain-series line
-    "D[t^k+1]xi{1,2} . ub",  # "1/r" fragment and a doubled w factor
-})
 
 
 class BaseTable:

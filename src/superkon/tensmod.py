@@ -32,12 +32,14 @@ The action never truncates; callers intersect with windows.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 from .algebra import AlgebraConfig, AlgebraElement, bracket_ints
-from .exactnum import GaussRat, Scalar, UsageError
+from .exactnum import (GaussRat, Scalar, UsageError, clear_denominators,
+                       pair_content)
 from .grassmann import EpsilonConfig, members, tau
-from .repn import SoRep, build_so2, build_so3_vm, rep_from_config
+from .repn import SoRep, rep_from_config
 
 
 class ModBasisVec(NamedTuple):
@@ -369,30 +371,22 @@ class EvaluatedAction:
         key = (p, imask, bv)
         hit = self._memo.get(key)
         if hit is None:
-            pairs = []
-            den = 1
-            for bv2, c in self.module.act_basis_d(p, imask, bv).items():
-                g = c.eval(self.assignment)
-                if g:
-                    d = _lcm(g.re.denominator, g.im.denominator)
-                    den = _lcm(den, d)
-                    pairs.append((bv2, g))
-            hit = (den, tuple((bv2, (int(g.re * den), int(g.im * den)))
-                              for bv2, g in pairs))
+            hit = self._eval_terms(self.module.act_basis_d(p, imask, bv))
             self._memo[key] = hit
         return hit
+
+    def _eval_terms(self, terms: dict):
+        """(den, ((bv, (re, im)), ...)) for ``bv -> Scalar`` terms at the
+        assignment, with zero values dropped."""
+        evals = [(bv, c.eval(self.assignment)) for bv, c in terms.items()]
+        evals = [(bv, g) for bv, g in evals if g]
+        den, pairs = clear_denominators([g for _, g in evals])
+        return den, tuple(zip((bv for bv, _ in evals), pairs))
 
     def act_d(self, p: int, imask: int, bv: ModBasisVec):
         den, pairs = self.table(p, imask, bv)
         return [(bv2, GaussRat(Fraction(r, den), Fraction(m, den)))
                 for bv2, (r, m) in pairs]
-
-    def act_a(self, k: int, imask: int, bv: ModBasisVec):
-        res = self.module.act_function(k, imask, bv)
-        if res is None:
-            return []
-        sign, bv2 = res
-        return [(bv2, GaussRat(sign))]
 
     def act_vec(self, p: int, imask: int, vec: dict, is_d=True):
         """Integer-pair action; returns (den, dict) with the true image
@@ -403,7 +397,7 @@ class EvaluatedAction:
             cols = {}
             for bv in vec:
                 cols[bv] = self.table(p, imask, bv)
-                den = _lcm(den, cols[bv][0])
+                den = lcm(den, cols[bv][0])
             for bv, (r, m) in vec.items():
                 d2, pairs = cols[bv]
                 s = den // d2
@@ -425,30 +419,13 @@ class EvaluatedAction:
 
     def eval_modvec(self, v: ModVec):
         """(den, dict of integer pairs) with true value dict/den."""
-        gs = {}
-        den = 1
-        for bv, c in v.terms.items():
-            g = c.eval(self.assignment)
-            if g:
-                den = _lcm(den, _lcm(g.re.denominator, g.im.denominator))
-                gs[bv] = g
-        return (den, {bv: (int(g.re * den), int(g.im * den))
-                      for bv, g in gs.items()})
-
-
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-    return a // gcd(a, b) * b
+        den, pairs = self._eval_terms(v.terms)
+        return den, dict(pairs)
 
 
 def _qnorm(den: int, terms: dict):
     """gcd-reduce an integer-pair vector against its denominator."""
-    from math import gcd
-    g = den
-    for (r, m) in terms.values():
-        g = gcd(g, gcd(r, m))
-        if g == 1:
-            return den, terms
+    g = pair_content(terms.values(), den)
     if g > 1:
         den //= g
         terms = {bv: (r // g, m // g) for bv, (r, m) in terms.items()}

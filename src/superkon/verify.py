@@ -9,31 +9,30 @@ the largest generator weight shift (see :func:`module_window`).
 
 Closure and rank computations run over concrete Gaussian-rational
 parameter values using fraction-free elimination; identity sweeps keep
-all parameters symbolic.  The simplicity probe is evidence at window
-scale, never a proof, and its report says so.
+all parameters symbolic.  All elimination, here and in the quotient-map
+checks of :mod:`~superkon.submod`, goes through
+:class:`~superkon.linalg.WeightSpaces`.  The simplicity probe is evidence
+at window scale, never a proof, and its report says so.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
-from fractions import Fraction
-from itertools import combinations_with_replacement
+from dataclasses import dataclass
 from multiprocessing import get_context
 
-from .algebra import (AlgebraConfig, AlgebraElement, a_action, apply_d,
-                      bracket, bracket_basis, bracket_ints, eps_shift_map,
-                      filtration_exponent, in_ideal_i, in_k_ell, phi,
-                      project_k0, tm1_power_d)
+from .algebra import (AlgebraConfig, AlgebraElement, bracket, bracket_basis,
+                      bracket_ints, eps_shift_map, filtration_exponent,
+                      in_ideal_i, in_k_ell, phi, project_k0, tm1_power_d)
 from .exactnum import GaussRat, Scalar, UsageError
 from .grassmann import (EpsilonConfig, SuperFunction, contact_bracket,
-                        format_monomial, members, xi_mul)
-from .linalg import Echelon, mat_commutator, mat_eq, mat_sub, row_from_gaussrats
-from .report import FAIL, INFO, PASS, Report, Window, finish, violation
-from .submod import iso_check_map, iso_target, named_submodule
-from .tables import N3_SUSPECT_LINES, compare_table, make_table
-from .tensmod import ModBasisVec, ModVec, TensorModule
+                        format_monomial, xi_mul)
+from .linalg import WeightSpaces, mat_commutator, mat_eq
+from .report import INFO, Report, Window, finish, violation
+from .submod import named_submodule
+from .tables import compare_table, make_table
+from .tensmod import ModVec, TensorModule
 
 
 def worker_count(requested: int | None = None) -> int:
@@ -238,7 +237,6 @@ class ClosureResult:
     dims: dict            # weight -> reached dimension
     full_dims: dict       # weight -> ambient dimension
     inner: tuple          # (inner_l_min, inner_l_max)
-    spaces: dict = field(repr=False, default_factory=dict)
 
     def inner_weights(self):
         return [l for l in sorted(self.dims)
@@ -262,47 +260,29 @@ def closure(module: TensorModule, seeds, w: Window, params: dict,
     vectors outside the weight range, and row-reduces per weight space
     until stable.  Only inner-window dimensions are truncation-free.
     An EvaluatedAction cache may be shared across calls via ``ev``.
+    A seed that mixes weights raises UsageError.
     """
     if not seeds:
         raise UsageError("closure requires at least one seed vector")
     if ev is None:
         ev = module.eval_cache(params)
     l_range = range(w.l_min, w.l_max + 1)
-    cols = {l: {bv: i for i, bv in enumerate(module.basis_at(l))}
-            for l in l_range}
-    cols = {l: c for l, c in cols.items() if c}
-    spaces = {l: Echelon(len(c)) for l, c in cols.items()}
+    spaces = WeightSpaces(module.basis_at, l_range)
     ops = sorted((p, im, True) for p in w.k_values()
                  for im in range(1 << module.cfg.N))
     if include_a:
         ops += sorted((k, im, False) for k in w.k_values()
                       for im in range(1 << module.cfg.N))
 
-    def to_row(l, vec):
-        row = [(0, 0)] * len(cols[l])
-        for bv, rm in vec.items():
-            row[cols[l][bv]] = rm
-        return row
-
-    def weight_of(vec):
-        return next(iter(vec)).l if vec else None
-
-    def insert(vec):
-        l = weight_of(vec)
-        if l is None or l not in spaces:
-            return False
-        return spaces[l].insert(to_row(l, vec)) == "new"
-
     work = []
     for s in seeds:
         vec = ev.eval_modvec(s)[1] if isinstance(s, ModVec) else dict(s)
-        if insert(vec):
+        if spaces.insert(vec) == "new":
             work.append(vec)
 
     def full():
-        return all(spaces[l].rank == len(cols[l])
-                   for l in range(w.inner_l_min, w.inner_l_max + 1)
-                   if l in cols)
+        return all(spaces.rank(l) == spaces.dim(l)
+                   for l in range(w.inner_l_min, w.inner_l_max + 1))
 
     idx = 0
     while idx < len(work):
@@ -310,26 +290,15 @@ def closure(module: TensorModule, seeds, w: Window, params: dict,
         idx += 1
         for (p, im, is_d) in ops:
             nv = ev.act_vec(p, im, vec, is_d)[1]
-            if nv and insert(nv):
+            if spaces.insert(nv) == "new":
                 work.append(nv)
                 if early_full and full():
                     idx = len(work)
                     break
-    dims = {l: spaces[l].rank for l in sorted(spaces)}
-    fulls = {l: len(cols[l]) for l in sorted(cols)}
-    return ClosureResult(dims, fulls, (w.inner_l_min, w.inner_l_max), spaces)
-
-
-def closure_report(module, seeds, w, params, include_a=False) -> Report:
-    t0 = time.monotonic()
-    res = closure(module, seeds, w, params, include_a)
-    details = {
-        "inner_dims": {str(l): d for l, d in res.inner_dims().items()},
-        "full_dims": {str(l): res.full_dims[l] for l in res.inner_weights()},
-        "inner_full": res.inner_full,
-    }
-    return finish("closure", [], sum(res.dims.values()), t0, status=INFO,
-                  details=details)
+    ls = [l for l in l_range if spaces.dim(l)]
+    return ClosureResult({l: spaces.rank(l) for l in ls},
+                         {l: spaces.dim(l) for l in ls},
+                         (w.inner_l_min, w.inner_l_max))
 
 
 def window_simplicity(module: TensorModule, w: Window, params: dict,
@@ -400,22 +369,12 @@ def check_submodule_closure(module: TensorModule, name: str, w: Window,
     ev = module.eval_cache(params)
     l_range = range(w.l_min, w.l_max + 1)
     gens = named_submodule(module, name, l_range)
-    cols = {l: {bv: i for i, bv in enumerate(module.basis_at(l))}
-            for l in l_range}
-    spaces = {l: Echelon(len(c)) for l, c in cols.items() if c}
+    spaces = WeightSpaces(module.basis_at, l_range)
     buckets: dict = {}
     for g in gens:
         vec = ev.eval_modvec(g)[1]
-        if not vec:
-            continue
-        l = next(iter(vec)).l
-        if l not in spaces:
-            continue
-        row = [(0, 0)] * len(cols[l])
-        for bv, rm in vec.items():
-            row[cols[l][bv]] = rm
-        spaces[l].insert(row)
-        buckets.setdefault(l, []).append(vec)
+        if spaces.insert(vec) is not None:
+            buckets.setdefault(spaces.weight(vec), []).append(vec)
     ops = sorted((p, im) for p in w.k_values()
                  for im in range(1 << module.cfg.N))
     bad = []
@@ -426,21 +385,16 @@ def check_submodule_closure(module: TensorModule, name: str, w: Window,
         for vi, vec in enumerate(buckets[l]):
             for (p, im) in ops:
                 nv = ev.act_vec(p, im, vec)[1]
-                if not nv:
-                    continue
-                l2 = next(iter(nv)).l
-                if l2 not in spaces:
+                inside = spaces.contains(nv)
+                if inside is None:
                     continue
                 n += 1
-                row = [(0, 0)] * len(cols[l2])
-                for bv, rm in nv.items():
-                    row[cols[l2][bv]] = rm
-                if not spaces[l2].contains(row):
+                if not inside:
                     bad.append(violation(
                         f"gen[{l}][{vi}] under op=({p},{im})",
                         lhs="; ".join(f"({r}+{m}i)*{bv.text()}"
                                       for bv, (r, m) in sorted(nv.items())),
-                        rhs=f"span of {name} at weight {l2}",
+                        rhs=f"span of {name} at weight {spaces.weight(nv)}",
                         diff="image leaves the submodule span"))
     return finish(f"submodule_closure[{name}]", bad, n, t0)
 
@@ -706,25 +660,17 @@ def check_eps_shift(src: EpsilonConfig, dst: EpsilonConfig, w: Window) -> Report
 
 def check_table_agreement(module: TensorModule, w: Window,
                           table_l_range=None) -> Report:
-    """Generic action against the explicit table, line by line.  Any
-    discrepancy is logged with the generic value (the source of truth);
-    failure is declared only for discrepancies outside the known-mangled
-    line set."""
+    """Generic action against the explicit table, line by line.  Every
+    discrepancy is a violation carrying the generic value (the source of
+    truth)."""
     t0 = time.monotonic()
     table = make_table(module)
     if table_l_range is None:
         table_l_range = range(-1, 2)
     disc, n = compare_table(module, table, w.k_values(), table_l_range)
-    bad = []
-    logged = []
-    for d in disc:
-        entry = violation(d["inputs"], lhs=d["table"], rhs=d["generic"],
-                          diff=f"line {d['line']}: table disagrees; "
-                               "generic value is authoritative")
-        if d["line"] in N3_SUSPECT_LINES:
-            logged.append(entry)
-        else:
-            bad.append(entry)
-    details = {"logged_known_mangled_lines": logged} if logged else {}
+    bad = [violation(d["inputs"], lhs=d["table"], rhs=d["generic"],
+                     diff=f"line {d['line']}: table disagrees; "
+                          "generic value is authoritative")
+           for d in disc]
     return finish(f"table_agreement[N={module.cfg.N},eps={module.cfg.eps},"
-                  f"rep={module.rep.label}]", bad, n, t0, details=details)
+                  f"rep={module.rep.label}]", bad, n, t0)

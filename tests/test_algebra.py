@@ -7,7 +7,7 @@ from superkon.algebra import (AlgebraConfig, AlgebraElement, a_action,
                               apply_d, bracket, bracket_basis, eps_shift_map,
                               in_ideal_i, in_k_ell, k_ell_valuation, phi,
                               project_k0, tm1_power_d)
-from superkon.exactnum import Scalar, UsageError
+from superkon.exactnum import GaussRat, Scalar, UsageError
 from superkon.grassmann import EpsilonConfig, SuperFunction, contact_bracket, iset
 
 P = ()
@@ -317,6 +317,28 @@ def test_element_text_round_trip():
     text = str(x)
     assert AlgebraElement.parse(P, text) == x
     assert str(AlgebraElement.parse(P, text)) == text
+
+
+def test_element_text_round_trip_sweep():
+    params = ("a", "b", "c")
+    a = Scalar.var(params, "a")
+    coeffs = [Scalar.const(params, g) for g in (1, -1, GaussRat(0, 1), GaussRat(1, -2),
+                                                GaussRat(Fraction(1, 2), 1),
+                                                GaussRat(0, Fraction(-3, 4)))]
+    coeffs += [a, a * coeffs[2], a + Scalar.const(params, GaussRat(0, 2))]
+    zero = AlgebraElement.zero(params)
+    # the two witnesses: nested parentheses around the coefficient
+    witnesses = [AlgebraElement.central_element(params, coeffs[3]),
+                 AlgebraElement.d_symbol(params, 1, iset(1, 2), coeffs[7])]
+    elems = [zero] + witnesses
+    for c in coeffs:
+        for sym in (AlgebraElement.d_symbol(params, 1, iset(1, 2), c),
+                    AlgebraElement.d_symbol(params, -2, 0, c),
+                    AlgebraElement.a_monomial(params, 0, iset(3), c)):
+            for cen in (zero, AlgebraElement.central_element(params, c)):
+                elems.append(sym + cen)
+    for x in elems:
+        assert AlgebraElement.parse(params, str(x)) == x, str(x)
 
 
 def test_negative_control_drop_sign():

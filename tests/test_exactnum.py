@@ -16,6 +16,12 @@ def const(x):
     return Scalar.const(P, x)
 
 
+# Gaussian coefficients whose text forms need parentheses, signs or "*i"
+COEFFS = [GaussRat(0), GaussRat(1), GaussRat(-1), I, -I, GaussRat(1, -2),
+          GaussRat(Fraction(1, 2), 1), GaussRat(0, Fraction(-3, 4)),
+          GaussRat(Fraction(-5, 3), Fraction(2, 7))]
+
+
 def rand_gaussrat(rng):
     return GaussRat(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
                     Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
@@ -102,8 +108,10 @@ def test_eval_is_homomorphism():
 
 def test_serialize_parse_fixed_point():
     rng = random.Random(777)
-    for _ in range(100):
-        x = rand_scalar(rng)
+    monos = [const(1), var("a"), var("b") * var("c") ** 2]
+    swept = [m * const(g) + extra for g in COEFFS for m in monos
+             for extra in (const(0), var("a") * const(GaussRat(0, 2)))]
+    for x in swept + [rand_scalar(rng) for _ in range(100)]:
         text = str(x)
         y = Scalar.parse(P, text)
         assert y == x
@@ -112,8 +120,7 @@ def test_serialize_parse_fixed_point():
 
 def test_gaussrat_text_round_trip():
     rng = random.Random(42)
-    for _ in range(200):
-        g = rand_gaussrat(rng)
+    for g in COEFFS + [rand_gaussrat(rng) for _ in range(200)]:
         assert GaussRat.parse(str(g)) == g
     for lit in ("5/7", "-3", "i", "-i", "1/2+i", "2-3/4*i", "0"):
         assert str(GaussRat.parse(str(GaussRat.parse(lit)))) == str(GaussRat.parse(lit))

@@ -243,8 +243,11 @@ def test_identity_map_wrong_c_fails():
 
 
 def test_basis_vec_text_round_trip():
-    for bv in (ModBasisVec(-1, iset(1, 3), 2), ModBasisVec(0, 0, 0)):
-        assert ModBasisVec.parse(bv.text()) == bv
+    for l in range(-3, 4):
+        for J in range(1 << 3):
+            for r in range(3):
+                bv = ModBasisVec(l, J, r)
+                assert ModBasisVec.parse(bv.text()) == bv
 
 
 def test_module_from_config():

@@ -197,6 +197,14 @@ def test_closure_requires_seeds():
         closure(M, [], module_window(-2, 2, M), {"a": 1, "b": 1, "c": 1})
 
 
+def test_closure_rejects_mixed_weight_seed():
+    M = n2()
+    seed = ModVec(P, {ModBasisVec(0, 0, 0): Scalar.const(P, 1),
+                      ModBasisVec(2, 0, 0): Scalar.const(P, 1)})
+    with pytest.raises(UsageError):
+        closure(M, [seed], module_window(-2, 2, M), {"a": Fraction(5, 7), "b": 1, "c": 1})
+
+
 def test_simplicity_verdicts():
     M = n2()
     w = module_window(-2, 2, M)
@@ -247,10 +255,11 @@ def test_omega_m_max_validation():
 
 
 def test_table_agreement_reports():
-    M = n2()
     w = Window(-2, 2, -2, 2, 0)
-    r = check_table_agreement(M, w)
-    assert r.status == "pass" and not r.violations
+    n3 = TensorModule(EpsilonConfig(3, (1, 1, 1)), build_so3_vm(2, C, P), A)
+    for M in (n2(), n3):
+        r = check_table_agreement(M, w)
+        assert r.status == "pass" and not r.violations
 
 
 def test_perturbed_so3_control():
