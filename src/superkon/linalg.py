@@ -1,9 +1,14 @@
 """Exact linear algebra over Gaussian rationals.
 
-Row vectors are stored as lists of integer pairs ``(re, im)`` with any
-common denominator already cleared; elimination is fraction-free (the
-update ``row' = pivot*row - entry*pivot_row`` stays integral), so ranks
-and memberships carry no rounding or pivot-threshold questions.
+Row vectors are lists of Gaussian-integer pairs ``(re, im)`` with any
+common denominator already cleared.  An :class:`Echelon` keeps its rows in
+reduced row-echelon form scaled by one shared positive integer ``den``:
+every stored row holds ``den`` at its own pivot column and zero at every
+other pivot column.  A row then lies in the span exactly when, on every
+free (non-pivot) column, ``den`` times its entry equals the combination of
+the stored rows weighted by its pivot entries.  Membership touches only
+the free columns and needs no gcd, and ranks and memberships carry no
+rounding or pivot-threshold questions.
 
 :class:`WeightSpaces` keeps one :class:`Echelon` per weight space of a
 window; it is the one place where module vectors become rows.
@@ -14,6 +19,8 @@ orthogonal-algebra relation checks and the degree-zero projection).
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .exactnum import Scalar, UsageError, pair_content
 
 
@@ -21,23 +28,18 @@ from .exactnum import Scalar, UsageError, pair_content
 # integer-pair rows
 
 
-def _normalize_row(row: list) -> list:
-    g = pair_content(row)
-    if g > 1:
-        return [(r // g, m // g) for r, m in row]
-    return row
-
-
-def row_is_zero(row) -> bool:
-    return all(r == 0 and m == 0 for r, m in row)
-
-
 class Echelon:
-    """Growing row-echelon basis with exact membership tests.
+    """Growing reduced row-echelon basis with exact membership tests.
+
+    ``rows`` maps each pivot column to its row, in insertion order (the
+    last entry is the row stored last); each row holds ``(den, 0)`` at its
+    pivot and ``(0, 0)`` at the other pivots.  A row ``r`` is in the span
+    iff ``den*r[c] == sum_p r[p]*rows[p][c]`` on every free column ``c``;
+    the first free column where this fails decides whether ``r`` is new.
 
     ``pivot_limit`` (if set) restricts pivot columns to ``< pivot_limit``;
-    inserting a row whose leading nonzero lies at or beyond the limit is
-    reported as inconsistent rather than stored.  This turns the same
+    inserting a row whose first failing column lies at or beyond the limit
+    is reported as inconsistent rather than stored.  This turns the same
     machinery into an intertwining-map checker: insert ``[source | image]``
     rows with the limit at the source width.
     """
@@ -46,50 +48,79 @@ class Echelon:
         self.ncols = ncols
         self.pivot_limit = ncols if pivot_limit is None else pivot_limit
         self.rows: dict[int, list] = {}  # pivot column -> row
+        self.den = 1
+        self._free = list(range(ncols))  # non-pivot columns, ascending
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce(self, row: list) -> list:
-        row = list(row)
-        for col in sorted(self.rows):
-            rv = row[col]
-            if rv == (0, 0):
-                continue
-            prow = self.rows[col]
-            pv = prow[col]
-            a, b = pv
-            c, d = rv
-            row = [(a * x - b * y - (c * px - d * py),
-                    a * y + b * x - (c * py + d * px))
-                   for (x, y), (px, py) in zip(row, prow)]
-            row = _normalize_row(row)
-        return row
+    def _residual(self, row: list):
+        """Yield ``(c, re, im)`` of ``den*row - sum_p row[p]*rows[p]`` on
+        each free column ``c`` in order; it vanishes on the pivot columns,
+        so ``row`` lies in the span iff every yielded value is zero."""
+        terms = [(row[p], prow) for p, prow in self.rows.items()
+                 if row[p] != (0, 0)]
+        den = self.den
+        for c in self._free:
+            x, y = row[c]
+            x *= den
+            y *= den
+            for (a, b), prow in terms:
+                u, v = prow[c]
+                x -= a * u - b * v
+                y -= a * v + b * u
+            yield c, x, y
 
     def insert(self, row: list) -> str:
-        """Reduce and store.  Returns one of:
+        """Store ``row`` if it is new.  Returns one of:
 
         * ``"new"`` -- increased the rank;
-        * ``"dependent"`` -- already in the span (zero residual);
-        * ``"inconsistent"`` -- residual is zero on all pivot-eligible
+        * ``"dependent"`` -- already in the span;
+        * ``"inconsistent"`` -- agrees with the span on all pivot-eligible
           columns but not beyond the limit.
+
+        The first free column where ``row`` leaves the span decides.
         """
-        res = self.reduce(row)
-        pivot = None
-        for col, v in enumerate(res):
-            if v != (0, 0):
-                pivot = col
+        residual = self._residual(row)
+        for pivot, x, y in residual:
+            if x or y:
                 break
-        if pivot is None:
+        else:
             return "dependent"
         if pivot >= self.pivot_limit:
             return "inconsistent"
-        self.rows[pivot] = _normalize_row(res)
+        new = [(0, 0)] * self.ncols
+        new[pivot] = (x, y)
+        for c, x, y in residual:
+            new[c] = (x, y)
+        self._store(new, pivot)
         return "new"
 
+    def _store(self, new: list, pivot: int) -> None:
+        """Add the residual ``new`` of a row, nonzero at ``pivot``."""
+        # times the conjugate of its pivot entry: the pivot becomes pv > 0
+        a, b = new[pivot]
+        new = [(x * a + y * b, y * a - x * b) for x, y in new]
+        pv = a * a + b * b
+        # clear the pivot column from the stored rows; all pivots -> den*pv
+        den = self.den
+        for p, prow in self.rows.items():
+            e, f = prow[pivot]
+            self.rows[p] = [(pv * u - (e * x - f * y), pv * v - (e * y + f * x))
+                            for (u, v), (x, y) in zip(prow, new)]
+        self.rows[pivot] = [(den * x, den * y) for x, y in new]
+        self._free.remove(pivot)
+        den *= pv
+        g = pair_content(chain.from_iterable(self.rows.values()), den)
+        if g > 1:
+            for p, prow in self.rows.items():
+                self.rows[p] = [(x // g, y // g) for x, y in prow]
+            den //= g
+        self.den = den
+
     def contains(self, row: list) -> bool:
-        return row_is_zero(self.reduce(row))
+        return not any(x or y for _, x, y in self._residual(row))
 
 
 def _weight(vec: dict) -> int:
@@ -163,6 +194,17 @@ class WeightSpaces:
         that weight is outside the window (or ``vec`` is zero)."""
         space, row = self._space_row(vec, None)
         return None if space is None else space.contains(row)
+
+    def __contains__(self, l: int) -> bool:
+        """Whether weight ``l`` has a space."""
+        return l in self._spaces
+
+    def settled(self, l: int) -> bool:
+        """Whether no row at weight ``l`` can change anything: ``l`` has no
+        space, or its space has full rank.  A pair space (with image
+        columns) is never settled, since a row there can be inconsistent."""
+        space = self._spaces.get(l)
+        return space is None or space.rank == space.ncols
 
     def rank(self, l: int) -> int:
         space = self._spaces.get(l)

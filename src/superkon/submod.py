@@ -186,12 +186,13 @@ def iso_target(source: TensorModule, name: str) -> TensorModule:
     if name == "quotient_fprime":
         _require(source.cfg.N == 3, "quotient_fprime is an N=3 map")
         two_m = source.rep.dim - 1
-        _require(two_m >= 1, "quotient_fprime requires spin at least 1/2")
+        # the target is built from V_{m-1}, which does not exist at m = 1/2
+        _require(two_m >= 2, "quotient_fprime requires spin at least 1")
         _require(source.rep.z_scalar ==
                  Scalar.const(params, Fraction(-two_m, 2)),
                  "quotient_fprime requires the central scalar -m")
         sh = 1 - source.cfg.eps[0]
-        rep2 = build_so3_vm(two_m - 2 if two_m >= 2 else 0,
+        rep2 = build_so3_vm(two_m - 2,
                             Scalar.const(params, Fraction(-(two_m - 2), 2)),
                             params)
         return TensorModule(source.cfg, rep2,
@@ -323,13 +324,16 @@ def _check_quotient_map(source, target, name, w, params, t0):
         sv, tv = cross(sd, sv, td, tv)
         if sv and spaces.insert(sv, tv) == "new":
             work.append((spaces.weight(sv), sv, tv))
-    ops = sorted((p, im) for p in range(w.k_min + 1, w.k_max + 2)
+    ops = sorted((p, im, source.weight_shift(p, im))
+                 for p in range(w.k_min + 1, w.k_max + 2)
                  for im in range(1 << source.cfg.N))
     idx = 0
     while idx < len(work):
         l, sv, tv = work[idx]
         idx += 1
-        for (p, im) in ops:
+        for (p, im, shift) in ops:
+            if l + shift not in spaces:
+                continue
             d2, sv2 = src_eval.act_vec(p, im, sv)
             e2, tv2 = tgt_eval.act_vec(p, im, tv)
             sv2, tv2 = cross(d2, sv2, e2, tv2)

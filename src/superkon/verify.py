@@ -8,9 +8,9 @@ are only trusted on the inner weight range; the inner margin must cover
 the largest generator weight shift (see :func:`module_window`).
 
 Closure and rank computations run over concrete Gaussian-rational
-parameter values using fraction-free elimination; identity sweeps keep
-all parameters symbolic.  All elimination, here and in the quotient-map
-checks of :mod:`~superkon.submod`, goes through
+parameter values by exact elimination over Gaussian integers; identity
+sweeps keep all parameters symbolic.  All elimination, here and in the
+quotient-map checks of :mod:`~superkon.submod`, goes through
 :class:`~superkon.linalg.WeightSpaces`.  The simplicity probe is evidence
 at window scale, never a proof, and its report says so.
 """
@@ -258,9 +258,11 @@ def closure(module: TensorModule, seeds, w: Window, params: dict,
 
     Applies every window generator to the current spanning set, drops
     vectors outside the weight range, and row-reduces per weight space
-    until stable.  Only inner-window dimensions are truncation-free.
-    An EvaluatedAction cache may be shared across calls via ``ev``.
-    A seed that mixes weights raises UsageError.
+    until stable.  A generator whose target weight is settled (outside the
+    window, or already full) is skipped before its image is computed: that
+    image could not change the span.  Only inner-window dimensions are
+    truncation-free.  An EvaluatedAction cache may be shared across calls
+    via ``ev``.  A seed that mixes weights raises UsageError.
     """
     if not seeds:
         raise UsageError("closure requires at least one seed vector")
@@ -268,11 +270,11 @@ def closure(module: TensorModule, seeds, w: Window, params: dict,
         ev = module.eval_cache(params)
     l_range = range(w.l_min, w.l_max + 1)
     spaces = WeightSpaces(module.basis_at, l_range)
-    ops = sorted((p, im, True) for p in w.k_values()
-                 for im in range(1 << module.cfg.N))
+    ops = sorted((p, im, True, module.weight_shift(p, im))
+                 for p in w.k_values() for im in range(1 << module.cfg.N))
     if include_a:
-        ops += sorted((k, im, False) for k in w.k_values()
-                      for im in range(1 << module.cfg.N))
+        ops += sorted((k, im, False, module.weight_shift(k, im, False))
+                      for k in w.k_values() for im in range(1 << module.cfg.N))
 
     work = []
     for s in seeds:
@@ -288,7 +290,10 @@ def closure(module: TensorModule, seeds, w: Window, params: dict,
     while idx < len(work):
         vec = work[idx]
         idx += 1
-        for (p, im, is_d) in ops:
+        l = spaces.weight(vec)
+        for (p, im, is_d, shift) in ops:
+            if spaces.settled(l + shift):
+                continue
             nv = ev.act_vec(p, im, vec, is_d)[1]
             if spaces.insert(nv) == "new":
                 work.append(nv)
@@ -364,7 +369,11 @@ def window_simplicity(module: TensorModule, w: Window, params: dict,
 def check_submodule_closure(module: TensorModule, name: str, w: Window,
                             params: dict) -> Report:
     """Every named-submodule generator stays inside the submodule's span
-    under every window generator (membership by exact elimination)."""
+    under every window generator (membership by exact elimination).
+
+    A generator whose target weight has no space is skipped; one whose
+    target space the span already fills is counted as checked without
+    computing its image."""
     t0 = time.monotonic()
     ev = module.eval_cache(params)
     l_range = range(w.l_min, w.l_max + 1)
@@ -375,7 +384,7 @@ def check_submodule_closure(module: TensorModule, name: str, w: Window,
         vec = ev.eval_modvec(g)[1]
         if spaces.insert(vec) is not None:
             buckets.setdefault(spaces.weight(vec), []).append(vec)
-    ops = sorted((p, im) for p in w.k_values()
+    ops = sorted((p, im, module.weight_shift(p, im)) for p in w.k_values()
                  for im in range(1 << module.cfg.N))
     bad = []
     n = 0
@@ -383,7 +392,12 @@ def check_submodule_closure(module: TensorModule, name: str, w: Window,
         if not (w.inner_l_min <= l <= w.inner_l_max):
             continue
         for vi, vec in enumerate(buckets[l]):
-            for (p, im) in ops:
+            for (p, im, shift) in ops:
+                t = l + shift
+                if spaces.settled(t):
+                    if t in spaces:  # full: every image lies in the span
+                        n += 1
+                    continue
                 nv = ev.act_vec(p, im, vec)[1]
                 inside = spaces.contains(nv)
                 if inside is None:

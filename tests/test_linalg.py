@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -25,6 +27,94 @@ def test_echelon_outcomes_under_pivot_limit():
     assert not e.contains([(0, 0), (0, 0), (1, 0)])
 
 
+class FractionFreeEchelon:
+    """Reference: the row-echelon form with the fraction-free update
+    ``row' = pivot*row - entry*pivot_row`` and a gcd step after each."""
+
+    def __init__(self, ncols, pivot_limit=None):
+        self.pivot_limit = ncols if pivot_limit is None else pivot_limit
+        self.rows = {}
+
+    def reduce(self, row):
+        row = list(row)
+        for col in sorted(self.rows):
+            c, d = row[col]
+            if (c, d) == (0, 0):
+                continue
+            prow = self.rows[col]
+            a, b = prow[col]
+            row = [(a * x - b * y - (c * px - d * py),
+                    a * y + b * x - (c * py + d * px))
+                   for (x, y), (px, py) in zip(row, prow)]
+            g = pair_content(row)
+            if g > 1:
+                row = [(x // g, y // g) for x, y in row]
+        return row
+
+    def insert(self, row):
+        res = self.reduce(row)
+        pivot = next((c for c, v in enumerate(res) if v != (0, 0)), None)
+        if pivot is None:
+            return "dependent"
+        if pivot >= self.pivot_limit:
+            return "inconsistent"
+        self.rows[pivot] = res
+        return "new"
+
+    def contains(self, row):
+        return all(v == (0, 0) for v in self.reduce(row))
+
+
+def _gauss(rng, bound):
+    return rng.randint(-bound, bound), rng.randint(-bound, bound)
+
+
+def _combine(rng, rows, width):
+    out = [(0, 0)] * width
+    for row in rows:
+        a, b = _gauss(rng, 3)
+        out = [(x + a * u - b * v, y + a * v + b * u)
+               for (x, y), (u, v) in zip(out, row)]
+    return out
+
+
+def test_echelon_matches_fraction_free_reference():
+    rng = random.Random(20250108)
+    seen = {"new": 0, "dependent": 0, "inconsistent": 0}
+    for case in range(400):
+        width = 1 + case % 8
+        limit = None if case % 3 == 0 else rng.randint(0, width)
+        e, ref = Echelon(width, limit), FractionFreeEchelon(width, limit)
+        spanned = []   # rows inserted as new or dependent
+        for _ in range(3 * width):
+            kind = rng.random()
+            if kind < 0.4 or not spanned:
+                row = [_gauss(rng, 4) if rng.random() < 0.6 else (0, 0)
+                       for _ in range(width)]
+            else:
+                row = _combine(rng, rng.sample(spanned, min(3, len(spanned))),
+                               width)
+                if kind > 0.75 and limit is not None and limit < width:
+                    # planted inconsistent: disturb the image part only
+                    c = rng.randrange(limit, width)
+                    row[c] = (row[c][0] + 1 + rng.randint(0, 5), row[c][1])
+            assert e.contains(row) == ref.contains(row)
+            outcome = e.insert(row)
+            assert outcome == ref.insert(row)
+            assert e.rank == len(ref.rows)
+            seen[outcome] += 1
+            if outcome != "inconsistent":
+                spanned.append(row)
+            assert e.contains(row) == ref.contains(row)
+            # the stored form: den at each pivot, zero at the other pivots,
+            # and no common factor left (den is the least one)
+            assert e.den > 0
+            assert all(prow[q] == ((e.den, 0) if q == p else (0, 0))
+                       for p, prow in e.rows.items() for q in e.rows)
+            assert pair_content(chain.from_iterable(e.rows.values()), e.den) == 1
+    assert min(seen.values()) > 100, seen
+
+
 def test_weight_spaces_outside_window():
     ws = WeightSpaces(basis_at, range(-1, 2))
     assert ws.insert({ModBasisVec(5, 0, 0): (1, 0)}) is None
@@ -34,6 +124,12 @@ def test_weight_spaces_outside_window():
     assert ws.contains({ModBasisVec(0, 1, 0): (0, 3)})
     assert not ws.contains({ModBasisVec(0, 0, 0): (1, 0)})
     assert (ws.rank(0), ws.dim(0), ws.rank(5), ws.dim(5)) == (1, 3, 0, 0)
+    # settled: no space at the weight, or a full one
+    assert 0 in ws and 5 not in ws
+    assert ws.settled(5) and not ws.settled(0)
+    ws.insert({ModBasisVec(0, 0, 0): (1, 0)})
+    ws.insert({ModBasisVec(0, 2, 0): (2, 1)})
+    assert ws.settled(0)
 
 
 def test_pair_row_columns_with_shared_keys():
@@ -46,6 +142,12 @@ def test_pair_row_columns_with_shared_keys():
     assert ws.insert({v1: (1, 0)}, {v0: (2, 0)}) == "new"
     assert ws.insert({v1: (2, 0)}, {v0: (4, 0)}) == "dependent"
     assert ws.insert({v1: (1, 0)}, {v1: (2, 0)}) == "inconsistent"
+    # full source rank: a pair space is still not settled
+    ws.insert({v0: (1, 0)}, {})
+    ws.insert({ModBasisVec(0, 2, 0): (1, 0)}, {})
+    assert ws.rank(0) == ws.dim(0) == 3
+    assert not ws.settled(0)
+    assert ws.insert({v1: (1, 0)}, {v0: (3, 0)}) == "inconsistent"
 
 
 def test_zero_source_pair_at_image_weight_plus_shift():

@@ -234,6 +234,18 @@ def test_quotient_map_wminus():
     assert rpt.status == "pass"
 
 
+def test_quotient_fprime_requires_spin_one():
+    # V_{m-1} does not exist at m = 1/2
+    with pytest.raises(UsageError):
+        iso_target(n3_module(two_m=1, c=Fraction(-1, 2)), "quotient_fprime")
+    M = n3_module(two_m=2, c=-1)
+    assert iso_target(M, "quotient_fprime").rep.dim == 1
+    rpt = iso_check_map(M, "quotient_fprime", Window(-2, 2, -8, 8, 4),
+                        params={"a": Fraction(5, 7)})
+    assert rpt.status == "pass"
+    assert rpt.details["relations_derived"] > 0
+
+
 def test_identity_map_wrong_c_fails():
     M1 = n2_module(b=1, c=1, a=Fraction(5, 7))
     M2 = n2_module(b=1, c=2, a=Fraction(5, 7))

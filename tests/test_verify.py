@@ -2,13 +2,15 @@ from fractions import Fraction
 
 import pytest
 
+from superkon import verify
 from superkon.algebra import ALGEBRA_MUTATIONS, AlgebraConfig
 from superkon.exactnum import GaussRat, Scalar, UsageError
 from superkon.grassmann import EpsilonConfig, iset
+from superkon.linalg import WeightSpaces
 from superkon.repn import build_so2, build_so3_vm, check_so_relations
 from superkon.report import Report, Window
-from superkon.tensmod import (MODULE_MUTATIONS, ModBasisVec, ModVec,
-                              TensorModule, module_from_config)
+from superkon.tensmod import (MODULE_MUTATIONS, EvaluatedAction, ModBasisVec,
+                              ModVec, TensorModule, module_from_config)
 from superkon.verify import (check_bracket_crosscheck, check_eps_shift,
                              check_filtration, check_jacobi,
                              check_module_axioms, check_omega, check_phi,
@@ -231,6 +233,41 @@ def test_submodule_closure_fprime():
     w = module_window(-2, 2, M)
     r = check_submodule_closure(M, "F_prime", w, {"a": Fraction(5, 7)})
     assert r.status == "pass"
+
+
+def test_closures_compute_no_image_for_a_settled_target(monkeypatch):
+    # settled: the target weight has no space, or its space is full
+    made = []
+    settled_targets = []
+
+    class Recording(WeightSpaces):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    act_vec = EvaluatedAction.act_vec
+
+    def spy(self, p, im, vec, is_d=True):
+        spaces = made[-1]
+        t = spaces.weight(vec) + self.module.weight_shift(p, im, is_d)
+        settled_targets.append(spaces.rank(t) == spaces.dim(t))
+        return act_vec(self, p, im, vec, is_d)
+
+    monkeypatch.setattr(verify, "WeightSpaces", Recording)
+    monkeypatch.setattr(EvaluatedAction, "act_vec", spy)
+    M = TensorModule(EpsilonConfig(3, (1, 1, 1)),
+                     build_so3_vm(1, Fraction(3, 11), P), A)
+    w = module_window(-1, 1, M, inner_width=2)
+    res = closure(M, [ModVec.basis(P, ModBasisVec(0, 0, 0))], w,
+                  {"a": Fraction(5, 7)})
+    assert res.inner_dims() == {0: 16}
+    assert settled_targets and not any(settled_targets)
+    settled_targets.clear()
+    M = TensorModule(EpsilonConfig(3, (1, 1, 1)), build_so3_vm(2, Fraction(-1), P), A)
+    r = check_submodule_closure(M, "F_prime", w, {"a": Fraction(5, 7)})
+    assert r.status == "pass"
+    assert r.stats["tuples_checked"] == 356
+    assert settled_targets and not any(settled_targets)
 
 
 def test_omega_minimal_orders():
