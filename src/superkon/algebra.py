@@ -316,6 +316,26 @@ def bracket_ints(acfg: AlgebraConfig, p: int, Im: int, q: int, Jm: int):
     return coeff2, rk, rI, cen12
 
 
+def bracket_columns(eps, k_min: int, k_max: int):
+    """Exponent range ``(lo, hi)`` of :func:`bracket_table`'s columns: the
+    window and every ``p + q - 1`` or ``p + q - eps_i`` of two window ones."""
+    return (min(k_min, 2 * k_min - max(1, *eps)),
+            max(k_max, 2 * k_max - min(1, *eps)))
+
+
+def bracket_table(acfg: AlgebraConfig, k_min: int, k_max: int):
+    """``(lo, rows)`` with ``rows[(p - k_min) * 2**N + I][(q - lo) * 2**N + J]
+    = bracket_ints(acfg, p, I, q, J)`` for ``p`` in the window and ``q`` in
+    :func:`bracket_columns`, each computed once.  Equal results share one
+    tuple, so an entry costs about one reference."""
+    lo, hi = bracket_columns(acfg.cfg.eps, k_min, k_max)
+    n = 1 << acfg.cfg.N
+    canon: dict = {}
+    return lo, [[canon.setdefault(r, r) for q in range(lo, hi + 1) for J in range(n)
+                 for r in [bracket_ints(acfg, p, I, q, J)]]
+                for p in range(k_min, k_max + 1) for I in range(n)]
+
+
 def bracket_basis(acfg: AlgebraConfig, x, y, params=()) -> AlgebraElement:
     """Bracket of two D-basis symbols given by (stored exponent, mask)."""
     (p, Im), (q, Jm) = x, y

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from multiprocessing import get_context
 
 from .algebra import (AlgebraConfig, AlgebraElement, bracket, bracket_basis,
-                      bracket_ints, eps_shift_map, filtration_exponent,
+                      bracket_table, eps_shift_map, filtration_exponent,
                       in_ideal_i, in_k_ell, phi, project_k0, tm1_power_d)
 from .exactnum import GaussRat, Scalar, UsageError
 from .grassmann import (EpsilonConfig, SuperFunction, contact_bracket,
@@ -57,46 +57,52 @@ def _parity(imask: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Jacobi sweep (integer fast path)
+# Jacobi sweep (one bracket table per chunk)
 
 
-def _jacobi_residual(acfg: AlgebraConfig, x, y, z):
-    """4x the D-part and 24x the central part of the graded Jacobi sum."""
+def _jacobi_residual(table, lo: int, N: int, off: int, i: int, j: int, k: int):
+    """4x the D-part and 24x the central part of the graded Jacobi sum of
+    the window symbols in rows ``i, j, k`` of ``(lo, table) =
+    bracket_table(..)``; row ``r`` is the symbol at column ``r + off``."""
     terms: dict = {}
     cen = 0
-    for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-        sgn = -1 if (_parity(a[1]) and _parity(c[1])) else 1
-        c2, rk, rI, _ = bracket_ints(acfg, b[0], b[1], c[0], c[1])
+    mask = (1 << N) - 1
+    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+        c2, rk, rI, _ = table[b][c + off]
         if not c2:
             continue
-        c3, rk2, rI2, cen12 = bracket_ints(acfg, a[0], a[1], rk, rI)
+        c3, rk2, rI2, cen12 = table[a][((rk - lo) << N) + rI]
+        sgn = -1 if (_parity(a & mask) and _parity(c & mask)) else 1
         if c3:
             key = (rk2, rI2)
             terms[key] = terms.get(key, 0) + sgn * c2 * c3
         if cen12:
             cen += sgn * c2 * cen12
-    terms = {k: v for k, v in terms.items() if v}
+    if terms:  # most triples add nothing: skip the filter
+        terms = {key: v for key, v in terms.items() if v}
     return terms, cen
 
 
 def _jacobi_chunk(args):
-    acfg, syms, start, stop = args
+    """The triples whose first symbol has index in ``[start, stop)``."""
+    acfg, w, start, stop = args
+    N = acfg.cfg.N
+    syms = [(p, im) for p in w.k_values() for im in range(1 << N)]
+    lo, table = bracket_table(acfg, w.k_min, w.k_max)
+    off = (w.k_min - lo) << N
     bad = []
     n = 0
     total = len(syms)
     for i in range(start, stop):
-        x = syms[i]
         for j in range(i, total):
-            y = syms[j]
             for k in range(j, total):
-                z = syms[k]
                 n += 1
-                terms, cen = _jacobi_residual(acfg, x, y, z)
+                terms, cen = _jacobi_residual(table, lo, N, off, i, j, k)
                 if terms or cen:
                     parts = [f"{v}/4*D[t^{rk},m={rI}]" for (rk, rI), v in sorted(terms.items())]
                     if cen:
                         parts.append(f"{cen}/24*C")
-                    bad.append(violation(f"x={x} y={y} z={z}",
+                    bad.append(violation(f"x={syms[i]} y={syms[j]} z={syms[k]}",
                                          lhs=" + ".join(parts), rhs="0",
                                          diff=" + ".join(parts)))
     return n, bad
@@ -105,20 +111,22 @@ def _jacobi_chunk(args):
 def check_jacobi(acfg: AlgebraConfig, w: Window, workers: int | None = None) -> Report:
     """Graded Jacobi identity over all basis triples in the window
     (unordered: the Jacobi sum of homogeneous arguments changes only by a
-    global sign under permutations)."""
+    global sign under permutations).  Each chunk of triples (one per
+    worker) first computes every bracket it can read into one
+    :func:`~superkon.algebra.bracket_table`."""
     t0 = time.monotonic()
-    syms = [(p, im) for p in w.k_values() for im in range(1 << acfg.cfg.N)]
+    total = len(w.k_values()) << acfg.cfg.N
     nw = worker_count(workers)
     label = (f"jacobi[N={acfg.cfg.N},eps={acfg.cfg.eps},"
              f"central={acfg.central_enabled}]")
     if nw <= 1:
-        n, bad = _jacobi_chunk((acfg, syms, 0, len(syms)))
+        n, bad = _jacobi_chunk((acfg, w, 0, total))
         return finish(label, bad, n, t0)
     # split the outer index so late chunks (smaller inner ranges) are wider
-    bounds = [round(len(syms) * (1 - (1 - f / nw) ** (1 / 3)))
+    bounds = [round(total * (1 - (1 - f / nw) ** (1 / 3)))
               for f in range(nw + 1)]
-    bounds[-1] = len(syms)
-    jobs = [(acfg, syms, bounds[i], bounds[i + 1]) for i in range(nw)
+    bounds[-1] = total
+    jobs = [(acfg, w, bounds[i], bounds[i + 1]) for i in range(nw)
             if bounds[i] < bounds[i + 1]]
     with get_context("spawn").Pool(len(jobs)) as pool:
         results = pool.map(_jacobi_chunk, jobs)
@@ -371,9 +379,9 @@ def check_submodule_closure(module: TensorModule, name: str, w: Window,
     """Every named-submodule generator stays inside the submodule's span
     under every window generator (membership by exact elimination).
 
-    A generator whose target weight has no space is skipped; one whose
-    target space the span already fills is counted as checked without
-    computing its image."""
+    Every (generator, op) tuple whose target weight has a space is
+    counted, a zero image included; a target space the span already fills
+    needs no image."""
     t0 = time.monotonic()
     ev = module.eval_cache(params)
     l_range = range(w.l_min, w.l_max + 1)
@@ -394,16 +402,13 @@ def check_submodule_closure(module: TensorModule, name: str, w: Window,
         for vi, vec in enumerate(buckets[l]):
             for (p, im, shift) in ops:
                 t = l + shift
-                if spaces.settled(t):
-                    if t in spaces:  # full: every image lies in the span
-                        n += 1
-                    continue
-                nv = ev.act_vec(p, im, vec)[1]
-                inside = spaces.contains(nv)
-                if inside is None:
+                if t not in spaces:
                     continue
                 n += 1
-                if not inside:
+                if spaces.settled(t):  # full: every image lies in the span
+                    continue
+                nv = ev.act_vec(p, im, vec)[1]
+                if nv and not spaces.contains(nv):
                     bad.append(violation(
                         f"gen[{l}][{vi}] under op=({p},{im})",
                         lhs="; ".join(f"({r}+{m}i)*{bv.text()}"

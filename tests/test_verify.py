@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from superkon import verify
-from superkon.algebra import ALGEBRA_MUTATIONS, AlgebraConfig
+from superkon import algebra, verify
+from superkon.algebra import (ALGEBRA_MUTATIONS, AlgebraConfig, bracket_columns,
+                              bracket_ints, bracket_table)
 from superkon.exactnum import GaussRat, Scalar, UsageError
 from superkon.grassmann import EpsilonConfig, iset
 from superkon.linalg import WeightSpaces
@@ -111,6 +112,100 @@ def test_projection_reports_leaving_k0():
                            Window(-1, 2, -1, 2, 0))
     assert bad.status == "fail"
     assert [v["inputs"] for v in bad.violations] == ["D[t,xi{1,2}] in K0"]
+
+
+def _reference_residual(a, x, y, z):
+    """The per-triple Jacobi residual computed straight from bracket_ints:
+    4x the D-part and 24x the central part of the graded Jacobi sum."""
+    terms = {}
+    cen = 0
+    for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
+        sgn = -1 if (u[1].bit_count() & 1 and w[1].bit_count() & 1) else 1
+        c2, rk, rI, _ = bracket_ints(a, v[0], v[1], w[0], w[1])
+        if not c2:
+            continue
+        c3, rk2, rI2, cen12 = bracket_ints(a, u[0], u[1], rk, rI)
+        if c3:
+            terms[(rk2, rI2)] = terms.get((rk2, rI2), 0) + sgn * c2 * c3
+        if cen12:
+            cen += sgn * c2 * cen12
+    return {k: v for k, v in terms.items() if v}, cen
+
+
+# twists off {0, 1}, windows on both sides of 0 and one starting above 1
+# (where the window itself widens the table's columns), every mutation
+TABLE_ORACLE_CONFIGS = [
+    (acfg(1, (1,)), Window(-2, 2)),
+    (acfg(1, (1,), central=True), Window(-2, 2)),
+    (acfg(1, (0,), central=True), Window(-1, 2)),
+    (acfg(1, (2,)), Window(-2, 2)),
+    (acfg(1, (-1,), central=True), Window(2, 4)),
+    (acfg(2, (1, 0)), Window(-1, 1)),
+    (acfg(2, (1, 1), central=True), Window(-1, 1)),
+    (acfg(2, (1, -1)), Window(-1, 1)),
+    (acfg(2, (0, 0), central=True), Window(2, 3)),
+    (acfg(3, (1, 1, 1)), Window(-1, 0)),
+    (acfg(3, (1, 0, 1), central=True), Window(0, 1)),
+    (acfg(3, (3, 0, -2)), Window(-1, 0)),
+    (acfg(3, (1, 1, 1)), Window(-4, -3)),
+    (acfg(3, (1, 1, 1), central=True), Window(-1, 1)),
+    (acfg(4, (1, 1, 0, 0)), Window(0, 1)),
+    (acfg(4, (2, 1, 0, -1)), Window(-1, -1)),
+    (acfg(2, (1, 0), mutation="drop_sign_intersection"), Window(-1, 1)),
+    (acfg(2, (1, 1), central=True, mutation="double_cocycle"), Window(-2, 2)),
+    (acfg(2, (1, 0), central=True, mutation="drop_phi_coeff"), Window(-1, 1)),
+    (acfg(2, (1, 1), mutation="drop_delta_l0"), Window(-1, 1)),
+]
+
+
+def test_table_oracle_configs_cover_every_mutation():
+    assert {a.mutation for a, _ in TABLE_ORACLE_CONFIGS} >= set(ALGEBRA_MUTATIONS)
+
+
+@pytest.mark.parametrize("a,w", TABLE_ORACLE_CONFIGS)
+def test_jacobi_table_matches_per_triple_brackets(a, w):
+    N = a.cfg.N
+    syms = [(p, im) for p in w.k_values() for im in range(1 << N)]
+    lo, table = bracket_table(a, w.k_min, w.k_max)
+    hi = lo + (len(table[0]) >> N) - 1
+    assert (lo, hi) == bracket_columns(a.cfg.eps, w.k_min, w.k_max)
+    assert len(table) == len(syms)
+    assert lo <= w.k_min and w.k_max <= hi
+    entries = [e for row in table for e in row]
+    assert len({id(e) for e in entries}) == len(set(entries))  # interned
+    off = (w.k_min - lo) << N
+    # every inner bracket lands inside the columns, so the outer read exists
+    for b, (q, J) in enumerate(syms):
+        for c, (r, K) in enumerate(syms):
+            c2, rk, _, _ = table[b][c + off]
+            assert table[b][c + off] == bracket_ints(a, q, J, r, K)
+            if c2:
+                assert lo <= rk <= hi
+    n = len(syms)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                assert (verify._jacobi_residual(table, lo, N, off, i, j, k)
+                        == _reference_residual(a, syms[i], syms[j], syms[k]))
+
+
+def test_jacobi_computes_each_bracket_once(monkeypatch):
+    calls = []
+
+    def spy(a, p, im, q, jm):
+        calls.append((p, im, q, jm))
+        return bracket_ints(a, p, im, q, jm)
+
+    monkeypatch.setattr(algebra, "bracket_ints", spy)
+    a = acfg(2, (1, 0), central=True)
+    w = Window(-2, 2)
+    r = check_jacobi(a, w, workers=1)
+    assert r.status == "pass" and r.stats["tuples_checked"] == 1540
+    lo, hi = bracket_columns(a.cfg.eps, w.k_min, w.k_max)
+    rows, cols = len(w.k_values()) << 2, (hi - lo + 1) << 2
+    # every bracket goes through the table builder, once
+    assert 0 < len(calls) <= rows * cols
+    assert len(set(calls)) == len(calls)
 
 
 def test_unknown_mutation_rejected():
@@ -266,8 +361,27 @@ def test_closures_compute_no_image_for_a_settled_target(monkeypatch):
     M = TensorModule(EpsilonConfig(3, (1, 1, 1)), build_so3_vm(2, Fraction(-1), P), A)
     r = check_submodule_closure(M, "F_prime", w, {"a": Fraction(5, 7)})
     assert r.status == "pass"
-    assert r.stats["tuples_checked"] == 356
+    assert r.stats["tuples_checked"] == 384
     assert settled_targets and not any(settled_targets)
+
+
+def test_submodule_closure_counts_zero_images(monkeypatch):
+    images = []
+    act_vec = EvaluatedAction.act_vec
+
+    def spy(self, p, im, vec, is_d=True):
+        out = act_vec(self, p, im, vec, is_d)
+        images.append(out[1])
+        return out
+
+    monkeypatch.setattr(EvaluatedAction, "act_vec", spy)
+    M = TensorModule(EpsilonConfig(3, (1, 1, 1)), build_so3_vm(2, Fraction(-1), P), A)
+    r = check_submodule_closure(M, "F_prime", module_window(-1, 1, M, inner_width=2),
+                                {"a": Fraction(5, 7)})
+    assert r.status == "pass"
+    assert sum(not v for v in images) == 28
+    # no target space is full here, so every counted tuple has its image
+    assert r.stats["tuples_checked"] == len(images)
 
 
 def test_omega_minimal_orders():
