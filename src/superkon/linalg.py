@@ -136,7 +136,9 @@ class WeightSpaces:
     Vectors are dicts ``basis vector -> (re, im)`` whose basis vectors
     carry their weight as ``.l``; a vector must lie in one weight space.
     ``basis_at(l)`` lists the basis at weight ``l``, and only weights in
-    ``weights`` with a nonempty basis get a space.
+    ``weights`` with a nonempty basis get a space.  A vector at such a
+    weight with a term outside that basis (off the module's lattice)
+    raises UsageError.
 
     With ``image_basis`` the rows are pairs ``[vec | image]`` with pivots
     limited to the ``vec`` columns (an intertwining-map checker, see
@@ -177,10 +179,14 @@ class WeightSpaces:
         space = self._spaces[l]
         cols, icols = self._cols[l]
         row = [(0, 0)] * space.ncols
-        for bv, rm in vec.items():
-            row[cols[bv]] = rm
-        for bv, rm in (image or {}).items():
-            row[icols[bv]] = rm
+        try:
+            for bv, rm in vec.items():
+                row[cols[bv]] = rm
+            for bv, rm in (image or {}).items():
+                row[icols[bv]] = rm
+        except KeyError as exc:
+            raise UsageError(f"{exc.args[0]!r} is not in the basis of its "
+                             "weight space") from exc
         return space, row
 
     def insert(self, vec: dict, image: dict | None = None):

@@ -384,6 +384,8 @@ class EvaluatedAction:
         return den, tuple(zip((bv for bv, _ in evals), pairs))
 
     def act_d(self, p: int, imask: int, bv: ModBasisVec):
+        """:meth:`table` as ``[(bv2, GaussRat), ...]``.  No library check
+        calls it; ``bench/tracer.py`` wraps it by name."""
         den, pairs = self.table(p, imask, bv)
         return [(bv2, GaussRat(Fraction(r, den), Fraction(m, den)))
                 for bv2, (r, m) in pairs]

@@ -20,12 +20,13 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
+from math import comb, lcm
 from multiprocessing import get_context
 
 from .algebra import (AlgebraConfig, AlgebraElement, bracket, bracket_basis,
                       bracket_table, eps_shift_map, filtration_exponent,
                       in_ideal_i, in_k_ell, phi, project_k0, tm1_power_d)
-from .exactnum import GaussRat, Scalar, UsageError
+from .exactnum import Scalar, UsageError
 from .grassmann import (EpsilonConfig, SuperFunction, contact_bracket,
                         format_monomial, xi_mul)
 from .linalg import WeightSpaces, mat_commutator, mat_eq
@@ -175,36 +176,72 @@ def _ext_symbols(module: TensorModule, w: Window):
     return d + a
 
 
+def _add_scaled(out: dict, terms: dict, coeff: Scalar) -> None:
+    """``out += coeff * terms`` for dicts basis vector -> Scalar."""
+    for bv, c in terms.items():
+        add = c * coeff
+        prev = out.get(bv)
+        out[bv] = add if prev is None else prev + add
+
+
 def check_module_axioms(module: TensorModule, w: Window) -> Report:
     """The bracket compatibility, associative function action, and mixed
-    compatibility identities, fully symbolic in the parameters."""
+    compatibility identities, fully symbolic in the parameters.
+
+    Each symbol's image of each basis vector is computed once: the
+    ``act_basis_d`` dict of a D-symbol, the ``act_function`` sign of a
+    function monomial as a +-1 Scalar.  Both sides of every identity are
+    built from these images as dicts of canonical Scalars and compared as
+    module vectors (zero entries dropped), which are also the witness."""
     t0 = time.monotonic()
     params = module.params
     acfg = AlgebraConfig(module.cfg)
     syms = _ext_symbols(module, w)
     vecs = [bv for l in range(w.inner_l_min, w.inner_l_max + 1)
             for bv in module.basis_at(l)]
+    signs = {1: Scalar.const(params, 1), -1: Scalar.const(params, -1)}
+    images: dict = {}
     bad = []
     n = 0
+
+    def image(sym, bv):
+        """The symbol ``(p, imask, is_d)`` on a basis vector, as a dict."""
+        key = (sym, bv)
+        hit = images.get(key)
+        if hit is None:
+            p, im, is_d = sym
+            if is_d:
+                hit = module.act_basis_d(p, im, bv)
+            else:
+                res = module.act_function(p, im, bv)
+                hit = {} if res is None else {res[1]: signs[res[0]]}
+            images[key] = hit
+        return hit
 
     def elem(p, im, is_d):
         return (AlgebraElement.d_symbol(params, p, im) if is_d
                 else AlgebraElement.a_monomial(params, p, im))
 
-    for i, (p1, i1, d1) in enumerate(syms):
-        x = elem(p1, i1, d1)
-        for (p2, i2, d2) in syms[i:]:
-            y = elem(p2, i2, d2)
-            br = bracket(acfg, x, y)
+    for i, x in enumerate(syms):
+        p1, i1, d1 = x
+        for y in syms[i:]:
+            p2, i2, d2 = y
+            br = bracket(acfg, elem(*x), elem(*y))
+            br_terms = ([((p, im, True), c) for (p, im), c in br.d_terms.items()]
+                        + [((k, im, False), c) for (k, im), c in br.a_terms.items()])
             sgn = -1 if (_parity(i1) and _parity(i2)) else 1
             for bv in vecs:
                 n += 1
-                v = ModVec.basis(params, bv)
-                yv = module.act(y, v)
-                xv = module.act(x, v)
-                lhs = module.act(br, v)
-                rhs = module.act(x, yv) - module.act(y, xv).scale(sgn)
-                if not (lhs - rhs).is_zero():
+                lhs: dict = {}
+                for sym, c in br_terms:
+                    _add_scaled(lhs, image(sym, bv), c)
+                rhs: dict = {}
+                for bv2, c in image(y, bv).items():
+                    _add_scaled(rhs, image(x, bv2), c)
+                for bv2, c in image(x, bv).items():
+                    _add_scaled(rhs, image(y, bv2), -c if sgn > 0 else c)
+                lhs, rhs = ModVec(params, lhs), ModVec(params, rhs)
+                if lhs != rhs:
                     bad.append(violation(
                         f"bracket x=({p1},{i1},{'D' if d1 else 'A'}) "
                         f"y=({p2},{i2},{'D' if d2 else 'A'}) v={bv.text()}",
@@ -212,22 +249,20 @@ def check_module_axioms(module: TensorModule, w: Window) -> Report:
     # associative action of the function algebra
     monos = [(k, im) for k in w.k_values() for im in range(1 << module.cfg.N)]
     for (k1, i1) in monos:
-        f = elem(k1, i1, False)
         for (k2, i2) in monos:
-            g = elem(k2, i2, False)
             sm = xi_mul(i1, i2)
             for bv in vecs:
                 n += 1
-                v = ModVec.basis(params, bv)
-                lhs = module.act(f, module.act(g, v))
-                if sm is None:
-                    rhs = ModVec(params, {})
-                else:
+                lhs = {}
+                for bv2, c in image((k2, i2, False), bv).items():
+                    _add_scaled(lhs, image((k1, i1, False), bv2), c)
+                rhs = {}
+                if sm is not None:
                     sign, union = sm
-                    fg = AlgebraElement.a_monomial(params, k1 + k2, union,
-                                                   Scalar.const(params, sign))
-                    rhs = module.act(fg, v)
-                if not (lhs - rhs).is_zero():
+                    _add_scaled(rhs, image((k1 + k2, union, False), bv),
+                                signs[sign])
+                lhs, rhs = ModVec(params, lhs), ModVec(params, rhs)
+                if lhs != rhs:
                     bad.append(violation(
                         f"assoc f=({k1},{i1}) g=({k2},{i2}) v={bv.text()}",
                         lhs=str(lhs), rhs=str(rhs), diff=str(lhs - rhs)))
@@ -422,6 +457,28 @@ def check_submodule_closure(module: TensorModule, name: str, w: Window,
 # annihilation operators
 
 
+def _omega_image_is_zero(ev, signed: list, k: int, p: int, imask: int,
+                         bv) -> bool:
+    """Whether ``sum_i signed[i] D[t^{k-i}, xi_I] D[t^{p+i}]`` kills ``bv``:
+    the products of the evaluated columns ``ev.table`` are summed in
+    integer pairs over their least common denominator."""
+    terms = []  # (den, bv3, re, im) of each product
+    for i, s in enumerate(signed):
+        d2, inner = ev.table(p + i, 0, bv)
+        for bv2, (r2, m2) in inner:
+            d3, outer = ev.table(k - i, imask, bv2)
+            r2, m2, d = s * r2, s * m2, d2 * d3
+            for bv3, (r3, m3) in outer:
+                terms.append((d, bv3, r2 * r3 - m2 * m3, r2 * m3 + m2 * r3))
+    den = lcm(*(t[0] for t in terms))
+    acc: dict = {}
+    for d, bv3, r, m in terms:
+        q = den // d
+        pr, pm = acc.get(bv3, (0, 0))
+        acc[bv3] = (pr + r * q, pm + m * q)
+    return not any(r or m for r, m in acc.values())
+
+
 def check_omega(module: TensorModule, m_max: int, w: Window,
                 params: dict) -> Report:
     """Minimal order of the alternating-sum annihilation operators.
@@ -430,6 +487,8 @@ def check_omega(module: TensorModule, m_max: int, w: Window,
     ``sum_i (-1)^i binom(m,i) D[t^{k-i}, xi_I] D[t^{p+i}]`` killing every
     inner-window basis vector for all ``k, p`` in the window.  ``none``
     within the bound is reported as such (status info), not as a failure.
+    Each sum is read from the evaluated action columns (one denominator
+    and Gaussian-integer pairs each) and tested for zero in integers.
     """
     if m_max < 1:
         raise UsageError("m_max must be at least 1")
@@ -442,25 +501,13 @@ def check_omega(module: TensorModule, m_max: int, w: Window,
     for imask in range(1 << module.cfg.N):
         minimal = None
         for m in range(1, m_max + 1):
-            binom = [1]
-            for i in range(m):
-                binom.append(binom[-1] * (m - i) // (i + 1))
+            signed = [(-1) ** i * comb(m, i) for i in range(m + 1)]
             ok = True
             for k in w.k_values():
                 for p in w.k_values():
                     for bv in vecs:
                         n += 1
-                        acc: dict = {}
-                        for i in range(m + 1):
-                            coeff = GaussRat(binom[i] if i % 2 == 0 else -binom[i])
-                            inner = ev.act_d(p + i, 0, bv)
-                            for bv2, g2 in inner:
-                                for bv3, g3 in ev.act_d(k - i, imask, bv2):
-                                    add = g2 * g3 * coeff
-                                    prev = acc.get(bv3)
-                                    s = add if prev is None else prev + add
-                                    acc[bv3] = s
-                        if any(acc.values()):
+                        if not _omega_image_is_zero(ev, signed, k, p, imask, bv):
                             ok = False
                             break
                     if not ok:

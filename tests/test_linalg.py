@@ -123,6 +123,11 @@ def test_weight_spaces_outside_window():
     assert ws.insert({ModBasisVec(0, 1, 0): (1, 0)}) == "new"
     assert ws.contains({ModBasisVec(0, 1, 0): (0, 3)})
     assert not ws.contains({ModBasisVec(0, 0, 0): (1, 0)})
+    # inside the window but off the listed basis: a caller's mistake
+    with pytest.raises(UsageError, match=r"ModBasisVec\(l=0, J=3, r=0\)"):
+        ws.insert({ModBasisVec(0, 3, 0): (1, 0)})
+    with pytest.raises(UsageError, match=r"ModBasisVec\(l=0, J=3, r=0\)"):
+        ws.contains({ModBasisVec(0, 3, 0): (1, 0)})
     assert (ws.rank(0), ws.dim(0), ws.rank(5), ws.dim(5)) == (1, 3, 0, 0)
     # settled: no space at the weight, or a full one
     assert 0 in ws and 5 not in ws

@@ -1,15 +1,17 @@
+import re
 from fractions import Fraction
 
 import pytest
 
 from superkon import algebra, verify
-from superkon.algebra import (ALGEBRA_MUTATIONS, AlgebraConfig, bracket_columns,
-                              bracket_ints, bracket_table)
+from superkon.algebra import (ALGEBRA_MUTATIONS, AlgebraConfig, AlgebraElement,
+                              bracket, bracket_columns, bracket_ints,
+                              bracket_table)
 from superkon.exactnum import GaussRat, Scalar, UsageError
-from superkon.grassmann import EpsilonConfig, iset
+from superkon.grassmann import EpsilonConfig, format_monomial, iset, xi_mul
 from superkon.linalg import WeightSpaces
 from superkon.repn import build_so2, build_so3_vm, check_so_relations
-from superkon.report import Report, Window
+from superkon.report import Report, Window, finish, violation
 from superkon.tensmod import (MODULE_MUTATIONS, EvaluatedAction, ModBasisVec,
                               ModVec, TensorModule, module_from_config)
 from superkon.verify import (check_bracket_crosscheck, check_eps_shift,
@@ -84,6 +86,107 @@ def test_module_axioms_negative_control():
     assert check_module_axioms(M, w).status == "pass"
     Mbad = TensorModule(M.cfg, M.rep, M.a, mutation="swap_tau")
     assert check_module_axioms(Mbad, w).status == "fail"
+
+
+def _reference_module_axioms(module, w):
+    """check_module_axioms computed per triple through ``module.act``."""
+    params = module.params
+    acfg = AlgebraConfig(module.cfg)
+    syms = verify._ext_symbols(module, w)
+    vecs = [bv for l in range(w.inner_l_min, w.inner_l_max + 1)
+            for bv in module.basis_at(l)]
+    bad = []
+    n = 0
+
+    def elem(p, im, is_d):
+        return (AlgebraElement.d_symbol(params, p, im) if is_d
+                else AlgebraElement.a_monomial(params, p, im))
+
+    for i, (p1, i1, d1) in enumerate(syms):
+        x = elem(p1, i1, d1)
+        for (p2, i2, d2) in syms[i:]:
+            y = elem(p2, i2, d2)
+            br = bracket(acfg, x, y)
+            sgn = -1 if (i1.bit_count() & 1 and i2.bit_count() & 1) else 1
+            for bv in vecs:
+                n += 1
+                v = ModVec.basis(params, bv)
+                lhs = module.act(br, v)
+                rhs = (module.act(x, module.act(y, v))
+                       - module.act(y, module.act(x, v)).scale(sgn))
+                if not (lhs - rhs).is_zero():
+                    bad.append(violation(
+                        f"bracket x=({p1},{i1},{'D' if d1 else 'A'}) "
+                        f"y=({p2},{i2},{'D' if d2 else 'A'}) v={bv.text()}",
+                        lhs=str(lhs), rhs=str(rhs), diff=str(lhs - rhs)))
+    monos = [(k, im) for k in w.k_values() for im in range(1 << module.cfg.N)]
+    for (k1, i1) in monos:
+        f = elem(k1, i1, False)
+        for (k2, i2) in monos:
+            g = elem(k2, i2, False)
+            sm = xi_mul(i1, i2)
+            for bv in vecs:
+                n += 1
+                v = ModVec.basis(params, bv)
+                lhs = module.act(f, module.act(g, v))
+                if sm is None:
+                    rhs = ModVec(params, {})
+                else:
+                    fg = AlgebraElement.a_monomial(params, k1 + k2, sm[1],
+                                                   Scalar.const(params, sm[0]))
+                    rhs = module.act(fg, v)
+                if not (lhs - rhs).is_zero():
+                    bad.append(violation(
+                        f"assoc f=({k1},{i1}) g=({k2},{i2}) v={bv.text()}",
+                        lhs=str(lhs), rhs=str(rhs), diff=str(lhs - rhs)))
+    return finish(f"module_axioms[N={module.cfg.N},eps={module.cfg.eps},"
+                  f"rep={module.rep.label},sector={module.sector_delta}]",
+                  bad, n, 0.0)
+
+
+def _n3(two_m, c=C, a=A, mutation=None):
+    return TensorModule(EpsilonConfig(3, (1, 1, 1)), build_so3_vm(two_m, c, P),
+                        a, mutation=mutation)
+
+
+# (module, window): every N=2 twist and sector, N=3 at 2m = 1 and 2
+AXIOM_ORACLE_CONFIGS = {
+    "n2_eps11": (lambda mut: TensorModule(EpsilonConfig(2, (1, 1)), build_so2(B, C, P),
+                                          A, mutation=mut), Window(-1, 1, -4, 4, 3)),
+    **{f"n2_eps{e[0]}{e[1]}_sector{d}": (
+        lambda mut, e=e, d=d: TensorModule(EpsilonConfig(2, e), build_so2(B, C, P),
+                                           A, d, mutation=mut),
+        Window(-1, 1, -4, 4, 3))
+       for e in ((1, 0), (0, 0)) for d in (0, 1)},
+    "n3_2m1": (lambda mut: _n3(1, mutation=mut), Window(0, 1, -4, 4, 4)),
+    "n3_2m2": (lambda mut: _n3(2, mutation=mut), Window(0, 0, -4, 4, 4)),
+}
+
+
+@pytest.mark.parametrize("mutation", [None, "swap_tau"])
+@pytest.mark.parametrize("name", sorted(AXIOM_ORACLE_CONFIGS))
+def test_module_axioms_match_per_triple_route(name, mutation):
+    make, w = AXIOM_ORACLE_CONFIGS[name]
+    M = make(mutation)
+    got = check_module_axioms(M, w)
+    assert got.status == ("pass" if mutation is None else "fail")
+    want = _reference_module_axioms(make(mutation), w)
+    assert got.to_json(with_timing=False) == want.to_json(with_timing=False)
+
+
+def test_passing_module_axioms_never_call_act(monkeypatch):
+    calls = []
+    act = TensorModule.act
+
+    def spy(self, x, v):
+        calls.append(x)
+        return act(self, x, v)
+
+    monkeypatch.setattr(TensorModule, "act", spy)
+    M = n2(eps=(1, 0))
+    r = check_module_axioms(M, module_window(-1, 1, M, inner_width=2))
+    assert r.status == "pass" and r.stats["tuples_checked"] > 0
+    assert calls == []
 
 
 def test_phi_pass_and_control():
@@ -315,6 +418,18 @@ def test_simplicity_verdicts():
     assert set(degenerate.details["smallest_inner_dims"].values()) == {2}
 
 
+# the first off-lattice vector each probe meets: a so_2 image when b != 0,
+# else a table seed (see CHANGES.md)
+@pytest.mark.parametrize("b,c,vector", [
+    (Fraction(1, 3), Fraction(2, 5), "ModBasisVec(l=-7, J=0, r=0)"),
+    (0, 0, "ModBasisVec(l=-1, J=0, r=0)"),
+])
+def test_off_lattice_vector_is_a_usage_error(b, c, vector):
+    M = n2(eps=(1, 0), b=b, c=c, sector=0)
+    with pytest.raises(UsageError, match=re.escape(vector)):
+        window_simplicity(M, module_window(-2, 2, 2), {"a": Fraction(5, 7)})
+
+
 def test_submodule_closure_wplus():
     M = n2()
     w = module_window(-2, 2, M)
@@ -403,6 +518,74 @@ def test_omega_m_max_validation():
     M = n2()
     with pytest.raises(UsageError):
         check_omega(M, 0, module_window(-1, 1, M), {"a": 1, "b": 1, "c": 1})
+
+
+def _reference_omega(module, m_max, w, params):
+    """check_omega summed in GaussRats through ``EvaluatedAction.act_d``."""
+    ev = module.eval_cache(params)
+    vecs = [bv for l in range(w.inner_l_min, w.inner_l_max + 1)
+            for bv in module.basis_at(l)]
+    found = {}
+    n = 0
+    for imask in range(1 << module.cfg.N):
+        minimal = None
+        for m in range(1, m_max + 1):
+            binom = [1]
+            for i in range(m):
+                binom.append(binom[-1] * (m - i) // (i + 1))
+            ok = True
+            for k in w.k_values():
+                for p in w.k_values():
+                    for bv in vecs:
+                        n += 1
+                        acc = {}
+                        for i in range(m + 1):
+                            coeff = GaussRat(binom[i] if i % 2 == 0 else -binom[i])
+                            for bv2, g2 in ev.act_d(p + i, 0, bv):
+                                for bv3, g3 in ev.act_d(k - i, imask, bv2):
+                                    acc[bv3] = acc.get(bv3, GaussRat(0)) + g2 * g3 * coeff
+                        if any(acc.values()):
+                            ok = False
+                            break
+                    if not ok:
+                        break
+                if not ok:
+                    break
+            if ok:
+                minimal = m
+                break
+        found[imask] = minimal
+    details = {"minimal_m": {format_monomial(0, im) if im else "1": v
+                             for im, v in sorted(found.items())},
+               "m_max": m_max,
+               "all_found": all(v is not None for v in found.values())}
+    return finish(f"omega[N={module.cfg.N},eps={module.cfg.eps},"
+                  f"rep={module.rep.label}]", [], n, 0.0, status="info",
+                  details=details)
+
+
+OMEGA_ORACLE_CONFIGS = {
+    "n2_trivial": (lambda: n2(b=0, c=0, a=1, eps=(1, 0), sector=0), 4,
+                   {"a": 1}, True),
+    "n2_generic": (lambda: n2(), 6, {"a": Fraction(5, 7), "b": 1, "c": 1}, True),
+    "n3_2m2": (lambda: _n3(2, Fraction(3, 11)), 4, {"a": Fraction(5, 7)}, True),
+    # below the minimal order 3: nothing is found
+    "n3_2m2_below": (lambda: _n3(2, Fraction(3, 11)), 2, {"a": Fraction(5, 7)},
+                     False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OMEGA_ORACLE_CONFIGS))
+def test_omega_matches_gaussrat_route(name):
+    make, m_max, params, all_found = OMEGA_ORACLE_CONFIGS[name]
+    M = make()
+    w = module_window(0, 1, M, inner_width=2)
+    got = check_omega(M, m_max, w, params)
+    assert got.details["all_found"] is all_found
+    if not all_found:
+        assert set(got.details["minimal_m"].values()) == {None}
+    want = _reference_omega(make(), m_max, w, params)
+    assert got.to_json(with_timing=False) == want.to_json(with_timing=False)
 
 
 def test_table_agreement_reports():
