@@ -1,6 +1,6 @@
 """Exact scalar arithmetic: Gaussian rationals and sparse polynomials.
 
-Two layers:
+Three layers:
 
 * :class:`GaussRat` -- numbers of the form ``re + im*i`` with rational
   ``re``, ``im`` (``i`` the imaginary unit).  Backed by
@@ -14,6 +14,11 @@ Two layers:
   integer coefficient pairs over one shared denominator; this keeps the
   hot loops (bracket recursions, sweep comparisons) in plain integer
   arithmetic.  No floating point is used anywhere.
+
+* :class:`Evaluator` -- every Scalar at one concrete assignment, also in
+  integers: each parameter is a Gaussian-integer pair over its own
+  denominator, and a value comes back as ``(re, im, den)`` in lowest
+  terms.  ``Fraction`` is left to the text forms and :class:`GaussRat`.
 
 Text forms (used in JSON reports and CLI/config round trips):
 
@@ -185,13 +190,23 @@ ZERO = GaussRat(0)
 ONE = GaussRat(1)
 
 
-def clear_denominators(gaussrats) -> tuple:
-    """``(den, pairs)``: the least common denominator of a sequence of
-    GaussRats and their integer pairs ``(re*den, im*den)``."""
-    den = 1
-    for g in gaussrats:
-        den = lcm(den, g.re.denominator, g.im.denominator)
-    return den, [(int(g.re * den), int(g.im * den)) for g in gaussrats]
+def _exact_parts(value, what: str) -> tuple:
+    """``(re, im, den)`` with ``value == (re + im*i)/den``, ``den > 0``, for
+    an ``int``, ``Fraction``, ``GaussRat`` or its text; in lowest terms.
+    Any other type is a caller mistake: UsageError naming ``what``."""
+    if isinstance(value, str):
+        value = GaussRat.parse(value)
+    if isinstance(value, int):
+        return value, 0, 1
+    if isinstance(value, Fraction):
+        return value.numerator, 0, value.denominator
+    if isinstance(value, GaussRat):
+        re, im = value.re, value.im
+        d = lcm(re.denominator, im.denominator)
+        return (re.numerator * (d // re.denominator),
+                im.numerator * (d // im.denominator), d)
+    raise UsageError(f"{what} must be an int, Fraction, GaussRat or its "
+                     f"text, not {type(value).__name__}")
 
 
 def _norm_terms(terms: dict, den: int):
@@ -230,13 +245,7 @@ class Scalar:
     @classmethod
     def const(cls, params, value) -> "Scalar":
         params = tuple(params)
-        if isinstance(value, str):
-            value = GaussRat.parse(value)
-        if isinstance(value, (int, Fraction)):
-            value = GaussRat(value)
-        d = lcm(value.re.denominator, value.im.denominator)
-        nre = int(value.re * d)
-        nim = int(value.im * d)
+        nre, nim, d = _exact_parts(value, "a Scalar constant")
         zero = (0,) * len(params)
         return cls(params, {zero: (nre, nim)}, d)
 
@@ -295,12 +304,29 @@ class Scalar:
     def __rsub__(self, other):
         return (-self) + other
 
+    def _const_parts(self):
+        """``(re, im, den)`` of a constant Scalar, else None."""
+        terms = self.terms
+        if not terms:
+            return 0, 0, 1
+        if len(terms) == 1:
+            (e, (r, m)), = terms.items()
+            if not any(e):
+                return r, m, self.den
+        return None
+
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussRat)):
-            other = Scalar.const(self.params, other)
+            return self.scale_raw(*_exact_parts(other, "a Scalar factor"))
         if not isinstance(other, Scalar):
             return NotImplemented
         self._check(other)
+        c = other._const_parts()
+        if c is not None:
+            return self.scale_raw(*c)
+        c = self._const_parts()
+        if c is not None:
+            return other.scale_raw(*c)
         out: dict = {}
         for e1, (r1, m1) in self.terms.items():
             for e2, (r2, m2) in other.terms.items():
@@ -314,6 +340,8 @@ class Scalar:
     def scale_raw(self, nre: int, nim: int, den: int = 1) -> "Scalar":
         """Multiply by the Gaussian rational ``(nre + nim*i)/den``."""
         if nim == 0:
+            if den == 1 and nre in (1, -1):
+                return self if nre == 1 else -self
             out = {k: (r * nre, m * nre) for k, (r, m) in self.terms.items()}
         else:
             out = {k: (r * nre - m * nim, r * nim + m * nre)
@@ -344,38 +372,15 @@ class Scalar:
         return hash((self.params, self.den, frozenset(self.terms.items())))
 
     # -- evaluation ---------------------------------------------------
-    def used_params(self):
-        used = set()
-        for e in self.terms:
-            for name, k in zip(self.params, e):
-                if k:
-                    used.add(name)
-        return used
-
     def eval(self, assignment: dict) -> GaussRat:
-        """Evaluate at ``assignment`` (parameter name -> GaussRat).
+        """Evaluate at ``assignment`` (parameter name -> int, Fraction,
+        GaussRat or text) through :class:`Evaluator`.
 
         A ring homomorphism; every parameter actually appearing must be
         assigned.
         """
-        vals = {}
-        for name in self.used_params():
-            if name not in assignment:
-                raise UsageError(f"missing assignment for parameter {name!r}")
-        for name, v in assignment.items():
-            if isinstance(v, str):
-                v = GaussRat.parse(v)
-            elif isinstance(v, (int, Fraction)):
-                v = GaussRat(v)
-            vals[name] = v
-        total = GaussRat(0)
-        for e, (r, m) in self.terms.items():
-            term = GaussRat(Fraction(r, self.den), Fraction(m, self.den))
-            for name, k in zip(self.params, e):
-                if k:
-                    term = term * (vals[name] ** k if k != 1 else vals[name])
-            total = total + term
-        return total
+        re, im, den = Evaluator(assignment)(self)
+        return GaussRat(Fraction(re, den), Fraction(im, den))
 
     def as_gaussrat(self) -> GaussRat:
         """Constant Scalar -> GaussRat (error if non-constant)."""
@@ -448,6 +453,74 @@ class Scalar:
             term = cls.const(params, coeff) * cls(params, {tuple(expo): (1, 0)}, 1)
             total = total + term
         return total
+
+
+class Evaluator:
+    """Scalars evaluated at one assignment, in integer arithmetic.
+
+    Built once per assignment (parameter name -> int, Fraction, GaussRat
+    or text); each parameter is held as a Gaussian-integer pair over its
+    own positive denominator.  Calling it on a Scalar returns ``(re, im,
+    den)`` with value ``(re + im*i)/den`` in lowest terms (``den > 0``,
+    ``gcd(re, im, den) == 1``; zero is ``(0, 0, 1)``).  Every term is
+    lifted to the common denominator ``Scalar.den * prod_x d_x^D_x``, where
+    ``D_x`` is the Scalar's largest degree in ``x``; the lifted powers are
+    memoised per parameter and degree.
+    """
+
+    __slots__ = ("_vals", "_lifted")
+
+    def __init__(self, assignment: dict):
+        self._vals = {name: _exact_parts(v, f"parameter {name!r}")
+                      for name, v in assignment.items()}
+        self._lifted: dict = {}
+
+    def _lift(self, name: str, deg: int) -> tuple:
+        """``(d^deg, pows)`` for the value ``(re + im*i)/d`` of ``name``:
+        ``pows[k]`` is the integer pair of ``(re + im*i)^k * d^(deg - k)``."""
+        key = (name, deg)
+        hit = self._lifted.get(key)
+        if hit is None:
+            if name not in self._vals:
+                raise UsageError(f"missing assignment for parameter {name!r}")
+            re, im, d = self._vals[name]
+            pows = [(1, 0)]
+            for _ in range(deg):
+                r, m = pows[-1]
+                pows.append((r * re - m * im, r * im + m * re))
+            pows = tuple((r * d ** (deg - k), m * d ** (deg - k))
+                         for k, (r, m) in enumerate(pows))
+            hit = self._lifted[key] = (d ** deg, pows)
+        return hit
+
+    def __call__(self, s: Scalar) -> tuple:
+        terms = s.terms
+        if not terms:
+            return 0, 0, 1
+        degs = map(max, zip(*terms))  # the largest degree in each parameter
+        used = [(i, *self._lift(name, deg))
+                for i, (name, deg) in enumerate(zip(s.params, degs)) if deg]
+        if not used:
+            (r, m), = terms.values()
+            return r, m, s.den
+        den = s.den
+        for _, d, _ in used:
+            den *= d
+        tre = tim = 0
+        for e, (r, m) in terms.items():
+            for i, _, pows in used:
+                pr, pm = pows[e[i]]
+                if pm:
+                    r, m = r * pr - m * pm, r * pm + m * pr
+                else:
+                    r *= pr
+                    m *= pr
+            tre += r
+            tim += m
+        if not (tre or tim):
+            return 0, 0, 1
+        g = gcd(tre, tim, den)
+        return tre // g, tim // g, den // g
 
 
 def _split_factors(chunk: str):

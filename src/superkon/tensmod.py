@@ -36,8 +36,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .algebra import AlgebraConfig, AlgebraElement, bracket_ints
-from .exactnum import (GaussRat, Scalar, UsageError, clear_denominators,
-                       pair_content)
+from .exactnum import Evaluator, GaussRat, Scalar, UsageError, pair_content
 from .grassmann import EpsilonConfig, members, tau
 from .repn import SoRep, rep_from_config
 
@@ -357,12 +356,14 @@ class EvaluatedAction:
     ``basis -> (re, im)`` of Gaussian-integer pairs, exact up to the
     separately returned positive denominator.  Closure/rank sweeps drop
     the denominator (spans are scale-invariant); the intertwining checks
-    keep it to cross-scale row pairs.
+    keep it to cross-scale row pairs.  Coefficients are evaluated by one
+    :class:`~superkon.exactnum.Evaluator` built for the assignment, so
+    filling a table column stays in integer arithmetic.
     """
 
     def __init__(self, module: TensorModule, assignment: dict):
         self.module = module
-        self.assignment = dict(assignment)
+        self._evaluate = Evaluator(assignment)
         self._memo: dict = {}
 
     def table(self, p: int, imask: int, bv: ModBasisVec):
@@ -377,11 +378,17 @@ class EvaluatedAction:
 
     def _eval_terms(self, terms: dict):
         """(den, ((bv, (re, im)), ...)) for ``bv -> Scalar`` terms at the
-        assignment, with zero values dropped."""
-        evals = [(bv, c.eval(self.assignment)) for bv, c in terms.items()]
-        evals = [(bv, g) for bv, g in evals if g]
-        den, pairs = clear_denominators([g for _, g in evals])
-        return den, tuple(zip((bv for bv, _ in evals), pairs))
+        assignment, with zero values dropped; ``den`` is the least common
+        denominator of the values."""
+        evals = []
+        den = 1
+        for bv, c in terms.items():
+            re, im, d = self._evaluate(c)
+            if re or im:
+                evals.append((bv, re, im, d))
+                den = lcm(den, d)
+        return den, tuple((bv, (re * (den // d), im * (den // d)))
+                          for bv, re, im, d in evals)
 
     def act_d(self, p: int, imask: int, bv: ModBasisVec):
         """:meth:`table` as ``[(bv2, GaussRat), ...]``.  No library check

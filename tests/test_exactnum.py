@@ -1,9 +1,13 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
-from superkon.exactnum import GaussRat, I, Scalar, UsageError
+from superkon.exactnum import Evaluator, GaussRat, I, Scalar, UsageError
+from superkon.grassmann import EpsilonConfig
+from superkon.repn import build_so2
+from superkon.tensmod import EvaluatedAction, ModBasisVec, ModVec, TensorModule
 
 P = ("a", "b", "c")
 
@@ -136,3 +140,111 @@ def test_scalar_pow():
     a = var("a")
     assert a ** 0 == const(1)
     assert a ** 3 == a * a * a
+
+
+def rand_eval_scalar(rng):
+    """Up to 4 terms of degree <= 3 in each parameter; the real and the
+    imaginary part of each coefficient have their own denominator."""
+    coeffs = {}
+    for _ in range(rng.randint(0, 4)):
+        e = tuple(rng.randint(0, 3) for _ in P)
+        coeffs[e] = rand_gaussrat(rng)
+    den = 1
+    for g in coeffs.values():
+        den = lcm(den, g.re.denominator, g.im.denominator)
+    return Scalar(P, {e: (int(g.re * den), int(g.im * den))
+                      for e, g in coeffs.items()}, den)
+
+
+def rand_value(rng):
+    """A parameter value of each accepted type: GaussRat, Fraction, int, text."""
+    g = rand_gaussrat(rng)
+    return rng.choice([g, g.re, g.re.numerator, str(g), str(g.re)])
+
+
+FIXED = [Scalar.zero(P), const(7), const(GaussRat(Fraction(-3, 4), Fraction(5, 6)))]
+
+
+def test_evaluator_matches_fraction_route(gaussrat_route):
+    fraction_eval, clear_denominators = gaussrat_route
+    rng = random.Random(2024)
+    for _ in range(300):
+        asn = {p: rand_value(rng) for p in P}
+        ev = Evaluator(asn)
+        for s in FIXED + [rand_eval_scalar(rng) for _ in range(5)]:
+            want = fraction_eval(s, asn)
+            re, im, den = ev(s)
+            assert den > 0 and gcd(re, im, den) == 1
+            want_den, [want_pair] = clear_denominators([want])
+            assert (re, im, den) == (*want_pair, want_den)
+            assert s.eval(asn) == want
+
+
+def test_eval_modvec_matches_clear_denominators(gaussrat_route):
+    fraction_eval, clear_denominators = gaussrat_route
+    module = TensorModule(EpsilonConfig(2, (1, 1)),
+                          build_so2(var("b"), var("c"), P), var("a"))
+    fixed = ModVec(P, {ModBasisVec(l, 0, 0): const(g) for l, g in enumerate(
+        [GaussRat(Fraction(1, 2), Fraction(-1, 3)), GaussRat(2),
+         GaussRat(0, Fraction(3, 4))])})
+    assert EvaluatedAction(module, {}).eval_modvec(fixed) == (
+        12, {ModBasisVec(0, 0, 0): (6, -4), ModBasisVec(1, 0, 0): (24, 0),
+             ModBasisVec(2, 0, 0): (0, 9)})
+    assert EvaluatedAction(module, {}).eval_modvec(ModVec(P)) == (1, {})
+    rng = random.Random(77)
+    for _ in range(200):
+        asn = {p: rand_value(rng) for p in P}
+        vec = ModVec(P, {ModBasisVec(l, 0, 0): rand_eval_scalar(rng)
+                         for l in range(4)})
+        vals = [(bv, fraction_eval(c, asn)) for bv, c in vec.terms.items()]
+        vals = [(bv, g) for bv, g in vals if g]
+        den, pairs = clear_denominators([g for _, g in vals])
+        assert EvaluatedAction(module, asn).eval_modvec(vec) == (
+            den, dict(zip((bv for bv, _ in vals), pairs)))
+
+
+def generic_product(x, y):
+    """The term-by-term polynomial product, for any two Scalars."""
+    out: dict = {}
+    for e1, (r1, m1) in x.terms.items():
+        for e2, (r2, m2) in y.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            pr, pm = out.get(e, (0, 0))
+            out[e] = (pr + r1 * r2 - m1 * m2, pm + r1 * m2 + m1 * r2)
+    return Scalar(x.params, out, x.den * y.den)
+
+
+def test_constant_products_match_generic_product(gaussrat_route):
+    _, clear_denominators = gaussrat_route
+    rng = random.Random(31)
+    polys = FIXED + [var("a"), -var("c") * var("b") ** 2] + [
+        rand_eval_scalar(rng) for _ in range(40)]
+    zero = (0,) * len(P)
+    for v in [0, 1, -1, I, -I, 7, Fraction(3, 4), Fraction(-5, 6),
+              GaussRat(Fraction(1, 2), Fraction(-2, 3))]:
+        den, pairs = clear_denominators([v if isinstance(v, GaussRat) else GaussRat(v)])
+        c = const(v)
+        want_c = Scalar(P, {zero: pairs[0]}, den)
+        assert (c.terms, c.den) == (want_c.terms, want_c.den)
+        assert const(str(v)) == c
+        for x in polys:
+            want = generic_product(x, c)
+            for got in (x * c, c * x, x * v, v * x):
+                assert (list(got.terms.items()), got.den) == (
+                    list(want.terms.items()), want.den)
+
+
+@pytest.mark.parametrize("bad", [0.5, None, 1j, [1]])
+def test_const_rejects_inexact_values(bad):
+    with pytest.raises(UsageError, match="constant"):
+        Scalar.const(P, bad)
+
+
+@pytest.mark.parametrize("bad", [0.1, None, 2j])
+def test_eval_rejects_inexact_assignment(bad):
+    with pytest.raises(UsageError, match="'a'"):
+        var("a").eval({"a": bad})
+    with pytest.raises(UsageError, match="'b'"):
+        Evaluator({"a": 1, "b": bad})
+    with pytest.raises(TypeError):
+        GaussRat(1) + bad

@@ -1,11 +1,9 @@
 import random
-from fractions import Fraction
 from itertools import chain
 
 import pytest
 
-from superkon.exactnum import (GaussRat, UsageError, clear_denominators,
-                               pair_content)
+from superkon.exactnum import UsageError, pair_content
 from superkon.linalg import Echelon, WeightSpaces
 from superkon.tensmod import ModBasisVec
 
@@ -179,11 +177,3 @@ def test_pair_content():
     assert pair_content([(0, 0)]) == 0
     assert pair_content([], 5) == 5
     assert pair_content([(3, 0), (0, -9)]) == 3
-
-
-def test_clear_denominators():
-    vals = [GaussRat(Fraction(1, 2), Fraction(-1, 3)), GaussRat(2), GaussRat(0, Fraction(3, 4))]
-    den, pairs = clear_denominators(vals)
-    assert den == 12
-    assert pairs == [(6, -4), (24, 0), (0, 9)]
-    assert clear_denominators([]) == (1, [])

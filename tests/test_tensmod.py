@@ -9,8 +9,8 @@ from superkon.repn import build_so2, build_so3_vm
 from superkon.report import Window
 from superkon.submod import iso_check_map, iso_target, named_submodule
 from superkon.tables import N2Table, N3Table, TableVec, compare_table
-from superkon.tensmod import (ModBasisVec, ModVec, TensorModule,
-                              module_from_config, parity_change)
+from superkon.tensmod import (EvaluatedAction, ModBasisVec, ModVec,
+                              TensorModule, module_from_config, parity_change)
 
 P = ("a", "b", "c")
 A = Scalar.var(P, "a")
@@ -286,3 +286,43 @@ def test_sector_lattice():
     assert {bv.J for bv in at0} == {0, iset(1)}
     at1 = M.basis_at(1)
     assert {bv.J for bv in at1} == {iset(2), iset(1, 2)}
+
+
+def table_columns(M, ls, ps):
+    """Every (p, I, basis vector) column of a window's action table."""
+    return [(p, im, bv) for l in ls for bv in M.basis_at(l)
+            for p in ps for im in range(1 << M.cfg.N)]
+
+
+@pytest.mark.parametrize("make,asn", [
+    (lambda: n3_module(two_m=2, c=Fraction(3, 11)), {"a": Fraction(5, 7)}),
+    (lambda: n2_module(b=GaussRat(0, 1), c=1), {"a": "4/7-2/3*i"}),
+])
+def test_table_matches_gaussrat_route(gaussrat_route, make, asn):
+    fraction_eval, clear_denominators = gaussrat_route
+    M = make()
+    ev = EvaluatedAction(M, asn)
+    for p, im, bv in table_columns(M, range(-2, 3), range(-1, 3)):
+        vals = [(bv2, fraction_eval(c, asn))
+                for bv2, c in M.act_basis_d(p, im, bv).items()]
+        vals = [(bv2, g) for bv2, g in vals if g]
+        den, pairs = clear_denominators([g for _, g in vals])
+        assert ev.table(p, im, bv) == (den, tuple(zip((b for b, _ in vals), pairs)))
+
+
+def test_filling_a_table_constructs_no_fraction(monkeypatch):
+    M = n3_module(two_m=2, c=Fraction(3, 11))
+    asn = {"a": Fraction(5, 7)}
+    made = []
+    new = Fraction.__new__
+
+    def spy(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", spy)
+    ev = M.eval_cache(asn)
+    for col in table_columns(M, range(-2, 3), range(-1, 3)):
+        ev.table(*col)
+    assert ev.table(2, 0, ModBasisVec(0, 0, 0))[1]
+    assert made == []
