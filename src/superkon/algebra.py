@@ -39,9 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import Scalar, UsageError
-from .grassmann import (EpsilonConfig, SuperFunction, members, parse_monomial,
-                        partial_sign, xi_mul)
+from .exactnum import Scalar, TextReader, UsageError, term_text
+from .grassmann import EpsilonConfig, SuperFunction, members, partial_sign, xi_mul
 
 
 # Negative-control mutations an AlgebraConfig accepts, each with the check
@@ -153,24 +152,15 @@ class AlgebraElement:
                 and self.a_terms == other.a_terms
                 and self.central == other.central)
 
-    def homogeneous_parity(self):
-        """0/1 for parity-homogeneous elements, else None.  C is even."""
-        ps = {I.bit_count() & 1 for (_, I) in self.d_terms}
-        ps |= {I.bit_count() & 1 for (_, I) in self.a_terms}
-        if self.central:
-            ps.add(0)
-        return ps.pop() if len(ps) == 1 else None
-
     def has_central(self) -> bool:
         return bool(self.central)
 
     # -- text form -------------------------------------------------------
     def __str__(self):
-        parts = []
-        for key in sorted(self.d_terms):
-            parts.append(_fmt_term(self.d_terms[key], "D", key))
-        for key in sorted(self.a_terms):
-            parts.append(_fmt_term(self.a_terms[key], "A", key))
+        parts = [term_text(self.d_terms[key], _symbol_text("D", key))
+                 for key in sorted(self.d_terms)]
+        parts += [term_text(self.a_terms[key], _symbol_text("A", key))
+                  for key in sorted(self.a_terms)]
         if self.central:
             cs = str(self.central)
             parts.append("C" if cs == "1" else f"({cs})*C")
@@ -181,77 +171,38 @@ class AlgebraElement:
 
     @classmethod
     def parse(cls, params, text: str) -> "AlgebraElement":
+        """Inverse of ``str``: a ``sum`` whose products carry the symbols
+        ``D[t^k,xi{..}]``, ``A[t^k,xi{..}]`` or ``C`` (grammar in
+        :mod:`superkon.exactnum`)."""
+        r = TextReader(text, params)
         out = cls.zero(params)
-        if text.strip() == "0":
-            return out
-        depth = 0
-        chunks, cur = [], ""
-        for ch in text:
-            if ch in "([":
-                depth += 1
-            elif ch in ")]":
-                depth -= 1
-            if ch == "+" and depth == 0:
-                chunks.append(cur)
-                cur = ""
-            else:
-                cur += ch
-        chunks.append(cur)
-        for chunk in chunks:
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            coeff, sym = _split_coeff(chunk)
-            c = Scalar.parse(params, coeff) if coeff else Scalar.const(params, 1)
+        for c, sym in r.done(r.terms(_read_symbol)):
             if sym == "C":
                 out = out + cls.central_element(params, c)
-            elif sym.startswith("D[") or sym.startswith("A["):
-                kind = sym[0]
-                inner = " ".join(sym[2:-1].split(",", 1))
-                k, imask = parse_monomial(inner if inner.strip() else "1")
-                if kind == "D":
-                    out = out + cls.d_symbol(params, k, imask, c)
-                else:
-                    out = out + cls.a_monomial(params, k, imask, c)
-            else:
-                raise UsageError(f"bad element term {chunk!r}")
+            elif sym:
+                kind, (k, imask) = sym
+                make = cls.d_symbol if kind == "D" else cls.a_monomial
+                out = out + make(params, k, imask, c)
+            elif c:
+                raise UsageError(f"term {c} of {text!r} has no basis symbol")
         return out
 
 
-def _fmt_term(coeff: Scalar, kind: str, key) -> str:
+def _symbol_text(kind: str, key) -> str:
     k, imask = key
-    body = f"{kind}[t^{k}" + (
+    return f"{kind}[t^{k}" + (
         ",xi{" + ",".join(map(str, members(imask))) + "}]" if imask else "]")
-    cs = str(coeff)
-    if cs == "1":
-        return body
-    if " + " in cs or "*" in cs or cs.endswith("i"):
-        cs = f"({cs})"
-    return f"{cs}*{body}"
 
 
-def _split_coeff(chunk: str):
-    depth = 0
-    for idx, ch in enumerate(chunk):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "*" and depth == 0:
-            rest = chunk[idx + 1:].strip()
-            if rest.startswith(("D[", "A[")) or rest == "C":
-                return _unwrap(chunk[:idx].strip()), rest
-    return "", chunk
-
-
-def _unwrap(text: str) -> str:
-    """Drop one pair of parentheses enclosing the whole text, if any."""
-    depth = 0
-    for idx, ch in enumerate(text):
-        depth += (ch == "(") - (ch == ")")
-        if depth == 0:
-            return text[1:-1] if 0 < idx == len(text) - 1 else text
-    return text
+def _read_symbol(r: TextReader):
+    """The basis-symbol hook of :meth:`AlgebraElement.parse`."""
+    kind = r.accept("D", "A", "C")
+    if kind in ("D", "A"):
+        r.expect("[")
+        key = r.monomial()
+        r.expect("]")
+        return kind, key
+    return kind
 
 
 # ---------------------------------------------------------------------------
@@ -565,29 +516,29 @@ def k_ell_valuation(acfg: AlgebraConfig, x: AlgebraElement) -> dict:
     return out
 
 
+def ideal_exponent(size: int) -> int:
+    """Required (t-1) valuation of the xi-size ``size`` component of the
+    distinguished ideal of the degree-zero subalgebra: 2 on the plain
+    component, 1 for one or two xi factors, 0 beyond."""
+    return {0: 2, 1: 1, 2: 1}.get(size, 0)
+
+
+def _valuations_reach(acfg: AlgebraConfig, x: AlgebraElement, exponent) -> bool:
+    """Whether every nonvanishing component of ``x`` has (t-1) valuation at
+    least ``exponent(xi-size)``."""
+    return all(v is None or v >= exponent(Im.bit_count())
+               for Im, v in k_ell_valuation(acfg, x).items())
+
+
 def in_k_ell(acfg: AlgebraConfig, x: AlgebraElement, ell: int) -> bool:
     """Membership in the level-``ell`` filtration piece."""
-    vals = k_ell_valuation(acfg, x)
-    for Im, v in vals.items():
-        if v is None:
-            continue
-        if v < filtration_exponent(ell, Im.bit_count(), acfg.mutation):
-            return False
-    return True
+    return _valuations_reach(
+        acfg, x, lambda size: filtration_exponent(ell, size, acfg.mutation))
 
 
 def in_ideal_i(acfg: AlgebraConfig, x: AlgebraElement) -> bool:
-    """Membership in the distinguished ideal of the degree-zero
-    subalgebra: valuation >= 2 on the plain component, >= 1 for one or
-    two xi factors, >= 0 beyond."""
-    need = {0: 2, 1: 1, 2: 1}
-    vals = k_ell_valuation(acfg, x)
-    for Im, v in vals.items():
-        if v is None:
-            continue
-        if v < need.get(Im.bit_count(), 0):
-            return False
-    return True
+    """Membership in the distinguished ideal (see :func:`ideal_exponent`)."""
+    return _valuations_reach(acfg, x, ideal_exponent)
 
 
 def project_k0(acfg: AlgebraConfig, x: AlgebraElement):

@@ -20,14 +20,29 @@ Three layers:
   denominator, and a value comes back as ``(re, im, den)`` in lowest
   terms.  ``Fraction`` is left to the text forms and :class:`GaussRat`.
 
-Text forms (used in JSON reports and CLI/config round trips):
+Text forms (JSON reports, configs, round trips) are read by one
+:class:`TextReader`; whitespace between tokens is ignored::
 
-* GaussRat: ``"p/q"``, ``"p/q+r/s*i"``, ``"i"``, ``"-2/3*i"`` ...
-* Scalar: sum of terms ``"coeff*a^e1*c^e2"``, e.g. ``"3*a + (1/2+i)*c^2"``.
+    sum      := product (("+" | "-") product)*
+    product  := ["-"] factor (("*" | "/") factor)*
+    factor   := number | "i" | param ["^" integer] | "(" sum ")" | symbol
+    number   := digits ["." digits]
+    integer  := ["-"] digits
+    index_set := "{" [integer ("," integer)*] "}"
+    monomial := "1" | "t" ["^" integer] [[","] "xi" index_set]
+              | "xi" index_set
+
+``param`` is one of the declared parameter names.  A divisor after ``/``
+is a nonzero constant, so ``p/q`` is a quotient of two numbers.  At most
+one ``symbol`` (a basis symbol such as ``D[t^1,xi{1,2}]``) stands in a
+product; the caller reads it through a hook.  Index sets hold distinct
+positive indices.  Examples: ``"1/2-3/4*i"`` (a GaussRat), ``"3*a +
+(1/2+i)*c^2 + -1"`` (a Scalar).
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -53,6 +68,11 @@ class GaussRat:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
+        for part in (re, im):
+            if not isinstance(part, (int, Fraction)):
+                raise UsageError(f"GaussRat parts must be int or Fraction, not "
+                                 f"{type(part).__name__} (text goes through "
+                                 f"GaussRat.parse)")
         object.__setattr__(self, "re", Fraction(re))
         object.__setattr__(self, "im", Fraction(im))
 
@@ -152,42 +172,12 @@ class GaussRat:
 
     @classmethod
     def parse(cls, text: str) -> "GaussRat":
-        """Parse ``"p/q"`` / ``"p/q+r/s*i"`` style text."""
-        s = text.strip().replace(" ", "")
-        if not s:
-            raise UsageError("empty GaussRat literal")
-        # split into signed chunks at top level
-        chunks, cur = [], ""
-        for idx, ch in enumerate(s):
-            if ch in "+-" and idx > 0 and s[idx - 1] not in "+-/*^eE(":
-                chunks.append(cur)
-                cur = ch
-            else:
-                cur += ch
-        chunks.append(cur)
-        re = Fraction(0)
-        im = Fraction(0)
-        for chunk in chunks:
-            if not chunk or chunk in "+-":
-                raise UsageError(f"malformed GaussRat literal: {text!r}")
-            if chunk.endswith("i"):
-                body = chunk[:-1]
-                if body.endswith("*"):
-                    body = body[:-1]
-                if body in ("", "+"):
-                    im += 1
-                elif body == "-":
-                    im -= 1
-                else:
-                    im += Fraction(body)
-            else:
-                re += Fraction(chunk)
-        return cls(re, im)
+        """Read a constant ``sum`` (grammar in the module docstring)."""
+        r = TextReader(text)
+        return r.done(r.sum()).as_gaussrat()
 
 
 I = GaussRat(0, 1)
-ZERO = GaussRat(0)
-ONE = GaussRat(1)
 
 
 def _exact_parts(value, what: str) -> tuple:
@@ -417,42 +407,165 @@ class Scalar:
 
     @classmethod
     def parse(cls, params, text: str) -> "Scalar":
-        params = tuple(params)
-        s = text.strip()
-        if not s:
-            raise UsageError("empty Scalar literal")
-        # split top-level '+' (subtraction is carried inside coefficients)
-        depth = 0
-        chunks, cur = [], ""
-        for ch in s:
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            if ch == "+" and depth == 0 and cur.strip() and cur.strip()[-1] not in "*^/(+-":
-                chunks.append(cur)
-                cur = ""
-            else:
-                cur += ch
-        chunks.append(cur)
-        total = cls.zero(params)
-        for chunk in chunks:
-            chunk = chunk.strip()
-            if not chunk:
-                raise UsageError(f"malformed Scalar literal: {text!r}")
-            coeff = GaussRat(1)
-            expo = [0] * len(params)
-            for factor in _split_factors(chunk):
-                if factor.startswith("("):
-                    coeff = coeff * GaussRat.parse(factor[1:-1])
-                elif factor in params or (factor.split("^")[0] in params):
-                    name, _, p = factor.partition("^")
-                    expo[params.index(name)] += int(p) if p else 1
-                else:
-                    coeff = coeff * GaussRat.parse(factor)
-            term = cls.const(params, coeff) * cls(params, {tuple(expo): (1, 0)}, 1)
-            total = total + term
+        """Read a ``sum`` over ``params`` (grammar in the module docstring)."""
+        r = TextReader(text, params)
+        return r.done(r.sum())
+
+
+def term_text(coeff: Scalar, body: str) -> str:
+    """``coeff*body`` as the element, function and vector printers write
+    it: the coefficient is left out when it prints as ``1``, and one that
+    prints as a sum, a product or with ``i`` is wrapped in parentheses."""
+    cs = str(coeff)
+    if cs == "1":
+        return body
+    if " + " in cs or "*" in cs or cs.endswith("i"):
+        cs = f"({cs})"
+    return f"{cs}*{body}"
+
+
+_TOKEN = re.compile(r"\d+(?:\.\d+)?|[A-Za-z_]\w*|\S", re.ASCII)
+
+
+class TextReader:
+    """Reads the text forms of the module docstring from one string: a
+    regex tokenizer under a small recursive-descent reader.
+
+    ``params`` are the parameter names a sum may use.  Malformed text
+    raises :class:`UsageError`; call :meth:`done` on the last value read
+    to require that the whole text was used.
+    """
+
+    def __init__(self, text: str, params=()):
+        self.text = text
+        self.params = tuple(params)
+        self.toks = _TOKEN.findall(text)
+        self.pos = 0
+
+    # -- tokens -----------------------------------------------------------
+    def peek(self) -> str:
+        """The next token, ``""`` at the end."""
+        return self.toks[self.pos] if self.pos < len(self.toks) else ""
+
+    def take(self) -> str:
+        tok = self.peek()
+        self.pos += 1
+        return tok
+
+    def accept(self, *toks) -> str:
+        """Consume the next token if it is one of ``toks`` and return it;
+        otherwise ``""``."""
+        return self.take() if self.peek() in toks else ""
+
+    def expect(self, tok: str):
+        if not self.accept(tok):
+            self.fail(repr(tok))
+
+    def fail(self, what: str):
+        found = repr(self.peek()) if self.peek() else "the end"
+        raise UsageError(f"malformed text {self.text!r}: expected {what}, "
+                         f"found {found}")
+
+    def done(self, value):
+        """``value``, after checking that no text is left."""
+        if self.peek():
+            self.fail("the end")
+        return value
+
+    # -- sums -------------------------------------------------------------
+    def terms(self, symbol=None) -> list:
+        """A ``sum`` as ``[(coeff, sym)]``, one pair per signed product.
+
+        ``symbol(reader)`` is the caller's hook for basis symbols: it
+        consumes one and returns it (truthy), or consumes nothing and
+        returns a falsy value.  ``sym`` is the product's symbol, None when
+        it has none."""
+        out = [self._product(symbol)]
+        while sign := self.accept("+", "-"):
+            c, sym = self._product(symbol)
+            out.append((-c if sign == "-" else c, sym))
+        return out
+
+    def sum(self) -> Scalar:
+        """A ``sum`` with no basis symbol, as a Scalar."""
+        total = Scalar.zero(self.params)
+        for c, _ in self.terms():
+            total = total + c
         return total
+
+    def _product(self, symbol):
+        coeff = Scalar.const(self.params, -1 if self.accept("-") else 1)
+        sym, op = None, "*"
+        while op:
+            found = op == "*" and symbol and symbol(self)
+            if not found:
+                f = self._factor()
+                coeff = coeff * f if op == "*" else self._divide(coeff, f)
+            elif sym:
+                raise UsageError(f"two basis symbols in one product in {self.text!r}")
+            else:
+                sym = found
+            op = self.accept("*", "/")
+        return coeff, sym
+
+    def _factor(self) -> Scalar:
+        tok = self.peek()
+        if tok == "(":
+            self.take()
+            s = self.sum()
+            self.expect(")")
+            return s
+        if tok[:1].isdigit():
+            self.take()
+            return Scalar.const(self.params, Fraction(tok))
+        if tok == "i":
+            self.take()
+            return Scalar.const(self.params, I)
+        if tok in self.params:
+            self.take()
+            return Scalar.var(self.params, tok) ** (self.integer() if self.accept("^") else 1)
+        self.fail("a number, 'i', a declared parameter or '('")
+
+    def _divide(self, s: Scalar, d: Scalar) -> Scalar:
+        parts = d._const_parts()
+        if parts is None or not (parts[0] or parts[1]):
+            raise UsageError(f"divisor {d} is not a nonzero constant in {self.text!r}")
+        nre, nim, den = parts  # 1/((nre + nim*i)/den) = den*(nre - nim*i)/|.|^2
+        return s.scale_raw(den * nre, -den * nim, nre * nre + nim * nim)
+
+    # -- helpers for basis symbols ------------------------------------------
+    def integer(self) -> int:
+        neg = self.accept("-")
+        if not self.peek().isdigit():
+            self.fail("an integer")
+        n = int(self.take())
+        return -n if neg else n
+
+    def index_set(self) -> int:
+        """An ``index_set`` as a bitmask (bit ``j-1`` for index ``j``)."""
+        self.expect("{")
+        mask = 0
+        while not self.accept("}"):
+            if mask:
+                self.expect(",")
+            j = self.integer()
+            if j < 1 or mask >> (j - 1) & 1:
+                raise UsageError(f"index {j} is repeated or not positive in {self.text!r}")
+            mask |= 1 << (j - 1)
+        return mask
+
+    def monomial(self) -> tuple:
+        """A ``monomial`` ``t^k xi_I`` as ``(k, imask)``."""
+        if self.accept("1"):
+            return 0, 0
+        k = imask = 0
+        t = self.accept("t")
+        if t:
+            k = self.integer() if self.accept("^") else 1
+        if not t or self.accept(",") or self.peek() == "xi":
+            self.expect("xi")
+            imask = self.index_set()
+        return k, imask
 
 
 class Evaluator:
@@ -521,38 +634,3 @@ class Evaluator:
             return 0, 0, 1
         g = gcd(tre, tim, den)
         return tre // g, tim // g, den // g
-
-
-def _split_factors(chunk: str):
-    """Split a product term on top-level ``*`` (the ``*i`` of a Gaussian
-    literal is glued back to its number)."""
-    depth = 0
-    parts, cur = [], ""
-    for ch in chunk:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "*" and depth == 0:
-            parts.append(cur)
-            cur = ""
-        else:
-            cur += ch
-    parts.append(cur)
-    # re-glue "<num>", "i" pairs produced by literals like 1/2*i
-    out = []
-    for p in parts:
-        p = p.strip()
-        if p == "i" and out and out[-1] not in ("",) and _is_numeric(out[-1]):
-            out[-1] = out[-1] + "*i"
-        else:
-            out.append(p)
-    return out
-
-
-def _is_numeric(tok: str) -> bool:
-    try:
-        Fraction(tok.strip("()"))
-        return True
-    except (ValueError, ZeroDivisionError):
-        return False

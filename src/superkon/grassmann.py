@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .exactnum import Scalar, UsageError
+from .exactnum import Scalar, TextReader, UsageError, term_text
 
 
 # ---------------------------------------------------------------------------
@@ -235,11 +235,6 @@ class SuperFunction:
             (od if I.bit_count() & 1 else ev)[(k, I)] = c
         return (SuperFunction(self.params, ev), SuperFunction(self.params, od))
 
-    def homogeneous_parity(self):
-        """0, 1, or None (zero or mixed)."""
-        ps = {I.bit_count() & 1 for (_, I) in self.terms}
-        return ps.pop() if len(ps) == 1 else None
-
     # -- derivations ----------------------------------------------------
     def partial(self, i: int, N: int | None = None) -> "SuperFunction":
         """Odd derivation ``partial_i`` (left convention)."""
@@ -283,16 +278,8 @@ class SuperFunction:
     def __str__(self):
         if not self.terms:
             return "0"
-        parts = []
-        for key in sorted(self.terms):
-            k, I = key
-            c = self.terms[key]
-            cs = str(c)
-            if " + " in cs or cs.endswith("i") or "*" in cs:
-                cs = f"({cs})"
-            mono = format_monomial(k, I)
-            parts.append(mono if cs == "1" else f"{cs}*{mono}")
-        return " + ".join(parts)
+        return " + ".join(term_text(self.terms[key], format_monomial(*key))
+                          for key in sorted(self.terms))
 
     def __repr__(self):
         return f"SuperFunction({self!s})"
@@ -308,24 +295,10 @@ def format_monomial(k: int, imask: int) -> str:
 
 
 def parse_monomial(text: str):
-    """Inverse of :func:`format_monomial` -> ``(k, imask)``."""
-    s = text.strip()
-    if s == "1":
-        return (0, 0)
-    k = 0
-    imask = 0
-    for tok in s.split():
-        if tok.startswith("t^"):
-            k = int(tok[2:])
-        elif tok == "t":
-            k = 1
-        elif tok.startswith("xi{") and tok.endswith("}"):
-            inner = tok[3:-1]
-            if inner:
-                imask = iset(*(int(x) for x in inner.split(",")))
-        else:
-            raise UsageError(f"bad monomial token {tok!r} in {text!r}")
-    return (k, imask)
+    """Inverse of :func:`format_monomial` -> ``(k, imask)`` (the
+    ``monomial`` of the grammar in :mod:`superkon.exactnum`)."""
+    r = TextReader(text)
+    return r.done(r.monomial())
 
 
 # ---------------------------------------------------------------------------

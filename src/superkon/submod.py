@@ -36,8 +36,6 @@ from .report import Report, Window, finish, violation
 from .tables import N2Table, N3Table, TableVec
 from .tensmod import ModBasisVec, ModVec, TensorModule
 
-I_ = GaussRat(0, 1)
-
 
 def _table_pick(table, kind, r, table_l) -> ModVec:
     return table.to_modvec(TableVec(kind, r, table_l))

@@ -20,12 +20,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactnum import GaussRat, Scalar, UsageError
+from .exactnum import GaussRat, I, Scalar, UsageError
 from .grassmann import iset
 from .tensmod import ModBasisVec, ModVec, TensorModule
-
-I_ = GaussRat(0, 1)
-HALF_I = GaussRat(0, Fraction(1, 2))
 
 
 class TableVec(NamedTuple):
@@ -96,7 +93,7 @@ class N2Table(BaseTable):
         if sym.kind == "v":
             terms = {ModBasisVec(l, 0, 0): one}
         elif sym.kind in ("vp", "vm"):
-            s = I_ if sym.kind == "vp" else GaussRat(0, -1)
+            s = I if sym.kind == "vp" else GaussRat(0, -1)
             terms = {ModBasisVec(l, iset(1), 0): one,
                      ModBasisVec(l, iset(2), 0): Scalar.const(self.params, s)}
         elif sym.kind == "w":
@@ -138,14 +135,14 @@ class N2Table(BaseTable):
                 if not plus:
                     out.add(TableVec("v", 0, lk),
                             -self.lin((1, a), (1, 2 * l), (2 * k, c),
-                                      (2 * k, b * I_), (1, 2 * k)))
-                    out.add(TableVec("w", 0, lk), self.const(2 * I_))
+                                      (2 * k, b * I), (1, 2 * k)))
+                    out.add(TableVec("w", 0, lk), self.const(2 * I))
             elif sym.kind == "vm":
                 if plus:
                     out.add(TableVec("v", 0, lk),
                             -self.lin((1, a), (1, 2 * l), (2 * k, c),
-                                      (-2 * k, b * I_), (1, 2 * k)))
-                    out.add(TableVec("w", 0, lk), self.const(-2 * I_))
+                                      (-2 * k, b * I), (1, 2 * k)))
+                    out.add(TableVec("w", 0, lk), self.const(-2 * I))
             else:  # w
                 out.add(TableVec("vp" if plus else "vm", 0, lk),
                         self.lin((k, b)) + self.lin((1, a), (1, 2 * l), (2 * k, c)).scale_raw(
@@ -154,7 +151,7 @@ class N2Table(BaseTable):
             if sym.kind == "v":
                 out.add(TableVec("v", 0, lk), b)
             elif sym.kind in ("vp", "vm"):
-                off = -I_ if sym.kind == "vp" else I_
+                off = -I if sym.kind == "vp" else I
                 out.add(TableVec(sym.kind, 0, lk), b + self.const(off))
             else:
                 out.add(TableVec("v", 0, lk), self.c.scale_raw(-k, 0))
@@ -183,17 +180,17 @@ class N2Table(BaseTable):
             elif sym.kind in ("vp", "vm"):
                 plus = sym.kind == "vp"
                 coeff = self.lin((1, a), (1, l), (2 * k, c),
-                                 ((2 * k) if plus else (-2 * k), b * I_), (1, 2 * k))
+                                 ((2 * k) if plus else (-2 * k), b * I), (1, 2 * k))
                 out.add(TableVec("v", 0, l2k), coeff.scale_raw(-1, 0, 2))
-                out.add(TableVec("w", 0, l2k), self.const(I_ if plus else -I_))
+                out.add(TableVec("w", 0, l2k), self.const(I if plus else -I))
             else:
-                cm = self.lin((1, a), (1, l), (2 * k, c), (-2 * k, b * I_))
-                cp = self.lin((1, a), (1, l), (2 * k, c), (2 * k, b * I_))
+                cm = self.lin((1, a), (1, l), (2 * k, c), (-2 * k, b * I))
+                cp = self.lin((1, a), (1, l), (2 * k, c), (2 * k, b * I))
                 out.add(TableVec("vp", 0, l2k), cm.scale_raw(0, 1, 4))
                 out.add(TableVec("vm", 0, l2k), cp.scale_raw(0, -1, 4))
         elif line == "xi2":
             if sym.kind == "v":
-                out.add(TableVec("vm", 0, l2k + 1), HALF_I * self.const(1))
+                out.add(TableVec("vm", 0, l2k + 1), self.const(I / 2))
                 out.add(TableVec("vp", 0, l2k + 1), self.const(GaussRat(0, Fraction(-1, 2))))
             elif sym.kind in ("vp", "vm"):
                 plus = sym.kind == "vp"
@@ -201,21 +198,21 @@ class N2Table(BaseTable):
                 # sits on the odd half of the lattice, like the matching
                 # line on w below; the printed 2k breaks the module axiom
                 coeff = self.lin((1, a), (1, l), (2 * k + 1, c),
-                                 ((2 * k + 1) if plus else (-(2 * k + 1)), b * I_),
+                                 ((2 * k + 1) if plus else (-(2 * k + 1)), b * I),
                                  (1, 2 * k + 1))
                 out.add(TableVec("v", 0, l2k + 1),
                         coeff.scale_raw(0, -1 if plus else 1, 2))
                 out.add(TableVec("w", 0, l2k + 1), self.const(-1))
             else:
-                cm = self.lin((1, a), (1, l), (2 * k + 1, c), (-(2 * k + 1), b * I_))
-                cp = self.lin((1, a), (1, l), (2 * k + 1, c), ((2 * k + 1), b * I_))
+                cm = self.lin((1, a), (1, l), (2 * k + 1, c), (-(2 * k + 1), b * I))
+                cp = self.lin((1, a), (1, l), (2 * k + 1, c), ((2 * k + 1), b * I))
                 out.add(TableVec("vp", 0, l2k + 1), cm.scale_raw(1, 0, 4))
                 out.add(TableVec("vm", 0, l2k + 1), cp.scale_raw(1, 0, 4))
         elif line == "xi12":
             if sym.kind == "v":
                 out.add(TableVec("v", 0, l2k + 1), b)
             elif sym.kind in ("vp", "vm"):
-                off = -I_ if sym.kind == "vp" else I_
+                off = -I if sym.kind == "vp" else I
                 out.add(TableVec(sym.kind, 0, l2k + 1), b + self.const(off))
             else:
                 out.add(TableVec("v", 0, l2k + 1),
@@ -231,7 +228,7 @@ class N2Table(BaseTable):
                    ("xi2", [(iset(2), 1)]), ("xi12", [(iset(1, 2), 1)])]
         else:
             ops = [("D", [(0, 1)]),
-                   ("P+", [(iset(1), 1), (iset(2), I_)]),
+                   ("P+", [(iset(1), 1), (iset(2), I)]),
                    ("P-", [(iset(1), 1), (iset(2), GaussRat(0, -1))]),
                    ("xi12", [(iset(1, 2), 1)])]
         return ops
@@ -278,7 +275,7 @@ class N3Table(BaseTable):
         if not (0 <= sym.r <= self.two_m):
             return ModVec(self.params, {})
         one = Scalar.const(self.params, 1)
-        i_s = Scalar.const(self.params, I_)
+        i_s = Scalar.const(self.params, I)
         mi_s = Scalar.const(self.params, GaussRat(0, -1))
         l = self._exp(sym.kind, sym.l)
         k = sym.kind
@@ -550,11 +547,11 @@ class N3Table(BaseTable):
 
     def lines(self):
         return [("D", [(0, 1)]),
-                ("P+", [(iset(1), 1), (iset(2), I_)]),
+                ("P+", [(iset(1), 1), (iset(2), I)]),
                 ("P-", [(iset(1), 1), (iset(2), GaussRat(0, -1))]),
                 ("xi3", [(iset(3), 1)]),
                 ("xi12", [(iset(1, 2), 1)]),
-                ("Q+", [(iset(1, 3), 1), (iset(2, 3), I_)]),
+                ("Q+", [(iset(1, 3), 1), (iset(2, 3), I)]),
                 ("Q-", [(iset(1, 3), 1), (iset(2, 3), GaussRat(0, -1))]),
                 ("xi123", [(iset(1, 2, 3), 1)])]
 

@@ -36,7 +36,8 @@ from math import lcm
 from typing import NamedTuple
 
 from .algebra import AlgebraConfig, AlgebraElement, bracket_ints
-from .exactnum import Evaluator, GaussRat, Scalar, UsageError, pair_content
+from .exactnum import (Evaluator, GaussRat, Scalar, TextReader, UsageError,
+                       pair_content, term_text)
 from .grassmann import EpsilonConfig, members, tau
 from .repn import SoRep, rep_from_config
 
@@ -52,19 +53,20 @@ class ModBasisVec(NamedTuple):
 
     @classmethod
     def parse(cls, text: str) -> "ModBasisVec":
-        s = text.strip()
-        try:
-            pre, lpart = s.split("@l=")
-            dpart, vpart = pre.split(".v")
-            assert dpart.startswith("D{") and dpart.endswith("}")
-            inner = dpart[2:-1]
-            J = 0
-            if inner:
-                for tok in inner.split(","):
-                    J |= 1 << (int(tok) - 1)
-            return cls(int(lpart), J, int(vpart))
-        except (ValueError, AssertionError) as exc:
-            raise UsageError(f"bad basis vector text {text!r}") from exc
+        """Inverse of :meth:`text`; the index set and weight are read as in
+        the grammar of :mod:`superkon.exactnum`."""
+        r = TextReader(text)
+        r.expect("D")
+        J = r.index_set()
+        r.expect(".")
+        v = r.peek()
+        if v[:1] != "v" or not v[1:].isdigit():
+            r.fail("'v' and a representation index")
+        r.take()
+        r.expect("@")
+        r.expect("l")
+        r.expect("=")
+        return r.done(cls(r.integer(), J, int(v[1:])))
 
     @property
     def parity(self) -> int:
@@ -128,13 +130,8 @@ class ModVec:
     def __str__(self):
         if not self.terms:
             return "0"
-        parts = []
-        for bv in sorted(self.terms):
-            cs = str(self.terms[bv])
-            if " + " in cs or "*" in cs or cs.endswith("i"):
-                cs = f"({cs})"
-            parts.append(bv.text() if cs == "1" else f"{cs}*{bv.text()}")
-        body = " + ".join(parts)
+        body = " + ".join(term_text(self.terms[bv], bv.text())
+                          for bv in sorted(self.terms))
         return f"PI[{body}]" if self.flipped else body
 
     def __repr__(self):

@@ -25,7 +25,8 @@ from multiprocessing import get_context
 
 from .algebra import (AlgebraConfig, AlgebraElement, bracket, bracket_basis,
                       bracket_table, eps_shift_map, filtration_exponent,
-                      in_ideal_i, in_k_ell, phi, project_k0, tm1_power_d)
+                      ideal_exponent, in_ideal_i, in_k_ell, phi, project_k0,
+                      tm1_power_d)
 from .exactnum import Scalar, UsageError
 from .grassmann import (EpsilonConfig, SuperFunction, contact_bracket,
                         format_monomial, xi_mul)
@@ -533,25 +534,16 @@ def check_omega(module: TensorModule, m_max: int, w: Window,
 # filtration, automorphism, projection
 
 
+def _piece_gens(acfg: AlgebraConfig, exponent, i_max: int):
+    """Spanning generators ``D[(t-1)^e t^i, xi_I]`` of a piece, with
+    ``e = exponent(|I|)`` and ``0 <= i <= i_max``."""
+    return [tm1_power_d((), exponent(im.bit_count()), i, im)
+            for im in range(1 << acfg.cfg.N) for i in range(i_max + 1)]
+
+
 def _filtration_gens(acfg: AlgebraConfig, ell: int, i_max: int):
-    params = ()
-    out = []
-    for im in range(1 << acfg.cfg.N):
-        e = filtration_exponent(ell, im.bit_count(), acfg.mutation)
-        for i in range(0, i_max + 1):
-            out.append(tm1_power_d(params, e, i, im))
-    return out
-
-
-def _ideal_gens(acfg: AlgebraConfig, i_max: int):
-    params = ()
-    need = {0: 2, 1: 1, 2: 1}
-    out = []
-    for im in range(1 << acfg.cfg.N):
-        e = need.get(im.bit_count(), 0)
-        for i in range(0, i_max + 1):
-            out.append(tm1_power_d(params, e, i, im))
-    return out
+    return _piece_gens(
+        acfg, lambda size: filtration_exponent(ell, size, acfg.mutation), i_max)
 
 
 def _displayed_k0(N: int):
@@ -596,7 +588,7 @@ def check_filtration(acfg: AlgebraConfig, ell_max: int, w: Window) -> Report:
         if ell >= 1:
             cases.append((f"[K0,K{ell}] in K{ell}", g0, gl,
                           lambda x, e=ell: in_k_ell(acfg, x, e)))
-    gi = _ideal_gens(acfg, i_max)
+    gi = _piece_gens(acfg, ideal_exponent, i_max)
     cases.append(("[K0,ideal] in ideal", g0, gi,
                   lambda x: in_ideal_i(acfg, x)))
     for label, xs, ys, member in cases:
@@ -612,30 +604,38 @@ def check_filtration(acfg: AlgebraConfig, ell_max: int, w: Window) -> Report:
     return finish(f"filtration[N={acfg.cfg.N},eps={acfg.cfg.eps}]", bad, n, t0)
 
 
-def check_phi(acfg: AlgebraConfig, w: Window) -> Report:
-    """The degree-shift automorphism respects brackets on all basis pairs
-    (including mixed operator/function pairs)."""
+def _homomorphism_sweep(label: str, src: AlgebraConfig, dst: AlgebraConfig,
+                        f, w: Window) -> Report:
+    """``f([x, y]_src) == [f(x), f(y)]_dst`` on all pairs of window basis
+    elements (operators and functions); each element is mapped once."""
     t0 = time.monotonic()
     params = ()
-    N = acfg.cfg.N
-    stripped = AlgebraConfig(acfg.cfg, central_enabled=False,
-                             mutation=acfg.mutation)
+    N = src.cfg.N
     elems = [AlgebraElement.d_symbol(params, p, im)
              for p in w.k_values() for im in range(1 << N)]
     elems += [AlgebraElement.a_monomial(params, k, im)
               for k in w.k_values() for im in range(1 << N)]
+    images = [f(x) for x in elems]
     bad = []
     n = 0
-    for i, x in enumerate(elems):
-        px = phi(stripped, x)
-        for y in elems[i:]:
+    for i, (x, fx) in enumerate(zip(elems, images)):
+        for y, fy in zip(elems[i:], images[i:]):
             n += 1
-            lhs = phi(stripped, bracket(stripped, x, y))
-            rhs = bracket(stripped, px, phi(stripped, y))
+            lhs = f(bracket(src, x, y))
+            rhs = bracket(dst, fx, fy)
             if not (lhs - rhs).is_zero():
                 bad.append(violation(f"x={x} y={y}", lhs=str(lhs),
                                      rhs=str(rhs), diff=str(lhs - rhs)))
-    return finish(f"phi[N={N},eps={acfg.cfg.eps}]", bad, n, t0)
+    return finish(label, bad, n, t0)
+
+
+def check_phi(acfg: AlgebraConfig, w: Window) -> Report:
+    """The degree-shift automorphism respects brackets on all basis pairs
+    (including mixed operator/function pairs)."""
+    stripped = AlgebraConfig(acfg.cfg, central_enabled=False,
+                             mutation=acfg.mutation)
+    return _homomorphism_sweep(f"phi[N={acfg.cfg.N},eps={acfg.cfg.eps}]",
+                               stripped, stripped, lambda x: phi(stripped, x), w)
 
 
 def check_projection(acfg: AlgebraConfig, w: Window) -> Report:
@@ -702,26 +702,9 @@ def check_projection(acfg: AlgebraConfig, w: Window) -> Report:
 def check_eps_shift(src: EpsilonConfig, dst: EpsilonConfig, w: Window) -> Report:
     """The exponent relabeling between twist vectors with even difference
     is a bracket homomorphism on all window pairs."""
-    t0 = time.monotonic()
-    params = ()
-    csrc = AlgebraConfig(src)
-    cdst = AlgebraConfig(dst)
-    elems = [AlgebraElement.d_symbol(params, p, im)
-             for p in w.k_values() for im in range(1 << src.N)]
-    elems += [AlgebraElement.a_monomial(params, k, im)
-              for k in w.k_values() for im in range(1 << src.N)]
-    bad = []
-    n = 0
-    for i, x in enumerate(elems):
-        for y in elems[i:]:
-            n += 1
-            lhs = eps_shift_map(src, dst, bracket(csrc, x, y))
-            rhs = bracket(cdst, eps_shift_map(src, dst, x),
-                          eps_shift_map(src, dst, y))
-            if not (lhs - rhs).is_zero():
-                bad.append(violation(f"x={x} y={y}", lhs=str(lhs),
-                                     rhs=str(rhs), diff=str(lhs - rhs)))
-    return finish(f"eps_shift[{src.eps}->{dst.eps}]", bad, n, t0)
+    return _homomorphism_sweep(f"eps_shift[{src.eps}->{dst.eps}]",
+                               AlgebraConfig(src), AlgebraConfig(dst),
+                               lambda x: eps_shift_map(src, dst, x), w)
 
 
 def check_table_agreement(module: TensorModule, w: Window,

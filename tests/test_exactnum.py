@@ -4,8 +4,9 @@ from math import gcd, lcm
 
 import pytest
 
+from superkon.algebra import AlgebraElement
 from superkon.exactnum import Evaluator, GaussRat, I, Scalar, UsageError
-from superkon.grassmann import EpsilonConfig
+from superkon.grassmann import EpsilonConfig, parse_monomial
 from superkon.repn import build_so2
 from superkon.tensmod import EvaluatedAction, ModBasisVec, ModVec, TensorModule
 
@@ -248,3 +249,65 @@ def test_eval_rejects_inexact_assignment(bad):
         Evaluator({"a": 1, "b": bad})
     with pytest.raises(TypeError):
         GaussRat(1) + bad
+
+
+PARSERS = {
+    "Scalar": lambda text: Scalar.parse(P, text),
+    "GaussRat": GaussRat.parse,
+    "AlgebraElement": lambda text: AlgebraElement.parse(P, text),
+    "monomial": parse_monomial,
+    "ModBasisVec": ModBasisVec.parse,
+}
+
+MALFORMED = [
+    ("Scalar", "a^"), ("Scalar", "2a"), ("Scalar", "x"), ("Scalar", "a^-1"),
+    ("Scalar", "a/b"), ("Scalar", ""), ("Scalar", "a +"),
+    ("GaussRat", "abc"), ("GaussRat", "1/0"), ("GaussRat", "a"),
+    # never printed: juxtaposed "3i" and exponent notation are not read
+    ("GaussRat", "2 - 3i"), ("GaussRat", "1e3"),
+    ("AlgebraElement", "D[t^x]"), ("AlgebraElement", "D[t^1,xi{1,2,}]"),
+    ("AlgebraElement", "D[t^1,xi{1,1}]"), ("AlgebraElement", "D[t^1]*C"),
+    ("AlgebraElement", "3 + D[t^1]"), ("AlgebraElement", "D[t^1,]"),
+    ("monomial", "xi{1,1}"), ("monomial", "t^x"), ("monomial", "xi{0}"),
+    ("monomial", "xi{1 2}"), ("monomial", ""),
+    ("ModBasisVec", "D{1,1}.v0@l=0"), ("ModBasisVec", "D{}.w0@l=0"),
+    ("ModBasisVec", "D{}.v0@l=x"), ("ModBasisVec", "D{}.v0@l=1 2"),
+]
+
+
+@pytest.mark.parametrize("kind,text", MALFORMED)
+def test_malformed_text_raises_usage_error(kind, text):
+    with pytest.raises(UsageError):
+        PARSERS[kind](text)
+
+
+WELL_FORMED = [
+    ("Scalar", "a - 1", var("a") - 1),
+    ("Scalar", "-a", -var("a")),
+    ("Scalar", "2*a^2 - c", 2 * var("a") ** 2 - var("c")),
+    ("Scalar", "a/2 + -(b - 1/3)", var("a") * Fraction(1, 2) - var("b") + Fraction(1, 3)),
+    ("GaussRat", "(1)", GaussRat(1)),
+    ("GaussRat", "i*2", GaussRat(0, 2)),
+    ("GaussRat", "1.25", GaussRat(Fraction(5, 4))),
+    ("GaussRat", "(2/3*i)/(1/2-i)", GaussRat(0, Fraction(2, 3)) / GaussRat(Fraction(1, 2), -1)),
+    ("AlgebraElement", "D[t^1] - D[t^0]",
+     AlgebraElement.d_symbol(P, 1, 0) - AlgebraElement.d_symbol(P, 0, 0)),
+    ("AlgebraElement", "0", AlgebraElement.zero(P)),
+    ("monomial", "t^-2 xi{3,1}", (-2, 0b101)),
+    ("monomial", "t", (1, 0)),
+    ("ModBasisVec", "D{2}.v1@l=-3", ModBasisVec(-3, 0b10, 1)),
+]
+
+
+@pytest.mark.parametrize("kind,text,want", WELL_FORMED)
+def test_text_parses_to_its_value(kind, text, want):
+    assert PARSERS[kind](text) == want
+
+
+@pytest.mark.parametrize("make", [
+    lambda: GaussRat(0.1), lambda: GaussRat("1.5"), lambda: GaussRat(1, 0.5),
+    lambda: Scalar.const(P, GaussRat(0.5)), lambda: Evaluator({"a": GaussRat(0.5)}),
+], ids=["float", "text", "float_im", "const", "evaluator"])
+def test_gaussrat_parts_are_exact(make):
+    with pytest.raises(UsageError, match="float|str"):
+        make()

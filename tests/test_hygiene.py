@@ -1,13 +1,15 @@
-"""Source hygiene: every name a package module imports is used in it.
+"""Source hygiene: every name a package module imports is used in it, and
+every name it defines at its top level is used somewhere.
 
-Stdlib ``ast`` only.  A name counts as used when it appears as a load
-anywhere in the module, including inside string annotations.
+Stdlib ``ast`` only.  A name counts as used in a module when it appears as
+a load anywhere in it, including inside string annotations.
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "superkon"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "superkon"
 
 
 def _imported(tree):
@@ -23,7 +25,7 @@ def _imported(tree):
 def _used(tree):
     used = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             used.add(node.id)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             # string annotations such as -> "GaussRat"
@@ -42,6 +44,47 @@ def unused_imports(path: Path) -> list:
             if name not in used]
 
 
+def _defined(tree):
+    """``(line, name)`` of every name bound at the module's top level by a
+    def, a class or an assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.lineno, node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for n in ast.walk(target):
+                    if isinstance(n, ast.Name):
+                        yield node.lineno, n.id
+
+
+def _read_from_outside(tree):
+    """Names a module imports by name or reads as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def dead_names(modules, others) -> list:
+    """Top-level names of ``modules`` that are neither loaded in their own
+    module nor imported or attribute-read in another file of ``modules``
+    or ``others``."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in [*modules, *others]}
+    reads = {path: _read_from_outside(tree) for path, tree in trees.items()}
+    found = []
+    for path in modules:
+        seen = _used(trees[path]).union(
+            *(r for other, r in reads.items() if other != path))
+        found += [f"{path.name}:{line}: {name}"
+                  for line, name in _defined(trees[path]) if name not in seen]
+    return found
+
+
 def test_no_unused_imports():
     found = [u for path in sorted(SRC.glob("*.py")) for u in unused_imports(path)]
     assert not found, "unused imports:\n" + "\n".join(found)
@@ -55,3 +98,24 @@ def test_detector_flags_an_unused_name(tmp_path):
                    "def f(x) -> \"lcm\":\n"
                    "    return gcd(x, 2)\n")
     assert unused_imports(mod) == ["m.py:3: os"]
+
+
+def test_no_dead_module_names():
+    others = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    found = dead_names(sorted(SRC.glob("*.py")), others)
+    assert not found, "module-level names nobody uses:\n" + "\n".join(found)
+
+
+def test_dead_name_detector_flags_an_unused_name(tmp_path):
+    mod, user = tmp_path / "m.py", tmp_path / "user.py"
+    mod.write_text("USED = 1\n"
+                   "DEAD = 2\n"
+                   "EXPORTED = 3\n"
+                   "def helper():\n"
+                   "    return USED\n"
+                   "def api():\n"
+                   "    return helper()\n")
+    user.write_text("import m\n"
+                    "from m import EXPORTED\n"
+                    "m.api(EXPORTED)\n")
+    assert dead_names([mod], [user]) == ["m.py:2: DEAD"]
