@@ -490,7 +490,7 @@ def _poly_divide_t_minus_1(poly: dict, params):
     return {k: c for k, c in q.items() if c}
 
 
-def k_ell_valuation(acfg: AlgebraConfig, x: AlgebraElement) -> dict:
+def k_ell_valuation(x: AlgebraElement) -> dict:
     """Per xi-mask (t-1)-adic valuation of the D-part coefficients.
 
     Returns mask -> nonnegative int, or None for a vanishing component
@@ -523,22 +523,22 @@ def ideal_exponent(size: int) -> int:
     return {0: 2, 1: 1, 2: 1}.get(size, 0)
 
 
-def _valuations_reach(acfg: AlgebraConfig, x: AlgebraElement, exponent) -> bool:
+def _valuations_reach(x: AlgebraElement, exponent) -> bool:
     """Whether every nonvanishing component of ``x`` has (t-1) valuation at
     least ``exponent(xi-size)``."""
     return all(v is None or v >= exponent(Im.bit_count())
-               for Im, v in k_ell_valuation(acfg, x).items())
+               for Im, v in k_ell_valuation(x).items())
 
 
 def in_k_ell(acfg: AlgebraConfig, x: AlgebraElement, ell: int) -> bool:
     """Membership in the level-``ell`` filtration piece."""
     return _valuations_reach(
-        acfg, x, lambda size: filtration_exponent(ell, size, acfg.mutation))
+        x, lambda size: filtration_exponent(ell, size, acfg.mutation))
 
 
 def in_ideal_i(acfg: AlgebraConfig, x: AlgebraElement) -> bool:
     """Membership in the distinguished ideal (see :func:`ideal_exponent`)."""
-    return _valuations_reach(acfg, x, ideal_exponent)
+    return _valuations_reach(x, ideal_exponent)
 
 
 def project_k0(acfg: AlgebraConfig, x: AlgebraElement):

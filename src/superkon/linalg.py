@@ -1,17 +1,26 @@
-"""Exact linear algebra over Gaussian rationals.
+"""Linear algebra over Gaussian rationals, exact and modulo a prime.
 
-Row vectors are lists of Gaussian-integer pairs ``(re, im)`` with any
-common denominator already cleared.  An :class:`Echelon` keeps its rows in
-reduced row-echelon form scaled by one shared positive integer ``den``:
-every stored row holds ``den`` at its own pivot column and zero at every
-other pivot column.  A row then lies in the span exactly when, on every
-free (non-pivot) column, ``den`` times its entry equals the combination of
-the stored rows weighted by its pivot entries.  Membership touches only
-the free columns and needs no gcd, and ranks and memberships carry no
-rounding or pivot-threshold questions.
+Exact row vectors are lists of Gaussian-integer pairs ``(re, im)`` with
+any common denominator already cleared.  An :class:`Echelon` keeps its
+rows in reduced row-echelon form scaled by one shared positive integer
+``den``: every stored row holds ``den`` at its own pivot column and zero
+at every other pivot column.  A row then lies in the span exactly when, on
+every free (non-pivot) column, ``den`` times its entry equals the
+combination of the stored rows weighted by its pivot entries.  Membership
+touches only the free columns and needs no gcd, and ranks and memberships
+carry no rounding or pivot-threshold questions.
 
-:class:`WeightSpaces` keeps one :class:`Echelon` per weight space of a
-window; it is the one place where module vectors become rows.
+Rows modulo a prime ``q = 1 (mod 4)`` are lists of ints in ``[0, q)``.  A
+Gaussian rational ``(re + im*i)/den`` with ``q`` not dividing ``den`` maps
+to ``(re + s*im) / den mod q``, where ``s`` is the square root of -1 from
+:func:`sqrt_minus_one`; this is a ring map, so the rank of rows mod ``q``
+is at most their rank over Q(i), never more.  A :class:`ModpEchelon`
+keeps such rows reduced with ``1`` at each pivot, which makes it a rank
+screen: "full mod q" proves "full", while a smaller rank mod ``q`` proves
+nothing.
+
+:class:`WeightSpaces` keeps one echelon per weight space of a window; it
+is the one place where module vectors become rows.
 
 Also a few small helpers for dense matrices of Scalars (used for the
 orthogonal-algebra relation checks and the degree-zero projection).
@@ -19,7 +28,9 @@ orthogonal-algebra relation checks and the degree-zero projection).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain
+from operator import mul
 
 from .exactnum import Scalar, UsageError, pair_content
 
@@ -43,6 +54,8 @@ class Echelon:
     machinery into an intertwining-map checker: insert ``[source | image]``
     rows with the limit at the source width.
     """
+
+    zero = (0, 0)
 
     def __init__(self, ncols: int, pivot_limit: int | None = None):
         self.ncols = ncols
@@ -123,6 +136,97 @@ class Echelon:
         return not any(x or y for _, x, y in self._residual(row))
 
 
+class PrimeInDenominator(ArithmeticError):
+    """A value to be reduced modulo a prime has that prime in its
+    denominator, so it has no image mod the prime."""
+
+
+@lru_cache(maxsize=None)
+def sqrt_minus_one(prime: int) -> int:
+    """``g^((q-1)/4) mod q`` for the least ``g`` with ``g^((q-1)/2) != 1``:
+    a square root of -1 modulo a prime ``q = 1 (mod 4)``, where that ``g``
+    is the least quadratic non-residue.  The caller passes such a prime;
+    UsageError when the power is not -1 (for every ``q = 3 (mod 4)`` and
+    for most composites)."""
+    if prime % 4 == 1:
+        for g in range(2, prime):
+            e = pow(g, (prime - 1) // 2, prime)
+            if e == prime - 1:
+                return pow(g, (prime - 1) // 4, prime)
+            if e != 1:
+                break
+    raise UsageError(f"{prime} is not a prime congruent to 1 mod 4")
+
+
+def gauss_mod(re: int, im: int, den: int, prime: int) -> int:
+    """The image of ``(re + im*i)/den`` modulo ``prime`` (see above)."""
+    if den % prime == 0:
+        raise PrimeInDenominator(prime)
+    return (re + sqrt_minus_one(prime) * im) * pow(den, -1, prime) % prime
+
+
+class ModpEchelon:
+    """Growing reduced row-echelon basis over the integers mod a prime.
+
+    The rank screen for :class:`Echelon`, with its ``insert`` outcomes and
+    ``pivot_limit`` rule; rows are lists of ints in ``[0, prime)``.  Every
+    stored row is ``1`` at its own pivot and ``0`` at the other pivots, so
+    only its free-column entries are kept, column by column: ``_cols[c]``
+    lists the stored rows' entries at free column ``c`` in the order of
+    ``_pivots``.  The residual of a row at ``c`` is ``row[c]`` minus one dot
+    product with its pivot entries, and the row lies in the span iff every
+    residual is zero.
+    """
+
+    zero = 0
+
+    def __init__(self, ncols: int, prime: int, pivot_limit: int | None = None):
+        self.ncols = ncols
+        self.prime = prime
+        self.pivot_limit = ncols if pivot_limit is None else pivot_limit
+        self._pivots: list = []
+        self._cols = {c: [] for c in range(ncols)}  # ascending free columns
+
+    @property
+    def rank(self) -> int:
+        return len(self._pivots)
+
+    def _residual(self, row: list) -> list:
+        """``(c, x)`` for each free column ``c``, ascending: ``x`` is
+        ``row[c]`` minus the stored rows at ``c`` weighted by ``row``'s
+        pivot entries, mod the prime."""
+        head = [row[p] for p in self._pivots]
+        q = self.prime
+        return [(c, (row[c] - sum(map(mul, head, col))) % q)
+                for c, col in self._cols.items()]
+
+    def insert(self, row: list) -> str:
+        """As :meth:`Echelon.insert`."""
+        residual = self._residual(row)
+        pivot, x = next(((c, x) for c, x in residual if x), (None, 0))
+        if pivot is None:
+            return "dependent"
+        if pivot >= self.pivot_limit:
+            return "inconsistent"
+        # the new row, scaled to 1 at its pivot, is subtracted from the
+        # stored ones at their entry in the pivot column
+        q = self.prime
+        inv = pow(x, -1, q)
+        lead = self._cols.pop(pivot)
+        for c, x in residual:
+            if c != pivot:
+                y = x * inv % q
+                col = self._cols[c]
+                if y:
+                    col[:] = [(u - e * y) % q for u, e in zip(col, lead)]
+                col.append(y)
+        self._pivots.append(pivot)
+        return "new"
+
+    def contains(self, row: list) -> bool:
+        return not any(x for _, x in self._residual(row))
+
+
 def _weight(vec: dict) -> int:
     ws = {bv.l for bv in vec}
     if len(ws) > 1:
@@ -131,10 +235,12 @@ def _weight(vec: dict) -> int:
 
 
 class WeightSpaces:
-    """One :class:`Echelon` per weight space of a window.
+    """One :class:`Echelon` per weight space of a window, or with
+    ``prime`` one :class:`ModpEchelon` modulo it.
 
-    Vectors are dicts ``basis vector -> (re, im)`` whose basis vectors
-    carry their weight as ``.l``; a vector must lie in one weight space.
+    Vectors are dicts ``basis vector -> (re, im)`` (``-> int`` mod a
+    prime) whose basis vectors carry their weight as ``.l``; a vector must
+    lie in one weight space.
     ``basis_at(l)`` lists the basis at weight ``l``, and only weights in
     ``weights`` with a nonempty basis get a space.  A vector at such a
     weight with a term outside that basis (off the module's lattice)
@@ -147,7 +253,8 @@ class WeightSpaces:
     column maps because the two modules share basis labels.
     """
 
-    def __init__(self, basis_at, weights, image_basis=None, shift: int = 0):
+    def __init__(self, basis_at, weights, image_basis=None, shift: int = 0,
+                 prime: int | None = None):
         self.shift = shift
         self._cols: dict = {}    # weight -> (source columns, image columns)
         self._spaces: dict = {}
@@ -157,8 +264,10 @@ class WeightSpaces:
             if cols or image:
                 self._cols[l] = (cols, {bv: len(cols) + i
                                         for i, bv in enumerate(image)})
-                self._spaces[l] = Echelon(len(cols) + len(image),
-                                          pivot_limit=len(cols))
+                ncols = len(cols) + len(image)
+                self._spaces[l] = (
+                    Echelon(ncols, pivot_limit=len(cols)) if prime is None
+                    else ModpEchelon(ncols, prime, pivot_limit=len(cols)))
 
     def weight(self, vec: dict, image: dict | None = None):
         """The weight of a nonzero ``vec``; for a zero one, the weight of
@@ -178,7 +287,7 @@ class WeightSpaces:
             return None, None
         space = self._spaces[l]
         cols, icols = self._cols[l]
-        row = [(0, 0)] * space.ncols
+        row = [space.zero] * space.ncols
         try:
             for bv, rm in vec.items():
                 row[cols[bv]] = rm

@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import GaussRat, Scalar, UsageError
+from .exactnum import GaussRat, Scalar, TextReader, UsageError
 from .linalg import mat_add, mat_commutator, mat_eq, mat_scale, mat_sub, mat_zeros
 from .report import Report, finish, violation
 
@@ -124,28 +124,55 @@ def check_so_relations(rep: SoRep) -> Report:
     return finish(f"so_relations[{rep.label}]", bad, n, t0)
 
 
+def _config_text(value, field: str) -> str:
+    """The text of a config value, which must be an int or text.  A float
+    or bool is a caller mistake (UsageError): a JSON float is binary, and
+    whether its printed text reads back as the intended value depends on
+    how Python prints it (``0.1`` does, ``1e-7`` does not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise UsageError(f"config field {field!r} must be an integer or "
+                         f"text, not {type(value).__name__}")
+    return str(value)
+
+
+def config_scalar(params, value, field: str) -> Scalar:
+    """A config value as a Scalar, read in the grammar of
+    :mod:`superkon.exactnum`."""
+    return Scalar.parse(params, _config_text(value, field))
+
+
+def config_int(value, field: str) -> int:
+    """A config value as an integer."""
+    r = TextReader(_config_text(value, field))
+    return r.done(r.integer())
+
+
 def rep_from_config(cfg: dict, params=("a", "b", "c")) -> SoRep:
     """Build a representation from its JSON-style config dict."""
     params = tuple(params)
     kind = cfg.get("kind")
     if kind == "so2":
-        return build_so2(Scalar.parse(params, str(cfg.get("b", "b"))),
-                         Scalar.parse(params, str(cfg.get("c", "c"))), params)
+        return build_so2(config_scalar(params, cfg.get("b", "b"), "b"),
+                         config_scalar(params, cfg.get("c", "c"), "c"), params)
     if kind == "so3_Vm":
         if "two_m" not in cfg:
             raise UsageError("so3_Vm rep config requires field 'two_m'")
-        return build_so3_vm(int(cfg["two_m"]),
-                            Scalar.parse(params, str(cfg.get("c", "c"))), params)
+        return build_so3_vm(config_int(cfg["two_m"], "two_m"),
+                            config_scalar(params, cfg.get("c", "c"), "c"), params)
     if kind == "matrices":
         gen_cfg = cfg.get("gen")
         if not gen_cfg:
             raise UsageError("matrices rep config requires field 'gen'")
         gen = {}
-        N = int(cfg.get("N", 0))
+        N = config_int(cfg.get("N", 0), "N")
         dim = None
         for key, rows in gen_cfg.items():
-            i, j = (int(x) for x in key.split(","))
-            mat = [[Scalar.parse(params, str(x)) for x in row] for row in rows]
+            r = TextReader(key)
+            i = r.integer()
+            r.expect(",")
+            j = r.done(r.integer())
+            mat = [[config_scalar(params, x, f"gen[{key}]") for x in row]
+                   for row in rows]
             if dim is None:
                 dim = len(mat)
             if len(mat) != dim or any(len(r) != dim for r in mat):
@@ -153,7 +180,7 @@ def rep_from_config(cfg: dict, params=("a", "b", "c")) -> SoRep:
             gen[(i, j)] = mat
             N = max(N, i, j)
         rep = SoRep(N=N, dim=dim, gen=gen,
-                    z_scalar=Scalar.parse(params, str(cfg.get("c", "c"))),
+                    z_scalar=config_scalar(params, cfg.get("c", "c"), "c"),
                     params=params, label="matrices")
         rel = check_so_relations(rep)
         if not rel.ok:

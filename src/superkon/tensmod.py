@@ -39,7 +39,8 @@ from .algebra import AlgebraConfig, AlgebraElement, bracket_ints
 from .exactnum import (Evaluator, GaussRat, Scalar, TextReader, UsageError,
                        pair_content, term_text)
 from .grassmann import EpsilonConfig, members, tau
-from .repn import SoRep, rep_from_config
+from .linalg import gauss_mod
+from .repn import SoRep, config_int, config_scalar, rep_from_config
 
 
 class ModBasisVec(NamedTuple):
@@ -356,12 +357,18 @@ class EvaluatedAction:
     keep it to cross-scale row pairs.  Coefficients are evaluated by one
     :class:`~superkon.exactnum.Evaluator` built for the assignment, so
     filling a table column stays in integer arithmetic.
+
+    Modulo a prime (:meth:`act_vec_mod`) a vector is a dict ``basis ->
+    int`` of true values mod the prime (see :mod:`superkon.linalg`); its
+    columns are reduced from the evaluated coefficients and memoised apart
+    from the exact ones, which they do not fill.
     """
 
     def __init__(self, module: TensorModule, assignment: dict):
         self.module = module
         self._evaluate = Evaluator(assignment)
         self._memo: dict = {}
+        self._mod_memos: dict = {}  # (prime, p, imask) -> {bv: column}
 
     def table(self, p: int, imask: int, bv: ModBasisVec):
         """(den, ((bv2, (re, im)), ...)): the evaluated column of a
@@ -423,6 +430,32 @@ class EvaluatedAction:
         out = {bv: v for bv, v in out.items() if v != (0, 0)}
         return _qnorm(den, out)
 
+    def act_vec_mod(self, prime: int, p: int, imask: int, vec: dict) -> dict:
+        """:meth:`act_vec` of a D-symbol modulo ``prime``, on and to dicts
+        ``basis -> int`` with zero values dropped.  PrimeInDenominator when
+        ``prime`` divides the denominator of a coefficient it needs."""
+        memo = self._mod_memos.setdefault((prime, p, imask), {})
+        out: dict = {}
+        for bv, x in vec.items():
+            col = memo.get(bv)
+            if col is None:
+                col = memo[bv] = self._column_mod(prime, p, imask, bv)
+            for bv2, y in col:
+                out[bv2] = out.get(bv2, 0) + x * y
+        image = {}
+        for bv, v in out.items():
+            v %= prime
+            if v:
+                image[bv] = v
+        return image
+
+    def _column_mod(self, prime: int, p: int, imask: int, bv: ModBasisVec):
+        """((bv2, x), ...): the D-symbol column mod ``prime``, nonzero
+        values only."""
+        col = ((bv2, gauss_mod(*self._evaluate(c), prime))
+               for bv2, c in self.module.act_basis_d(p, imask, bv).items())
+        return tuple((bv2, x) for bv2, x in col if x)
+
     def eval_modvec(self, v: ModVec):
         """(den, dict of integer pairs) with true value dict/den."""
         den, pairs = self._eval_terms(v.terms)
@@ -447,14 +480,16 @@ def module_from_config(cfg: dict, params=("a", "b", "c")) -> TensorModule:
     alg = cfg.get("algebra") or {}
     if "N" not in alg or "eps" not in alg:
         raise UsageError("module config requires algebra.N and algebra.eps")
-    eps_cfg = EpsilonConfig(int(alg["N"]), tuple(int(e) for e in alg["eps"]))
+    eps_cfg = EpsilonConfig(config_int(alg["N"], "algebra.N"),
+                            tuple(config_int(e, "algebra.eps")
+                                  for e in alg["eps"]))
     if alg.get("central"):
         raise UsageError("tensor modules take the algebra without its "
                          "central element (field algebra.central)")
     rep = rep_from_config(cfg.get("rep") or {}, params)
-    a = Scalar.parse(params, str(cfg.get("a", "a")))
+    a = config_scalar(params, cfg.get("a", "a"), "a")
     sector = cfg.get("sector_delta", None)
     if sector is not None:
-        sector = int(sector)
+        sector = config_int(sector, "sector_delta")
     return TensorModule(eps_cfg, rep, a, sector,
                         mutation=cfg.get("mutation"))

@@ -7,10 +7,13 @@ reports regardless of evaluation order or worker count.  Window results
 are only trusted on the inner weight range; the inner margin must cover
 the largest generator weight shift (see :func:`module_window`).
 
-Closure and rank computations run over concrete Gaussian-rational
-parameter values by exact elimination over Gaussian integers; identity
-sweeps keep all parameters symbolic.  All elimination, here and in the
-quotient-map checks of :mod:`~superkon.submod`, goes through
+Closures run at concrete Gaussian-rational parameter values; identity
+sweeps keep all parameters symbolic.  Every dimension, membership and
+verdict in a report comes from exact elimination over Gaussian integers.
+The simplicity probe first screens its closures modulo a prime, where
+"full" is already certain, and redoes exactly only the closures the
+screen leaves open (see :func:`window_simplicity`).  All elimination, here
+and in the quotient-map checks of :mod:`~superkon.submod`, goes through
 :class:`~superkon.linalg.WeightSpaces`.  The simplicity probe is evidence
 at window scale, never a proof, and its report says so.
 """
@@ -30,7 +33,8 @@ from .algebra import (AlgebraConfig, AlgebraElement, bracket, bracket_basis,
 from .exactnum import Scalar, UsageError
 from .grassmann import (EpsilonConfig, SuperFunction, contact_bracket,
                         format_monomial, xi_mul)
-from .linalg import WeightSpaces, mat_commutator, mat_eq
+from .linalg import (PrimeInDenominator, WeightSpaces, gauss_mod,
+                     mat_commutator, mat_eq)
 from .report import INFO, Report, Window, finish, violation
 from .submod import named_submodule
 from .tables import compare_table, make_table
@@ -295,41 +299,29 @@ class ClosureResult:
         return {l: self.dims[l] for l in self.inner_weights()}
 
 
-def closure(module: TensorModule, seeds, w: Window, params: dict,
-            include_a: bool = False, early_full: bool = False,
-            ev=None) -> ClosureResult:
-    """Smallest windowed invariant subspace containing the seeds.
-
-    Applies every window generator to the current spanning set, drops
-    vectors outside the weight range, and row-reduces per weight space
-    until stable.  A generator whose target weight is settled (outside the
-    window, or already full) is skipped before its image is computed: that
-    image could not change the span.  Only inner-window dimensions are
-    truncation-free.  An EvaluatedAction cache may be shared across calls
-    via ``ev``.  A seed that mixes weights raises UsageError.
-    """
-    if not seeds:
-        raise UsageError("closure requires at least one seed vector")
-    if ev is None:
-        ev = module.eval_cache(params)
-    l_range = range(w.l_min, w.l_max + 1)
-    spaces = WeightSpaces(module.basis_at, l_range)
+def _window_ops(module: TensorModule, w: Window, include_a: bool):
+    """``(p, imask, is_d, weight shift)`` of every window generator: the
+    D-symbols, then (with ``include_a``) the function monomials."""
+    ks = w.k_values()
+    ims = range(1 << module.cfg.N)
     ops = sorted((p, im, True, module.weight_shift(p, im))
-                 for p in w.k_values() for im in range(1 << module.cfg.N))
+                 for p in ks for im in ims)
     if include_a:
         ops += sorted((k, im, False, module.weight_shift(k, im, False))
-                      for k in w.k_values() for im in range(1 << module.cfg.N))
+                      for k in ks for im in ims)
+    return ops
 
-    work = []
-    for s in seeds:
-        vec = ev.eval_modvec(s)[1] if isinstance(s, ModVec) else dict(s)
-        if spaces.insert(vec) == "new":
-            work.append(vec)
 
-    def full():
-        return all(spaces.rank(l) == spaces.dim(l)
-                   for l in range(w.inner_l_min, w.inner_l_max + 1))
-
+def _close(spaces: WeightSpaces, ops, act, vecs, w: Window,
+           stop=None) -> ClosureResult:
+    """The worklist loop of every closure, exact or modulo a prime: insert
+    the seed vectors ``vecs``, then apply each op ``act(p, imask, vec,
+    is_d)`` to each new vector until nothing new appears, or until
+    ``stop(l)`` holds after a new vector at weight ``l``.  An op whose
+    target weight is settled (outside the window, or already full) is
+    skipped before its image is computed: that image could not change the
+    span."""
+    work = [vec for vec in vecs if spaces.insert(vec) == "new"]
     idx = 0
     while idx < len(work):
         vec = work[idx]
@@ -338,16 +330,103 @@ def closure(module: TensorModule, seeds, w: Window, params: dict,
         for (p, im, is_d, shift) in ops:
             if spaces.settled(l + shift):
                 continue
-            nv = ev.act_vec(p, im, vec, is_d)[1]
+            nv = act(p, im, vec, is_d)
             if spaces.insert(nv) == "new":
                 work.append(nv)
-                if early_full and full():
+                if stop is not None and stop(l + shift):
                     idx = len(work)
                     break
-    ls = [l for l in l_range if spaces.dim(l)]
+    ls = [l for l in range(w.l_min, w.l_max + 1) if spaces.dim(l)]
     return ClosureResult({l: spaces.rank(l) for l in ls},
                          {l: spaces.dim(l) for l in ls},
                          (w.inner_l_min, w.inner_l_max))
+
+
+def closure(module: TensorModule, seeds, w: Window, params: dict,
+            include_a: bool = False, early_full: bool = False,
+            ev=None) -> ClosureResult:
+    """Smallest windowed invariant subspace containing the seeds, by exact
+    elimination.
+
+    Applies every window generator to the current spanning set, drops
+    vectors outside the weight range, and row-reduces per weight space
+    until stable (see :func:`_close`).  Only inner-window dimensions are
+    truncation-free.  An EvaluatedAction cache may be shared across calls
+    via ``ev``.  A seed that mixes weights raises UsageError.
+    """
+    if not seeds:
+        raise UsageError("closure requires at least one seed vector")
+    if ev is None:
+        ev = module.eval_cache(params)
+    spaces = WeightSpaces(module.basis_at, range(w.l_min, w.l_max + 1))
+    vecs = [ev.eval_modvec(s)[1] if isinstance(s, ModVec) else dict(s)
+            for s in seeds]
+    return _close(spaces, _window_ops(module, w, include_a),
+                  lambda p, im, vec, is_d: ev.act_vec(p, im, vec, is_d)[1],
+                  vecs, w,
+                  (lambda _: _inner_full(spaces, w)) if early_full else None)
+
+
+def _inner_full(spaces: WeightSpaces, w: Window) -> bool:
+    inner = range(w.inner_l_min, w.inner_l_max + 1)
+    return all(spaces.settled(l) for l in inner)
+
+
+# The prime of the simplicity screen: 2^30 - 35, which is 1 mod 4; a
+# product of two residues stays below 2^60, two digits of a Python int.
+SCREEN_PRIME = 1073741789
+
+
+def _screen(module: TensorModule, seed: ModVec, w: Window, ev, prime: int,
+            known: dict):
+    """Close one seed modulo ``prime``, the screen of
+    :func:`window_simplicity`.  Returns None when the closure is full mod
+    ``prime``, else a lower bound on its inner rank sum mod ``prime``.
+
+    ``known`` maps a weight to ``(vector mod prime, result)`` pairs of the
+    seeds screened so far, and this seed joins them.  Once the span holds
+    a known seed vector it holds that seed's closure, so the loop stops
+    there with that seed's result: full stays full, and a lower bound
+    stays a lower bound.  The seed enters as its integer pairs (spans are
+    scale-invariant), so only a column can raise PrimeInDenominator."""
+    spaces = WeightSpaces(module.basis_at, range(w.l_min, w.l_max + 1),
+                          prime=prime)
+    vec = {bv: x for bv, (r, m) in ev.eval_modvec(seed)[1].items()
+           if (x := gauss_mod(r, m, 1, prime))}
+    held = []  # the results of the known seeds the span holds
+
+    def stop(l):
+        held.extend(b for g, b in known.get(l, ()) if spaces.contains(g))
+        return bool(held) or _inner_full(spaces, w)
+
+    res = _close(spaces, _window_ops(module, w, False),  # D-symbols only
+                 lambda p, im, vec, _: ev.act_vec_mod(prime, p, im, vec),
+                 [vec], w, stop)
+    if res.inner_full or None in held:
+        bound = None
+    else:
+        bound = max(held) if held else sum(res.inner_dims().values())
+    if vec:
+        known.setdefault(spaces.weight(vec), []).append((vec, bound))
+    return bound
+
+
+def _smallest_exact(candidates, close):
+    """The least ``(size, index, result)`` over the candidates ``(bound,
+    index)`` whose exact closure ``result = close(index)`` is not full,
+    ``size`` being its inner dimension sum and ``bound`` a lower bound on
+    it; None when every closure is full.  Candidates are closed in order of
+    (bound, index) until none left can beat the best so far."""
+    worst = None
+    for bound, i in sorted(candidates):
+        if worst is not None and (bound, i) > worst[:2]:
+            break
+        res = close(i)
+        if not res.inner_full:
+            size = sum(res.inner_dims().values())
+            if worst is None or (size, i) < worst[:2]:
+                worst = (size, i, res)
+    return worst
 
 
 def window_simplicity(module: TensorModule, w: Window, params: dict,
@@ -356,8 +435,27 @@ def window_simplicity(module: TensorModule, w: Window, params: dict,
 
     Verdict ``window-simple`` when every closure fills every inner weight
     space; this is window-scale evidence consistent with simplicity, not
-    a proof of it.  Otherwise the smallest invariant subspace found is
+    a proof of it.  Otherwise the smallest invariant subspace found (the
+    least inner dimension sum, the earliest seed among equals) is
     reported.
+
+    Every closure runs first modulo :data:`SCREEN_PRIME` ``q`` (see
+    :func:`_screen`).  Why a full screen is certain: the exact closure and
+    the one mod ``q`` are the spans of the same words in the window
+    generators applied to the seed; the screen only runs when every value
+    is q-integral, reduction mod ``q`` is a ring map, so each word's vector
+    mod ``q`` is the reduction of its exact vector, and reduction never
+    raises the rank of a set of vectors.  The dimension mod ``q`` is thus
+    at most the exact one at every weight, and "inner window full mod q"
+    proves "full": that seed is done.
+
+    Pruning: every other seed is a candidate, with a lower bound on its
+    exact inner dimension sum from the screen (0 when ``q`` divides a
+    coefficient's denominator).  Candidates are closed exactly
+    in order of (bound, seed order), and the loop stops at the first one
+    that cannot beat the best exact result so far: one whose bound is
+    larger, or equal at a later seed.  The verdict, ``smallest_seed`` and
+    the dimensions are therefore those of closing every seed exactly.
     """
     t0 = time.monotonic()
     mids = [l for l in range(w.inner_l_min, w.inner_l_max + 1)
@@ -377,36 +475,40 @@ def window_simplicity(module: TensorModule, w: Window, params: dict,
                     v = table.to_modvec(sym)
                     if not v.is_zero():
                         seeds.append((f"{sym.kind}[r={sym.r},l={sym.l}]", v))
-    worst = None
-    worst_seed = None
-    n = 0
     ev = module.eval_cache(params)
+    unique = []
     seen = set()
     for label, seed in seeds:
         key = frozenset((bv, str(c)) for bv, c in seed.terms.items())
-        if key in seen:
-            continue
-        seen.add(key)
-        n += 1
-        res = closure(module, [seed], w, params, early_full=True, ev=ev)
-        if not res.inner_full:
-            size = sum(res.inner_dims().values())
-            if worst is None or size < worst[0]:
-                worst = (size, res)
-                worst_seed = label
+        if key not in seen:
+            seen.add(key)
+            unique.append((label, seed))
+    candidates = []  # (lower bound on the exact size, seed index)
+    known: dict = {}
+    for i, (_, seed) in enumerate(unique):
+        try:
+            bound = _screen(module, seed, w, ev, SCREEN_PRIME, known)
+        except PrimeInDenominator:
+            bound = 0
+        if bound is not None:
+            candidates.append((bound, i))
+    worst = _smallest_exact(
+        candidates, lambda i: closure(module, [unique[i][1]], w, params,
+                                      early_full=True, ev=ev))
     details = {"seeds": len(seeds), "middle_weights": mids,
                "note": "window-scale evidence, not a proof of simplicity"}
     if worst is None:
         details["verdict"] = "window-simple"
     else:
+        res = worst[2]
         details["verdict"] = "proper-invariant-subspace"
-        details["smallest_seed"] = worst_seed
+        details["smallest_seed"] = unique[worst[1]][0]
         details["smallest_inner_dims"] = {str(l): d for l, d in
-                                          worst[1].inner_dims().items()}
-        details["full_dims"] = {str(l): worst[1].full_dims[l]
-                                for l in worst[1].inner_weights()}
+                                          res.inner_dims().items()}
+        details["full_dims"] = {str(l): res.full_dims[l]
+                                for l in res.inner_weights()}
     return finish(f"window_simplicity[N={module.cfg.N},eps={module.cfg.eps},"
-                  f"rep={module.rep.label}]", [], n, t0, status=INFO,
+                  f"rep={module.rep.label}]", [], len(unique), t0, status=INFO,
                   details=details)
 
 

@@ -144,6 +144,48 @@ def test_rep_from_config_matrices_gatekeeper():
         rep_from_config(bad, P)
 
 
+FLOATS = (0.1, 0.5, 1e-7, True)
+
+
+@pytest.mark.parametrize("value", FLOATS)
+@pytest.mark.parametrize("cfg,field", [
+    ({"kind": "so2", "c": "0"}, "b"),
+    ({"kind": "so2", "b": "1"}, "c"),
+    ({"kind": "so3_Vm", "two_m": 1}, "c"),
+])
+def test_rep_config_rejects_float_and_bool(cfg, field, value):
+    with pytest.raises(UsageError, match=f"'{field}'.*{type(value).__name__}"):
+        rep_from_config({**cfg, field: value}, P)
+
+
+@pytest.mark.parametrize("value", FLOATS)
+def test_rep_config_rejects_float_and_bool_matrix_entry(value):
+    cfg = {"kind": "matrices", "c": "0",
+           "gen": {"1,2": [["0", value], ["-1", "0"]]}}
+    with pytest.raises(UsageError, match=r"'gen\[1,2\]'"):
+        rep_from_config(cfg, P)
+
+
+@pytest.mark.parametrize("key", ["1;2", "a,b", "1,2,3", "1"])
+def test_rep_config_rejects_malformed_generator_key(key):
+    with pytest.raises(UsageError):
+        rep_from_config({"kind": "matrices", "c": "0",
+                         "gen": {key: [["0", "1"], ["-1", "0"]]}}, P)
+
+
+@pytest.mark.parametrize("value", [1.0, True, "1.5"])
+def test_rep_config_rejects_non_integer_two_m(value):
+    with pytest.raises(UsageError):
+        rep_from_config({"kind": "so3_Vm", "two_m": value, "c": "0"}, P)
+
+
+def test_rep_config_takes_int_and_text():
+    rep = rep_from_config({"kind": "so2", "b": 1, "c": "2/5"}, P)
+    assert rep.gen[(1, 2)][0][0] == gr(1)
+    assert rep.z_scalar == gr(Fraction(2, 5))
+    assert rep_from_config({"kind": "so3_Vm", "two_m": "2", "c": -1}, P).dim == 3
+
+
 def test_generator_antisymmetry():
     rep = build_so3_vm(2, gr(0), P)
     g = rep.generator(3, 1)

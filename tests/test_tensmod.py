@@ -271,6 +271,19 @@ def test_module_from_config():
     assert M.a == Scalar.const(P, 1)
 
 
+@pytest.mark.parametrize("value", [0.1, 0.5, 1e-7, True])
+def test_module_config_rejects_float_and_bool(value):
+    cfg = {"algebra": {"N": 2, "eps": [1, 0]},
+           "rep": {"kind": "so2", "b": "0", "c": "0"}, "a": value}
+    with pytest.raises(UsageError, match=f"'a'.*{type(value).__name__}"):
+        module_from_config(cfg, P)
+    with pytest.raises(UsageError, match="'sector_delta'"):
+        module_from_config({**cfg, "a": "1", "sector_delta": float(value)}, P)
+    with pytest.raises(UsageError, match="'algebra.N'"):
+        module_from_config({**cfg, "a": "1",
+                            "algebra": {"N": value, "eps": [1, 0]}}, P)
+
+
 def test_module_rejects_n4():
     from superkon.repn import SoRep
     from superkon.linalg import mat_zeros
