@@ -536,7 +536,7 @@ def in_k_ell(acfg: AlgebraConfig, x: AlgebraElement, ell: int) -> bool:
         x, lambda size: filtration_exponent(ell, size, acfg.mutation))
 
 
-def in_ideal_i(acfg: AlgebraConfig, x: AlgebraElement) -> bool:
+def in_ideal_i(x: AlgebraElement) -> bool:
     """Membership in the distinguished ideal (see :func:`ideal_exponent`)."""
     return _valuations_reach(x, ideal_exponent)
 

@@ -236,9 +236,10 @@ class SuperFunction:
         return (SuperFunction(self.params, ev), SuperFunction(self.params, od))
 
     # -- derivations ----------------------------------------------------
-    def partial(self, i: int, N: int | None = None) -> "SuperFunction":
-        """Odd derivation ``partial_i`` (left convention)."""
-        if i < 1 or (N is not None and i > N):
+    def partial(self, i: int) -> "SuperFunction":
+        """Odd derivation ``partial_i`` (left convention); zero for an
+        index above every odd variable of the function."""
+        if i < 1:
             raise UsageError(f"derivation index {i} out of range")
         out = {}
         for (k, I), c in self.terms.items():

@@ -208,9 +208,9 @@ class TensorModule:
                     out.append(bv)
         return sorted(out)
 
-    def weight_shift(self, p: int, imask: int, is_d: bool = True) -> int:
-        k = p - 1 if is_d else p
-        return 2 * k + self.cfg.shift_sum(imask)
+    def weight_shift(self, p: int, imask: int) -> int:
+        """The weight shift of the D-symbol with stored exponent ``p``."""
+        return 2 * (p - 1) + self.cfg.shift_sum(imask)
 
     # -- action ---------------------------------------------------------
     def act_function(self, k: int, imask: int, bv: ModBasisVec):
@@ -359,9 +359,11 @@ class EvaluatedAction:
     filling a table column stays in integer arithmetic.
 
     Modulo a prime (:meth:`act_vec_mod`) a vector is a dict ``basis ->
-    int`` of true values mod the prime (see :mod:`superkon.linalg`); its
-    columns are reduced from the evaluated coefficients and memoised apart
-    from the exact ones, which they do not fill.
+    int`` of true values mod the prime (see :mod:`superkon.linalg`).  Its
+    columns are the exact :meth:`table` columns reduced mod the prime, so
+    each coefficient is evaluated once (in :meth:`_eval_terms`), whichever
+    of the two forms asks for it first; the reduced columns have a memo of
+    their own.
     """
 
     def __init__(self, module: TensorModule, assignment: dict):
@@ -401,39 +403,31 @@ class EvaluatedAction:
         return [(bv2, GaussRat(Fraction(r, den), Fraction(m, den)))
                 for bv2, (r, m) in pairs]
 
-    def act_vec(self, p: int, imask: int, vec: dict, is_d=True):
-        """Integer-pair action; returns (den, dict) with the true image
-        equal to dict/(den) relative to the input."""
+    def act_vec(self, p: int, imask: int, vec: dict):
+        """Integer-pair action of a D-symbol; returns (den, dict) with the
+        true image equal to dict/(den) relative to the input."""
+        den = 1
+        cols = {}
+        for bv in vec:
+            cols[bv] = self.table(p, imask, bv)
+            den = lcm(den, cols[bv][0])
         out: dict = {}
-        if is_d:
-            den = 1
-            cols = {}
-            for bv in vec:
-                cols[bv] = self.table(p, imask, bv)
-                den = lcm(den, cols[bv][0])
-            for bv, (r, m) in vec.items():
-                d2, pairs = cols[bv]
-                s = den // d2
-                for bv2, (r2, m2) in pairs:
-                    pr, pm = out.get(bv2, (0, 0))
-                    out[bv2] = (pr + (r * r2 - m * m2) * s,
-                                pm + (r * m2 + m * r2) * s)
-        else:
-            den = 1
-            for bv, (r, m) in vec.items():
-                res = self.module.act_function(p, imask, bv)
-                if res is None:
-                    continue
-                sign, bv2 = res
+        for bv, (r, m) in vec.items():
+            d2, pairs = cols[bv]
+            s = den // d2
+            for bv2, (r2, m2) in pairs:
                 pr, pm = out.get(bv2, (0, 0))
-                out[bv2] = (pr + sign * r, pm + sign * m)
+                out[bv2] = (pr + (r * r2 - m * m2) * s,
+                            pm + (r * m2 + m * r2) * s)
         out = {bv: v for bv, v in out.items() if v != (0, 0)}
         return _qnorm(den, out)
 
     def act_vec_mod(self, prime: int, p: int, imask: int, vec: dict) -> dict:
-        """:meth:`act_vec` of a D-symbol modulo ``prime``, on and to dicts
-        ``basis -> int`` with zero values dropped.  PrimeInDenominator when
-        ``prime`` divides the denominator of a coefficient it needs."""
+        """:meth:`act_vec` modulo ``prime``, on and to dicts ``basis ->
+        int`` with zero values dropped.  Each column it needs is the
+        memoised :meth:`table` column reduced mod ``prime``, itself memoised
+        per prime; PrimeInDenominator when ``prime`` divides the
+        denominator of such a column."""
         memo = self._mod_memos.setdefault((prime, p, imask), {})
         out: dict = {}
         for bv, x in vec.items():
@@ -450,10 +444,12 @@ class EvaluatedAction:
         return image
 
     def _column_mod(self, prime: int, p: int, imask: int, bv: ModBasisVec):
-        """((bv2, x), ...): the D-symbol column mod ``prime``, nonzero
-        values only."""
-        col = ((bv2, gauss_mod(*self._evaluate(c), prime))
-               for bv2, c in self.module.act_basis_d(p, imask, bv).items())
+        """((bv2, x), ...): the :meth:`table` column reduced mod ``prime``,
+        nonzero values only.  Its ``den`` is the lcm of the coefficient
+        denominators, so ``prime`` divides it exactly when it divides one
+        of them."""
+        den, pairs = self.table(p, imask, bv)
+        col = ((bv2, gauss_mod(r, m, den, prime)) for bv2, (r, m) in pairs)
         return tuple((bv2, x) for bv2, x in col if x)
 
     def eval_modvec(self, v: ModVec):

@@ -299,24 +299,18 @@ class ClosureResult:
         return {l: self.dims[l] for l in self.inner_weights()}
 
 
-def _window_ops(module: TensorModule, w: Window, include_a: bool):
-    """``(p, imask, is_d, weight shift)`` of every window generator: the
-    D-symbols, then (with ``include_a``) the function monomials."""
-    ks = w.k_values()
-    ims = range(1 << module.cfg.N)
-    ops = sorted((p, im, True, module.weight_shift(p, im))
-                 for p in ks for im in ims)
-    if include_a:
-        ops += sorted((k, im, False, module.weight_shift(k, im, False))
-                      for k in ks for im in ims)
-    return ops
+def _window_ops(module: TensorModule, w: Window):
+    """``(p, imask, weight shift)`` of every window generator, the
+    D-symbols with ``p`` in the window's exponent range, sorted."""
+    return sorted((p, im, module.weight_shift(p, im)) for p in w.k_values()
+                  for im in range(1 << module.cfg.N))
 
 
 def _close(spaces: WeightSpaces, ops, act, vecs, w: Window,
            stop=None) -> ClosureResult:
     """The worklist loop of every closure, exact or modulo a prime: insert
-    the seed vectors ``vecs``, then apply each op ``act(p, imask, vec,
-    is_d)`` to each new vector until nothing new appears, or until
+    the seed vectors ``vecs``, then apply each op ``act(p, imask, vec)``
+    to each new vector until nothing new appears, or until
     ``stop(l)`` holds after a new vector at weight ``l``.  An op whose
     target weight is settled (outside the window, or already full) is
     skipped before its image is computed: that image could not change the
@@ -327,10 +321,10 @@ def _close(spaces: WeightSpaces, ops, act, vecs, w: Window,
         vec = work[idx]
         idx += 1
         l = spaces.weight(vec)
-        for (p, im, is_d, shift) in ops:
+        for (p, im, shift) in ops:
             if spaces.settled(l + shift):
                 continue
-            nv = act(p, im, vec, is_d)
+            nv = act(p, im, vec)
             if spaces.insert(nv) == "new":
                 work.append(nv)
                 if stop is not None and stop(l + shift):
@@ -343,27 +337,25 @@ def _close(spaces: WeightSpaces, ops, act, vecs, w: Window,
 
 
 def closure(module: TensorModule, seeds, w: Window, params: dict,
-            include_a: bool = False, early_full: bool = False,
-            ev=None) -> ClosureResult:
-    """Smallest windowed invariant subspace containing the seeds, by exact
-    elimination.
+            early_full: bool = False, ev=None) -> ClosureResult:
+    """Smallest windowed invariant subspace containing the ``ModVec``
+    seeds, by exact elimination.
 
-    Applies every window generator to the current spanning set, drops
-    vectors outside the weight range, and row-reduces per weight space
-    until stable (see :func:`_close`).  Only inner-window dimensions are
-    truncation-free.  An EvaluatedAction cache may be shared across calls
-    via ``ev``.  A seed that mixes weights raises UsageError.
+    Applies the window's D-symbols (see :func:`_window_ops`) to the
+    current spanning set, drops vectors outside the weight range, and
+    row-reduces per weight space until stable (see :func:`_close`).  Only
+    inner-window dimensions are truncation-free.  An EvaluatedAction cache
+    may be shared across calls via ``ev``.  A seed that mixes weights
+    raises UsageError.
     """
     if not seeds:
         raise UsageError("closure requires at least one seed vector")
     if ev is None:
         ev = module.eval_cache(params)
     spaces = WeightSpaces(module.basis_at, range(w.l_min, w.l_max + 1))
-    vecs = [ev.eval_modvec(s)[1] if isinstance(s, ModVec) else dict(s)
-            for s in seeds]
-    return _close(spaces, _window_ops(module, w, include_a),
-                  lambda p, im, vec, is_d: ev.act_vec(p, im, vec, is_d)[1],
-                  vecs, w,
+    return _close(spaces, _window_ops(module, w),
+                  lambda p, im, vec: ev.act_vec(p, im, vec)[1],
+                  [ev.eval_modvec(s)[1] for s in seeds], w,
                   (lambda _: _inner_full(spaces, w)) if early_full else None)
 
 
@@ -399,8 +391,8 @@ def _screen(module: TensorModule, seed: ModVec, w: Window, ev, prime: int,
         held.extend(b for g, b in known.get(l, ()) if spaces.contains(g))
         return bool(held) or _inner_full(spaces, w)
 
-    res = _close(spaces, _window_ops(module, w, False),  # D-symbols only
-                 lambda p, im, vec, _: ev.act_vec_mod(prime, p, im, vec),
+    res = _close(spaces, _window_ops(module, w),
+                 lambda p, im, vec: ev.act_vec_mod(prime, p, im, vec),
                  [vec], w, stop)
     if res.inner_full or None in held:
         bound = None
@@ -530,8 +522,7 @@ def check_submodule_closure(module: TensorModule, name: str, w: Window,
         vec = ev.eval_modvec(g)[1]
         if spaces.insert(vec) is not None:
             buckets.setdefault(spaces.weight(vec), []).append(vec)
-    ops = sorted((p, im, module.weight_shift(p, im)) for p in w.k_values()
-                 for im in range(1 << module.cfg.N))
+    ops = _window_ops(module, w)
     bad = []
     n = 0
     for l in sorted(buckets):
@@ -691,8 +682,7 @@ def check_filtration(acfg: AlgebraConfig, ell_max: int, w: Window) -> Report:
             cases.append((f"[K0,K{ell}] in K{ell}", g0, gl,
                           lambda x, e=ell: in_k_ell(acfg, x, e)))
     gi = _piece_gens(acfg, ideal_exponent, i_max)
-    cases.append(("[K0,ideal] in ideal", g0, gi,
-                  lambda x: in_ideal_i(acfg, x)))
+    cases.append(("[K0,ideal] in ideal", g0, gi, in_ideal_i))
     for label, xs, ys, member in cases:
         for xi, x in enumerate(xs):
             for yi, y in enumerate(ys):
@@ -809,16 +799,13 @@ def check_eps_shift(src: EpsilonConfig, dst: EpsilonConfig, w: Window) -> Report
                                lambda x: eps_shift_map(src, dst, x), w)
 
 
-def check_table_agreement(module: TensorModule, w: Window,
-                          table_l_range=None) -> Report:
-    """Generic action against the explicit table, line by line.  Every
-    discrepancy is a violation carrying the generic value (the source of
-    truth)."""
+def check_table_agreement(module: TensorModule, w: Window) -> Report:
+    """Generic action against the explicit table, line by line, at table
+    weights -1, 0 and 1.  Every discrepancy is a violation carrying the
+    generic value (the source of truth)."""
     t0 = time.monotonic()
     table = make_table(module)
-    if table_l_range is None:
-        table_l_range = range(-1, 2)
-    disc, n = compare_table(module, table, w.k_values(), table_l_range)
+    disc, n = compare_table(module, table, w.k_values(), range(-1, 2))
     bad = [violation(d["inputs"], lhs=d["table"], rhs=d["generic"],
                      diff=f"line {d['line']}: table disagrees; "
                           "generic value is authoritative")

@@ -52,6 +52,11 @@ def test_partial_absent_index():
     assert mono(0, iset(1, 2)).partial(3).is_zero()
 
 
+def test_partial_index_below_one_is_a_usage_error():
+    with pytest.raises(UsageError, match="derivation index 0"):
+        mono(0, iset(1, 2)).partial(0)
+
+
 def test_delta_even():
     assert mono(2, 0).delta() == mono(2, 0, 2)
 

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a package module imports is used in it, and
-every name it defines at its top level is used somewhere.
+"""Source hygiene: every name a package module imports is used in it,
+every name it defines at its top level is used somewhere, and every named
+parameter of every function it defines is read in that function.
 
 Stdlib ``ast`` only.  A name counts as used in a module when it appears as
 a load anywhere in it, including inside string annotations.
@@ -119,3 +120,44 @@ def test_dead_name_detector_flags_an_unused_name(tmp_path):
                     "from m import EXPORTED\n"
                     "m.api(EXPORTED)\n")
     assert dead_names([mod], [user]) == ["m.py:2: DEAD"]
+
+
+def unused_parameters(path: Path) -> list:
+    """``file:line: function(parameter)`` for every named parameter of a
+    ``def`` in ``path``, other than ``self`` and ``cls``, that its body
+    never loads (a nested function's loads count).  ``*args`` and
+    ``**kwargs`` are not checked: a protocol method such as a guarding
+    ``__setattr__`` may take them to refuse every call."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        loaded = {n.id for stmt in node.body for n in ast.walk(stmt)
+                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += [(node.lineno, f"{node.name}({a.arg})")
+                  for a in [*args.posonlyargs, *args.args, *args.kwonlyargs]
+                  if a.arg not in ("self", "cls") and a.arg not in loaded]
+    return [f"{path.name}:{line}: {what}" for line, what in sorted(found)]
+
+
+def test_no_unused_parameters():
+    found = [u for path in sorted(SRC.glob("*.py"))
+             for u in unused_parameters(path)]
+    assert not found, "parameters never read:\n" + "\n".join(found)
+
+
+def test_unused_parameter_detector_flags_an_unread_parameter(tmp_path):
+    mod = tmp_path / "m.py"
+    mod.write_text("class C:\n"
+                   "    def method(self, used, *, unread=None):\n"
+                   "        return used\n"
+                   "    def __setattr__(self, *a):\n"
+                   "        raise AttributeError\n"
+                   "def outer(x, y):\n"
+                   "    def inner():\n"
+                   "        return x\n"
+                   "    return inner()\n")
+    assert unused_parameters(mod) == ["m.py:2: method(unread)",
+                                      "m.py:6: outer(y)"]

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from superkon import verify
-from superkon.exactnum import GaussRat, Scalar
+from superkon.exactnum import Evaluator, GaussRat, Scalar
 from superkon.grassmann import EpsilonConfig
 from superkon.linalg import PrimeInDenominator
 from superkon.repn import build_so2, build_so3_vm
@@ -239,3 +239,35 @@ def test_window_simple_probe_makes_no_exact_action(monkeypatch):
                                  middle=1)
     assert r.details["verdict"] == "window-simple"
     assert calls == []
+
+
+def test_proper_probe_evaluates_each_coefficient_once(monkeypatch):
+    # the screen reduces the exact table columns mod p, so the exact
+    # fallback closure evaluates nothing the screen already evaluated
+    evaluated, seed_terms, evs = [], [], []
+    evaluate = Evaluator.__call__
+    eval_modvec = EvaluatedAction.eval_modvec
+    eval_cache = TensorModule.eval_cache
+
+    def spy_evaluate(self, s):
+        evaluated.append(s)
+        return evaluate(self, s)
+
+    def spy_eval_modvec(self, v):
+        seed_terms.append(len(v.terms))
+        return eval_modvec(self, v)
+
+    def spy_eval_cache(self, assignment):
+        evs.append(eval_cache(self, assignment))
+        return evs[-1]
+
+    monkeypatch.setattr(Evaluator, "__call__", spy_evaluate)
+    monkeypatch.setattr(EvaluatedAction, "eval_modvec", spy_eval_modvec)
+    monkeypatch.setattr(TensorModule, "eval_cache", spy_eval_cache)
+    M = n3(1, Fraction(-1, 2))
+    r = verify.window_simplicity(M, verify.module_window(-2, 2, M), ORIGIN,
+                                 middle=1)
+    assert r.details["verdict"] == "proper-invariant-subspace"
+    ev, = evs
+    columns = sum(len(M.act_basis_d(*key)) for key in ev._memo)
+    assert len(evaluated) == columns + sum(seed_terms)

@@ -457,11 +457,11 @@ def test_closures_compute_no_image_for_a_settled_target(monkeypatch):
 
     act_vec = EvaluatedAction.act_vec
 
-    def spy(self, p, im, vec, is_d=True):
+    def spy(self, p, im, vec):
         spaces = made[-1]
-        t = spaces.weight(vec) + self.module.weight_shift(p, im, is_d)
+        t = spaces.weight(vec) + self.module.weight_shift(p, im)
         settled_targets.append(spaces.rank(t) == spaces.dim(t))
-        return act_vec(self, p, im, vec, is_d)
+        return act_vec(self, p, im, vec)
 
     monkeypatch.setattr(verify, "WeightSpaces", Recording)
     monkeypatch.setattr(EvaluatedAction, "act_vec", spy)
@@ -484,8 +484,8 @@ def test_submodule_closure_counts_zero_images(monkeypatch):
     images = []
     act_vec = EvaluatedAction.act_vec
 
-    def spy(self, p, im, vec, is_d=True):
-        out = act_vec(self, p, im, vec, is_d)
+    def spy(self, p, im, vec):
+        out = act_vec(self, p, im, vec)
         images.append(out[1])
         return out
 
