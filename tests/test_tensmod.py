@@ -224,7 +224,8 @@ def test_quotient_map_passes():
     rpt = iso_check_map(M, "quotient_wplus", Window(-2, 2, -8, 8, 4),
                         params={"a": Fraction(5, 7)})
     assert rpt.status == "pass"
-    assert rpt.details["relations_derived"] > 0
+    assert rpt.stats["tuples_checked"] == 312
+    assert rpt.details["relations_derived"] == 18
 
 
 def test_quotient_map_wminus():
@@ -232,6 +233,8 @@ def test_quotient_map_wminus():
     rpt = iso_check_map(M, "quotient_wminus", Window(-2, 2, -8, 8, 4),
                         params={"a": Fraction(5, 7)})
     assert rpt.status == "pass"
+    assert rpt.stats["tuples_checked"] == 312
+    assert rpt.details["relations_derived"] == 18
 
 
 def test_quotient_fprime_requires_spin_one():
@@ -243,7 +246,30 @@ def test_quotient_fprime_requires_spin_one():
     rpt = iso_check_map(M, "quotient_fprime", Window(-2, 2, -8, 8, 4),
                         params={"a": Fraction(5, 7)})
     assert rpt.status == "pass"
-    assert rpt.details["relations_derived"] > 0
+    assert rpt.stats["tuples_checked"] == 2301
+    assert rpt.details["relations_derived"] == 72
+
+
+def test_quotient_map_wrong_target_fails():
+    # the W+ quotient's seed images, propagated into so_2 at b = 3i, c = 3
+    # instead of b = 2i, c = 2, contradict the relations they derive
+    M = n2_module(b=GaussRat(0, 1), c=1)
+    wrong = n2_module(b=GaussRat(0, 3), c=3)
+    rpt = iso_check_map(M, "quotient_wplus", Window(-2, 2, -8, 8, 4),
+                        params={"a": Fraction(5, 7)}, target=wrong)
+    assert rpt.status == "fail"
+    assert len(rpt.violations) == 198
+    assert all(v["diff"] == "image conflicts with previously derived relations"
+               for v in rpt.violations)
+
+
+def test_sector_shift_swap_tau_fails():
+    M = TensorModule(EpsilonConfig(2, (0, 0)), build_so2(B, C, P), A,
+                     sector_delta=1, mutation="swap_tau")
+    rpt = iso_check_map(M, "sector_shift", Window(-2, 2, -7, 7, 4))
+    assert rpt.status == "fail"
+    assert len(rpt.violations) == 40
+    assert rpt.violations[0]["inputs"] == "op=(-1,1,A) v=D{1,2}.v0@l=-1"
 
 
 def test_identity_map_wrong_c_fails():
