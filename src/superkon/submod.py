@@ -321,32 +321,23 @@ def _check_quotient_map(source, target, name, w, params, t0):
         td, tv = tgt_eval.eval_modvec(t)
         sv, tv = cross(sd, sv, td, tv)
         if sv and spaces.insert(sv, tv) == "new":
-            work.append((spaces.weight(sv), sv, tv))
+            work.append((sv, tv))
     ops = sorted((p, im, source.weight_shift(p, im))
                  for p in range(w.k_min + 1, w.k_max + 2)
                  for im in range(1 << source.cfg.N))
-    idx = 0
-    while idx < len(work):
-        l, sv, tv = work[idx]
-        idx += 1
-        for (p, im, shift) in ops:
-            if l + shift not in spaces:
-                continue
-            d2, sv2 = src_eval.act_vec(p, im, sv)
-            e2, tv2 = tgt_eval.act_vec(p, im, tv)
-            sv2, tv2 = cross(d2, sv2, e2, tv2)
-            res = spaces.insert(sv2, tv2)
-            if res is None:
-                continue
-            n += 1
-            if res == "inconsistent":
-                bad.append(violation(
-                    f"op=({p},{im}) from weight {l}",
-                    lhs=_fmt_vec(sv2) if sv2 else "0", rhs=_fmt_vec(tv2),
-                    diff=("image conflicts with previously derived relations"
-                          if sv2 else "zero class maps to a nonzero image")))
-            elif res == "new":
-                work.append((spaces.weight(sv2), sv2, tv2))
+
+    def act(p, im, row):
+        return cross(*src_eval.act_vec(p, im, row[0]),
+                     *tgt_eval.act_vec(p, im, row[1]))
+
+    for (p, im, _), l, (sv2, tv2), outcome in spaces.grow(work, ops, act):
+        n += 1
+        if outcome == "inconsistent":
+            bad.append(violation(
+                f"op=({p},{im}) from weight {l}",
+                lhs=_fmt_vec(sv2) if sv2 else "0", rhs=_fmt_vec(tv2),
+                diff=("image conflicts with previously derived relations"
+                      if sv2 else "zero class maps to a nonzero image")))
     details = {"relations_derived": len(work)}
     return finish(f"iso[{name}]", bad, n, t0, details=details)
 

@@ -308,28 +308,15 @@ def _window_ops(module: TensorModule, w: Window):
 
 def _close(spaces: WeightSpaces, ops, act, vecs, w: Window,
            stop=None) -> ClosureResult:
-    """The worklist loop of every closure, exact or modulo a prime: insert
-    the seed vectors ``vecs``, then apply each op ``act(p, imask, vec)``
-    to each new vector until nothing new appears, or until
-    ``stop(l)`` holds after a new vector at weight ``l``.  An op whose
-    target weight is settled (outside the window, or already full) is
-    skipped before its image is computed: that image could not change the
-    span."""
+    """Every closure, exact or modulo a prime: insert the seed vectors
+    ``vecs``, then grow their span under ``ops`` by ``act(p, imask, vec)``
+    (see :meth:`~superkon.linalg.WeightSpaces.grow`) until nothing new
+    appears, or until ``stop(l)`` holds after a new vector at weight
+    ``l``."""
     work = [vec for vec in vecs if spaces.insert(vec) == "new"]
-    idx = 0
-    while idx < len(work):
-        vec = work[idx]
-        idx += 1
-        l = spaces.weight(vec)
-        for (p, im, shift) in ops:
-            if spaces.settled(l + shift):
-                continue
-            nv = act(p, im, vec)
-            if spaces.insert(nv) == "new":
-                work.append(nv)
-                if stop is not None and stop(l + shift):
-                    idx = len(work)
-                    break
+    for (_, _, shift), l, _, outcome in spaces.grow(work, ops, act):
+        if outcome == "new" and stop is not None and stop(l + shift):
+            break
     ls = [l for l in range(w.l_min, w.l_max + 1) if spaces.dim(l)]
     return ClosureResult({l: spaces.rank(l) for l in ls},
                          {l: spaces.dim(l) for l in ls},
