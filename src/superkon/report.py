@@ -23,8 +23,10 @@ INFO = "info"
 class Window:
     """Truncation window for sweeps over Z-graded objects.
 
-    ``k_min..k_max`` bounds generator t-exponents, ``l_min..l_max`` bounds
-    module weight offsets.  Results are only trusted on the inner window
+    ``k_min..k_max`` bounds the stored exponent ``p`` of the generators
+    ``D[t^p, xi_I]`` and of the function monomials ``t^p xi_I`` (see
+    ``TensorModule.window_ops``), ``l_min..l_max`` bounds module weight
+    offsets.  Results are only trusted on the inner window
     (``l`` range shrunk by ``inner_margin`` on both sides), which must be
     sized so no generator can move an inner vector outside the window.
     """

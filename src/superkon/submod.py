@@ -223,28 +223,29 @@ def iso_check_map(source: TensorModule, name: str, w: Window,
 
 
 def _check_total_map(source, target, name, w, t0):
+    """Both sides of the intertwining relation from the images of basis
+    vectors under the window's symbols (see
+    :meth:`~superkon.tensmod.TensorModule.act_basis`); the map lowers
+    weights by ``shift``."""
     shift = 1 if name == "sector_shift" else 0
+    ops = source.window_ops(w)
+    syms = [(p, im, is_d) for is_d in (True, False) for p, im, _ in ops]
     bad = []
     n = 0
-    params = source.params
-    ops = [(p, im, True) for p in range(w.k_min + 1, w.k_max + 2)
-           for im in range(1 << source.cfg.N)]
-    ops += [(k, im, False) for k in w.k_values()
-            for im in range(1 << source.cfg.N)]
 
-    def tmap(v: ModVec) -> ModVec:
-        return ModVec(target.params,
-                      {ModBasisVec(bv.l - shift, bv.J, bv.r): c
-                       for bv, c in v.terms.items()}, v.flipped)
+    def image(module, sym, bv, lower):
+        terms = module.act_basis(sym, bv)
+        return ModVec(module.params, {bv2._replace(l=bv2.l - lower): c
+                                      for bv2, c in terms.items()})
 
     for l in range(w.inner_l_min, w.inner_l_max + 1):
         for bv in source.basis_at(l):
-            v = ModVec.basis(params, bv)
-            for (p, im, is_d) in ops:
+            for sym in syms:
                 n += 1
-                lhs = tmap(source.act_symbol(p, im, v, is_d))
-                rhs = target.act_symbol(p, im, tmap(v), is_d)
-                if not (lhs - rhs).is_zero():
+                lhs = image(source, sym, bv, shift)
+                rhs = image(target, sym, bv._replace(l=l - shift), 0)
+                if lhs != rhs:
+                    p, im, is_d = sym
                     bad.append(violation(
                         f"op=({p},{im},{'D' if is_d else 'A'}) v={bv.text()}",
                         lhs=str(lhs), rhs=str(rhs), diff=str(lhs - rhs)))
@@ -322,9 +323,7 @@ def _check_quotient_map(source, target, name, w, params, t0):
         sv, tv = cross(sd, sv, td, tv)
         if sv and spaces.insert(sv, tv) == "new":
             work.append((sv, tv))
-    ops = sorted((p, im, source.weight_shift(p, im))
-                 for p in range(w.k_min + 1, w.k_max + 2)
-                 for im in range(1 << source.cfg.N))
+    ops = source.window_ops(w)
 
     def act(p, im, row):
         return cross(*src_eval.act_vec(p, im, row[0]),

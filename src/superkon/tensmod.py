@@ -212,6 +212,14 @@ class TensorModule:
         """The weight shift of the D-symbol with stored exponent ``p``."""
         return 2 * (p - 1) + self.cfg.shift_sum(imask)
 
+    def window_ops(self, w) -> list:
+        """``(p, imask, weight shift)`` of the generators of window ``w``:
+        the D-symbols ``D[t^p, xi_I]`` with ``p`` in ``w.k_values()``, in
+        order of ``(p, imask)``.  The window's function monomials ``t^p
+        xi_I`` run over the same pairs."""
+        return [(p, im, self.weight_shift(p, im)) for p in w.k_values()
+                for im in range(1 << self.cfg.N)]
+
     # -- action ---------------------------------------------------------
     def act_function(self, k: int, imask: int, bv: ModBasisVec):
         """Monomial ``t^k xi_I`` on a basis vector -> (coeff_sign, bv) or None."""
@@ -312,6 +320,17 @@ class TensorModule:
         self._memo[key] = out
         return out
 
+    def act_basis(self, sym, bv: ModBasisVec) -> dict:
+        """The symbol ``sym = (p, imask, is_d)`` on a basis vector, as a
+        dict ModBasisVec -> Scalar: the :meth:`act_basis_d` dict of a
+        D-symbol, the :meth:`act_function` sign of a function monomial
+        ``t^p xi_I`` as a +-1 Scalar."""
+        p, imask, is_d = sym
+        if is_d:
+            return self.act_basis_d(p, imask, bv)
+        res = self.act_function(p, imask, bv)
+        return {} if res is None else {res[1]: Scalar.const(self.params, res[0])}
+
     def act(self, x: AlgebraElement, v: ModVec) -> ModVec:
         """Action of an algebra element (no central part) on a vector."""
         if x.has_central():
@@ -336,11 +355,6 @@ class TensorModule:
                 prev = out.get(bv2)
                 out[bv2] = add if prev is None else prev + add
         return ModVec(self.params, out, v.flipped)
-
-    def act_symbol(self, p: int, imask: int, v: ModVec, is_d=True) -> ModVec:
-        x = (AlgebraElement.d_symbol(self.params, p, imask) if is_d
-             else AlgebraElement.a_monomial(self.params, p, imask))
-        return self.act(x, v)
 
     # -- evaluation at concrete parameters --------------------------------
     def eval_cache(self, assignment: dict) -> "EvaluatedAction":

@@ -173,14 +173,6 @@ def check_bracket_crosscheck(acfg: AlgebraConfig, w: Window) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def _ext_symbols(module: TensorModule, w: Window):
-    """D-symbols and function monomials with stored exponents in the window."""
-    N = module.cfg.N
-    d = [(p, im, True) for p in w.k_values() for im in range(1 << N)]
-    a = [(k, im, False) for k in w.k_values() for im in range(1 << N)]
-    return d + a
-
-
 def _add_scaled(out: dict, terms: dict, coeff: Scalar) -> None:
     """``out += coeff * terms`` for dicts basis vector -> Scalar."""
     for bv, c in terms.items():
@@ -193,15 +185,18 @@ def check_module_axioms(module: TensorModule, w: Window) -> Report:
     """The bracket compatibility, associative function action, and mixed
     compatibility identities, fully symbolic in the parameters.
 
-    Each symbol's image of each basis vector is computed once: the
-    ``act_basis_d`` dict of a D-symbol, the ``act_function`` sign of a
-    function monomial as a +-1 Scalar.  Both sides of every identity are
-    built from these images as dicts of canonical Scalars and compared as
-    module vectors (zero entries dropped), which are also the witness."""
+    The symbols are the window's D-symbols and function monomials (see
+    :meth:`~superkon.tensmod.TensorModule.window_ops`).  Each symbol's
+    image of each basis vector is computed once, by
+    :meth:`~superkon.tensmod.TensorModule.act_basis`.  Both sides of every
+    identity are built from these images as dicts of canonical Scalars and
+    compared as module vectors (zero entries dropped), which are also the
+    witness."""
     t0 = time.monotonic()
     params = module.params
     acfg = AlgebraConfig(module.cfg)
-    syms = _ext_symbols(module, w)
+    ops = module.window_ops(w)
+    syms = [(p, im, is_d) for is_d in (True, False) for p, im, _ in ops]
     vecs = [bv for l in range(w.inner_l_min, w.inner_l_max + 1)
             for bv in module.basis_at(l)]
     signs = {1: Scalar.const(params, 1), -1: Scalar.const(params, -1)}
@@ -214,13 +209,7 @@ def check_module_axioms(module: TensorModule, w: Window) -> Report:
         key = (sym, bv)
         hit = images.get(key)
         if hit is None:
-            p, im, is_d = sym
-            if is_d:
-                hit = module.act_basis_d(p, im, bv)
-            else:
-                res = module.act_function(p, im, bv)
-                hit = {} if res is None else {res[1]: signs[res[0]]}
-            images[key] = hit
+            hit = images[key] = module.act_basis(sym, bv)
         return hit
 
     def elem(p, im, is_d):
@@ -252,7 +241,7 @@ def check_module_axioms(module: TensorModule, w: Window) -> Report:
                         f"y=({p2},{i2},{'D' if d2 else 'A'}) v={bv.text()}",
                         lhs=str(lhs), rhs=str(rhs), diff=str(lhs - rhs)))
     # associative action of the function algebra
-    monos = [(k, im) for k in w.k_values() for im in range(1 << module.cfg.N)]
+    monos = [(k, im) for k, im, _ in ops]
     for (k1, i1) in monos:
         for (k2, i2) in monos:
             sm = xi_mul(i1, i2)
@@ -299,13 +288,6 @@ class ClosureResult:
         return {l: self.dims[l] for l in self.inner_weights()}
 
 
-def _window_ops(module: TensorModule, w: Window):
-    """``(p, imask, weight shift)`` of every window generator, the
-    D-symbols with ``p`` in the window's exponent range, sorted."""
-    return sorted((p, im, module.weight_shift(p, im)) for p in w.k_values()
-                  for im in range(1 << module.cfg.N))
-
-
 def _close(spaces: WeightSpaces, ops, act, vecs, w: Window,
            stop=None) -> ClosureResult:
     """Every closure, exact or modulo a prime: insert the seed vectors
@@ -328,7 +310,8 @@ def closure(module: TensorModule, seeds, w: Window, params: dict,
     """Smallest windowed invariant subspace containing the ``ModVec``
     seeds, by exact elimination.
 
-    Applies the window's D-symbols (see :func:`_window_ops`) to the
+    Applies the window's D-symbols (see
+    :meth:`~superkon.tensmod.TensorModule.window_ops`) to the
     current spanning set, drops vectors outside the weight range, and
     row-reduces per weight space until stable (see :func:`_close`).  Only
     inner-window dimensions are truncation-free.  An EvaluatedAction cache
@@ -340,7 +323,7 @@ def closure(module: TensorModule, seeds, w: Window, params: dict,
     if ev is None:
         ev = module.eval_cache(params)
     spaces = WeightSpaces(module.basis_at, range(w.l_min, w.l_max + 1))
-    return _close(spaces, _window_ops(module, w),
+    return _close(spaces, module.window_ops(w),
                   lambda p, im, vec: ev.act_vec(p, im, vec)[1],
                   [ev.eval_modvec(s)[1] for s in seeds], w,
                   (lambda _: _inner_full(spaces, w)) if early_full else None)
@@ -378,7 +361,7 @@ def _screen(module: TensorModule, seed: ModVec, w: Window, ev, prime: int,
         held.extend(b for g, b in known.get(l, ()) if spaces.contains(g))
         return bool(held) or _inner_full(spaces, w)
 
-    res = _close(spaces, _window_ops(module, w),
+    res = _close(spaces, module.window_ops(w),
                  lambda p, im, vec: ev.act_vec_mod(prime, p, im, vec),
                  [vec], w, stop)
     if res.inner_full or None in held:
@@ -509,7 +492,7 @@ def check_submodule_closure(module: TensorModule, name: str, w: Window,
         vec = ev.eval_modvec(g)[1]
         if spaces.insert(vec) is not None:
             buckets.setdefault(spaces.weight(vec), []).append(vec)
-    ops = _window_ops(module, w)
+    ops = module.window_ops(w)
     bad = []
     n = 0
     for l in sorted(buckets):

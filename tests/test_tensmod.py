@@ -224,7 +224,7 @@ def test_quotient_map_passes():
     rpt = iso_check_map(M, "quotient_wplus", Window(-2, 2, -8, 8, 4),
                         params={"a": Fraction(5, 7)})
     assert rpt.status == "pass"
-    assert rpt.stats["tuples_checked"] == 312
+    assert rpt.stats["tuples_checked"] == 304
     assert rpt.details["relations_derived"] == 18
 
 
@@ -233,7 +233,7 @@ def test_quotient_map_wminus():
     rpt = iso_check_map(M, "quotient_wminus", Window(-2, 2, -8, 8, 4),
                         params={"a": Fraction(5, 7)})
     assert rpt.status == "pass"
-    assert rpt.stats["tuples_checked"] == 312
+    assert rpt.stats["tuples_checked"] == 304
     assert rpt.details["relations_derived"] == 18
 
 
@@ -246,7 +246,7 @@ def test_quotient_fprime_requires_spin_one():
     rpt = iso_check_map(M, "quotient_fprime", Window(-2, 2, -8, 8, 4),
                         params={"a": Fraction(5, 7)})
     assert rpt.status == "pass"
-    assert rpt.stats["tuples_checked"] == 2301
+    assert rpt.stats["tuples_checked"] == 2242
     assert rpt.details["relations_derived"] == 72
 
 
@@ -258,7 +258,7 @@ def test_quotient_map_wrong_target_fails():
     rpt = iso_check_map(M, "quotient_wplus", Window(-2, 2, -8, 8, 4),
                         params={"a": Fraction(5, 7)}, target=wrong)
     assert rpt.status == "fail"
-    assert len(rpt.violations) == 198
+    assert len(rpt.violations) == 192
     assert all(v["diff"] == "image conflicts with previously derived relations"
                for v in rpt.violations)
 

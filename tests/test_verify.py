@@ -92,7 +92,8 @@ def _reference_module_axioms(module, w):
     """check_module_axioms computed per triple through ``module.act``."""
     params = module.params
     acfg = AlgebraConfig(module.cfg)
-    syms = verify._ext_symbols(module, w)
+    syms = [(p, im, is_d) for is_d in (True, False)
+            for p, im, _ in module.window_ops(w)]
     vecs = [bv for l in range(w.inner_l_min, w.inner_l_max + 1)
             for bv in module.basis_at(l)]
     bad = []
