@@ -39,7 +39,7 @@ from .algebra import AlgebraConfig, AlgebraElement, bracket_ints
 from .exactnum import (Evaluator, GaussRat, Scalar, TextReader, UsageError,
                        pair_content, term_text)
 from .grassmann import EpsilonConfig, members, tau
-from .linalg import gauss_mod
+from .linalg import gauss_mod, sqrt_minus_one
 from .repn import SoRep, config_int, config_scalar, rep_from_config
 
 
@@ -374,17 +374,16 @@ class EvaluatedAction:
 
     Modulo a prime (:meth:`act_vec_mod`) a vector is a dict ``basis ->
     int`` of true values mod the prime (see :mod:`superkon.linalg`).  Its
-    columns are the exact :meth:`table` columns reduced mod the prime, so
-    each coefficient is evaluated once (in :meth:`_eval_terms`), whichever
-    of the two forms asks for it first; the reduced columns have a memo of
-    their own.
+    columns are the exact :meth:`table` columns, reduced mod the prime as
+    they are read.  So :meth:`table`'s memo is the one copy of each
+    column, and each coefficient is evaluated once (in
+    :meth:`_eval_terms`), whichever of the two forms asks for it first.
     """
 
     def __init__(self, module: TensorModule, assignment: dict):
         self.module = module
         self._evaluate = Evaluator(assignment)
         self._memo: dict = {}
-        self._mod_memos: dict = {}  # (prime, p, imask) -> {bv: column}
 
     def table(self, p: int, imask: int, bv: ModBasisVec):
         """(den, ((bv2, (re, im)), ...)): the evaluated column of a
@@ -439,32 +438,23 @@ class EvaluatedAction:
     def act_vec_mod(self, prime: int, p: int, imask: int, vec: dict) -> dict:
         """:meth:`act_vec` modulo ``prime``, on and to dicts ``basis ->
         int`` with zero values dropped.  Each column it needs is the
-        memoised :meth:`table` column reduced mod ``prime``, itself memoised
-        per prime; PrimeInDenominator when ``prime`` divides the
-        denominator of such a column."""
-        memo = self._mod_memos.setdefault((prime, p, imask), {})
+        memoised :meth:`table` column, reduced mod ``prime`` as it is read;
+        PrimeInDenominator when ``prime`` divides the column's denominator,
+        the lcm of its coefficient denominators, so exactly when it divides
+        one of them."""
+        s = sqrt_minus_one(prime)
         out: dict = {}
         for bv, x in vec.items():
-            col = memo.get(bv)
-            if col is None:
-                col = memo[bv] = self._column_mod(prime, p, imask, bv)
-            for bv2, y in col:
-                out[bv2] = out.get(bv2, 0) + x * y
+            den, pairs = self.table(p, imask, bv)
+            x = gauss_mod(x, 0, den, prime)  # x / den
+            for bv2, (r, m) in pairs:
+                out[bv2] = out.get(bv2, 0) + x * (r + s * m)
         image = {}
         for bv, v in out.items():
             v %= prime
             if v:
                 image[bv] = v
         return image
-
-    def _column_mod(self, prime: int, p: int, imask: int, bv: ModBasisVec):
-        """((bv2, x), ...): the :meth:`table` column reduced mod ``prime``,
-        nonzero values only.  Its ``den`` is the lcm of the coefficient
-        denominators, so ``prime`` divides it exactly when it divides one
-        of them."""
-        den, pairs = self.table(p, imask, bv)
-        col = ((bv2, gauss_mod(r, m, den, prime)) for bv2, (r, m) in pairs)
-        return tuple((bv2, x) for bv2, x in col if x)
 
     def eval_modvec(self, v: ModVec):
         """(den, dict of integer pairs) with true value dict/den."""
