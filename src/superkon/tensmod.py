@@ -138,9 +138,6 @@ class ModVec:
     def __repr__(self):
         return f"ModVec({self!s})"
 
-    def weights(self):
-        return sorted({bv.l for bv in self.terms})
-
 
 def parity_change(v: ModVec) -> ModVec:
     """Same coordinates, opposite global parity flag (an involution)."""

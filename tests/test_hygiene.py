@@ -1,6 +1,7 @@
 """Source hygiene: every name a package module imports is used in it,
-every name it defines at its top level is used somewhere, and every named
-parameter of every function it defines is read in that function.
+every name it defines at its top level is used somewhere, every method of
+its classes is called somewhere, and every named parameter of every
+function it defines is read in that function.
 
 Stdlib ``ast`` only.  A name counts as used in a module when it appears as
 a load anywhere in it, including inside string annotations.
@@ -101,9 +102,13 @@ def test_detector_flags_an_unused_name(tmp_path):
     assert unused_imports(mod) == ["m.py:3: os"]
 
 
+def _others():
+    """The test and benchmark files, which use the package from outside."""
+    return sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+
+
 def test_no_dead_module_names():
-    others = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
-    found = dead_names(sorted(SRC.glob("*.py")), others)
+    found = dead_names(sorted(SRC.glob("*.py")), _others())
     assert not found, "module-level names nobody uses:\n" + "\n".join(found)
 
 
@@ -120,6 +125,65 @@ def test_dead_name_detector_flags_an_unused_name(tmp_path):
                     "from m import EXPORTED\n"
                     "m.api(EXPORTED)\n")
     assert dead_names([mod], [user]) == ["m.py:2: DEAD"]
+
+
+def _methods(tree):
+    """``(line, class name, method name)`` of every method of every class
+    in a module; dunder methods are left out, since Python calls them."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (item.name.startswith("__")
+                                 and item.name.endswith("__"))):
+                    yield item.lineno, node.name, item.name
+
+
+def _attribute_reads(tree):
+    """Names a file reads as an attribute or writes as a whole string (as
+    ``monkeypatch.setattr`` and a tracer's method table name them)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def dead_methods(modules, others) -> list:
+    """Methods of the classes of ``modules`` whose name no file of
+    ``modules`` or ``others`` reads as an attribute or names as a string."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in [*modules, *others]}
+    seen = set().union(*map(_attribute_reads, trees.values()))
+    return [f"{path.name}:{line}: {cls}.{name}" for path in modules
+            for line, cls, name in _methods(trees[path]) if name not in seen]
+
+
+def test_no_dead_methods():
+    found = dead_methods(sorted(SRC.glob("*.py")), _others())
+    assert not found, "methods nobody calls:\n" + "\n".join(found)
+
+
+def test_dead_method_detector_flags_an_uncalled_method(tmp_path):
+    mod, user = tmp_path / "m.py", tmp_path / "user.py"
+    mod.write_text("class C:\n"
+                   "    def __len__(self):\n"
+                   "        return self.used()\n"
+                   "    def used(self):\n"
+                   "        return 0\n"
+                   "    def patched(self):\n"
+                   "        return 1\n"
+                   "    def called_outside(self):\n"
+                   "        return 2\n"
+                   "    def dead(self):\n"
+                   "        return 3\n")
+    user.write_text("import m\n"
+                    "m.C().called_outside()\n"
+                    "setattr(m.C, 'patched', None)\n"
+                    "m.C.dead = None\n")
+    assert dead_methods([mod], [user]) == ["m.py:10: C.dead"]
 
 
 def unused_parameters(path: Path) -> list:
