@@ -251,9 +251,6 @@ class WeightSpaces:
     :class:`Echelon`); the image of a vector at weight ``l`` lies at
     ``l - shift`` of ``image_basis``.  Source and image keep separate
     column maps because the two modules share basis labels.
-
-    :meth:`grow` is the worklist loop of every closure: exact, modulo a
-    prime, and of the intertwining pairs.
     """
 
     def __init__(self, basis_at, weights, image_basis=None, shift: int = 0,
@@ -309,17 +306,13 @@ class WeightSpaces:
         return None if space is None else space.insert(row)
 
     def grow(self, work: list, ops, act):
-        """Close the rows of ``work``, all stored already, under ``ops``.
-
-        A row is a vector, or with ``image_basis`` a pair ``(vec,
-        image)``.  Each row of ``work`` in turn, appended ones included,
-        meets each op ``(p, imask, shift)`` in order: for a row at weight
-        ``l`` whose target ``l + shift`` is not settled, the image ``act(p,
-        imask, row)`` is inserted, appended to ``work`` when new, and
-        ``(op, l, image, outcome)`` is yielded unless the outcome is None.
-        A settled target is skipped before its image is computed: that
-        image could not change the span.  The caller may stop early by
-        leaving the loop."""
+        """The worklist loop of every closure.  Each row of ``work`` (stored
+        already; a vector, or with ``image_basis`` a pair ``(vec, image)``)
+        in turn, appended ones included, meets each op ``(p, imask,
+        shift)``: unless its target weight ``l + shift`` is settled, the
+        image ``act(p, imask, row)`` is inserted, appended when new, and
+        ``(op, l, image, outcome)`` yielded for a non-None outcome.  The
+        caller may stop early by leaving the loop."""
         pairs = self._pairs
         for row in work:  # reaches the rows appended below too
             l = self.weight(*row) if pairs else self.weight(row)

@@ -204,11 +204,15 @@ def iso_check_map(source: TensorModule, name: str, w: Window,
                   target: TensorModule | None = None) -> Report:
     """Verify the intertwining relation of a named map over a window.
 
-    Total maps (sector_shift, identity) are checked symbolically key by
-    key.  Quotient maps need a concrete parameter assignment: the
-    displayed seed images are propagated through every window generator
-    and each relation is inserted into a pivot-limited echelon, so any
-    inconsistency is reported with its witness.
+    The window's symbols are those of
+    :meth:`~superkon.tensmod.TensorModule.window_ops`.  Total maps
+    (sector_shift, identity) are checked symbolically key by key.
+    Quotient maps need a concrete parameter assignment: the displayed seed
+    images are propagated by the worklist every closure shares
+    (:meth:`~superkon.linalg.WeightSpaces.grow`), reading the one column
+    memo of ``EvaluatedAction.table``, and each relation is inserted into
+    a pivot-limited echelon, so any inconsistency is reported with its
+    witness.
     """
     t0 = time.monotonic()
     if name not in ISO_NAMES:
@@ -318,9 +322,7 @@ def _check_quotient_map(source, target, name, w, params, t0):
     for g in subgens:
         spaces.insert(src_eval.eval_modvec(g)[1])
     for s, t in _quotient_seeds(source, target, name, l_range):
-        sd, sv = src_eval.eval_modvec(s)
-        td, tv = tgt_eval.eval_modvec(t)
-        sv, tv = cross(sd, sv, td, tv)
+        sv, tv = cross(*src_eval.eval_modvec(s), *tgt_eval.eval_modvec(t))
         if sv and spaces.insert(sv, tv) == "new":
             work.append((sv, tv))
     ops = source.window_ops(w)

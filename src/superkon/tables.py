@@ -569,6 +569,9 @@ def compare_table(module: TensorModule, table, k_range, table_l_range):
 
     Returns (discrepancies, tuples_checked); each discrepancy carries the
     line id, the inputs, both values, and the generic one is authoritative.
+    The ``k + 1`` below is deliberate: the tables are transcribed in modes
+    ``k = p - 1`` of the D-symbols ``D[t^p, xi_I]``, so line ``k`` is
+    compared with the stored exponent ``p = k + 1``.
     """
     from .algebra import AlgebraElement
     params = module.params

@@ -446,12 +446,7 @@ class EvaluatedAction:
             x = gauss_mod(x, 0, den, prime)  # x / den
             for bv2, (r, m) in pairs:
                 out[bv2] = out.get(bv2, 0) + x * (r + s * m)
-        image = {}
-        for bv, v in out.items():
-            v %= prime
-            if v:
-                image[bv] = v
-        return image
+        return {bv: y for bv, v in out.items() if (y := v % prime)}
 
     def eval_modvec(self, v: ModVec):
         """(den, dict of integer pairs) with true value dict/den."""

@@ -12,10 +12,13 @@ sweeps keep all parameters symbolic.  Every dimension, membership and
 verdict in a report comes from exact elimination over Gaussian integers.
 The simplicity probe first screens its closures modulo a prime, where
 "full" is already certain, and redoes exactly only the closures the
-screen leaves open (see :func:`window_simplicity`).  All elimination, here
-and in the quotient-map checks of :mod:`~superkon.submod`, goes through
-:class:`~superkon.linalg.WeightSpaces`.  The simplicity probe is evidence
-at window scale, never a proof, and its report says so.
+screen leaves open (see :func:`window_simplicity`).  Every closure, here
+and in the quotient-map checks of :mod:`~superkon.submod`, runs the one
+worklist :meth:`~superkon.linalg.WeightSpaces.grow` over the generators
+of :meth:`~superkon.tensmod.TensorModule.window_ops`, reading action
+columns from the one memo of :meth:`~superkon.tensmod.EvaluatedAction.table`.
+The simplicity probe is evidence at window scale, never a proof, and its
+report says so.
 """
 
 from __future__ import annotations
