@@ -188,9 +188,7 @@ def check_module_axioms(module: TensorModule, w: Window) -> Report:
     """The bracket compatibility, associative function action, and mixed
     compatibility identities, fully symbolic in the parameters.
 
-    The symbols are the window's D-symbols and function monomials (see
-    :meth:`~superkon.tensmod.TensorModule.window_ops`).  Each symbol's
-    image of each basis vector is computed once, by
+    Each window symbol's image of each basis vector is computed once, by
     :meth:`~superkon.tensmod.TensorModule.act_basis`.  Both sides of every
     identity are built from these images as dicts of canonical Scalars and
     compared as module vectors (zero entries dropped), which are also the
