@@ -51,6 +51,11 @@ class BaseTable:
         self.params = module.params
         self.a = module.a
         self.c = module.rep.z_scalar
+        # the basis-map coefficients 1, i and -i, built once (Scalars are
+        # immutable, so every to_modvec call shares them)
+        self.one = Scalar.const(self.params, 1)
+        self.i = Scalar.const(self.params, I)
+        self.minus_i = -self.i
 
     def const(self, x):
         return Scalar.const(self.params, x)
@@ -89,13 +94,12 @@ class N2Table(BaseTable):
     # -- basis map -----------------------------------------------------
     def to_modvec(self, sym: TableVec) -> ModVec:
         l = sym.l if self.twisted else 2 * sym.l
-        one = Scalar.const(self.params, 1)
+        one = self.one
         if sym.kind == "v":
             terms = {ModBasisVec(l, 0, 0): one}
         elif sym.kind in ("vp", "vm"):
-            s = I if sym.kind == "vp" else GaussRat(0, -1)
             terms = {ModBasisVec(l, iset(1), 0): one,
-                     ModBasisVec(l, iset(2), 0): Scalar.const(self.params, s)}
+                     ModBasisVec(l, iset(2), 0): self.i if sym.kind == "vp" else self.minus_i}
         elif sym.kind == "w":
             terms = {ModBasisVec(l, iset(1, 2), 0): one}
         else:
@@ -274,9 +278,7 @@ class N3Table(BaseTable):
     def to_modvec(self, sym: TableVec) -> ModVec:
         if not (0 <= sym.r <= self.two_m):
             return ModVec(self.params, {})
-        one = Scalar.const(self.params, 1)
-        i_s = Scalar.const(self.params, I)
-        mi_s = Scalar.const(self.params, GaussRat(0, -1))
+        one, i_s, mi_s = self.one, self.i, self.minus_i
         l = self._exp(sym.kind, sym.l)
         k = sym.kind
         if k == "v":

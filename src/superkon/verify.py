@@ -8,7 +8,10 @@ are only trusted on the inner weight range; the inner margin must cover
 the largest generator weight shift (see :func:`module_window`).
 
 Closures run at concrete Gaussian-rational parameter values; identity
-sweeps keep all parameters symbolic.  Every dimension, membership and
+sweeps keep all parameters symbolic.  The module-axiom sweep sums each
+identity's residual lhs - rhs as raw Gaussian-integer pairs over one
+denominator and builds Scalars only for the witness of a nonzero one
+(see :func:`check_module_axioms`).  Every dimension, membership and
 verdict in a report comes from exact elimination over Gaussian integers.
 The simplicity probe first screens its closures modulo a prime, where
 "full" is already certain, and redoes exactly only the closures the
@@ -176,12 +179,121 @@ def check_bracket_crosscheck(acfg: AlgebraConfig, w: Window) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def _add_scaled(out: dict, terms: dict, coeff: Scalar) -> None:
-    """``out += coeff * terms`` for dicts basis vector -> Scalar."""
-    for bv, c in terms.items():
-        add = c * coeff
-        prev = out.get(bv)
-        out[bv] = add if prev is None else prev + add
+_EXP_BITS = 16  # bits per parameter in a packed exponent vector
+
+
+class _Packer:
+    """Packs the exponent vector of a term and its basis vector into one
+    int: ``_EXP_BITS`` bits per parameter, the basis vector's index above
+    them.  Every packed exponent stays below half a field, so adding two
+    never carries into the next field: the key of a product term is the
+    image term's key plus the factor's packed exponent.
+
+    :meth:`image` turns an action image (dict ModBasisVec -> Scalar) into
+    ``(den, flat, groups)`` over one denominator: ``flat`` lists
+    ``(key, re, im)``, and ``groups`` lists ``(bv, coeff)``, the entry at
+    ``bv`` as a factor (see :meth:`coeff`)."""
+
+    def __init__(self, params):
+        self.params = params
+        self.shift = _EXP_BITS * len(params)
+        self.index: dict = {}
+        self.vecs: list = []
+
+    def exponent(self, e) -> int:
+        packed = 0
+        for i, k in enumerate(e):
+            if k >> (_EXP_BITS - 1):
+                raise UsageError(f"exponent {k} is too large to pack in "
+                                 f"{_EXP_BITS} bits without a carry")
+            packed |= k << (_EXP_BITS * i)
+        return packed
+
+    def coeff(self, s: Scalar, den: int = 0) -> tuple:
+        """``s`` as a factor ``(den, [(packed exponent, re, im), ...])``
+        over ``den``, a multiple of ``s.den`` (default ``s.den``)."""
+        den = den or s.den
+        f = den // s.den
+        return den, [(self.exponent(e), r * f, m * f) for e, (r, m) in s.terms.items()]
+
+    def image(self, terms: dict) -> tuple:
+        den = lcm(*(c.den for c in terms.values()))
+        flat, groups = [], []
+        for bv, c in terms.items():
+            idx = self.index.get(bv)
+            if idx is None:
+                idx = self.index[bv] = len(self.vecs)
+                self.vecs.append(bv)
+            coeff = self.coeff(c, den)
+            flat.extend(((idx << self.shift) + e, r, m) for e, r, m in coeff[1])
+            groups.append((bv, coeff))
+        return den, flat, groups
+
+    def modvec(self, acc: "_Residual") -> ModVec:
+        """The accumulated sum as a ModVec of canonical Scalars."""
+        mask = (1 << _EXP_BITS) - 1
+        nparams = len(self.params)
+        split: dict = {}
+        for key, pair in acc.terms.items():
+            e = tuple((key >> (_EXP_BITS * i)) & mask for i in range(nparams))
+            split.setdefault(self.vecs[key >> self.shift], {})[e] = pair
+        return ModVec(self.params, {bv: Scalar(self.params, t, acc.den)
+                                    for bv, t in split.items()})
+
+
+class _Residual:
+    """A sum of products ``coeff * image`` as Gaussian-integer pairs keyed
+    by packed (basis vector, exponent), over one denominator that grows to
+    the lcm only when a product's denominator does not divide it."""
+
+    __slots__ = ("den", "terms")
+
+    def __init__(self):
+        self.den = 1
+        self.terms: dict = {}
+
+    def add(self, coeff: tuple, image: tuple, sign: int = 1) -> None:
+        """``+= sign * coeff * image``; ``coeff`` as in a group of
+        :meth:`_Packer.image`."""
+        cden, cterms = coeff
+        d = cden * image[0]
+        den = self.den
+        if den % d:
+            new = lcm(den, d)
+            f = new // den
+            self.terms = {k: (r * f, m * f) for k, (r, m) in self.terms.items()}
+            self.den = den = new
+        f = den // d * sign
+        terms = self.terms
+        get = terms.get
+        flat = image[1]
+        for e1, r1, m1 in cterms:
+            r1 *= f
+            m1 *= f
+            for key, r2, m2 in flat:
+                key += e1
+                pr, pm = get(key, (0, 0))
+                terms[key] = (pr + r1 * r2 - m1 * m2, pm + r1 * m2 + m1 * r2)
+
+    def __bool__(self):
+        return any(map(any, self.terms.values()))
+
+
+_ONE = (1, [(0, 1, 0)])  # the coefficient 1, packed
+
+
+class _Memo(dict):
+    """``key -> compute(key)``, each value computed on its first read."""
+
+    __slots__ = ("compute",)
+
+    def __init__(self, compute):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key):
+        hit = self[key] = self.compute(key)
+        return hit
 
 
 def check_module_axioms(module: TensorModule, w: Window) -> Report:
@@ -189,10 +301,12 @@ def check_module_axioms(module: TensorModule, w: Window) -> Report:
     compatibility identities, fully symbolic in the parameters.
 
     Each window symbol's image of each basis vector is computed once, by
-    :meth:`~superkon.tensmod.TensorModule.act_basis`.  Both sides of every
-    identity are built from these images as dicts of canonical Scalars and
-    compared as module vectors (zero entries dropped), which are also the
-    witness."""
+    :meth:`~superkon.tensmod.TensorModule.act_basis`, and packed once into
+    integer pairs (:class:`_Packer`).  An identity is a list of parts
+    ``(side, sign, coeff, image)``; its residual lhs - rhs is summed in one
+    :class:`_Residual`, so a passing identity builds no Scalar.  The witness
+    of a nonzero residual is each side, summed again, and the residual, as
+    module vectors of canonical Scalars."""
     t0 = time.monotonic()
     params = module.params
     acfg = AlgebraConfig(module.cfg)
@@ -200,18 +314,25 @@ def check_module_axioms(module: TensorModule, w: Window) -> Report:
     syms = [(p, im, is_d) for is_d in (True, False) for p, im, _ in ops]
     vecs = [bv for l in range(w.inner_l_min, w.inner_l_max + 1)
             for bv in module.basis_at(l)]
-    signs = {1: Scalar.const(params, 1), -1: Scalar.const(params, -1)}
-    images: dict = {}
+    packer = _Packer(params)
+    # images[sym][bv]: the symbol (p, imask, is_d) on a basis vector, packed
+    images = _Memo(lambda sym: _Memo(
+        lambda bv: packer.image(module.act_basis(sym, bv))))
     bad = []
     n = 0
 
-    def image(sym, bv):
-        """The symbol ``(p, imask, is_d)`` on a basis vector, as a dict."""
-        key = (sym, bv)
-        hit = images.get(key)
-        if hit is None:
-            hit = images[key] = module.act_basis(sym, bv)
-        return hit
+    def settle(parts):
+        """None when the parts sum to zero, else the violation's texts."""
+        res = _Residual()
+        for side, sign, coeff, img in parts:
+            res.add(coeff, img, side * sign)
+        if not res:
+            return None
+        lhs, rhs = _Residual(), _Residual()
+        for side, sign, coeff, img in parts:
+            (lhs if side > 0 else rhs).add(coeff, img, sign)
+        return {"lhs": str(packer.modvec(lhs)), "rhs": str(packer.modvec(rhs)),
+                "diff": str(packer.modvec(res))}
 
     def elem(p, im, is_d):
         return (AlgebraElement.d_symbol(params, p, im) if is_d
@@ -219,48 +340,43 @@ def check_module_axioms(module: TensorModule, w: Window) -> Report:
 
     for i, x in enumerate(syms):
         p1, i1, d1 = x
+        ix = images[x]
         for y in syms[i:]:
             p2, i2, d2 = y
+            iy = images[y]
             br = bracket(acfg, elem(*x), elem(*y))
-            br_terms = ([((p, im, True), c) for (p, im), c in br.d_terms.items()]
-                        + [((k, im, False), c) for (k, im), c in br.a_terms.items()])
+            br_terms = ([(images[p, im, True], packer.coeff(c))
+                         for (p, im), c in br.d_terms.items()]
+                        + [(images[k, im, False], packer.coeff(c))
+                           for (k, im), c in br.a_terms.items()])
             sgn = -1 if (_parity(i1) and _parity(i2)) else 1
             for bv in vecs:
                 n += 1
-                lhs: dict = {}
-                for sym, c in br_terms:
-                    _add_scaled(lhs, image(sym, bv), c)
-                rhs: dict = {}
-                for bv2, c in image(y, bv).items():
-                    _add_scaled(rhs, image(x, bv2), c)
-                for bv2, c in image(x, bv).items():
-                    _add_scaled(rhs, image(y, bv2), -c if sgn > 0 else c)
-                lhs, rhs = ModVec(params, lhs), ModVec(params, rhs)
-                if lhs != rhs:
+                parts = [(1, 1, c, isym[bv]) for isym, c in br_terms]
+                parts += [(-1, 1, c, ix[bv2]) for bv2, c in iy[bv][2]]
+                parts += [(-1, -sgn, c, iy[bv2]) for bv2, c in ix[bv][2]]
+                texts = settle(parts)
+                if texts:
                     bad.append(violation(
                         f"bracket x=({p1},{i1},{'D' if d1 else 'A'}) "
-                        f"y=({p2},{i2},{'D' if d2 else 'A'}) v={bv.text()}",
-                        lhs=str(lhs), rhs=str(rhs), diff=str(lhs - rhs)))
+                        f"y=({p2},{i2},{'D' if d2 else 'A'}) v={bv.text()}", **texts))
     # associative action of the function algebra
     monos = [(k, im) for k, im, _ in ops]
     for (k1, i1) in monos:
+        f = images[k1, i1, False]
         for (k2, i2) in monos:
+            g = images[k2, i2, False]
             sm = xi_mul(i1, i2)
+            fg = None if sm is None else images[k1 + k2, sm[1], False]
             for bv in vecs:
                 n += 1
-                lhs = {}
-                for bv2, c in image((k2, i2, False), bv).items():
-                    _add_scaled(lhs, image((k1, i1, False), bv2), c)
-                rhs = {}
-                if sm is not None:
-                    sign, union = sm
-                    _add_scaled(rhs, image((k1 + k2, union, False), bv),
-                                signs[sign])
-                lhs, rhs = ModVec(params, lhs), ModVec(params, rhs)
-                if lhs != rhs:
+                parts = [(1, 1, c, f[bv2]) for bv2, c in g[bv][2]]
+                if fg is not None:
+                    parts.append((-1, sm[0], _ONE, fg[bv]))
+                texts = settle(parts)
+                if texts:
                     bad.append(violation(
-                        f"assoc f=({k1},{i1}) g=({k2},{i2}) v={bv.text()}",
-                        lhs=str(lhs), rhs=str(rhs), diff=str(lhs - rhs)))
+                        f"assoc f=({k1},{i1}) g=({k2},{i2}) v={bv.text()}", **texts))
     return finish(f"module_axioms[N={module.cfg.N},eps={module.cfg.eps},"
                   f"rep={module.rep.label},sector={module.sector_delta}]",
                   bad, n, t0)

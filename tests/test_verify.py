@@ -1,3 +1,4 @@
+import hashlib
 import re
 from fractions import Fraction
 
@@ -161,6 +162,13 @@ AXIOM_ORACLE_CONFIGS = {
        for e in ((1, 0), (0, 0)) for d in (0, 1)},
     "n3_2m1": (lambda mut: _n3(1, mutation=mut), Window(0, 1, -4, 4, 4)),
     "n3_2m2": (lambda mut: _n3(2, mutation=mut), Window(0, 0, -4, 4, 4)),
+    # the W+- module: so_2 at b = i, imaginary coefficients
+    "n2_eps11_wpm": (lambda mut: TensorModule(EpsilonConfig(2, (1, 1)),
+                                              build_so2(GaussRat(0, 1), 1, P),
+                                              A, mutation=mut), Window(-1, 1, -4, 4, 3)),
+    # 2m = 3 at c = 3/11: mixed denominators
+    "n3_2m3_c3_11": (lambda mut: _n3(3, Fraction(3, 11), mutation=mut),
+                     Window(0, 0, -4, 4, 4)),
 }
 
 
@@ -188,6 +196,83 @@ def test_passing_module_axioms_never_call_act(monkeypatch):
     r = check_module_axioms(M, module_window(-1, 1, M, inner_width=2))
     assert r.status == "pass" and r.stats["tuples_checked"] > 0
     assert calls == []
+
+
+def test_passing_module_axioms_build_no_modvec(monkeypatch):
+    calls = []
+    init = ModVec.__init__
+
+    def spy(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ModVec, "__init__", spy)
+    M = n2()
+    r = check_module_axioms(M, module_window(-1, 1, M, inner_width=2))
+    assert r.status == "pass" and r.stats["tuples_checked"] > 0
+    assert calls == []
+
+
+@pytest.mark.parametrize("mutation, violations, digest", [
+    (None, 0, "e64495875667e7eb38260e6bd6cd7072c9bf0751b106ca1bcc275c252f75d80f"),
+    ("swap_tau", 2007, "099ad414c67a2e49b865ecaf6dd706b31ad282daab2ed467e450a2557aefe11d"),
+], ids=["plain", "swap_tau"])
+def test_module_axioms_pinned_at_benchmark_scale(mutation, violations, digest):
+    # V_1 at symbolic a, c on the benchmark's window: every witness text is
+    # pinned byte for byte
+    r = check_module_axioms(_n3(2, mutation=mutation),
+                            module_window(-1, 1, 3, inner_width=2))
+    assert len(r.violations) == violations
+    assert r.stats["tuples_checked"] == 42048
+    text = r.to_json(with_timing=False)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_residual_rescales_its_denominator_and_cancels():
+    packer = verify._Packer(P)
+    bv = ModBasisVec(0, 0, 0)
+
+    def image(value):
+        return packer.image({bv: value if isinstance(value, Scalar)
+                             else Scalar.const(P, value)})
+
+    res = verify._Residual()
+    res.add(verify._ONE, image(Fraction(1, 2)))
+    assert res.den == 2
+    res.add(verify._ONE, image(Fraction(1, 3)))
+    assert res.den == 6 and res
+    assert packer.modvec(res) == ModVec.basis(P, bv, Fraction(5, 6))
+    res.add(verify._ONE, image(Fraction(-5, 6)))
+    assert res.den == 6 and not res
+    res.add(verify._ONE, image(Fraction(1, 4)))  # the lcm, not the product
+    assert res.den == 12 and res
+    res.add(verify._ONE, image(Fraction(-1, 4)))
+    assert not res
+
+    # i*i + 1 = 0, with the coefficient i read as a factor of an image
+    (_, i_coeff), = image(GaussRat(0, 1))[2]
+    res = verify._Residual()
+    res.add(i_coeff, image(GaussRat(0, 1)))
+    assert packer.modvec(res) == ModVec.basis(P, bv, -1)
+    res.add(verify._ONE, image(1))
+    assert not res
+
+    # packed exponents add: a * (b*c) - (a*b) * c = 0
+    (_, a_coeff), = image(A)[2]
+    (_, ab_coeff), = image(A * B)[2]
+    res = verify._Residual()
+    res.add(a_coeff, image(B * C))
+    res.add(ab_coeff, image(C), -1)
+    assert not res
+
+
+def test_packed_exponents_refuse_a_carry():
+    packer = verify._Packer(P)
+    bv = ModBasisVec(0, 0, 0)
+    top = 1 << (verify._EXP_BITS - 1)  # two of these carry into the next field
+    packer.image({bv: Scalar(P, {(0, top - 1, 0): (1, 0)})})
+    with pytest.raises(UsageError, match="too large to pack"):
+        packer.image({bv: Scalar(P, {(0, top, 0): (1, 0)})})
 
 
 def test_phi_pass_and_control():
