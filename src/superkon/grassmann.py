@@ -98,12 +98,11 @@ class EpsilonConfig:
     eps: tuple = field(default=None)
 
     def __post_init__(self):
-        if self.N < 1:
-            raise UsageError("N must be a positive integer")
-        eps = self.eps
-        if eps is None:
-            eps = (0,) * self.N
-        eps = tuple(int(e) for e in eps)
+        if type(self.N) is not int or self.N < 1:
+            raise UsageError(f"N must be a positive integer, got {self.N!r}")
+        eps = (0,) * self.N if self.eps is None else tuple(self.eps)
+        if any(type(e) is not int for e in eps):
+            raise UsageError(f"eps entries must be integers, got {eps!r}")
         if len(eps) != self.N:
             raise UsageError(f"eps must have length N={self.N}, got {eps}")
         object.__setattr__(self, "eps", eps)

@@ -18,8 +18,9 @@ Two built-in families:
 
   with ``v_{-1} = v_{2m+1} = 0``.
 
-Any user-supplied generator family is accepted for general ``N``;
-:func:`check_so_relations` is the gatekeeper that the commutators match
+A user-supplied generator family is accepted for general ``N`` when it
+holds every ``F_ij`` with ``i < j``; :func:`check_so_relations`, which
+tests only the pairs it is given, is the gatekeeper that the commutators match
 ``[F_ij, F_kl] = d_il F_kj + d_jk F_li + d_ik F_jl + d_jl F_ik``.
 """
 
@@ -148,7 +149,9 @@ def config_int(value, field: str) -> int:
 
 
 def rep_from_config(cfg: dict, params=("a", "b", "c")) -> SoRep:
-    """Build a representation from its JSON-style config dict."""
+    """Build a representation from its JSON-style config dict.  Kind
+    ``"matrices"`` takes exactly the generators F_ij, 1 <= i < j <= N,
+    as nonempty square matrices of one size, keyed ``"i,j"``."""
     params = tuple(params)
     kind = cfg.get("kind")
     if kind == "so2":
@@ -171,14 +174,25 @@ def rep_from_config(cfg: dict, params=("a", "b", "c")) -> SoRep:
             i = r.integer()
             r.expect(",")
             j = r.done(r.integer())
+            if (i, j) in gen:
+                raise UsageError(f"gen[{key}] repeats F_{i}{j}")
+            if not (isinstance(rows, list)
+                    and all(isinstance(row, list) for row in rows)):
+                raise UsageError(f"gen[{key}] must be a list of rows")
             mat = [[config_scalar(params, x, f"gen[{key}]") for x in row]
                    for row in rows]
             if dim is None:
                 dim = len(mat)
-            if len(mat) != dim or any(len(r) != dim for r in mat):
-                raise UsageError(f"gen[{key}] is not {dim}x{dim}")
+            if not dim or len(mat) != dim or any(len(r) != dim for r in mat):
+                raise UsageError(f"gen[{key}] is not a nonempty square "
+                                 f"matrix of the common size")
             gen[(i, j)] = mat
             N = max(N, i, j)
+        want = {(i, j) for j in range(1, N + 1) for i in range(1, j)}
+        if set(gen) != want:
+            raise UsageError(f"matrices rep config needs exactly the "
+                             f"generators F_ij, 1 <= i < j <= {N}; "
+                             f"got {sorted(gen)}")
         rep = SoRep(N=N, dim=dim, gen=gen,
                     z_scalar=config_scalar(params, cfg.get("c", "c"), "c"),
                     params=params, label="matrices")

@@ -1,9 +1,9 @@
 """Structured results of verification sweeps.
 
 A Report is deterministic for a given configuration and window: violations
-are kept in lexicographic input order regardless of evaluation order or
-worker count (wall-clock stats are the one non-reproducible field and are
-excluded from canonical comparisons).
+are kept in lexicographic input order regardless of evaluation order
+(wall-clock stats are the one non-reproducible field and are excluded
+from canonical comparisons).
 """
 
 from __future__ import annotations

@@ -3,9 +3,9 @@ probes, annihilation-operator searches, and intertwining checks.
 
 Every check returns a :class:`~superkon.report.Report`; violations are in
 lexicographic input order so identical configurations produce identical
-reports regardless of evaluation order or worker count.  Window results
-are only trusted on the inner weight range; the inner margin must cover
-the largest generator weight shift (see :func:`module_window`).
+reports regardless of evaluation order.  Window results are only trusted
+on the inner weight range; the inner margin must cover the largest
+generator weight shift (see :func:`module_window`).
 
 Closures run at concrete Gaussian-rational parameter values; identity
 sweeps keep all parameters symbolic.  The module-axiom sweep sums each
@@ -26,11 +26,9 @@ report says so.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from math import comb, lcm
-from multiprocessing import get_context
 
 from .algebra import (AlgebraConfig, AlgebraElement, bracket, bracket_basis,
                       bracket_table, eps_shift_map, filtration_exponent,
@@ -47,15 +45,6 @@ from .tables import compare_table, make_table
 from .tensmod import ModVec, TensorModule
 
 
-def worker_count(requested: int | None = None) -> int:
-    cap = os.environ.get("SUPERKON_THREADS")
-    if requested is None:
-        requested = int(cap) if cap else 1
-    if cap:
-        requested = min(requested, int(cap))
-    return max(1, min(requested, os.cpu_count() or 1))
-
-
 def module_window(k_min: int, k_max: int, module_or_n, inner_width: int = 6) -> Window:
     """Window with inner margin covering the largest generator shift."""
     n = module_or_n if isinstance(module_or_n, int) else module_or_n.cfg.N
@@ -69,7 +58,7 @@ def _parity(imask: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Jacobi sweep (one bracket table per chunk)
+# Jacobi sweep (one bracket table per sweep)
 
 
 def _jacobi_residual(table, lo: int, N: int, off: int, i: int, j: int, k: int):
@@ -95,20 +84,24 @@ def _jacobi_residual(table, lo: int, N: int, off: int, i: int, j: int, k: int):
     return terms, cen
 
 
-def _jacobi_chunk(args):
-    """The triples whose first symbol has index in ``[start, stop)``."""
-    acfg, w, start, stop = args
+def check_jacobi(acfg: AlgebraConfig, w: Window, workers: int | None = None) -> Report:
+    """Graded Jacobi identity over all basis triples in the window
+    (unordered: the Jacobi sum of homogeneous arguments changes only by a
+    global sign under permutations).  The sweep first computes every
+    bracket it can read into one :func:`~superkon.algebra.bracket_table`.
+    ``workers`` may only be ``None`` or 1: the sweep runs in one process."""
+    if workers not in (None, 1):
+        raise UsageError(f"check_jacobi runs in one process; workers={workers!r}")
+    t0 = time.monotonic()
     N = acfg.cfg.N
     syms = [(p, im) for p in w.k_values() for im in range(1 << N)]
     lo, table = bracket_table(acfg, w.k_min, w.k_max)
     off = (w.k_min - lo) << N
     bad = []
-    n = 0
     total = len(syms)
-    for i in range(start, stop):
+    for i in range(total):
         for j in range(i, total):
             for k in range(j, total):
-                n += 1
                 terms, cen = _jacobi_residual(table, lo, N, off, i, j, k)
                 if terms or cen:
                     parts = [f"{v}/4*D[t^{rk},m={rI}]" for (rk, rI), v in sorted(terms.items())]
@@ -117,34 +110,8 @@ def _jacobi_chunk(args):
                     bad.append(violation(f"x={syms[i]} y={syms[j]} z={syms[k]}",
                                          lhs=" + ".join(parts), rhs="0",
                                          diff=" + ".join(parts)))
-    return n, bad
-
-
-def check_jacobi(acfg: AlgebraConfig, w: Window, workers: int | None = None) -> Report:
-    """Graded Jacobi identity over all basis triples in the window
-    (unordered: the Jacobi sum of homogeneous arguments changes only by a
-    global sign under permutations).  Each chunk of triples (one per
-    worker) first computes every bracket it can read into one
-    :func:`~superkon.algebra.bracket_table`."""
-    t0 = time.monotonic()
-    total = len(w.k_values()) << acfg.cfg.N
-    nw = worker_count(workers)
-    label = (f"jacobi[N={acfg.cfg.N},eps={acfg.cfg.eps},"
-             f"central={acfg.central_enabled}]")
-    if nw <= 1:
-        n, bad = _jacobi_chunk((acfg, w, 0, total))
-        return finish(label, bad, n, t0)
-    # split the outer index so late chunks (smaller inner ranges) are wider
-    bounds = [round(total * (1 - (1 - f / nw) ** (1 / 3)))
-              for f in range(nw + 1)]
-    bounds[-1] = total
-    jobs = [(acfg, w, bounds[i], bounds[i + 1]) for i in range(nw)
-            if bounds[i] < bounds[i + 1]]
-    with get_context("spawn").Pool(len(jobs)) as pool:
-        results = pool.map(_jacobi_chunk, jobs)
-    n = sum(r[0] for r in results)
-    bad = [v for r in results for v in r[1]]
-    return finish(label, bad, n, t0)
+    label = f"jacobi[N={N},eps={acfg.cfg.eps},central={acfg.central_enabled}]"
+    return finish(label, bad, comb(total + 2, 3), t0)
 
 
 # ---------------------------------------------------------------------------

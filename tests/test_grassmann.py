@@ -156,6 +156,15 @@ def test_d_eps_is_even_derivation(eps):
             assert lhs == rhs, (k1, I1, k2, I2)
 
 
+@pytest.mark.parametrize("n,eps", [
+    (2, (0.5, 1)), (2, (True, 1.9)), (2, (1, "1")), (1, (False,)),
+    (2.0, (1, 1)), (True, (1,)),
+])
+def test_epsilon_config_rejects_non_integers(n, eps):
+    with pytest.raises(UsageError, match="must be"):
+        EpsilonConfig(n, eps)
+
+
 def test_monomial_text_round_trip():
     for k in (-2, 0, 1, 5):
         for Im in (0, iset(1), iset(1, 3), iset(2, 3, 5)):

@@ -225,3 +225,53 @@ def test_unused_parameter_detector_flags_an_unread_parameter(tmp_path):
                    "    return inner()\n")
     assert unused_parameters(mod) == ["m.py:2: method(unread)",
                                       "m.py:6: outer(y)"]
+
+
+# The package runs every check in one process and reads no settings from
+# the environment: a Report depends only on its arguments.
+PROCESS_MODULES = {"multiprocessing", "concurrent", "threading"}
+ENV_READS = {"environ", "getenv"}
+
+
+def process_or_env_uses(path: Path) -> list:
+    """``file:line: name`` for every import of a process or thread module
+    and every read of ``os.environ`` or ``os.getenv`` in ``path``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names
+                      if a.name.split(".")[0] in PROCESS_MODULES]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if node.module.split(".")[0] in PROCESS_MODULES:
+                found.append((node.lineno, node.module))
+            elif node.module == "os":
+                found += [(node.lineno, f"os.{a.name}") for a in node.names
+                          if a.name in ENV_READS]
+        elif (isinstance(node, ast.Attribute) and node.attr in ENV_READS
+              and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            found.append((node.lineno, f"os.{node.attr}"))
+    return [f"{path.name}:{line}: {name}" for line, name in sorted(found)]
+
+
+def test_one_process_and_no_environment_reads():
+    found = [u for path in sorted(SRC.glob("*.py"))
+             for u in process_or_env_uses(path)]
+    assert not found, ("process pools, threads or environment reads:\n"
+                       + "\n".join(found))
+
+
+def test_process_detector_flags_pools_threads_and_environment(tmp_path):
+    mod = tmp_path / "m.py"
+    mod.write_text("import os\n"
+                   "import threading\n"
+                   "from multiprocessing import get_context\n"
+                   "import concurrent.futures as cf\n"
+                   "from os import getenv, path\n"
+                   "cap = os.environ.get('X')\n"
+                   "n = os.cpu_count()\n")
+    assert process_or_env_uses(mod) == ["m.py:2: threading",
+                                        "m.py:3: multiprocessing",
+                                        "m.py:4: concurrent.futures",
+                                        "m.py:5: os.getenv",
+                                        "m.py:6: os.environ"]

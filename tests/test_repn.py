@@ -173,6 +173,29 @@ def test_rep_config_rejects_malformed_generator_key(key):
                          "gen": {key: [["0", "1"], ["-1", "0"]]}}, P)
 
 
+J2 = [["0", "1"], ["-1", "0"]]
+Z2 = [["0", "0"], ["0", "0"]]
+
+
+@pytest.mark.parametrize("fields", [
+    {"gen": {"2,1": J2}},                                # i > j
+    {"gen": {"1,2": []}},                                # empty matrix
+    {"gen": {"1,3": Z2}},                                # no F_12, F_23
+    {"gen": {"1,2": J2, "1,3": Z2}},                     # no F_23
+    {"N": 3, "gen": {"1,2": J2}},                        # N=3 given
+    {"gen": {"1,2": J2, "01,2": J2}},                    # F_12 twice
+    {"gen": {"0,1": J2}},                                # index below 1
+    {"gen": {"1,2": [["0", "1"]]}},                      # not square
+    {"gen": {"1,2": J2, "1,3": [["0"]], "2,3": Z2}},     # sizes differ
+    {"gen": {"1,2": ["0b", "b0"]}},                      # rows as text
+    {"gen": {"1,2": 5}},                                 # not a list
+], ids=["misordered", "empty", "only_13", "no_23", "n3_only_12", "repeated",
+        "index_0", "not_square", "sizes_differ", "text_rows", "not_a_list"])
+def test_rep_config_rejects_bad_generator_family(fields):
+    with pytest.raises(UsageError, match=r"gen\[|generators F_ij"):
+        rep_from_config({"kind": "matrices", "c": "0", **fields}, P)
+
+
 @pytest.mark.parametrize("value", [1.0, True, "1.5"])
 def test_rep_config_rejects_non_integer_two_m(value):
     with pytest.raises(UsageError):

@@ -59,11 +59,14 @@ def test_report_determinism_modulo_timing():
     assert r1.to_json(with_timing=False) == r2.to_json(with_timing=False)
 
 
-def test_jacobi_workers_agree():
+def test_jacobi_runs_in_one_process():
     w = Window(-2, 2, -2, 2, 0)
-    r1 = check_jacobi(acfg(2, (1, 0), central=True), w, workers=1)
-    r2 = check_jacobi(acfg(2, (1, 0), central=True), w, workers=2)
+    a = acfg(2, (1, 0), central=True)
+    r1 = check_jacobi(a, w, workers=None)
+    r2 = check_jacobi(a, w, workers=1)
     assert r1.to_json(with_timing=False) == r2.to_json(with_timing=False)
+    with pytest.raises(UsageError, match="one process"):
+        check_jacobi(a, w, workers=2)
 
 
 def test_jacobi_negative_control():
@@ -388,7 +391,7 @@ def test_jacobi_computes_each_bracket_once(monkeypatch):
     monkeypatch.setattr(algebra, "bracket_ints", spy)
     a = acfg(2, (1, 0), central=True)
     w = Window(-2, 2)
-    r = check_jacobi(a, w, workers=1)
+    r = check_jacobi(a, w)
     assert r.status == "pass" and r.stats["tuples_checked"] == 1540
     lo, hi = bracket_columns(a.cfg.eps, w.k_min, w.k_max)
     rows, cols = len(w.k_values()) << 2, (hi - lo + 1) << 2
