@@ -1,7 +1,8 @@
 """Source hygiene: every name a package module imports is used in it,
 every name it defines at its top level is used somewhere, every method of
-its classes is called somewhere, and every named parameter of every
-function it defines is read in that function.
+its classes is called somewhere, every named parameter of every
+function it defines is read in that function, and no module imports a
+process or thread module or reads the environment.
 
 Stdlib ``ast`` only.  A name counts as used in a module when it appears as
 a load anywhere in it, including inside string annotations.
