@@ -26,21 +26,31 @@ plus, when the central extension is enabled and ``I = J`` with
 ``m = p-1``, ``S = sum_{i in I}(1-eps_i)`` and ``d_r`` selects
 ``|I| = r``.
 
+The D-symbol ``D[t^k, xi_I]`` acts on functions as the operator
+``D_f`` of ``f = t^k xi_I``, read off the contact bracket of
+:mod:`superkon.grassmann`: ``D_f(g) = {f, g} + 2 d_eps(f) g``, since
+``delta g = 2g - sum_i xi_i partial_i g``; :func:`apply_d` and the
+contact bracket share :func:`superkon.grassmann.contact_core`.
+
 Also here: the function-multiplication action on the algebra
 (``f . D_g = D_{fg}``), the automorphism sending ``D[t^{k+1}, xi_I]`` to
 itself plus ``(2k + sum_{i in I}(1-eps_i)) t^k xi_I``, the exponent
 relabeling between twist vectors that differ by even integers, and the
 ``(t-1)``-adic filtration with its distinguished ideal and the
-projection of the degree-zero subalgebra onto ``C z + so_N``.
+projection of the degree-zero subalgebra onto ``C z + so_N``.  Every
+Taylor coefficient at ``t = 1`` they read comes from
+:func:`tm1_coefficient`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, factorial
 
 from .exactnum import Scalar, TextReader, UsageError, term_text
-from .grassmann import EpsilonConfig, SuperFunction, members, partial_sign, xi_mul
+from .grassmann import (EpsilonConfig, SuperFunction, contact_core, members,
+                        partial_sign, xi_mul)
 
 
 # Negative-control mutations an AlgebraConfig accepts, each with the check
@@ -60,7 +70,8 @@ class AlgebraConfig:
     mutation: str | None = None  # negative control, see ALGEBRA_MUTATIONS
 
     def __post_init__(self):
-        if self.mutation is not None and self.mutation not in ALGEBRA_MUTATIONS:
+        if self.mutation is not None and (not isinstance(self.mutation, str)
+                                          or self.mutation not in ALGEBRA_MUTATIONS):
             raise UsageError(f"unknown algebra mutation {self.mutation!r}")
         if self.central_enabled and self.cfg.N > 3:
             raise UsageError(
@@ -304,31 +315,10 @@ def bracket_basis(acfg: AlgebraConfig, x, y, params=()) -> AlgebraElement:
 def apply_d(cfg: EpsilonConfig, f: SuperFunction,
             g: SuperFunction) -> SuperFunction:
     """Apply the differential operator attached to the function ``f``:
-
-    ``D_f = (delta f) d_eps + sum_i d_eps(f) xi_i partial_i
-            + (-1)^{|f|} sum_i t^{-eps_i} partial_i(f) partial_i``.
-    """
-    params = f.params
-    out = f.delta() * g.d_eps(cfg)
-    df = f.d_eps(cfg)
-    fe, fo = f.parity_parts()
-    for i in range(1, cfg.N + 1):
-        gi = g.partial(i)
-        if not gi:
-            continue
-        if df:
-            xi_i = SuperFunction.monomial(params, 0, 1 << (i - 1))
-            out = out + df * xi_i * gi
-        piece = SuperFunction.zero(params)
-        pe = fe.partial(i)
-        if pe:
-            piece = piece + pe * gi
-        po = fo.partial(i)
-        if po:
-            piece = piece - po * gi
-        if piece:
-            out = out + piece.t_shift(-cfg.eps_of(i))
-    return out
+    ``D_f(g) = {f, g} + 2 d_eps(f) g``.  With ``delta g = 2g - sum_i xi_i
+    partial_i g`` that is ``contact_core(f, g) + d_eps(f) sum_i xi_i
+    partial_i g``."""
+    return contact_core(cfg, f, g) + f.d_eps(cfg) * g.xi_degree()
 
 
 def bracket(acfg: AlgebraConfig, x: AlgebraElement,
@@ -345,24 +335,15 @@ def bracket(acfg: AlgebraConfig, x: AlgebraElement,
             bb = bracket_basis(acfg, (p, Im), (q, Jm), params)
             if bb:
                 out = out + bb.scale(cx * cy)
-    cfg = acfg.cfg
-    if x.d_terms and y.a_terms:
-        for (p, Im), cx in x.d_terms.items():
-            f = SuperFunction.monomial(params, p, Im, cx)
-            g = SuperFunction(params, dict(y.a_terms))
-            out = out + AlgebraElement.from_function(apply_d(cfg, f, g))
-    if x.a_terms and y.d_terms:
-        for (q, Jm), cy in y.d_terms.items():
-            f = SuperFunction.monomial(params, q, Jm, cy)
-            pf = Jm.bit_count() & 1
-            for (k, Im), cx in x.a_terms.items():
-                g = SuperFunction.monomial(params, k, Im, cx)
-                res = apply_d(cfg, f, g)
+    for u, v, swapped in ((x, y, False), (y, x, True)):
+        for (p, Im), cu in u.d_terms.items():
+            f = SuperFunction.monomial(params, p, Im, cu)
+            for (k, Jm), cv in v.a_terms.items():
+                res = apply_d(acfg.cfg, f, SuperFunction.monomial(params, k, Jm, cv))
                 # [g, D_f] = -(-1)^{|g||f|} D_f(g)
-                if pf and (Im.bit_count() & 1):
-                    out = out + AlgebraElement.from_function(res)
-                else:
-                    out = out - AlgebraElement.from_function(res)
+                if swapped and not (Im.bit_count() & Jm.bit_count() & 1):
+                    res = -res
+                out = out + AlgebraElement.from_function(res)
     return out
 
 
@@ -371,22 +352,8 @@ def a_action(f: SuperFunction, x: AlgebraElement) -> AlgebraElement:
     ``f . D_g = D_{fg}`` (and plain multiplication on the function part)."""
     if x.has_central():
         raise UsageError("function action is undefined on the central element")
-    params = x.params
-    d: dict = {}
-    for (l, Jm), cf in f.terms.items():
-        for (k, Im), cx in x.d_terms.items():
-            sm = xi_mul(Jm, Im)
-            if sm is None:
-                continue
-            sign, union = sm
-            key = (l + k, union)
-            add = cf * cx
-            if sign < 0:
-                add = -add
-            prev = d.get(key)
-            d[key] = add if prev is None else prev + add
-    a = (f * x.a_function()).terms if x.a_terms else {}
-    return AlgebraElement(params, d, a)
+    return AlgebraElement(x.params, (f * SuperFunction(x.params, x.d_terms)).terms,
+                          (f * x.a_function()).terms)
 
 
 def phi(acfg: AlgebraConfig, x: AlgebraElement) -> AlgebraElement:
@@ -437,13 +404,9 @@ def tm1_power_d(params, e: int, i: int, imask: int) -> AlgebraElement:
     """The element ``D[(t-1)^e t^i, xi_I]`` expanded in the D-basis."""
     if e < 0:
         raise UsageError("power of (t-1) must be nonnegative")
-    out: dict = {}
-    binom = 1
-    for j in range(e + 1):
-        sign = -1 if (e - j) & 1 else 1
-        out[(i + j, imask)] = Scalar.const(params, sign * binom)
-        binom = binom * (e - j) // (j + 1)
-    return AlgebraElement(params, d_terms=out)
+    return AlgebraElement(params, d_terms={
+        (i + j, imask): Scalar.const(params, (-1) ** (e - j) * comb(e, j))
+        for j in range(e + 1)})
 
 
 def filtration_exponent(ell: int, size: int, mutation: str | None = None) -> int:
@@ -461,59 +424,30 @@ def component_polys(x: AlgebraElement) -> dict:
     return out
 
 
-def _poly_at_one(poly: dict, params) -> Scalar:
+def tm1_coefficient(poly: dict, j: int, params) -> Scalar:
+    """Coefficient of ``(t-1)^j`` in the Taylor expansion at ``t = 1`` of
+    the Laurent polynomial ``poly`` (t-exponent -> Scalar):
+    ``sum_k binom(k, j) c_k``, from ``t^k = (1 + (t-1))^k``.  The binomial
+    is the polynomial ``k (k-1) ... (k-j+1) / j!`` in ``k``, so negative
+    exponents work (``t^-1`` gives ``(-1)^j``)."""
     total = Scalar.zero(params)
-    for c in poly.values():
-        total = total + c
+    for k, c in poly.items():
+        falling = 1
+        for r in range(j):
+            falling *= k - r
+        if falling:
+            total = total + c.scale_raw(falling // factorial(j), 0)
     return total
 
 
-def _poly_divide_t_minus_1(poly: dict, params):
-    """Exact division by (t - 1); returns quotient dict or None if the
-    value at t = 1 is nonzero."""
-    if not poly:
-        return {}
-    if _poly_at_one(poly, params):
-        return None
-    lo = min(poly)
-    hi = max(poly)
-    # synthetic division, descending powers: q[hi-1] = p[hi], then
-    # q[k-1] = p[k] + q[k]
-    q: dict = {}
-    carry = Scalar.zero(params)
-    for k in range(hi, lo - 1, -1):
-        carry = carry + poly.get(k, Scalar.zero(params))
-        if k - 1 >= lo - 1 and carry:
-            q[k - 1] = carry
-    # the final carry is p(1) = 0, so q[lo-1] entry is spurious
-    q.pop(lo - 1, None)
-    return {k: c for k, c in q.items() if c}
-
-
 def k_ell_valuation(x: AlgebraElement) -> dict:
-    """Per xi-mask (t-1)-adic valuation of the D-part coefficients.
-
-    Returns mask -> nonnegative int, or None for a vanishing component
-    (infinite valuation).  t is a unit, so a Laurent component ``p`` has
-    the valuation of the polynomial ``t^(-min) p``, ``min`` being its
-    lowest t-exponent."""
-    out = {}
-    params = x.params
-    for Im, poly in component_polys(x).items():
-        if not poly:
-            out[Im] = None
-            continue
-        lo = min(poly)
-        v = 0
-        cur = {k - lo: c for k, c in poly.items()}
-        while cur:
-            nxt = _poly_divide_t_minus_1(cur, params)
-            if nxt is None:
-                break
-            v += 1
-            cur = nxt
-        out[Im] = None if not cur else v
-    return out
+    """Per xi-mask (t-1)-adic valuation of the D-part coefficients: mask ->
+    the least ``j`` with a nonzero :func:`tm1_coefficient`.  A component
+    ``p`` is nonzero and ``t^(-min) p`` is a polynomial of degree ``max -
+    min`` (t is a unit at t = 1), so ``j <= max - min``."""
+    return {Im: next(j for j in range(max(poly) - min(poly) + 1)
+                     if tm1_coefficient(poly, j, x.params))
+            for Im, poly in component_polys(x).items()}
 
 
 def ideal_exponent(size: int) -> int:
@@ -524,9 +458,9 @@ def ideal_exponent(size: int) -> int:
 
 
 def _valuations_reach(x: AlgebraElement, exponent) -> bool:
-    """Whether every nonvanishing component of ``x`` has (t-1) valuation at
-    least ``exponent(xi-size)``."""
-    return all(v is None or v >= exponent(Im.bit_count())
+    """Whether every component of ``x`` has (t-1) valuation at least
+    ``exponent(xi-size)``."""
+    return all(v >= exponent(Im.bit_count())
                for Im, v in k_ell_valuation(x).items())
 
 
@@ -557,14 +491,10 @@ def project_k0(acfg: AlgebraConfig, x: AlgebraElement):
     for Im, poly in component_polys(x).items():
         n = Im.bit_count()
         if n == 0:
-            # derivative at t = 1
-            for k, c in poly.items():
-                if k:
-                    z = z + c.scale_raw(k, 0)
+            z = z + tm1_coefficient(poly, 1, params)
         elif n == 2:
-            val = _poly_at_one(poly, params)
-            if val:
-                i, j = members(Im)
-                mat[j - 1][i - 1] = mat[j - 1][i - 1] + val
-                mat[i - 1][j - 1] = mat[i - 1][j - 1] - val
+            val = tm1_coefficient(poly, 0, params)
+            i, j = members(Im)
+            mat[j - 1][i - 1] = mat[j - 1][i - 1] + val
+            mat[i - 1][j - 1] = mat[i - 1][j - 1] - val
     return z, mat

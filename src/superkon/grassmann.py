@@ -12,7 +12,8 @@ On top of the plain product this module provides the odd derivations
 ``partial_i``, the degree-style operator :func:`delta`
 (``f -> 2f - sum_i xi_i partial_i f``), the twisted derivative
 :func:`d_eps` (``partial_t - (1/2) t^{-1} sum_i eps_i xi_i partial_i``)
-and the contact bracket built from them.
+and the contact bracket built from them, whose :func:`contact_core` is
+also the core of the operator ``D_f``.
 """
 
 from __future__ import annotations
@@ -250,15 +251,23 @@ class SuperFunction:
                 out[key] = add if prev is None else prev + add
         return SuperFunction(self.params, out)
 
-    def delta(self) -> "SuperFunction":
-        """``2f - sum_i xi_i partial_i(f)``; multiplies ``t^k xi_I`` by
-        ``2 - |I|``."""
+    def _by_xi_size(self, a: int, b: int) -> "SuperFunction":
+        """Multiply each ``t^k xi_I`` by ``a + b |I|``."""
         out = {}
         for (k, I), c in self.terms.items():
-            f = 2 - I.bit_count()
+            f = a + b * I.bit_count()
             if f:
                 out[(k, I)] = c.scale_raw(f, 0)
         return SuperFunction(self.params, out)
+
+    def delta(self) -> "SuperFunction":
+        """``2f - sum_i xi_i partial_i(f)``; multiplies ``t^k xi_I`` by
+        ``2 - |I|``."""
+        return self._by_xi_size(2, -1)
+
+    def xi_degree(self) -> "SuperFunction":
+        """``sum_i xi_i partial_i(f)``; multiplies ``t^k xi_I`` by ``|I|``."""
+        return self._by_xi_size(0, 1)
 
     def d_eps(self, cfg: EpsilonConfig) -> "SuperFunction":
         """``partial_t - (1/2) t^{-1} sum_i eps_i xi_i partial_i`` applied
@@ -304,18 +313,18 @@ def parse_monomial(text: str):
 # ---------------------------------------------------------------------------
 
 
-def contact_bracket(cfg: EpsilonConfig, f: SuperFunction,
-                    g: SuperFunction) -> SuperFunction:
-    """The contact bracket
+def contact_core(cfg: EpsilonConfig, f: SuperFunction,
+                 g: SuperFunction) -> SuperFunction:
+    """The part the contact bracket shares with the operator ``D_f`` of
+    :func:`superkon.algebra.apply_d`:
 
-    ``{f, g} = (delta f) d_eps(g) - d_eps(f) (delta g)
-               + (-1)^{|f|} sum_i t^{-eps_i} partial_i(f) partial_i(g)``
+    ``(delta f) d_eps(g) + (-1)^{|f|} sum_i t^{-eps_i} partial_i(f)
+    partial_i(g)``,
 
-    extended bilinearly; the parity sign is taken on the homogeneous
-    parts of ``f``.
+    the parity sign taken on the homogeneous parts of ``f``.
     """
     params = f.params
-    out = (f.delta() * g.d_eps(cfg)) - (f.d_eps(cfg) * g.delta())
+    out = f.delta() * g.d_eps(cfg)
     f_even, f_odd = f.parity_parts()
     for i in range(1, cfg.N + 1):
         e = cfg.eps_of(i)
@@ -332,3 +341,16 @@ def contact_bracket(cfg: EpsilonConfig, f: SuperFunction,
         if piece:
             out = out + piece.t_shift(-e)
     return out
+
+
+def contact_bracket(cfg: EpsilonConfig, f: SuperFunction,
+                    g: SuperFunction) -> SuperFunction:
+    """The contact bracket
+
+    ``{f, g} = (delta f) d_eps(g) - d_eps(f) (delta g)
+               + (-1)^{|f|} sum_i t^{-eps_i} partial_i(f) partial_i(g)``,
+
+    that is :func:`contact_core` minus ``d_eps(f) (delta g)``, extended
+    bilinearly.
+    """
+    return contact_core(cfg, f, g) - f.d_eps(cfg) * g.delta()

@@ -136,6 +136,14 @@ def _config_text(value, field: str) -> str:
     return str(value)
 
 
+def config_dict(value, field: str) -> dict:
+    """A config value that must be a dict (a JSON object)."""
+    if not isinstance(value, dict):
+        raise UsageError(f"config field {field!r} must be an object, "
+                         f"not {type(value).__name__}")
+    return value
+
+
 def config_scalar(params, value, field: str) -> Scalar:
     """A config value as a Scalar, read in the grammar of
     :mod:`superkon.exactnum`."""
@@ -153,7 +161,7 @@ def rep_from_config(cfg: dict, params=("a", "b", "c")) -> SoRep:
     ``"matrices"`` takes exactly the generators F_ij, 1 <= i < j <= N,
     as nonempty square matrices of one size, keyed ``"i,j"``."""
     params = tuple(params)
-    kind = cfg.get("kind")
+    kind = config_dict(cfg, "rep").get("kind")
     if kind == "so2":
         return build_so2(config_scalar(params, cfg.get("b", "b"), "b"),
                          config_scalar(params, cfg.get("c", "c"), "c"), params)
@@ -163,7 +171,7 @@ def rep_from_config(cfg: dict, params=("a", "b", "c")) -> SoRep:
         return build_so3_vm(config_int(cfg["two_m"], "two_m"),
                             config_scalar(params, cfg.get("c", "c"), "c"), params)
     if kind == "matrices":
-        gen_cfg = cfg.get("gen")
+        gen_cfg = config_dict(cfg.get("gen", {}), "gen")
         if not gen_cfg:
             raise UsageError("matrices rep config requires field 'gen'")
         gen = {}

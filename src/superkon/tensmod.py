@@ -40,7 +40,7 @@ from .exactnum import (Evaluator, GaussRat, Scalar, TextReader, UsageError,
                        pair_content, term_text)
 from .grassmann import EpsilonConfig, members, tau
 from .linalg import gauss_mod, sqrt_minus_one
-from .repn import SoRep, config_int, config_scalar, rep_from_config
+from .repn import SoRep, config_dict, config_int, config_scalar, rep_from_config
 
 
 class ModBasisVec(NamedTuple):
@@ -75,15 +75,13 @@ class ModBasisVec(NamedTuple):
 
 
 class ModVec:
-    """Sparse module vector; ``flipped`` is the global parity-change flag
-    (coordinates and actions are untouched by it)."""
+    """Sparse module vector."""
 
-    __slots__ = ("params", "terms", "flipped")
+    __slots__ = ("params", "terms")
 
-    def __init__(self, params, terms=None, flipped=False):
+    def __init__(self, params, terms=None):
         self.params = tuple(params)
         self.terms = {bv: c for bv, c in (terms or {}).items() if c}
-        self.flipped = flipped
 
     @classmethod
     def basis(cls, params, bv: ModBasisVec, coeff=1):
@@ -94,17 +92,14 @@ class ModVec:
     def __add__(self, other):
         if not isinstance(other, ModVec):
             return NotImplemented
-        if self.flipped != other.flipped:
-            raise UsageError("cannot add vectors of opposite parity flag")
         out = dict(self.terms)
         for bv, c in other.terms.items():
             prev = out.get(bv)
             out[bv] = c if prev is None else prev + c
-        return ModVec(self.params, out, self.flipped)
+        return ModVec(self.params, out)
 
     def __neg__(self):
-        return ModVec(self.params, {bv: -c for bv, c in self.terms.items()},
-                      self.flipped)
+        return ModVec(self.params, {bv: -c for bv, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -113,8 +108,7 @@ class ModVec:
         if not isinstance(coeff, Scalar):
             coeff = Scalar.const(self.params, coeff)
         return ModVec(self.params,
-                      {bv: c * coeff for bv, c in self.terms.items()},
-                      self.flipped)
+                      {bv: c * coeff for bv, c in self.terms.items()})
 
     def is_zero(self):
         return not self.terms
@@ -125,23 +119,16 @@ class ModVec:
     def __eq__(self, other):
         if not isinstance(other, ModVec):
             return NotImplemented
-        return (self.params == other.params and self.flipped == other.flipped
-                and self.terms == other.terms)
+        return self.params == other.params and self.terms == other.terms
 
     def __str__(self):
         if not self.terms:
             return "0"
-        body = " + ".join(term_text(self.terms[bv], bv.text())
+        return " + ".join(term_text(self.terms[bv], bv.text())
                           for bv in sorted(self.terms))
-        return f"PI[{body}]" if self.flipped else body
 
     def __repr__(self):
         return f"ModVec({self!s})"
-
-
-def parity_change(v: ModVec) -> ModVec:
-    """Same coordinates, opposite global parity flag (an involution)."""
-    return ModVec(v.params, dict(v.terms), not v.flipped)
 
 
 # Negative-control mutations a TensorModule accepts, each with the check it
@@ -160,7 +147,8 @@ class TensorModule:
 
     def __init__(self, cfg: EpsilonConfig, rep: SoRep, a: Scalar,
                  sector_delta: int | None = None, mutation: str | None = None):
-        if mutation is not None and mutation not in MODULE_MUTATIONS:
+        if mutation is not None and (not isinstance(mutation, str)
+                                     or mutation not in MODULE_MUTATIONS):
             raise UsageError(f"unknown module mutation {mutation!r}")
         if cfg.N == 4:
             raise UsageError("tensor modules are not available for N=4")
@@ -351,7 +339,7 @@ class TensorModule:
                     add = -add
                 prev = out.get(bv2)
                 out[bv2] = add if prev is None else prev + add
-        return ModVec(self.params, out, v.flipped)
+        return ModVec(self.params, out)
 
     # -- evaluation at concrete parameters --------------------------------
     def eval_cache(self, assignment: dict) -> "EvaluatedAction":
@@ -468,17 +456,25 @@ def _qnorm(den: int, terms: dict):
 
 
 def module_from_config(cfg: dict, params=("a", "b", "c")) -> TensorModule:
+    """Build a tensor module from its JSON-style config dict: a dict
+    ``algebra`` with ``N`` and the list ``eps``, a dict ``rep`` (see
+    :func:`superkon.repn.rep_from_config`), and optional ``a``,
+    ``sector_delta`` and ``mutation`` (text)."""
     params = tuple(params)
-    alg = cfg.get("algebra") or {}
+    config_dict(cfg, "config")
+    alg = config_dict(cfg.get("algebra", {}), "algebra")
     if "N" not in alg or "eps" not in alg:
         raise UsageError("module config requires algebra.N and algebra.eps")
+    if not isinstance(alg["eps"], list):
+        raise UsageError(f"config field 'algebra.eps' must be a list, "
+                         f"not {type(alg['eps']).__name__}")
     eps_cfg = EpsilonConfig(config_int(alg["N"], "algebra.N"),
                             tuple(config_int(e, "algebra.eps")
                                   for e in alg["eps"]))
     if alg.get("central"):
         raise UsageError("tensor modules take the algebra without its "
                          "central element (field algebra.central)")
-    rep = rep_from_config(cfg.get("rep") or {}, params)
+    rep = rep_from_config(cfg.get("rep", {}), params)
     a = config_scalar(params, cfg.get("a", "a"), "a")
     sector = cfg.get("sector_delta", None)
     if sector is not None:

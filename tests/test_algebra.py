@@ -1,12 +1,13 @@
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 import pytest
 
 from superkon.algebra import (AlgebraConfig, AlgebraElement, a_action,
                               apply_d, bracket, bracket_basis, eps_shift_map,
                               in_ideal_i, in_k_ell, k_ell_valuation, phi,
-                              project_k0, tm1_power_d)
+                              project_k0, tm1_coefficient, tm1_power_d)
 from superkon.exactnum import GaussRat, Scalar, UsageError
 from superkon.grassmann import EpsilonConfig, SuperFunction, contact_bracket, iset
 
@@ -138,6 +139,28 @@ def test_valuation_laurent_xi_component():
     assert k_ell_valuation(x) == {iset(1): 1}
 
 
+def test_tm1_coefficient_is_the_binomial():
+    # t^k = (1 + (t-1))^k, with binom(k, j) = (-1)^j binom(j-k-1, j) for k < 0
+    for k in range(-4, 5):
+        for j in range(6):
+            want = comb(k, j) if k >= 0 else (-1) ** j * comb(j - k - 1, j)
+            assert tm1_coefficient({k: Scalar.const(P, 1)}, j, P) == \
+                Scalar.const(P, want), (k, j)
+    for j in range(6):
+        assert tm1_coefficient({-1: Scalar.const(P, 1)}, j, P) == \
+            Scalar.const(P, (-1) ** j)
+
+
+def test_valuation_of_tm1_powers():
+    for Im in (0, iset(1), iset(1, 2)):
+        for e in range(5):
+            for i in range(-3, 4):
+                x = tm1_power_d(P, e, i, Im)
+                assert k_ell_valuation(x) == {Im: e}, (Im, e, i)
+                higher = x + tm1_power_d(P, e + 1, -i, Im).scale(3)
+                assert k_ell_valuation(higher) == {Im: e}, (Im, e, i)
+
+
 def test_ideal_membership():
     assert in_ideal_i(tm1_power_d(P, 2, 0, 0))
     assert not in_ideal_i(D(1, 0) - D(0, 0))
@@ -253,6 +276,32 @@ def test_jacobi_small_with_central():
         s3 = -1 if par(z) * par(y) else 1
         total = t1.scale(s1) + t2.scale(s2) + t3.scale(s3)
         assert total.is_zero(), (x, y, z)
+
+
+@pytest.mark.parametrize("eps", [(1,), (0,), (1, 0), (2, -1), (1, 1, 0)])
+def test_mixed_jacobi(eps):
+    # [x, [y, g]] = [[x, y], g] + (-1)^{|x||y|} [y, [x, g]] for D-symbols
+    # x, y and a function monomial g checks apply_d against bracket_ints.
+    # The inner brackets come from the function-first pass of the mixed
+    # loop, [x, g] = -(-1)^{|x||g|} [g, x], checked against the other pass.
+    c = cfg(len(eps), eps)
+    keys = [(k, Im) for k in (-1, 0, 1) for Im in range(1 << len(eps))]
+    ds = {key: D(*key) for key in keys}
+    gs = {key: A(*key) for key in keys}
+
+    def sign(a, b):
+        return -1 if (a[1].bit_count() & b[1].bit_count() & 1) else 1
+
+    xg = {}
+    for x, g in product(keys, repeat=2):
+        xg[x, g] = bracket(c, gs[g], ds[x]).scale(-sign(x, g))
+        assert xg[x, g] == bracket(c, ds[x], gs[g]), (x, g)
+    for x, y in product(keys, repeat=2):
+        xy = bracket(c, ds[x], ds[y])
+        for g in keys:
+            left = bracket(c, ds[x], xg[y, g])
+            right = bracket(c, xy, gs[g]) + bracket(c, ds[y], xg[x, g]).scale(sign(x, y))
+            assert left == right, (x, y, g)
 
 
 def test_filtration_bracket_smoke():

@@ -196,6 +196,16 @@ def test_rep_config_rejects_bad_generator_family(fields):
         rep_from_config({"kind": "matrices", "c": "0", **fields}, P)
 
 
+@pytest.mark.parametrize("cfg", [
+    [{"kind": "so2", "b": "0", "c": "0"}],               # config not a dict
+    {"kind": "matrices", "c": "0", "gen": [["1,2", J2]]},  # gen not a dict
+    {"kind": "matrices", "c": "0", "gen": "1,2"},        # gen as text
+], ids=["config_list", "gen_list", "gen_text"])
+def test_rep_config_rejects_bad_shape(cfg):
+    with pytest.raises(UsageError):
+        rep_from_config(cfg, P)
+
+
 @pytest.mark.parametrize("value", [1.0, True, "1.5"])
 def test_rep_config_rejects_non_integer_two_m(value):
     with pytest.raises(UsageError):

@@ -10,7 +10,7 @@ from superkon.report import Window
 from superkon.submod import iso_check_map, iso_target, named_submodule
 from superkon.tables import N2Table, N3Table, TableVec, compare_table
 from superkon.tensmod import (EvaluatedAction, ModBasisVec, ModVec,
-                              TensorModule, module_from_config, parity_change)
+                              TensorModule, module_from_config)
 
 P = ("a", "b", "c")
 A = Scalar.var(P, "a")
@@ -167,14 +167,6 @@ def test_table_example_lines_n3():
                    Scalar.const(P, GaussRat(0, Fraction(-1, 2)))}
 
 
-def test_parity_change_involution():
-    v = ModVec.basis(P, ModBasisVec(0, iset(1), 0))
-    w = parity_change(v)
-    assert w.flipped and w.terms == v.terms
-    assert parity_change(w) == v
-    assert parity_change(ModVec(P, {})).is_zero()
-
-
 def test_named_submodule_w_generators():
     M = n2_module()
     gens = named_submodule(M, "W_plus", range(0, 1))
@@ -308,6 +300,24 @@ def test_module_config_rejects_float_and_bool(value):
     with pytest.raises(UsageError, match="'algebra.N'"):
         module_from_config({**cfg, "a": "1",
                             "algebra": {"N": value, "eps": [1, 0]}}, P)
+
+
+GOOD = {"algebra": {"N": 2, "eps": [1, 0]},
+        "rep": {"kind": "so2", "b": "0", "c": "0"}, "a": "1"}
+
+
+@pytest.mark.parametrize("cfg", [
+    [GOOD],                                              # config not a dict
+    {**GOOD, "algebra": [2, [1, 0]]},                    # algebra not a dict
+    {**GOOD, "algebra": {"N": 2, "eps": "11"}},          # eps as text
+    {**GOOD, "algebra": {"N": 2, "eps": 1}},             # eps as a number
+    {**GOOD, "rep": [GOOD["rep"]]},                      # rep not a dict
+    {**GOOD, "mutation": ["swap_tau"]},                  # mutation not text
+], ids=["config_list", "algebra_list", "eps_text", "eps_int", "rep_list",
+        "mutation_list"])
+def test_module_config_rejects_bad_shape(cfg):
+    with pytest.raises(UsageError):
+        module_from_config(cfg, P)
 
 
 def test_module_rejects_n4():

@@ -306,6 +306,34 @@ def test_projection_reports_leaving_k0():
     assert [v["inputs"] for v in bad.violations] == ["D[t,xi{1,2}] in K0"]
 
 
+@pytest.mark.parametrize("check, eps, mutation, digest", [
+    (check_filtration, (1, 0), None,
+     "0a39572e93eb6c26b6d32eb0740b3df045ddfe7b26882f4cfb7ff0c1aaaf90db"),
+    (check_filtration, (1, 0), "drop_delta_l0",
+     "c914a8596255e3818bfbf1982724a56e888708f9f033f8334f13dcc49109251f"),
+    (check_filtration, (1, 1, 1), None,
+     "3b7fe9dc95f00ba6c701b99ed39a5e57811b61dba06644e9542e328e5ab035de"),
+    (check_filtration, (1, 1, 1), "drop_delta_l0",
+     "d82f1e6dc6cb5cde2b3c795bf55e21d0dd0f9ccd4a29aa797ff552bf4ba78bc1"),
+    (check_projection, (1, 0), None,
+     "5fdc19922c979a843f7ecbc4549a7fe3b979a7330239a91d3242fb7754b5cd81"),
+    (check_projection, (1, 0), "drop_delta_l0",
+     "ff82d844a4f560933bdf9e768d576145c9fb66bd87887453c20f076b8c611d97"),
+    (check_projection, (1, 1, 1), None,
+     "cea3ddd47f9c7e36643c616b650cf4e6c143dc6ad3859d17153d1e6ac08100cb"),
+    (check_projection, (1, 1, 1), "drop_delta_l0",
+     "1e3b0ab158aa01b983404fe4a46dac42cec5acc2b66e666031306c8458fb5d4a"),
+], ids=[f"{check}-{n}-{mutation}" for check in ("filtration", "projection")
+         for n in ("n2", "n3") for mutation in ("plain", "drop_delta_l0")])
+def test_filtration_and_projection_pinned(check, eps, mutation, digest):
+    # every verdict, counter and witness text of the (t-1)-adic checks is
+    # pinned byte for byte; no benchmark workload runs them
+    args = (2,) if check is check_filtration else ()
+    r = check(acfg(len(eps), eps, mutation=mutation), *args, Window(-2, 2))
+    text = r.to_json(with_timing=False)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def _reference_residual(a, x, y, z):
     """The per-triple Jacobi residual computed straight from bracket_ints:
     4x the D-part and 24x the central part of the graded Jacobi sum."""
@@ -403,6 +431,8 @@ def test_jacobi_computes_each_bracket_once(monkeypatch):
 def test_unknown_mutation_rejected():
     with pytest.raises(UsageError):
         acfg(2, (1, 0), mutation="drop_delta_10")
+    with pytest.raises(UsageError):
+        acfg(2, (1, 0), mutation=["drop_delta_l0"])
     M = n2()
     with pytest.raises(UsageError):
         TensorModule(M.cfg, M.rep, M.a, mutation="swap_tua")
