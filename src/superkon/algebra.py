@@ -48,7 +48,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .exactnum import Scalar, TextReader, UsageError, term_text
+from .exactnum import (Scalar, TextReader, UsageError, add_term, as_scalar,
+                       term_text)
 from .grassmann import (EpsilonConfig, SuperFunction, contact_core, members,
                         partial_sign, xi_mul)
 
@@ -96,21 +97,15 @@ class AlgebraElement:
 
     @classmethod
     def d_symbol(cls, params, k: int, imask: int, coeff=1):
-        if not isinstance(coeff, Scalar):
-            coeff = Scalar.const(params, coeff)
-        return cls(params, d_terms={(k, imask): coeff})
+        return cls(params, d_terms={(k, imask): as_scalar(params, coeff)})
 
     @classmethod
     def a_monomial(cls, params, k: int, imask: int, coeff=1):
-        if not isinstance(coeff, Scalar):
-            coeff = Scalar.const(params, coeff)
-        return cls(params, a_terms={(k, imask): coeff})
+        return cls(params, a_terms={(k, imask): as_scalar(params, coeff)})
 
     @classmethod
     def central_element(cls, params, coeff=1):
-        if not isinstance(coeff, Scalar):
-            coeff = Scalar.const(params, coeff)
-        return cls(params, central=coeff)
+        return cls(params, central=as_scalar(params, coeff))
 
     @classmethod
     def from_function(cls, f: SuperFunction):
@@ -125,12 +120,10 @@ class AlgebraElement:
             return NotImplemented
         d = dict(self.d_terms)
         for k, c in other.d_terms.items():
-            prev = d.get(k)
-            d[k] = c if prev is None else prev + c
+            add_term(d, k, c)
         a = dict(self.a_terms)
         for k, c in other.a_terms.items():
-            prev = a.get(k)
-            a[k] = c if prev is None else prev + c
+            add_term(a, k, c)
         return AlgebraElement(self.params, d, a, self.central + other.central)
 
     def __neg__(self):
@@ -143,8 +136,7 @@ class AlgebraElement:
         return self + (-other)
 
     def scale(self, coeff) -> "AlgebraElement":
-        if not isinstance(coeff, Scalar):
-            coeff = Scalar.const(self.params, coeff)
+        coeff = as_scalar(self.params, coeff)
         return AlgebraElement(self.params,
                               {k: c * coeff for k, c in self.d_terms.items()},
                               {k: c * coeff for k, c in self.a_terms.items()},
@@ -368,10 +360,7 @@ def phi(acfg: AlgebraConfig, x: AlgebraElement) -> AlgebraElement:
         if acfg.mutation != "drop_phi_coeff":
             n += cfg.shift_sum(Im)
         if n:
-            key = (p - 1, Im)
-            add = c.scale_raw(n, 0)
-            prev = a.get(key)
-            a[key] = add if prev is None else prev + add
+            add_term(a, (p - 1, Im), c.scale_raw(n, 0))
     return AlgebraElement(x.params, dict(x.d_terms), a)
 
 

@@ -20,6 +20,13 @@ Three layers:
   denominator, and a value comes back as ``(re, im, den)`` in lowest
   terms.  ``Fraction`` is left to the text forms and :class:`GaussRat`.
 
+Every finite combination with Scalar coefficients (superfunctions, module
+vectors) is a :class:`Terms`: a canonical ``key -> Scalar`` dict with the
+linear operations and the printer.  :func:`add_term` is the one merge of a
+Scalar into such a dict, and :func:`as_scalar` the one coercion of a
+caller's coefficient ("a Scalar over these parameters, or a value made into
+one").
+
 Text forms (JSON reports, configs, round trips) are read by one
 :class:`TextReader`; whitespace between tokens is ignored::
 
@@ -199,19 +206,21 @@ def _exact_parts(value, what: str) -> tuple:
                      f"text, not {type(value).__name__}")
 
 
-def _norm_terms(terms: dict, den: int):
-    """Canonicalize: drop zero coefficients, make den > 0, gcd-reduce."""
+def norm_pairs(terms: dict, den: int):
+    """``(den, terms)`` for the vector ``terms/den`` of integer pairs ``key
+    -> (re, im)``, canonical: zero pairs dropped, ``den > 0``, and no common
+    factor of ``den`` and every entry; ``(1, {})`` for the zero vector."""
     if den < 0:
         den = -den
         terms = {k: (-r, -m) for k, (r, m) in terms.items()}
     terms = {k: v for k, v in terms.items() if v[0] or v[1]}
     if not terms:
-        return {}, 1
+        return 1, {}
     g = pair_content(terms.values(), den)
     if g > 1:
         terms = {k: (r // g, m // g) for k, (r, m) in terms.items()}
         den //= g
-    return terms, den
+    return den, terms
 
 
 class Scalar:
@@ -227,9 +236,7 @@ class Scalar:
 
     def __init__(self, params, terms=None, den=1):
         self.params = tuple(params)
-        t, d = _norm_terms(dict(terms or {}), den)
-        self.terms = t
-        self.den = d
+        self.den, self.terms = norm_pairs(dict(terms or {}), den)
 
     # -- constructors ----------------------------------------------
     @classmethod
@@ -422,6 +429,81 @@ def term_text(coeff: Scalar, body: str) -> str:
     if " + " in cs or "*" in cs or cs.endswith("i"):
         cs = f"({cs})"
     return f"{cs}*{body}"
+
+
+def as_scalar(params, value) -> Scalar:
+    """``value`` as a Scalar over ``params``: a Scalar is returned as it is
+    (UsageError when it is over another parameter list), any other value
+    goes through :meth:`Scalar.const`."""
+    if isinstance(value, Scalar):
+        if value.params != tuple(params):
+            raise UsageError(f"mismatched parameter lists: {value.params} "
+                             f"vs {tuple(params)}")
+        return value
+    return Scalar.const(params, value)
+
+
+def add_term(out: dict, key, c: Scalar):
+    """Add the Scalar ``c`` to ``out[key]`` (set it when the key is new).
+    A zero sum stays in ``out``; :class:`Terms` drops it on construction."""
+    prev = out.get(key)
+    out[key] = c if prev is None else prev + c
+
+
+class Terms:
+    """A finite combination of keys with Scalar coefficients over one
+    parameter list; canonical sparse form (no zero terms).
+
+    A subclass defines ``_key_text(key)``, the text of a key in
+    :meth:`__str__`, and adds its own constructors and operations;
+    combinations of different subclasses never add or compare equal.
+    Unhashable unless a subclass defines ``__hash__``.
+    """
+
+    __slots__ = ("params", "terms")
+
+    def __init__(self, params, terms=None):
+        self.params = tuple(params)
+        self.terms = {k: c for k, c in (terms or {}).items() if c}
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            add_term(out, k, c)
+        return type(self)(self.params, out)
+
+    def __neg__(self):
+        return type(self)(self.params, {k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, coeff):
+        coeff = as_scalar(self.params, coeff)
+        return type(self)(self.params,
+                          {k: c * coeff for k, c in self.terms.items()})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.params == other.params and self.terms == other.terms
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        return " + ".join(term_text(self.terms[k], self._key_text(k))
+                          for k in sorted(self.terms))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self!s})"
 
 
 _TOKEN = re.compile(r"\d+(?:\.\d+)?|[A-Za-z_]\w*|\S", re.ASCII)

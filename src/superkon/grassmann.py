@@ -13,7 +13,9 @@ On top of the plain product this module provides the odd derivations
 (``f -> 2f - sum_i xi_i partial_i f``), the twisted derivative
 :func:`d_eps` (``partial_t - (1/2) t^{-1} sum_i eps_i xi_i partial_i``)
 and the contact bracket built from them, whose :func:`contact_core` is
-also the core of the operator ``D_f``.
+also the core of the operator ``D_f``.  A superfunction
+(:class:`SuperFunction`) is a :class:`~superkon.exactnum.Terms` over the
+monomial keys ``(k, imask)``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .exactnum import Scalar, TextReader, UsageError, term_text
+from .exactnum import Terms, TextReader, UsageError, add_term, as_scalar
 
 
 # ---------------------------------------------------------------------------
@@ -108,11 +110,6 @@ class EpsilonConfig:
             raise UsageError(f"eps must have length N={self.N}, got {eps}")
         object.__setattr__(self, "eps", eps)
 
-    def eps_of(self, i: int) -> int:
-        if not 1 <= i <= self.N:
-            raise UsageError(f"index {i} out of range 1..{self.N}")
-        return self.eps[i - 1]
-
     def eps_sum(self, mask: int) -> int:
         """sum of eps_i over i in the mask."""
         return sum(self.eps[i - 1] for i in members(mask))
@@ -133,26 +130,16 @@ class EpsilonConfig:
 # ---------------------------------------------------------------------------
 
 
-class SuperFunction:
+class SuperFunction(Terms):
     """Finite linear combination of monomials ``t^k xi_I`` with Scalar
-    coefficients; canonical sparse form (no zero terms)."""
+    coefficients, keyed by ``(k, imask)``."""
 
-    __slots__ = ("params", "terms")
-
-    def __init__(self, params, terms=None):
-        self.params = tuple(params)
-        t = {}
-        for key, coeff in (terms or {}).items():
-            if coeff:
-                t[key] = coeff
-        self.terms = t
+    __slots__ = ()
 
     # -- constructors ----------------------------------------------
     @classmethod
     def monomial(cls, params, k: int, imask: int, coeff=1) -> "SuperFunction":
-        if not isinstance(coeff, Scalar):
-            coeff = Scalar.const(params, coeff)
-        return cls(params, {(k, imask): coeff})
+        return cls(params, {(k, imask): as_scalar(params, coeff)})
 
     @classmethod
     def zero(cls, params) -> "SuperFunction":
@@ -162,29 +149,7 @@ class SuperFunction:
     def one(cls, params) -> "SuperFunction":
         return cls.monomial(params, 0, 0)
 
-    # -- linear structure --------------------------------------------
-    def __add__(self, other: "SuperFunction"):
-        if not isinstance(other, SuperFunction):
-            return NotImplemented
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            prev = out.get(key)
-            out[key] = c if prev is None else prev + c
-        return SuperFunction(self.params, out)
-
-    def __neg__(self):
-        return SuperFunction(self.params,
-                             {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, coeff) -> "SuperFunction":
-        if not isinstance(coeff, Scalar):
-            coeff = Scalar.const(self.params, coeff)
-        return SuperFunction(self.params,
-                             {k: c * coeff for k, c in self.terms.items()})
-
+    # -- products ---------------------------------------------------------
     def __mul__(self, other):
         """Product in the superalgebra (signs via :func:`xi_mul`)."""
         if isinstance(other, SuperFunction):
@@ -195,12 +160,8 @@ class SuperFunction:
                     if sm is None:
                         continue
                     sign, union = sm
-                    key = (k1 + k2, union)
                     add = c1 * c2
-                    if sign < 0:
-                        add = -add
-                    prev = out.get(key)
-                    out[key] = add if prev is None else prev + add
+                    add_term(out, (k1 + k2, union), -add if sign < 0 else add)
             return SuperFunction(self.params, out)
         return self.scale(other)
 
@@ -213,18 +174,7 @@ class SuperFunction:
         return SuperFunction(self.params,
                              {(e + k, I): c for (e, I), c in self.terms.items()})
 
-    # -- predicates ---------------------------------------------------
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, SuperFunction):
-            return NotImplemented
-        return self.params == other.params and self.terms == other.terms
-
+    # -- hashing and parity ---------------------------------------------
     def __hash__(self):
         return hash((self.params, frozenset((k, str(c)) for k, c in self.terms.items())))
 
@@ -245,10 +195,7 @@ class SuperFunction:
         for (k, I), c in self.terms.items():
             s = partial_sign(i, I)
             if s:
-                key = (k, I & ~(1 << (i - 1)))
-                add = c if s > 0 else -c
-                prev = out.get(key)
-                out[key] = add if prev is None else prev + add
+                add_term(out, (k, I & ~(1 << (i - 1))), c if s > 0 else -c)
         return SuperFunction(self.params, out)
 
     def _by_xi_size(self, a: int, b: int) -> "SuperFunction":
@@ -277,21 +224,12 @@ class SuperFunction:
         for (k, I), c in self.terms.items():
             num = 2 * k - cfg.eps_sum(I)
             if num:
-                key = (k - 1, I)
-                add = c.scale_raw(num, 0, 2)
-                prev = out.get(key)
-                out[key] = add if prev is None else prev + add
+                add_term(out, (k - 1, I), c.scale_raw(num, 0, 2))
         return SuperFunction(self.params, out)
 
     # -- text form --------------------------------------------------------
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(term_text(self.terms[key], format_monomial(*key))
-                          for key in sorted(self.terms))
-
-    def __repr__(self):
-        return f"SuperFunction({self!s})"
+    def _key_text(self, key) -> str:
+        return format_monomial(*key)
 
 
 def format_monomial(k: int, imask: int) -> str:
@@ -327,7 +265,6 @@ def contact_core(cfg: EpsilonConfig, f: SuperFunction,
     out = f.delta() * g.d_eps(cfg)
     f_even, f_odd = f.parity_parts()
     for i in range(1, cfg.N + 1):
-        e = cfg.eps_of(i)
         gi = g.partial(i)
         if not gi:
             continue
@@ -339,7 +276,7 @@ def contact_core(cfg: EpsilonConfig, f: SuperFunction,
         if fo:
             piece = piece - (fo * gi)
         if piece:
-            out = out + piece.t_shift(-e)
+            out = out + piece.t_shift(-cfg.eps[i - 1])
     return out
 
 

@@ -30,7 +30,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import GaussRat, Scalar, TextReader, UsageError
+from .exactnum import GaussRat, Scalar, TextReader, UsageError, as_scalar
 from .linalg import mat_add, mat_commutator, mat_eq, mat_scale, mat_sub, mat_zeros
 from .report import Report, finish, violation
 
@@ -54,11 +54,9 @@ class SoRep:
 
 
 def _const(params, x) -> Scalar:
-    if isinstance(x, Scalar):
-        return x
     if isinstance(x, str):
         return Scalar.parse(params, x)
-    return Scalar.const(params, x)
+    return as_scalar(params, x)
 
 
 def build_so2(b, c, params=("a", "b", "c")) -> SoRep:

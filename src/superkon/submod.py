@@ -34,7 +34,7 @@ from .linalg import WeightSpaces
 from .repn import build_so2, build_so3_vm
 from .report import Report, Window, finish, violation
 from .tables import N2Table, N3Table, TableVec
-from .tensmod import ModBasisVec, ModVec, TensorModule
+from .tensmod import ModBasisVec, ModVec, TensorModule, pairs_text
 
 
 def _table_pick(table, kind, r, table_l) -> ModVec:
@@ -336,7 +336,7 @@ def _check_quotient_map(source, target, name, w, params, t0):
         if outcome == "inconsistent":
             bad.append(violation(
                 f"op=({p},{im}) from weight {l}",
-                lhs=_fmt_vec(sv2) if sv2 else "0", rhs=_fmt_vec(tv2),
+                lhs=pairs_text(sv2), rhs=pairs_text(tv2),
                 diff=("image conflicts with previously derived relations"
                       if sv2 else "zero class maps to a nonzero image")))
     details = {"relations_derived": len(work)}
@@ -354,8 +354,3 @@ def _weight_offset(source, target) -> int:
     if g.im or g.re.denominator != 1:
         raise UsageError("weight origins must differ by an integer")
     return int(g.re)
-
-
-def _fmt_vec(vec: dict) -> str:
-    return " + ".join(f"({r}{m:+}i)*{bv.text()}"
-                      for bv, (r, m) in sorted(vec.items()))

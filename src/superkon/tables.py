@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactnum import GaussRat, I, Scalar, UsageError
+from .exactnum import GaussRat, I, Scalar, UsageError, add_term, as_scalar
 from .grassmann import iset
 from .tensmod import ModBasisVec, ModVec, TensorModule
 
@@ -35,14 +35,10 @@ class TableTerms(dict):
     """kind/(r,l) -> Scalar accumulator that drops zero adds."""
 
     def add(self, sym: TableVec, coeff: Scalar):
-        if not coeff:
-            return
-        prev = self.get(sym)
-        s = coeff if prev is None else prev + coeff
-        if s:
-            self[sym] = s
-        elif prev is not None:
-            del self[sym]
+        if coeff:
+            add_term(self, sym, coeff)
+            if not self[sym]:
+                del self[sym]
 
 
 class BaseTable:
@@ -64,10 +60,7 @@ class BaseTable:
         """sum of coeff*expr pairs, ints and Scalars mixed."""
         s = Scalar.zero(self.params)
         for coeff, expr in pairs:
-            if isinstance(expr, Scalar):
-                term = expr
-            else:
-                term = self.const(expr)
+            term = as_scalar(self.params, expr)
             if coeff != 1:
                 term = term * self.const(coeff)
             s = s + term

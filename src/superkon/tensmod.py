@@ -5,7 +5,9 @@ representation of so_N + Cz, and a weight origin ``a``.  Basis vectors
 are ``prefix . v_r @ t^(a+l)`` where the prefix is an ordered product of
 the unit odd operators ``D[t, xi_j]`` over a subset J (ascending), v_r
 runs over the representation basis, and ``l`` is the integer weight
-offset.  Text form: ``"D{1,3}.v2@l=-1"``.
+offset.  Text form: ``"D{1,3}.v2@l=-1"``.  A module vector
+(:class:`ModVec`) is a :class:`~superkon.exactnum.Terms` over these basis
+vectors.
 
 Action rules:
 
@@ -36,8 +38,8 @@ from math import lcm
 from typing import NamedTuple
 
 from .algebra import AlgebraConfig, AlgebraElement, bracket_ints
-from .exactnum import (Evaluator, GaussRat, Scalar, TextReader, UsageError,
-                       pair_content, term_text)
+from .exactnum import (Evaluator, GaussRat, Scalar, Terms, TextReader,
+                       UsageError, add_term, as_scalar, norm_pairs)
 from .grassmann import EpsilonConfig, members, tau
 from .linalg import gauss_mod, sqrt_minus_one
 from .repn import SoRep, config_dict, config_int, config_scalar, rep_from_config
@@ -74,61 +76,17 @@ class ModBasisVec(NamedTuple):
         return self.J.bit_count() & 1
 
 
-class ModVec:
-    """Sparse module vector."""
+class ModVec(Terms):
+    """Sparse module vector: :class:`ModBasisVec` -> Scalar."""
 
-    __slots__ = ("params", "terms")
-
-    def __init__(self, params, terms=None):
-        self.params = tuple(params)
-        self.terms = {bv: c for bv, c in (terms or {}).items() if c}
+    __slots__ = ()
 
     @classmethod
     def basis(cls, params, bv: ModBasisVec, coeff=1):
-        if not isinstance(coeff, Scalar):
-            coeff = Scalar.const(params, coeff)
-        return cls(params, {bv: coeff})
+        return cls(params, {bv: as_scalar(params, coeff)})
 
-    def __add__(self, other):
-        if not isinstance(other, ModVec):
-            return NotImplemented
-        out = dict(self.terms)
-        for bv, c in other.terms.items():
-            prev = out.get(bv)
-            out[bv] = c if prev is None else prev + c
-        return ModVec(self.params, out)
-
-    def __neg__(self):
-        return ModVec(self.params, {bv: -c for bv, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, coeff):
-        if not isinstance(coeff, Scalar):
-            coeff = Scalar.const(self.params, coeff)
-        return ModVec(self.params,
-                      {bv: c * coeff for bv, c in self.terms.items()})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, ModVec):
-            return NotImplemented
-        return self.params == other.params and self.terms == other.terms
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(term_text(self.terms[bv], bv.text())
-                          for bv in sorted(self.terms))
-
-    def __repr__(self):
-        return f"ModVec({self!s})"
+    def _key_text(self, bv: ModBasisVec) -> str:
+        return bv.text()
 
 
 # Negative-control mutations a TensorModule accepts, each with the check it
@@ -163,13 +121,8 @@ class TensorModule:
             raise UsageError("the all-ones twist has no sector split")
         self.cfg = cfg
         self.rep = rep
-        if not isinstance(a, Scalar):
-            a = Scalar.const(rep.params, a)
-        if a.params != rep.params:
-            raise UsageError("weight origin and representation use "
-                             "different parameter lists")
-        self.a = a
-        self.params = a.params
+        self.a = as_scalar(rep.params, a)
+        self.params = rep.params
         self.sector_delta = sector_delta
         self.mutation = mutation
         self._acfg = AlgebraConfig(cfg, central_enabled=False)
@@ -278,9 +231,7 @@ class TensorModule:
                     if c2:
                         inner = self.act_basis_d(rk, rI, vec2)
                         for bv2, c in inner.items():
-                            add = c.scale_raw(c2, 0, 4)
-                            prev = out.get(bv2)
-                            out[bv2] = add if prev is None else prev + add
+                            add_term(out, bv2, c.scale_raw(c2, 0, 4))
                     out = {b: c for b, c in out.items() if c}
                     self._memo[key] = out
                     return out
@@ -289,18 +240,13 @@ class TensorModule:
             c2, rk, rI, _ = bracket_ints(self._acfg, p, imask, 1, jbit)
             if c2:
                 for bv2, c in self.act_basis_d(rk, rI, vec2).items():
-                    add = c.scale_raw(c2, 0, 2)
-                    prev = out.get(bv2)
-                    out[bv2] = add if prev is None else prev + add
+                    add_term(out, bv2, c.scale_raw(c2, 0, 2))
             neg = nI & 1
             inner = self.act_basis_d(p, imask, vec2)
             for bv2, c in inner.items():
                 for bv3, c3 in self.act_basis_d(1, jbit, bv2).items():
                     add = c * c3
-                    if neg:
-                        add = -add
-                    prev = out.get(bv3)
-                    out[bv3] = add if prev is None else prev + add
+                    add_term(out, bv3, -add if neg else add)
         out = {b: c for b, c in out.items() if c}
         self._memo[key] = out
         return out
@@ -321,24 +267,12 @@ class TensorModule:
         if x.has_central():
             raise UsageError("the central element does not act on tensor modules")
         out: dict = {}
-        for (p, imask), cx in x.d_terms.items():
-            for bv, cv in v.terms.items():
-                c = cx * cv
-                for bv2, c2 in self.act_basis_d(p, imask, bv).items():
-                    add = c2 * c
-                    prev = out.get(bv2)
-                    out[bv2] = add if prev is None else prev + add
-        for (k, imask), cx in x.a_terms.items():
-            for bv, cv in v.terms.items():
-                res = self.act_function(k, imask, bv)
-                if res is None:
-                    continue
-                sign, bv2 = res
-                add = cx * cv
-                if sign < 0:
-                    add = -add
-                prev = out.get(bv2)
-                out[bv2] = add if prev is None else prev + add
+        for terms, is_d in ((x.d_terms, True), (x.a_terms, False)):
+            for (p, imask), cx in terms.items():
+                for bv, cv in v.terms.items():
+                    c = cx * cv
+                    for bv2, c2 in self.act_basis((p, imask, is_d), bv).items():
+                        add_term(out, bv2, c2 * c)
         return ModVec(self.params, out)
 
     # -- evaluation at concrete parameters --------------------------------
@@ -417,8 +351,7 @@ class EvaluatedAction:
                 pr, pm = out.get(bv2, (0, 0))
                 out[bv2] = (pr + (r * r2 - m * m2) * s,
                             pm + (r * m2 + m * r2) * s)
-        out = {bv: v for bv, v in out.items() if v != (0, 0)}
-        return _qnorm(den, out)
+        return norm_pairs(out, den)
 
     def act_vec_mod(self, prime: int, p: int, imask: int, vec: dict) -> dict:
         """:meth:`act_vec` modulo ``prime``, on and to dicts ``basis ->
@@ -442,13 +375,11 @@ class EvaluatedAction:
         return den, dict(pairs)
 
 
-def _qnorm(den: int, terms: dict):
-    """gcd-reduce an integer-pair vector against its denominator."""
-    g = pair_content(terms.values(), den)
-    if g > 1:
-        den //= g
-        terms = {bv: (r // g, m // g) for bv, (r, m) in terms.items()}
-    return den, terms
+def pairs_text(vec: dict) -> str:
+    """An integer-pair vector ``ModBasisVec -> (re, im)`` as text, in basis
+    order: ``(3+0i)*D{}.v0@l=0 + (1-2i)*D{1}.v0@l=2``; ``0`` when empty."""
+    return " + ".join(f"({r}{m:+}i)*{bv.text()}"
+                      for bv, (r, m) in sorted(vec.items())) or "0"
 
 
 # ---------------------------------------------------------------------------

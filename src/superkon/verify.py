@@ -42,7 +42,7 @@ from .linalg import (PrimeInDenominator, WeightSpaces, gauss_mod,
 from .report import INFO, Report, Window, finish, violation
 from .submod import named_submodule
 from .tables import compare_table, make_table
-from .tensmod import ModVec, TensorModule
+from .tensmod import ModVec, TensorModule, pairs_text
 
 
 def module_window(k_min: int, k_max: int, module_or_n, inner_width: int = 6) -> Window:
@@ -594,8 +594,7 @@ def check_submodule_closure(module: TensorModule, name: str, w: Window,
                 if nv and not spaces.contains(nv):
                     bad.append(violation(
                         f"gen[{l}][{vi}] under op=({p},{im})",
-                        lhs="; ".join(f"({r}+{m}i)*{bv.text()}"
-                                      for bv, (r, m) in sorted(nv.items())),
+                        lhs=pairs_text(nv),
                         rhs=f"span of {name} at weight {spaces.weight(nv)}",
                         diff="image leaves the submodule span"))
     return finish(f"submodule_closure[{name}]", bad, n, t0)

@@ -5,8 +5,9 @@ from math import gcd, lcm
 import pytest
 
 from superkon.algebra import AlgebraElement
-from superkon.exactnum import Evaluator, GaussRat, I, Scalar, UsageError
-from superkon.grassmann import EpsilonConfig, parse_monomial
+from superkon.exactnum import (Evaluator, GaussRat, I, Scalar, UsageError,
+                               add_term, as_scalar, norm_pairs)
+from superkon.grassmann import EpsilonConfig, SuperFunction, parse_monomial
 from superkon.repn import build_so2
 from superkon.tensmod import EvaluatedAction, ModBasisVec, ModVec, TensorModule
 
@@ -91,6 +92,74 @@ def test_eval_missing_parameter():
 def test_mismatched_parameter_lists():
     with pytest.raises(UsageError):
         Scalar.var(("a",), "a") + Scalar.var(("a", "b"), "a")
+
+
+# every constructor and scaling that takes a caller's coefficient, given a
+# Scalar over ("a",) where the parameter list is P
+OTHER = Scalar.var(("a",), "a")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ModVec.basis(P, ModBasisVec(0, 0, 0), OTHER),
+    lambda: ModVec.basis(P, ModBasisVec(0, 0, 0)).scale(OTHER),
+    lambda: SuperFunction.monomial(P, 1, 0, OTHER),
+    lambda: SuperFunction.one(P).scale(OTHER),
+    lambda: AlgebraElement.d_symbol(P, 1, 0, OTHER),
+    lambda: AlgebraElement.a_monomial(P, 1, 0, OTHER),
+    lambda: AlgebraElement.central_element(P, OTHER),
+    lambda: AlgebraElement.d_symbol(P, 1, 0).scale(OTHER),
+    lambda: TensorModule(EpsilonConfig(2, (1, 1)), build_so2(0, 0, P), OTHER),
+    lambda: build_so2(OTHER, 0, P),
+], ids=["ModVec.basis", "ModVec.scale", "SuperFunction.monomial",
+        "SuperFunction.scale", "d_symbol", "a_monomial", "central_element",
+        "AlgebraElement.scale", "TensorModule", "build_so2"])
+def test_coefficient_over_another_parameter_list_is_a_usage_error(make):
+    with pytest.raises(UsageError, match="mismatched parameter lists"):
+        make()
+
+
+def test_as_scalar():
+    a = var("a")
+    assert as_scalar(P, a) is a
+    assert as_scalar(list(P), a) is a
+    assert as_scalar(P, Fraction(1, 2)) == const(Fraction(1, 2))
+    assert as_scalar(P, "1-i") == const(GaussRat(1, -1))
+    with pytest.raises(UsageError):
+        as_scalar(("a",), a)
+
+
+def test_add_term_sets_then_adds():
+    out = {}
+    add_term(out, "k", var("a"))
+    add_term(out, "k", const(2))
+    add_term(out, "j", -const(2))
+    assert out == {"k": var("a") + 2, "j": const(-2)}
+    add_term(out, "j", const(2))
+    assert out["j"].is_zero()  # the merge keeps a zero sum; Terms drops it
+
+
+def test_norm_pairs():
+    assert norm_pairs({"x": (0, 0)}, 5) == (1, {})
+    assert norm_pairs({}, 3) == (1, {})
+    assert norm_pairs({"x": (4, -6), "y": (0, 0)}, -10) == (5, {"x": (-2, 3)})
+
+
+def test_terms_subclasses_never_mix():
+    one = const(1)
+    v = ModVec(P, {ModBasisVec(0, 0, 0): one})
+    f = SuperFunction(P, {(0, 0, 0): one})
+    assert v.terms == f.terms  # ModBasisVec is a tuple
+    assert v != f and f != v
+    assert ModVec(P) != SuperFunction(P)
+    with pytest.raises(TypeError):
+        v + f
+    assert repr(v) == "ModVec(D{}.v0@l=0)"
+    assert repr(SuperFunction.one(P).scale(var("a"))) == "SuperFunction(a*1)"
+    assert repr(-SuperFunction.zero(P)) == "SuperFunction(0)"
+    assert type(v - v) is ModVec and (v - v).is_zero() and not (v - v)
+    with pytest.raises(TypeError):
+        hash(v)
+    assert hash(SuperFunction.one(P)) == hash(SuperFunction.monomial(P, 0, 0))
 
 
 def test_ring_axioms_random():

@@ -10,7 +10,7 @@ from superkon.report import Window
 from superkon.submod import iso_check_map, iso_target, named_submodule
 from superkon.tables import N2Table, N3Table, TableVec, compare_table
 from superkon.tensmod import (EvaluatedAction, ModBasisVec, ModVec,
-                              TensorModule, module_from_config)
+                              TensorModule, module_from_config, pairs_text)
 
 P = ("a", "b", "c")
 A = Scalar.var(P, "a")
@@ -278,6 +278,12 @@ def test_basis_vec_text_round_trip():
             for r in range(3):
                 bv = ModBasisVec(l, J, r)
                 assert ModBasisVec.parse(bv.text()) == bv
+
+
+def test_pairs_text():
+    vec = {ModBasisVec(2, 1, 0): (1, -2), ModBasisVec(0, 0, 0): (3, 0)}
+    assert pairs_text(vec) == "(3+0i)*D{}.v0@l=0 + (1-2i)*D{1}.v0@l=2"
+    assert pairs_text({}) == "0"
 
 
 def test_module_from_config():

@@ -557,6 +557,21 @@ def test_submodule_closure_wplus():
     assert r.status == "pass"
 
 
+def test_submodule_closure_reports_images_outside_the_span():
+    # named_submodule builds W_plus without requiring b^2 + c^2 = 0; off
+    # that locus the span is not closed
+    M = n2(b=Fraction(1, 3), c=Fraction(2, 5))
+    r = check_submodule_closure(M, "W_plus", module_window(-1, 1, M, inner_width=2),
+                                {"a": Fraction(5, 7)})
+    assert r.status == "fail"
+    assert len(r.violations) == 12
+    assert not any("+-" in v["lhs"] or "; " in v["lhs"] for v in r.violations)
+    witness = next(v for v in r.violations
+                   if v["inputs"] == "gen[0][1] under op=(-1,3)")
+    assert witness["lhs"] == "(25-168i)*D{}.v0@l=-4 + (0-70i)*D{1,2}.v0@l=-4"
+    assert witness["rhs"] == "span of W_plus at weight -4"
+
+
 def test_submodule_closure_fprime():
     M = TensorModule(EpsilonConfig(3, (1, 1, 1)), build_so3_vm(2, Fraction(-1), P), A)
     w = module_window(-2, 2, M)
