@@ -334,6 +334,25 @@ def test_filtration_and_projection_pinned(check, eps, mutation, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("check, eps, mutation, n_bad, digest", [
+    (check_phi, (1, 0), "drop_phi_coeff", 100,
+     "74880064b727b9ff0b40b9c6175a6f8234e59415c2060e2838f50814ae506bdb"),
+    (check_phi, (1, 1, 0), "drop_phi_coeff", 295,
+     "546a10190c6684cc4d4a853d517166c814e712a9d71dd89147bc2db91c1d33fc"),
+    (check_bracket_crosscheck, (1, 0), "drop_sign_intersection", 100,
+     "9c5c133e9f4d332c6b125dcacde05321b8a288b65e27988102f410ac6e02ea27"),
+    (check_bracket_crosscheck, (1, 1, 0), "drop_sign_intersection", 375,
+     "f4574c5706466f1c9d6b137a4b825f14858cefb7e5b622f3ccd4acb5084dbd7d"),
+], ids=["phi-n2", "phi-n3", "crosscheck-n2", "crosscheck-n3"])
+def test_failing_algebra_reports_pinned(check, eps, mutation, n_bad, digest):
+    # the witnesses of these failing Reports print AlgebraElement text, which
+    # no passing workload Report shows: pin them byte for byte
+    r = check(acfg(len(eps), eps, mutation=mutation), SMALL)
+    assert r.status == "fail" and len(r.violations) == n_bad
+    text = r.to_json(with_timing=False)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def _reference_residual(a, x, y, z):
     """The per-triple Jacobi residual computed straight from bracket_ints:
     4x the D-part and 24x the central part of the graded Jacobi sum."""
