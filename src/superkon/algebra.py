@@ -20,21 +20,25 @@ The basis bracket, for stored exponents ``p = k+1`` and ``q = l+1``:
 * ``((2-|I|)(q - eps(J)/2) - (2-|J|)(p - eps(I)/2)) D[t^{p+q-1},
   xi_I xi_J]`` when ``I`` and ``J`` are disjoint,
 
-plus, when the central extension is enabled and ``I = J`` with
-``(p-1) + (q-1) + sum_{i in I}(1-eps_i) = 0``, the central contribution
-``(C/3) (d0 m(m^2-1) + d1 ((m+S/2)^2 - 1/4) + d2 (m+S/2) + d3)`` where
-``m = p-1``, ``S = sum_{i in I}(1-eps_i)`` and ``d_r`` selects
-``|I| = r``.
+plus, when the central extension is enabled, ``I = J`` and the two
+symbols' degrees sum to 0, the central contribution ``(C/24) (d0
+n(n^2-4) + 2 d1 (n^2-1) - 4 d2 n - 8 d3)`` where ``n`` is the degree of
+``D[t^p, xi_I]`` and ``d_r`` selects ``|I| = r``.  The degree is
+:meth:`superkon.grassmann.EpsilonConfig.degree`, ``2(p-1) + sum_{i in
+I}(1-eps_i)``; the bracket adds degrees.
 
 The D-symbol ``D[t^k, xi_I]`` acts on functions as the operator
 ``D_f`` of ``f = t^k xi_I``, read off the contact bracket of
 :mod:`superkon.grassmann`: ``D_f(g) = {f, g} + 2 d_eps(f) g``, since
 ``delta g = 2g - sum_i xi_i partial_i g``; :func:`apply_d` and the
-contact bracket share :func:`superkon.grassmann.contact_core`.
+contact bracket share :func:`superkon.grassmann.contact_core`.  So an
+:class:`AlgebraElement` stores its D-part ``sum D_f`` as the
+superfunction ``sum f``, next to its function part and its C
+coefficient.
 
 Also here: the function-multiplication action on the algebra
 (``f . D_g = D_{fg}``), the automorphism sending ``D[t^{k+1}, xi_I]`` to
-itself plus ``(2k + sum_{i in I}(1-eps_i)) t^k xi_I``, the exponent
+itself plus its degree times ``t^k xi_I``, the exponent
 relabeling between twist vectors that differ by even integers, and the
 ``(t-1)``-adic filtration with its distinguished ideal and the
 projection of the degree-zero subalgebra onto ``C z + so_N``.  Every
@@ -80,14 +84,16 @@ class AlgebraConfig:
 
 
 class AlgebraElement:
-    """Finite combination of D-symbols, function monomials, and C."""
+    """Finite combination of D-symbols, function monomials, and C: the
+    D-part ``d`` (``D_f`` stored as the superfunction ``f``), the function
+    part ``a`` and the ``central`` coefficient."""
 
-    __slots__ = ("params", "d_terms", "a_terms", "central")
+    __slots__ = ("params", "d", "a", "central")
 
-    def __init__(self, params, d_terms=None, a_terms=None, central=None):
+    def __init__(self, params, d=None, a=None, central=None):
         self.params = tuple(params)
-        self.d_terms = {k: c for k, c in (d_terms or {}).items() if c}
-        self.a_terms = {k: c for k, c in (a_terms or {}).items() if c}
+        self.d = d if d is not None else SuperFunction.zero(params)
+        self.a = a if a is not None else SuperFunction.zero(params)
         self.central = central if central is not None else Scalar.zero(params)
 
     # -- constructors ------------------------------------------------
@@ -97,53 +103,36 @@ class AlgebraElement:
 
     @classmethod
     def d_symbol(cls, params, k: int, imask: int, coeff=1):
-        return cls(params, d_terms={(k, imask): as_scalar(params, coeff)})
+        return cls(params, d=SuperFunction.monomial(params, k, imask, coeff))
 
     @classmethod
     def a_monomial(cls, params, k: int, imask: int, coeff=1):
-        return cls(params, a_terms={(k, imask): as_scalar(params, coeff)})
+        return cls(params, a=SuperFunction.monomial(params, k, imask, coeff))
 
     @classmethod
     def central_element(cls, params, coeff=1):
         return cls(params, central=as_scalar(params, coeff))
 
-    @classmethod
-    def from_function(cls, f: SuperFunction):
-        return cls(f.params, a_terms=dict(f.terms))
-
-    def a_function(self) -> SuperFunction:
-        return SuperFunction(self.params, dict(self.a_terms))
-
     # -- linear structure ---------------------------------------------
     def __add__(self, other: "AlgebraElement"):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        d = dict(self.d_terms)
-        for k, c in other.d_terms.items():
-            add_term(d, k, c)
-        a = dict(self.a_terms)
-        for k, c in other.a_terms.items():
-            add_term(a, k, c)
-        return AlgebraElement(self.params, d, a, self.central + other.central)
+        return AlgebraElement(self.params, self.d + other.d, self.a + other.a,
+                              self.central + other.central)
 
     def __neg__(self):
-        return AlgebraElement(self.params,
-                              {k: -c for k, c in self.d_terms.items()},
-                              {k: -c for k, c in self.a_terms.items()},
-                              -self.central)
+        return AlgebraElement(self.params, -self.d, -self.a, -self.central)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, coeff) -> "AlgebraElement":
         coeff = as_scalar(self.params, coeff)
-        return AlgebraElement(self.params,
-                              {k: c * coeff for k, c in self.d_terms.items()},
-                              {k: c * coeff for k, c in self.a_terms.items()},
-                              self.central * coeff)
+        return AlgebraElement(self.params, self.d.scale(coeff),
+                              self.a.scale(coeff), self.central * coeff)
 
     def is_zero(self) -> bool:
-        return not self.d_terms and not self.a_terms and self.central.is_zero()
+        return not (self.d or self.a or self.central)
 
     def __bool__(self):
         return not self.is_zero()
@@ -151,19 +140,17 @@ class AlgebraElement:
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return (self.params == other.params and self.d_terms == other.d_terms
-                and self.a_terms == other.a_terms
-                and self.central == other.central)
+        return ((self.params, self.d, self.a, self.central)
+                == (other.params, other.d, other.a, other.central))
 
     def has_central(self) -> bool:
         return bool(self.central)
 
     # -- text form -------------------------------------------------------
     def __str__(self):
-        parts = [term_text(self.d_terms[key], _symbol_text("D", key))
-                 for key in sorted(self.d_terms)]
-        parts += [term_text(self.a_terms[key], _symbol_text("A", key))
-                  for key in sorted(self.a_terms)]
+        parts = [term_text(f.terms[key], _symbol_text(kind, key))
+                 for kind, f in (("D", self.d), ("A", self.a))
+                 for key in sorted(f.terms)]
         if self.central:
             cs = str(self.central)
             parts.append("C" if cs == "1" else f"({cs})*C")
@@ -219,7 +206,7 @@ def bracket_ints(acfg: AlgebraConfig, p: int, Im: int, q: int, Jm: int):
     ``(coeff2/2) * D[t^rk, xi_rI]`` (``coeff2 = 0`` for none) and the
     central part is ``(cen12/12) * C``.
     """
-    eps = acfg.cfg.eps
+    cfg = acfg.cfg
     inter = Im & Jm
     coeff2 = 0
     rk = 0
@@ -227,9 +214,8 @@ def bracket_ints(acfg: AlgebraConfig, p: int, Im: int, q: int, Jm: int):
     nI = Im.bit_count()
     nJ = Jm.bit_count()
     if inter == 0:
-        epsI = sum(eps[i - 1] for i in members(Im))
-        epsJ = sum(eps[j - 1] for j in members(Jm))
-        c2 = (2 - nI) * (2 * q - epsJ) - (2 - nJ) * (2 * p - epsI)
+        c2 = ((2 - nI) * (2 * q - cfg.eps_sum(Jm))
+              - (2 - nJ) * (2 * p - cfg.eps_sum(Im)))
         if c2:
             sign, union = xi_mul(Im, Jm)
             coeff2 = sign * c2
@@ -244,23 +230,23 @@ def bracket_ints(acfg: AlgebraConfig, p: int, Im: int, q: int, Jm: int):
         if (nI & 1) and acfg.mutation != "drop_sign_intersection":
             s = -s
         coeff2 = 2 * s
-        rk = p + q - eps[i - 1]
+        rk = p + q - cfg.eps[i - 1]
         rI = sm[1]
     cen12 = 0
     if acfg.central_enabled and Im == Jm:
-        S = sum(1 - eps[i - 1] for i in members(Im))
-        m = p - 1
-        if (p - 1) + (q - 1) + S == 0:
-            # Cocycle values by xi-size.  The two- and three-xi values
-            # carry a minus sign: with the structure constants above that
-            # is the unique choice closing the Jacobi identity (checked
-            # against the standard N=2 super-Virasoro relations).
+        d = cfg.degree(p, Im)
+        if d + cfg.degree(q, Jm) == 0:
+            # Cocycle values by xi-size, in the degree d of the first
+            # symbol.  The two- and three-xi values carry a minus sign:
+            # with the structure constants above that is the unique choice
+            # closing the Jacobi identity (checked against the standard
+            # N=2 super-Virasoro relations).
             if nI == 0:
-                cen12 = 4 * m * (m * m - 1)
+                cen12 = d * (d * d - 4) // 2
             elif nI == 1:
-                cen12 = (2 * m + S) ** 2 - 1
+                cen12 = d * d - 1
             elif nI == 2:
-                cen12 = -2 * (2 * m + S)
+                cen12 = -2 * d
             elif nI == 3:
                 cen12 = -4
             if acfg.mutation == "double_cocycle" and nI == 0:
@@ -294,14 +280,10 @@ def bracket_basis(acfg: AlgebraConfig, x, y, params=()) -> AlgebraElement:
     """Bracket of two D-basis symbols given by (stored exponent, mask)."""
     (p, Im), (q, Jm) = x, y
     coeff2, rk, rI, cen12 = bracket_ints(acfg, p, Im, q, Jm)
-    out = AlgebraElement.zero(params)
-    if coeff2:
-        out = out + AlgebraElement.d_symbol(
-            params, rk, rI, Scalar.const(params, Fraction(coeff2, 2)))
-    if cen12:
-        out = out + AlgebraElement.central_element(
-            params, Scalar.const(params, Fraction(cen12, 12)))
-    return out
+    return AlgebraElement(
+        params,
+        SuperFunction.monomial(params, rk, rI, Fraction(coeff2, 2)) if coeff2 else None,
+        central=Scalar.const(params, Fraction(cen12, 12)) if cen12 else None)
 
 
 def apply_d(cfg: EpsilonConfig, f: SuperFunction,
@@ -322,20 +304,20 @@ def bracket(acfg: AlgebraConfig, x: AlgebraElement,
     """
     params = x.params
     out = AlgebraElement.zero(params)
-    for (p, Im), cx in x.d_terms.items():
-        for (q, Jm), cy in y.d_terms.items():
+    for (p, Im), cx in x.d.terms.items():
+        for (q, Jm), cy in y.d.terms.items():
             bb = bracket_basis(acfg, (p, Im), (q, Jm), params)
             if bb:
                 out = out + bb.scale(cx * cy)
     for u, v, swapped in ((x, y, False), (y, x, True)):
-        for (p, Im), cu in u.d_terms.items():
+        for (p, Im), cu in u.d.terms.items():
             f = SuperFunction.monomial(params, p, Im, cu)
-            for (k, Jm), cv in v.a_terms.items():
+            for (k, Jm), cv in v.a.terms.items():
                 res = apply_d(acfg.cfg, f, SuperFunction.monomial(params, k, Jm, cv))
                 # [g, D_f] = -(-1)^{|g||f|} D_f(g)
                 if swapped and not (Im.bit_count() & Jm.bit_count() & 1):
                     res = -res
-                out = out + AlgebraElement.from_function(res)
+                out = out + AlgebraElement(params, a=res)
     return out
 
 
@@ -344,45 +326,43 @@ def a_action(f: SuperFunction, x: AlgebraElement) -> AlgebraElement:
     ``f . D_g = D_{fg}`` (and plain multiplication on the function part)."""
     if x.has_central():
         raise UsageError("function action is undefined on the central element")
-    return AlgebraElement(x.params, (f * SuperFunction(x.params, x.d_terms)).terms,
-                          (f * x.a_function()).terms)
+    return AlgebraElement(x.params, f * x.d, f * x.a)
 
 
 def phi(acfg: AlgebraConfig, x: AlgebraElement) -> AlgebraElement:
-    """The automorphism ``D[t^{k+1}, xi_I] -> D[t^{k+1}, xi_I] +
-    (2k + sum_{i in I}(1 - eps_i)) t^k xi_I``, identity on functions."""
+    """The automorphism ``D[t^{k+1}, xi_I] -> D[t^{k+1}, xi_I] + n t^k
+    xi_I`` with ``n`` the symbol's degree (:meth:`EpsilonConfig.degree`),
+    identity on functions."""
     if x.has_central():
         raise UsageError("phi is defined on the extension without C")
     cfg = acfg.cfg
-    a = dict(x.a_terms)
-    for (p, Im), c in x.d_terms.items():
-        n = 2 * (p - 1)
-        if acfg.mutation != "drop_phi_coeff":
-            n += cfg.shift_sum(Im)
+    a = dict(x.a.terms)
+    for (p, Im), c in x.d.terms.items():
+        n = cfg.degree(p, Im)
+        if acfg.mutation == "drop_phi_coeff":
+            n -= cfg.shift_sum(Im)
         if n:
             add_term(a, (p - 1, Im), c.scale_raw(n, 0))
-    return AlgebraElement(x.params, dict(x.d_terms), a)
+    return AlgebraElement(x.params, x.d, SuperFunction(x.params, a))
 
 
 def eps_shift_map(src: EpsilonConfig, dst: EpsilonConfig,
                   x: AlgebraElement) -> AlgebraElement:
     """Basis relabeling between twist vectors with even difference:
-    ``D[t^k, xi_I] -> D[t^{k + sum_{i in I}(eps_i - eps'_i)/2}, xi_I]``
+    ``D[t^k, xi_I] -> D[t^{k + sum_{i in I}(eps'_i - eps_i)/2}, xi_I]``
+    for ``eps = src.eps`` and ``eps' = dst.eps``, which keeps the degree
     (and likewise on function monomials)."""
     if src.N != dst.N:
         raise UsageError("twist vectors must have the same length")
-    ks = []
-    for e, f in zip(src.eps, dst.eps):
-        if (e - f) % 2:
-            raise UsageError("twist difference must be even componentwise")
-        ks.append((f - e) // 2)
+    if any((e - f) % 2 for e, f in zip(src.eps, dst.eps)):
+        raise UsageError("twist difference must be even componentwise")
 
-    def sh(mask):
-        return sum(ks[i - 1] for i in members(mask))
+    def relabel(f: SuperFunction) -> SuperFunction:
+        return SuperFunction(f.params, {
+            (k + (dst.eps_sum(Im) - src.eps_sum(Im)) // 2, Im): c
+            for (k, Im), c in f.terms.items()})
 
-    d = {(k + sh(Im), Im): c for (k, Im), c in x.d_terms.items()}
-    a = {(k + sh(Im), Im): c for (k, Im), c in x.a_terms.items()}
-    return AlgebraElement(x.params, d, a, x.central)
+    return AlgebraElement(x.params, relabel(x.d), relabel(x.a), x.central)
 
 
 # ---------------------------------------------------------------------------
@@ -393,9 +373,9 @@ def tm1_power_d(params, e: int, i: int, imask: int) -> AlgebraElement:
     """The element ``D[(t-1)^e t^i, xi_I]`` expanded in the D-basis."""
     if e < 0:
         raise UsageError("power of (t-1) must be nonnegative")
-    return AlgebraElement(params, d_terms={
+    return AlgebraElement(params, SuperFunction(params, {
         (i + j, imask): Scalar.const(params, (-1) ** (e - j) * comb(e, j))
-        for j in range(e + 1)})
+        for j in range(e + 1)}))
 
 
 def filtration_exponent(ell: int, size: int, mutation: str | None = None) -> int:
@@ -408,7 +388,7 @@ def filtration_exponent(ell: int, size: int, mutation: str | None = None) -> int
 def component_polys(x: AlgebraElement) -> dict:
     """Split the D-part by xi-mask: mask -> {t-exponent: Scalar}."""
     out: dict = {}
-    for (k, Im), c in x.d_terms.items():
+    for (k, Im), c in x.d.terms.items():
         out.setdefault(Im, {})[k] = c
     return out
 

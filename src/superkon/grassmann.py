@@ -118,6 +118,15 @@ class EpsilonConfig:
         """sum of (1 - eps_i) over i in the mask."""
         return sum(1 - self.eps[i - 1] for i in members(mask))
 
+    def degree(self, p: int, mask: int) -> int:
+        """The degree ``2(p-1) + sum_{i in I}(1 - eps_i)`` of the symbol
+        ``D[t^p, xi_I]`` (stored exponent ``p``).  The bracket of two
+        symbols has the sum of their degrees (its central term fires only
+        in total degree 0), a D-symbol moves module weights by its degree,
+        and the function monomial ``t^k xi_I`` by that of ``D[t^{k+1},
+        xi_I]``."""
+        return 2 * (p - 1) + self.shift_sum(mask)
+
     @property
     def is_ramond(self) -> bool:
         return all(e == 1 for e in self.eps)

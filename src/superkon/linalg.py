@@ -399,8 +399,3 @@ def mat_is_zero(A) -> bool:
 
 def mat_eq(A, B) -> bool:
     return mat_is_zero(mat_sub(A, B))
-
-
-def mat_apply(A, col_index: int):
-    """Column ``col_index`` of A as a list (action on a basis vector)."""
-    return [row[col_index] for row in A]

@@ -20,6 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
+from .algebra import AlgebraElement
 from .exactnum import GaussRat, I, Scalar, UsageError, add_term, as_scalar
 from .grassmann import iset
 from .tensmod import ModBasisVec, ModVec, TensorModule
@@ -568,7 +569,6 @@ def compare_table(module: TensorModule, table, k_range, table_l_range):
     ``k = p - 1`` of the D-symbols ``D[t^p, xi_I]``, so line ``k`` is
     compared with the stored exponent ``p = k + 1``.
     """
-    from .algebra import AlgebraElement
     params = module.params
     disc = []
     checked = 0

@@ -13,8 +13,10 @@ Action rules:
 
 * a function monomial ``t^k xi_I`` kills the vector unless ``I`` is
   contained in the prefix; otherwise it strips ``I`` off with sign
-  ``(-1)^(tau(I, J\\I) + |I|(|I|+1)/2)`` and shifts the weight by
-  ``2k + sum_{i in I}(1 - eps_i)``;
+  ``(-1)^(tau(I, J\\I) + |I|(|I|+1)/2)`` and shifts the weight by the
+  degree of ``D[t^{k+1}, xi_I]`` (:meth:`EpsilonConfig.degree
+  <superkon.grassmann.EpsilonConfig.degree>`), as a D-symbol shifts it
+  by its own degree;
 
 * a D-symbol on a prefix-free vector acts through the representation
   (scalar ``a + l + 2k + ck`` for the plain series, prefix creation for
@@ -146,16 +148,12 @@ class TensorModule:
                     out.append(bv)
         return sorted(out)
 
-    def weight_shift(self, p: int, imask: int) -> int:
-        """The weight shift of the D-symbol with stored exponent ``p``."""
-        return 2 * (p - 1) + self.cfg.shift_sum(imask)
-
     def window_ops(self, w) -> list:
-        """``(p, imask, weight shift)`` of the generators of window ``w``:
+        """``(p, imask, degree)`` of the generators of window ``w``:
         the D-symbols ``D[t^p, xi_I]`` with ``p`` in ``w.k_values()``, in
         order of ``(p, imask)``.  The window's function monomials ``t^p
         xi_I`` run over the same pairs."""
-        return [(p, im, self.weight_shift(p, im)) for p in w.k_values()
+        return [(p, im, self.cfg.degree(p, im)) for p in w.k_values()
                 for im in range(1 << self.cfg.N)]
 
     # -- action ---------------------------------------------------------
@@ -171,8 +169,7 @@ class TensorModule:
         else:
             t = tau(imask, rest)
         sign = -1 if (t + nI * (nI + 1) // 2) & 1 else 1
-        newl = bv.l + 2 * k + self.cfg.shift_sum(imask)
-        return sign, ModBasisVec(newl, rest, bv.r)
+        return sign, ModBasisVec(bv.l + self.cfg.degree(k + 1, imask), rest, bv.r)
 
     def _scalar_for_plain(self, l: int, k: int) -> Scalar:
         # a + l + 2k + c k
@@ -188,24 +185,19 @@ class TensorModule:
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        eps = self.cfg.eps
         J = bv.J
         nI = imask.bit_count()
         out: dict = {}
         if J == 0:
-            k = p - 1
+            newl = bv.l + self.cfg.degree(p, imask)
             if nI == 0:
-                c = self._scalar_for_plain(bv.l, k)
+                c = self._scalar_for_plain(bv.l, p - 1)
                 if c:
-                    out[ModBasisVec(bv.l + 2 * k, 0, bv.r)] = c
+                    out[ModBasisVec(newl, 0, bv.r)] = c
             elif nI == 1:
-                i = imask.bit_length()
-                out[ModBasisVec(bv.l + 2 * k + 1 - eps[i - 1], imask, bv.r)] = \
-                    self._one
+                out[ModBasisVec(newl, imask, bv.r)] = self._one
             elif nI == 2:
-                i, j = members(imask)
-                mat = self.rep.gen[(i, j)]
-                newl = bv.l + 2 * k + 2 - eps[i - 1] - eps[j - 1]
+                mat = self.rep.gen[members(imask)]
                 for r2 in range(self.rep.dim):
                     c = mat[r2][bv.r]
                     if c:
@@ -213,30 +205,26 @@ class TensorModule:
             # three or more xi factors act as zero on prefix-free vectors
         else:
             jbit = J & -J
-            j1 = jbit.bit_length()
-            if p == 1 and nI == 1:
-                if not (J & imask) and imask < jbit:
-                    # prepend: the definition of the prefix basis
-                    i = imask.bit_length()
-                    out[ModBasisVec(bv.l + 1 - eps[i - 1], J | imask, bv.r)] = \
-                        self._one
-                    self._memo[key] = out
-                    return out
-                if imask == jbit:
-                    # odd square against its own leading factor:
-                    # X = (1/2) [D, D] rest
-                    i = j1
-                    vec2 = ModBasisVec(bv.l - (1 - eps[i - 1]), J & ~jbit, bv.r)
-                    c2, rk, rI, _ = bracket_ints(self._acfg, 1, imask, 1, imask)
-                    if c2:
-                        inner = self.act_basis_d(rk, rI, vec2)
-                        for bv2, c in inner.items():
-                            add_term(out, bv2, c.scale_raw(c2, 0, 4))
-                    out = {b: c for b, c in out.items() if c}
-                    self._memo[key] = out
-                    return out
+            if p == 1 and nI == 1 and imask < jbit:
+                # prepend: the definition of the prefix basis
+                out[ModBasisVec(bv.l + self.cfg.degree(1, imask), J | imask,
+                                bv.r)] = self._one
+                self._memo[key] = out
+                return out
+            # the rest of the prefix: bv = D[t, xi_j1] vec2
+            vec2 = ModBasisVec(bv.l - self.cfg.degree(1, jbit), J & ~jbit, bv.r)
+            if p == 1 and imask == jbit:
+                # odd square against its own leading factor:
+                # X = (1/2) [D, D] rest
+                c2, rk, rI, _ = bracket_ints(self._acfg, 1, imask, 1, imask)
+                if c2:
+                    inner = self.act_basis_d(rk, rI, vec2)
+                    for bv2, c in inner.items():
+                        add_term(out, bv2, c.scale_raw(c2, 0, 4))
+                out = {b: c for b, c in out.items() if c}
+                self._memo[key] = out
+                return out
             # general step: commute past the leading prefix factor
-            vec2 = ModBasisVec(bv.l - (1 - eps[j1 - 1]), J & ~jbit, bv.r)
             c2, rk, rI, _ = bracket_ints(self._acfg, p, imask, 1, jbit)
             if c2:
                 for bv2, c in self.act_basis_d(rk, rI, vec2).items():
@@ -267,8 +255,8 @@ class TensorModule:
         if x.has_central():
             raise UsageError("the central element does not act on tensor modules")
         out: dict = {}
-        for terms, is_d in ((x.d_terms, True), (x.a_terms, False)):
-            for (p, imask), cx in terms.items():
+        for part, is_d in ((x.d, True), (x.a, False)):
+            for (p, imask), cx in part.terms.items():
                 for bv, cv in v.terms.items():
                     c = cx * cv
                     for bv2, c2 in self.act_basis((p, imask, is_d), bv).items():

@@ -27,7 +27,7 @@ report says so.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb, lcm
 
 from .algebra import (AlgebraConfig, AlgebraElement, bracket, bracket_basis,
@@ -123,7 +123,7 @@ def check_bracket_crosscheck(acfg: AlgebraConfig, w: Window) -> Report:
     t0 = time.monotonic()
     params = ()
     cfg = acfg.cfg
-    stripped = AlgebraConfig(cfg, central_enabled=False, mutation=acfg.mutation)
+    stripped = replace(acfg, central_enabled=False)
     syms = [(p, im) for p in w.k_values() for im in range(1 << cfg.N)]
     bad = []
     n = 0
@@ -133,7 +133,7 @@ def check_bracket_crosscheck(acfg: AlgebraConfig, w: Window) -> Report:
             n += 1
             bb = bracket_basis(stripped, x, y, params)
             cb = contact_bracket(cfg, fx, SuperFunction.monomial(params, *y))
-            if bb.d_terms != dict(cb.terms):
+            if bb.d != cb:
                 bad.append(violation(
                     f"x={x} y={y}",
                     lhs=str(bb),
@@ -313,9 +313,9 @@ def check_module_axioms(module: TensorModule, w: Window) -> Report:
             iy = images[y]
             br = bracket(acfg, elem(*x), elem(*y))
             br_terms = ([(images[p, im, True], packer.coeff(c))
-                         for (p, im), c in br.d_terms.items()]
+                         for (p, im), c in br.d.terms.items()]
                         + [(images[k, im, False], packer.coeff(c))
-                           for (k, im), c in br.a_terms.items()])
+                           for (k, im), c in br.a.terms.items()])
             sgn = -1 if (_parity(i1) and _parity(i2)) else 1
             for bv in vecs:
                 n += 1
@@ -777,8 +777,7 @@ def _homomorphism_sweep(label: str, src: AlgebraConfig, dst: AlgebraConfig,
 def check_phi(acfg: AlgebraConfig, w: Window) -> Report:
     """The degree-shift automorphism respects brackets on all basis pairs
     (including mixed operator/function pairs)."""
-    stripped = AlgebraConfig(acfg.cfg, central_enabled=False,
-                             mutation=acfg.mutation)
+    stripped = replace(acfg, central_enabled=False)
     return _homomorphism_sweep(f"phi[N={acfg.cfg.N},eps={acfg.cfg.eps}]",
                                stripped, stripped, lambda x: phi(stripped, x), w)
 

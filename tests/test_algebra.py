@@ -5,7 +5,8 @@ from math import comb
 import pytest
 
 from superkon.algebra import (AlgebraConfig, AlgebraElement, a_action,
-                              apply_d, bracket, bracket_basis, eps_shift_map,
+                              apply_d, bracket, bracket_basis, bracket_ints,
+                              eps_shift_map,
                               in_ideal_i, in_k_ell, k_ell_valuation, phi,
                               project_k0, tm1_coefficient, tm1_power_d)
 from superkon.exactnum import GaussRat, Scalar, UsageError
@@ -220,6 +221,26 @@ def test_bracket_super_skew(eps):
             assert (bx + by).is_zero(), (x, y)
 
 
+@pytest.mark.parametrize("eps", [(1, 0), (0, 0), (1, 1, 1), (1, 1, 0, 0)])
+def test_bracket_is_graded(eps):
+    # [D[t^p, xi_I], D[t^q, xi_J]] has degree deg(p, I) + deg(q, J), and the
+    # central term fires only in total degree 0 (no central term for N = 4)
+    a = cfg(len(eps), eps, central=len(eps) <= 3)
+    deg = a.cfg.degree
+    syms = [(p, im) for p in range(-2, 3) for im in range(1 << len(eps))]
+    graded = central = 0
+    for (p, Im), (q, Jm) in product(syms, repeat=2):
+        coeff2, rk, rI, cen12 = bracket_ints(a, p, Im, q, Jm)
+        total = deg(p, Im) + deg(q, Jm)
+        if coeff2:
+            graded += 1
+            assert deg(rk, rI) == total, ((p, Im), (q, Jm))
+        if cen12:
+            central += 1
+            assert total == 0, ((p, Im), (q, Jm))
+    assert graded and (central or len(eps) > 3)
+
+
 def test_bracket_crosscheck_small():
     # structure constants match the contact bracket through f <-> D_f
     for eps in [(1,), (0,)]:
@@ -229,7 +250,7 @@ def test_bracket_crosscheck_small():
             bb = bracket_basis(c, (p, Im), (q, Jm), P)
             cb = contact_bracket(c.cfg, SuperFunction.monomial(P, p, Im),
                                  SuperFunction.monomial(P, q, Jm))
-            assert bb.d_terms == dict(cb.terms), ((p, Im), (q, Jm))
+            assert bb.d == cb, ((p, Im), (q, Jm))
 
 
 def test_module_compatibility_identity():
@@ -350,6 +371,11 @@ def test_eps_shift_is_homomorphism():
             rhs = bracket(cdst, eps_shift_map(src, dst, x),
                           eps_shift_map(src, dst, y))
             assert lhs == rhs, (str(x), str(y))
+    # the relabeling keeps the degree
+    for k in range(-2, 3):
+        for Im in range(4):
+            (k2, I2), = eps_shift_map(src, dst, D(k, Im)).d.terms
+            assert dst.degree(k2, I2) == src.degree(k, Im), (k, Im)
 
 
 def test_element_text_round_trip():
@@ -389,8 +415,8 @@ def test_negative_control_drop_sign():
     x, y = (1, iset(1)), (1, iset(1, 2))
     cb = contact_bracket(good.cfg, SuperFunction.monomial(P, 1, iset(1)),
                          SuperFunction.monomial(P, 1, iset(1, 2)))
-    assert bracket_basis(good, x, y, P).d_terms == dict(cb.terms)
-    assert bracket_basis(bad, x, y, P).d_terms != dict(cb.terms)
+    assert bracket_basis(good, x, y, P).d == cb
+    assert bracket_basis(bad, x, y, P).d != cb
 
 
 def test_negative_control_double_cocycle():

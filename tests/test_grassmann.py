@@ -165,6 +165,16 @@ def test_epsilon_config_rejects_non_integers(n, eps):
         EpsilonConfig(n, eps)
 
 
+def test_degree_values():
+    # deg D[t^p, xi_I] = 2(p-1) + sum_{i in I}(1 - eps_i), spelled out
+    c = EpsilonConfig(2, (1, 0))
+    assert [c.degree(1, im) for im in range(4)] == [0, 0, 1, 1]
+    assert [c.degree(p, 0) for p in (-1, 0, 2)] == [-4, -2, 2]
+    assert EpsilonConfig(3, (0, 0, 0)).degree(0, iset(1, 2, 3)) == 1
+    assert EpsilonConfig(3, (1, 1, 1)).degree(3, iset(1, 2, 3)) == 4
+    assert EpsilonConfig(1, (2,)).degree(1, iset(1)) == -1
+
+
 def test_monomial_text_round_trip():
     for k in (-2, 0, 1, 5):
         for Im in (0, iset(1), iset(1, 3), iset(2, 3, 5)):

@@ -244,7 +244,7 @@ def test_window_simple_probe_makes_no_exact_action(monkeypatch):
 def test_proper_probe_evaluates_each_coefficient_once(monkeypatch):
     # the screen reduces the exact table columns mod p, so the exact
     # fallback closure evaluates nothing the screen already evaluated
-    evaluated, seed_terms, evs = [], [], []
+    evaluated, seed_sizes, evs = [], [], []
     evaluate = Evaluator.__call__
     eval_modvec = EvaluatedAction.eval_modvec
     eval_cache = TensorModule.eval_cache
@@ -254,7 +254,7 @@ def test_proper_probe_evaluates_each_coefficient_once(monkeypatch):
         return evaluate(self, s)
 
     def spy_eval_modvec(self, v):
-        seed_terms.append(len(v.terms))
+        seed_sizes.append(len(v.terms))
         return eval_modvec(self, v)
 
     def spy_eval_cache(self, assignment):
@@ -270,4 +270,4 @@ def test_proper_probe_evaluates_each_coefficient_once(monkeypatch):
     assert r.details["verdict"] == "proper-invariant-subspace"
     ev, = evs
     columns = sum(len(M.act_basis_d(*key)) for key in ev._memo)
-    assert len(evaluated) == columns + sum(seed_terms)
+    assert len(evaluated) == columns + sum(seed_sizes)

@@ -62,14 +62,22 @@ def test_central_rejected():
 
 
 def test_weight_shift_exact():
-    # a D-symbol moves the t-exponent by exactly 2k + sum(1 - eps_i)
-    M = n2_module(eps=(1, 0))
-    for p in range(-2, 3):
-        for im in range(4):
-            sh = M.weight_shift(p, im)
-            for bv in M.basis_at(0) + M.basis_at(1):
-                for bv2 in M.act_basis_d(p, im, bv):
-                    assert bv2.l == bv.l + sh, (p, im, bv)
+    # D[t^p, xi_I] moves the t-exponent by exactly its degree, and so does
+    # the function monomial t^(p-1) xi_I; also on the Ramond twists
+    for M in (n2_module(eps=(1, 0)), n2_module(eps=(1, 1)), n3_module(two_m=2)):
+        moved = 0
+        for p in range(-2, 3):
+            for im in range(1 << M.cfg.N):
+                sh = M.cfg.degree(p, im)
+                for bv in M.basis_at(0) + M.basis_at(1) + M.basis_at(2):
+                    for bv2 in M.act_basis_d(p, im, bv):
+                        moved += 1
+                        assert bv2.l == bv.l + sh, (M.cfg, p, im, bv)
+                    res = M.act_function(p - 1, im, bv)
+                    if res is not None:
+                        moved += 1
+                        assert res[1].l == bv.l + sh, (M.cfg, p - 1, im, bv)
+        assert moved, M.cfg
 
 
 def test_parity_of_action():
@@ -328,7 +336,6 @@ def test_module_config_rejects_bad_shape(cfg):
 
 def test_module_rejects_n4():
     from superkon.repn import SoRep
-    from superkon.linalg import mat_zeros
     rep = SoRep(N=4, dim=1, gen={}, z_scalar=Scalar.zero(P), params=P)
     with pytest.raises(UsageError):
         TensorModule(EpsilonConfig(4, (1, 1, 1, 1)), rep, A)

@@ -612,7 +612,7 @@ def test_closures_compute_no_image_for_a_settled_target(monkeypatch):
 
     def spy(self, p, im, vec):
         spaces = made[-1]
-        t = spaces.weight(vec) + self.module.weight_shift(p, im)
+        t = spaces.weight(vec) + self.module.cfg.degree(p, im)
         settled_targets.append(spaces.rank(t) == spaces.dim(t))
         return act_vec(self, p, im, vec)
 
