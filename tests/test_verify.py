@@ -334,6 +334,26 @@ def test_filtration_and_projection_pinned(check, eps, mutation, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+W_LOCUS = {"a": Fraction(5, 7), "b": 1, "c": GaussRat(0, -1)}
+
+
+@pytest.mark.parametrize("run, digest", [
+    (lambda M: check_submodule_closure(M, "W_plus", module_window(-2, 2, M), W_LOCUS),
+     "df5479bfda1e0e3e176a09badd35a178d248a119420159cce48cc8b1b186a03f"),
+    (lambda M: window_simplicity(M, module_window(-2, 2, M), W_LOCUS, middle=1),
+     "d3589e9ef8974d5dea18942ba504edbdf5bfadee082d91e703d42d4e95660e86"),
+    (lambda M: check_omega(M, 4, module_window(-1, 1, M, inner_width=2),
+                           {"a": Fraction(5, 7), "b": Fraction(1, 3),
+                            "c": Fraction(2, 5)}),
+     "15d909e415f5124448ba6e460efab6216eeacaace826f8a981592d9f36ce3ba2"),
+], ids=["submodule_closure_wplus", "simplicity", "omega"])
+def test_reports_with_b_and_c_from_params_pinned(run, digest):
+    # the workload modules keep only a formal; here b and c are formal
+    # too and take their values from the assignment
+    text = run(n2()).to_json(with_timing=False)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("check, eps, mutation, n_bad, digest", [
     (check_phi, (1, 0), "drop_phi_coeff", 100,
      "74880064b727b9ff0b40b9c6175a6f8234e59415c2060e2838f50814ae506bdb"),
