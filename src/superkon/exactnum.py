@@ -1,6 +1,6 @@
 """Exact scalar arithmetic: Gaussian rationals and sparse polynomials.
 
-Three layers:
+Two layers:
 
 * :class:`GaussRat` -- numbers of the form ``re + im*i`` with rational
   ``re``, ``im`` (``i`` the imaginary unit).  Backed by
@@ -15,10 +15,10 @@ Three layers:
   hot loops (bracket recursions, sweep comparisons) in plain integer
   arithmetic.  No floating point is used anywhere.
 
-* :class:`Evaluator` -- every Scalar at one concrete assignment, also in
-  integers: each parameter is a Gaussian-integer pair over its own
-  denominator, and a value comes back as ``(re, im, den)`` in lowest
-  terms.  ``Fraction`` is left to the text forms and :class:`GaussRat`.
+  :meth:`Scalar.at` substitutes concrete values, also in integers, and
+  returns the constant Scalar of the value: a ring map.  So a computation
+  whose inputs are substituted first runs on constants and gives the
+  values of the one run on polynomials.
 
 Every finite combination with Scalar coefficients (superfunctions, module
 vectors) is a :class:`Terms`: a canonical ``key -> Scalar`` dict with the
@@ -301,7 +301,7 @@ class Scalar:
     def __rsub__(self, other):
         return (-self) + other
 
-    def _const_parts(self):
+    def const_parts(self):
         """``(re, im, den)`` of a constant Scalar, else None."""
         terms = self.terms
         if not terms:
@@ -318,10 +318,10 @@ class Scalar:
         if not isinstance(other, Scalar):
             return NotImplemented
         self._check(other)
-        c = other._const_parts()
+        c = other.const_parts()
         if c is not None:
             return self.scale_raw(*c)
-        c = self._const_parts()
+        c = self.const_parts()
         if c is not None:
             return other.scale_raw(*c)
         out: dict = {}
@@ -369,25 +369,47 @@ class Scalar:
         return hash((self.params, self.den, frozenset(self.terms.items())))
 
     # -- evaluation ---------------------------------------------------
-    def eval(self, assignment: dict) -> GaussRat:
-        """Evaluate at ``assignment`` (parameter name -> int, Fraction,
-        GaussRat or text) through :class:`Evaluator`.
+    def at(self, assignment: dict) -> "Scalar":
+        """The value at ``assignment`` (parameter name -> int, Fraction,
+        GaussRat or text), as a constant Scalar over the same parameters.
 
-        A ring homomorphism; every parameter actually appearing must be
-        assigned.
-        """
-        re, im, den = Evaluator(assignment)(self)
-        return GaussRat(Fraction(re, den), Fraction(im, den))
+        A ring homomorphism.  A constant is returned as it is; every
+        parameter that appears must be assigned an exact value (else
+        UsageError).  Each term is lifted to the common denominator
+        ``den * prod_x d_x^D_x``, ``D_x`` the largest degree in ``x`` and
+        ``d_x`` the denominator of its value."""
+        degs = [max(col) for col in zip(*self.terms)]
+        if not any(degs):
+            return self
+        vals = {}  # parameter index -> (re, im, d) of its value
+        den = self.den
+        for i, (name, deg) in enumerate(zip(self.params, degs)):
+            if deg:
+                if name not in assignment:
+                    raise UsageError(f"missing assignment for parameter {name!r}")
+                vals[i] = _exact_parts(assignment[name], f"parameter {name!r}")
+                den *= vals[i][2] ** deg
+        tre = tim = 0
+        for e, (r, m) in self.terms.items():
+            for i, (vr, vm, d) in vals.items():
+                for _ in range(e[i]):
+                    r, m = r * vr - m * vm, r * vm + m * vr
+                f = d ** (degs[i] - e[i])
+                r, m = r * f, m * f
+            tre += r
+            tim += m
+        return Scalar(self.params, {(0,) * len(self.params): (tre, tim)}, den)
+
+    def eval(self, assignment: dict) -> GaussRat:
+        """The value at ``assignment`` as a GaussRat (see :meth:`at`)."""
+        return self.at(assignment).as_gaussrat()
 
     def as_gaussrat(self) -> GaussRat:
         """Constant Scalar -> GaussRat (error if non-constant)."""
-        if not self.terms:
-            return GaussRat(0)
-        zero = (0,) * len(self.params)
-        if set(self.terms) != {zero}:
+        parts = self.const_parts()
+        if parts is None:
             raise UsageError("Scalar is not constant")
-        r, m = self.terms[zero]
-        return GaussRat(Fraction(r, self.den), Fraction(m, self.den))
+        return GaussRat(Fraction(parts[0], parts[2]), Fraction(parts[1], parts[2]))
 
     # -- text form ------------------------------------------------------
     def __str__(self):
@@ -609,7 +631,7 @@ class TextReader:
         self.fail("a number, 'i', a declared parameter or '('")
 
     def _divide(self, s: Scalar, d: Scalar) -> Scalar:
-        parts = d._const_parts()
+        parts = d.const_parts()
         if parts is None or not (parts[0] or parts[1]):
             raise UsageError(f"divisor {d} is not a nonzero constant in {self.text!r}")
         nre, nim, den = parts  # 1/((nre + nim*i)/den) = den*(nre - nim*i)/|.|^2
@@ -648,71 +670,3 @@ class TextReader:
             self.expect("xi")
             imask = self.index_set()
         return k, imask
-
-
-class Evaluator:
-    """Scalars evaluated at one assignment, in integer arithmetic.
-
-    Built once per assignment (parameter name -> int, Fraction, GaussRat
-    or text); each parameter is held as a Gaussian-integer pair over its
-    own positive denominator.  Calling it on a Scalar returns ``(re, im,
-    den)`` with value ``(re + im*i)/den`` in lowest terms (``den > 0``,
-    ``gcd(re, im, den) == 1``; zero is ``(0, 0, 1)``).  Every term is
-    lifted to the common denominator ``Scalar.den * prod_x d_x^D_x``, where
-    ``D_x`` is the Scalar's largest degree in ``x``; the lifted powers are
-    memoised per parameter and degree.
-    """
-
-    __slots__ = ("_vals", "_lifted")
-
-    def __init__(self, assignment: dict):
-        self._vals = {name: _exact_parts(v, f"parameter {name!r}")
-                      for name, v in assignment.items()}
-        self._lifted: dict = {}
-
-    def _lift(self, name: str, deg: int) -> tuple:
-        """``(d^deg, pows)`` for the value ``(re + im*i)/d`` of ``name``:
-        ``pows[k]`` is the integer pair of ``(re + im*i)^k * d^(deg - k)``."""
-        key = (name, deg)
-        hit = self._lifted.get(key)
-        if hit is None:
-            if name not in self._vals:
-                raise UsageError(f"missing assignment for parameter {name!r}")
-            re, im, d = self._vals[name]
-            pows = [(1, 0)]
-            for _ in range(deg):
-                r, m = pows[-1]
-                pows.append((r * re - m * im, r * im + m * re))
-            pows = tuple((r * d ** (deg - k), m * d ** (deg - k))
-                         for k, (r, m) in enumerate(pows))
-            hit = self._lifted[key] = (d ** deg, pows)
-        return hit
-
-    def __call__(self, s: Scalar) -> tuple:
-        terms = s.terms
-        if not terms:
-            return 0, 0, 1
-        degs = map(max, zip(*terms))  # the largest degree in each parameter
-        used = [(i, *self._lift(name, deg))
-                for i, (name, deg) in enumerate(zip(s.params, degs)) if deg]
-        if not used:
-            (r, m), = terms.values()
-            return r, m, s.den
-        den = s.den
-        for _, d, _ in used:
-            den *= d
-        tre = tim = 0
-        for e, (r, m) in terms.items():
-            for i, _, pows in used:
-                pr, pm = pows[e[i]]
-                if pm:
-                    r, m = r * pr - m * pm, r * pm + m * pr
-                else:
-                    r *= pr
-                    m *= pr
-            tre += r
-            tim += m
-        if not (tre or tim):
-            return 0, 0, 1
-        g = gcd(tre, tim, den)
-        return tre // g, tim // g, den // g

@@ -27,7 +27,7 @@ tests only the pairs it is given, is the gatekeeper that the commutators match
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .exactnum import GaussRat, Scalar, TextReader, UsageError, as_scalar
@@ -51,6 +51,15 @@ class SoRep:
         if i < j:
             return self.gen[(i, j)]
         return mat_scale(self.gen[(j, i)], -1)
+
+    def at(self, assignment: dict) -> "SoRep":
+        """This representation with its generator matrices and ``z_scalar``
+        evaluated at ``assignment`` (see :meth:`Scalar.at
+        <superkon.exactnum.Scalar.at>`); the label is kept."""
+        return replace(self, gen={ij: [[x.at(assignment) for x in row]
+                                       for row in mat]
+                                  for ij, mat in self.gen.items()},
+                       z_scalar=self.z_scalar.at(assignment))
 
 
 def _const(params, x) -> Scalar:

@@ -5,7 +5,8 @@ and the identity control).
 Submodule generators are returned as explicit vectors per weight; the
 displayed spans:
 
-* N=2, both sectors, ``b^2 + c^2 = 0``:
+* N=2, both sectors, W+ on ``b = i c`` and W- on ``b = -i c`` (off its
+  locus a W is not closed, and asking for it is a UsageError):
   ``W+ = span{ v+_l, (1/2)(a+2l) v_l - i w_l }`` (untwisted weights),
   ``W+ = span{ v+_l, (a+l) v_l - 2i w_l }`` (twisted weights), and the
   mirrored ``W-`` with the opposite imaginary sign;
@@ -54,8 +55,9 @@ def named_submodule(module: TensorModule, name: str, l_range) -> list:
 
     if name in ("W_plus", "W_minus"):
         _require(module.cfg.N == 2, f"{name} is an N=2 submodule")
-        table = N2Table(module)
         sign = 1 if name == "W_plus" else -1
+        _require_w_locus(module, sign, name)
+        table = N2Table(module)
         kind = "vp" if sign > 0 else "vm"
         out = []
         for lam in l_range:
@@ -155,6 +157,16 @@ def _require(cond, msg):
         raise UsageError(msg)
 
 
+def _require_w_locus(module: TensorModule, sign: int, what: str):
+    """W+ (``sign`` 1) and W- (``sign`` -1), and the quotient maps by them,
+    exist only on the so_2 locus ``b = sign*i*c``.  The evaluated checks
+    pass the module with its inputs evaluated, so ``b`` and ``c`` may come
+    from the assignment."""
+    b = module.rep.gen[(1, 2)][0][0]
+    _require(b == module.rep.z_scalar.scale_raw(0, sign),
+             f"{what} requires b = {'' if sign > 0 else '-'}i c")
+
+
 # ---------------------------------------------------------------------------
 # intertwining maps
 
@@ -173,12 +185,9 @@ def iso_target(source: TensorModule, name: str) -> TensorModule:
         return source
     if name in ("quotient_wplus", "quotient_wminus"):
         _require(source.cfg.N == 2, f"{name} is an N=2 map")
-        c = source.rep.z_scalar
-        b = source.rep.gen[(1, 2)][0][0]
         sign = 1 if name == "quotient_wplus" else -1
-        _require(b == c.scale_raw(0, sign),
-                 "the quotient map requires b = i c (resp. b = -i c)")
-        c2 = c + one
+        _require_w_locus(source, sign, name)
+        c2 = source.rep.z_scalar + one
         rep2 = build_so2(c2.scale_raw(0, sign), c2, params)
         return TensorModule(source.cfg, rep2, source.a, source.sector_delta)
     if name == "quotient_fprime":
@@ -301,7 +310,7 @@ def _check_quotient_map(source, target, name, w, params, t0):
     l_range = range(w.l_min, w.l_max + 1)
     sub_name = {"quotient_wplus": "W_plus", "quotient_wminus": "W_minus",
                 "quotient_fprime": "F_prime"}[name]
-    subgens = named_submodule(source, sub_name, l_range)
+    subgens = named_submodule(src_eval.module, sub_name, l_range)
     shift = _weight_offset(source, target)
 
     spaces = WeightSpaces(source.basis_at, l_range, target.basis_at, shift)
@@ -344,13 +353,7 @@ def _check_quotient_map(source, target, name, w, params, t0):
 
 
 def _weight_offset(source, target) -> int:
-    diff = target.a - source.a
-    if diff.is_zero():
-        return 0
-    try:
-        g = diff.as_gaussrat()
-    except UsageError:
-        raise UsageError("weight origins must differ by an integer")
-    if g.im or g.re.denominator != 1:
-        raise UsageError("weight origins must differ by an integer")
-    return int(g.re)
+    parts = (target.a - source.a).const_parts()
+    _require(parts is not None and parts[1:] == (0, 1),
+             "weight origins must differ by an integer")
+    return parts[0]

@@ -40,8 +40,8 @@ from math import lcm
 from typing import NamedTuple
 
 from .algebra import AlgebraConfig, AlgebraElement, bracket_ints
-from .exactnum import (Evaluator, GaussRat, Scalar, Terms, TextReader,
-                       UsageError, add_term, as_scalar, norm_pairs)
+from .exactnum import (GaussRat, Scalar, Terms, TextReader, UsageError,
+                       add_term, as_scalar, norm_pairs)
 from .grassmann import EpsilonConfig, members, tau
 from .linalg import gauss_mod, sqrt_minus_one
 from .repn import SoRep, config_dict, config_int, config_scalar, rep_from_config
@@ -264,32 +264,41 @@ class TensorModule:
         return ModVec(self.params, out)
 
     # -- evaluation at concrete parameters --------------------------------
+    def at(self, assignment: dict) -> "TensorModule":
+        """This module with its inputs, the origin ``a`` and the
+        representation, evaluated at ``assignment``; twist, sector and
+        mutation are kept."""
+        return TensorModule(self.cfg, self.rep.at(assignment),
+                            self.a.at(assignment), self.sector_delta,
+                            self.mutation)
+
     def eval_cache(self, assignment: dict) -> "EvaluatedAction":
         return EvaluatedAction(self, assignment)
 
 
 class EvaluatedAction:
-    """Action tables with all formal parameters evaluated.
+    """Action tables of a module with all formal parameters evaluated.
 
-    The hot representation is projective-integer: a vector is a dict
-    ``basis -> (re, im)`` of Gaussian-integer pairs, exact up to the
-    separately returned positive denominator.  Closure/rank sweeps drop
-    the denominator (spans are scale-invariant); the intertwining checks
-    keep it to cross-scale row pairs.  Coefficients are evaluated by one
-    :class:`~superkon.exactnum.Evaluator` built for the assignment, so
-    filling a table column stays in integer arithmetic.
+    ``module`` is the given module evaluated at the assignment
+    (:meth:`TensorModule.at`): its inputs are substituted once, so the
+    prefix recursion runs on constants and gives every coefficient's value
+    (substitution is a ring map).  The hot representation is
+    projective-integer: a vector is a dict ``basis -> (re, im)`` of
+    Gaussian-integer pairs, exact up to the separately returned positive
+    denominator.  Closure/rank sweeps drop the denominator (spans are
+    scale-invariant); the intertwining checks keep it to cross-scale row
+    pairs.
 
     Modulo a prime (:meth:`act_vec_mod`) a vector is a dict ``basis ->
     int`` of true values mod the prime (see :mod:`superkon.linalg`).  Its
     columns are the exact :meth:`table` columns, reduced mod the prime as
     they are read.  So :meth:`table`'s memo is the one copy of each
-    column, and each coefficient is evaluated once (in
-    :meth:`_eval_terms`), whichever of the two forms asks for it first.
+    column, whichever of the two forms asks for it first.
     """
 
     def __init__(self, module: TensorModule, assignment: dict):
-        self.module = module
-        self._evaluate = Evaluator(assignment)
+        self.module = module.at(assignment)
+        self._assignment = assignment
         self._memo: dict = {}
 
     def table(self, p: int, imask: int, bv: ModBasisVec):
@@ -298,23 +307,9 @@ class EvaluatedAction:
         key = (p, imask, bv)
         hit = self._memo.get(key)
         if hit is None:
-            hit = self._eval_terms(self.module.act_basis_d(p, imask, bv))
+            hit = _pairs(self.module.act_basis_d(p, imask, bv))
             self._memo[key] = hit
         return hit
-
-    def _eval_terms(self, terms: dict):
-        """(den, ((bv, (re, im)), ...)) for ``bv -> Scalar`` terms at the
-        assignment, with zero values dropped; ``den`` is the least common
-        denominator of the values."""
-        evals = []
-        den = 1
-        for bv, c in terms.items():
-            re, im, d = self._evaluate(c)
-            if re or im:
-                evals.append((bv, re, im, d))
-                den = lcm(den, d)
-        return den, tuple((bv, (re * (den // d), im * (den // d)))
-                          for bv, re, im, d in evals)
 
     def act_d(self, p: int, imask: int, bv: ModBasisVec):
         """:meth:`table` as ``[(bv2, GaussRat), ...]``.  No library check
@@ -359,8 +354,19 @@ class EvaluatedAction:
 
     def eval_modvec(self, v: ModVec):
         """(den, dict of integer pairs) with true value dict/den."""
-        den, pairs = self._eval_terms(v.terms)
+        den, pairs = _pairs({bv: c.at(self._assignment)
+                             for bv, c in v.terms.items()})
         return den, dict(pairs)
+
+
+def _pairs(terms: dict):
+    """(den, ((bv, (re, im)), ...)) for ``bv -> constant Scalar`` terms, with
+    zero values dropped; ``den`` is the least common denominator of the
+    values."""
+    vals = [(bv, *c.const_parts()) for bv, c in terms.items() if c]
+    den = lcm(*(d for *_, d in vals))
+    return den, tuple((bv, (re * (den // d), im * (den // d)))
+                      for bv, re, im, d in vals)
 
 
 def pairs_text(vec: dict) -> str:

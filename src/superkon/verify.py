@@ -503,12 +503,14 @@ def window_simplicity(module: TensorModule, w: Window, params: dict,
     larger, or equal at a later seed.  The verdict, ``smallest_seed`` and
     the dimensions are therefore those of closing every seed exactly.
     """
+    if middle < 1:
+        raise UsageError("middle must be at least 1")
     t0 = time.monotonic()
     mids = [l for l in range(w.inner_l_min, w.inner_l_max + 1)
             if module.basis_at(l)]
     center = (w.l_min + w.l_max) // 2
     mids.sort(key=lambda l: (abs(l - center), l))
-    mids = sorted(mids[:max(1, middle)])
+    mids = sorted(mids[:middle])
     seeds = [(bv.text(), ModVec.basis(module.params, bv))
              for l in mids for bv in module.basis_at(l)]
     # also seed the diagonalized table basis when one exists: invariant
@@ -569,7 +571,7 @@ def check_submodule_closure(module: TensorModule, name: str, w: Window,
     t0 = time.monotonic()
     ev = module.eval_cache(params)
     l_range = range(w.l_min, w.l_max + 1)
-    gens = named_submodule(module, name, l_range)
+    gens = named_submodule(ev.module, name, l_range)
     spaces = WeightSpaces(module.basis_at, l_range)
     buckets: dict = {}
     for g in gens:

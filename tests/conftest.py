@@ -1,8 +1,9 @@
 """Oracles shared by the test files.
 
-``gaussrat_route`` gives the route that evaluated Scalars before
-``exactnum.Evaluator``: a GaussRat/Fraction loop over the terms, and the
-least common denominator of the values it returns.
+``gaussrat_route`` evaluates Scalars apart from :meth:`Scalar.at
+<superkon.exactnum.Scalar.at>`, the library's integer substitution: a
+GaussRat/Fraction loop over the terms, and the least common denominator of
+the values it returns.
 """
 
 from fractions import Fraction

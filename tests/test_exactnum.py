@@ -5,8 +5,8 @@ from math import gcd, lcm
 import pytest
 
 from superkon.algebra import AlgebraElement
-from superkon.exactnum import (Evaluator, GaussRat, I, Scalar, UsageError,
-                               add_term, as_scalar, norm_pairs)
+from superkon.exactnum import (GaussRat, I, Scalar, UsageError, add_term,
+                               as_scalar, norm_pairs)
 from superkon.grassmann import EpsilonConfig, SuperFunction, parse_monomial
 from superkon.repn import build_so2
 from superkon.tensmod import EvaluatedAction, ModBasisVec, ModVec, TensorModule
@@ -235,32 +235,44 @@ def rand_value(rng):
 FIXED = [Scalar.zero(P), const(7), const(GaussRat(Fraction(-3, 4), Fraction(5, 6)))]
 
 
-def test_evaluator_matches_fraction_route(gaussrat_route):
+def test_at_matches_fraction_route(gaussrat_route):
     fraction_eval, clear_denominators = gaussrat_route
     rng = random.Random(2024)
+    zero = (0,) * len(P)
     for _ in range(300):
         asn = {p: rand_value(rng) for p in P}
-        ev = Evaluator(asn)
         for s in FIXED + [rand_eval_scalar(rng) for _ in range(5)]:
             want = fraction_eval(s, asn)
-            re, im, den = ev(s)
+            got = s.at(asn)
+            assert got.params == P and set(got.terms) <= {zero}
+            re, im, den = got.const_parts()
             assert den > 0 and gcd(re, im, den) == 1
             want_den, [want_pair] = clear_denominators([want])
             assert (re, im, den) == (*want_pair, want_den)
             assert s.eval(asn) == want
 
 
+def test_at_keeps_a_constant_and_needs_only_the_parameters_that_appear():
+    for s in FIXED:
+        assert s.at({}) is s
+    x = 2 * var("a") + const(I)
+    assert x.at({"a": Fraction(1, 4)}) == const(GaussRat(Fraction(1, 2), 1))
+    with pytest.raises(UsageError, match="missing assignment for parameter 'c'"):
+        (x + var("c")).at({"a": 1, "b": 2})
+
+
 def test_eval_modvec_matches_clear_denominators(gaussrat_route):
     fraction_eval, clear_denominators = gaussrat_route
     module = TensorModule(EpsilonConfig(2, (1, 1)),
                           build_so2(var("b"), var("c"), P), var("a"))
+    inputs = {"a": Fraction(5, 7), "b": 1, "c": 2}
     fixed = ModVec(P, {ModBasisVec(l, 0, 0): const(g) for l, g in enumerate(
         [GaussRat(Fraction(1, 2), Fraction(-1, 3)), GaussRat(2),
          GaussRat(0, Fraction(3, 4))])})
-    assert EvaluatedAction(module, {}).eval_modvec(fixed) == (
+    assert EvaluatedAction(module, inputs).eval_modvec(fixed) == (
         12, {ModBasisVec(0, 0, 0): (6, -4), ModBasisVec(1, 0, 0): (24, 0),
              ModBasisVec(2, 0, 0): (0, 9)})
-    assert EvaluatedAction(module, {}).eval_modvec(ModVec(P)) == (1, {})
+    assert EvaluatedAction(module, inputs).eval_modvec(ModVec(P)) == (1, {})
     rng = random.Random(77)
     for _ in range(200):
         asn = {p: rand_value(rng) for p in P}
@@ -315,7 +327,7 @@ def test_eval_rejects_inexact_assignment(bad):
     with pytest.raises(UsageError, match="'a'"):
         var("a").eval({"a": bad})
     with pytest.raises(UsageError, match="'b'"):
-        Evaluator({"a": 1, "b": bad})
+        (var("a") + var("b")).at({"a": 1, "b": bad})
     with pytest.raises(TypeError):
         GaussRat(1) + bad
 
@@ -375,8 +387,8 @@ def test_text_parses_to_its_value(kind, text, want):
 
 @pytest.mark.parametrize("make", [
     lambda: GaussRat(0.1), lambda: GaussRat("1.5"), lambda: GaussRat(1, 0.5),
-    lambda: Scalar.const(P, GaussRat(0.5)), lambda: Evaluator({"a": GaussRat(0.5)}),
-], ids=["float", "text", "float_im", "const", "evaluator"])
+    lambda: Scalar.const(P, GaussRat(0.5)), lambda: var("a").at({"a": GaussRat(0.5)}),
+], ids=["float", "text", "float_im", "const", "at"])
 def test_gaussrat_parts_are_exact(make):
     with pytest.raises(UsageError, match="float|str"):
         make()

@@ -1,14 +1,18 @@
 """Source hygiene: every name a package module imports is used in it,
 every name it defines at its top level is used somewhere, every method of
 its classes is called somewhere, every named parameter of every
-function it defines is read in that function, and no module imports a
-process or thread module or reads the environment.
+function it defines is read in that function, no module imports a
+process or thread module or reads the environment, and every name the
+benchmark's tracer wraps still exists.
 
-Stdlib ``ast`` only.  A name counts as used in a module when it appears as
-a load anywhere in it, including inside string annotations.
+Stdlib ``ast`` only, but for the tracer, whose tables are read by loading
+the file.  A name counts as used in a module when it appears as a load
+anywhere in it, including inside string annotations.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -276,3 +280,33 @@ def test_process_detector_flags_pools_threads_and_environment(tmp_path):
                                         "m.py:4: concurrent.futures",
                                         "m.py:5: os.getenv",
                                         "m.py:6: os.environ"]
+
+
+def traced_names_missing(path) -> list:
+    """The names a tracer file wraps that do not exist: each ``(module,
+    attr, name)`` of its ``FUNCTIONS`` by ``getattr`` on the module, each
+    ``(cls, attr, name)`` of its ``METHODS`` in ``cls.__dict__`` (where the
+    tracer replaces it).  The file is loaded as a module of its own; nothing
+    is installed."""
+    spec = importlib.util.spec_from_file_location("tracer_tables", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [f"{mod}.{attr}" for mod, attr, _ in tracer.FUNCTIONS
+               if not hasattr(importlib.import_module(mod), attr)]
+    return missing + [f"{cls.__name__}.{attr}" for cls, attr, _ in tracer.METHODS
+                      if attr not in cls.__dict__]
+
+
+def test_every_traced_name_exists():
+    missing = traced_names_missing(ROOT / "bench" / "tracer.py")
+    assert not missing, "names bench/tracer.py wraps that are gone:\n" + "\n".join(missing)
+
+
+def test_traced_name_detector_flags_a_missing_name(tmp_path):
+    mod = tmp_path / "tracer.py"
+    mod.write_text("from superkon.exactnum import Scalar\n"
+                   "FUNCTIONS = (('superkon.algebra', 'bracket', 'x'),\n"
+                   "             ('superkon.algebra', 'gone', 'y'))\n"
+                   "METHODS = ((Scalar, 'at', 'z'), (Scalar, '__radd__', 'w'),\n"
+                   "           (Scalar, 'gone', 'v'))\n")
+    assert traced_names_missing(mod) == ["superkon.algebra.gone", "Scalar.gone"]

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from superkon import verify
-from superkon.exactnum import Evaluator, GaussRat, Scalar
+from superkon.exactnum import GaussRat, Scalar
 from superkon.grassmann import EpsilonConfig
 from superkon.linalg import PrimeInDenominator
 from superkon.repn import build_so2, build_so3_vm
@@ -35,7 +35,7 @@ def exact_window_simplicity(module, w, params, middle=2):
             if module.basis_at(l)]
     center = (w.l_min + w.l_max) // 2
     mids.sort(key=lambda l: (abs(l - center), l))
-    mids = sorted(mids[:max(1, middle)])
+    mids = sorted(mids[:middle])
     seeds = [(bv.text(), ModVec.basis(module.params, bv))
              for l in mids for bv in module.basis_at(l)]
     if module.cfg.N in (2, 3):
@@ -242,16 +242,17 @@ def test_window_simple_probe_makes_no_exact_action(monkeypatch):
 
 
 def test_proper_probe_evaluates_each_coefficient_once(monkeypatch):
-    # the screen reduces the exact table columns mod p, so the exact
-    # fallback closure evaluates nothing the screen already evaluated
-    evaluated, seed_sizes, evs = [], [], []
-    evaluate = Evaluator.__call__
+    # the module's inputs are evaluated once and the action runs on their
+    # values, so no action column is substituted: only the inputs (origin,
+    # central scalar, generator entries) and the seed coefficients are
+    substituted, seed_sizes, evs = [], [], []
+    at = Scalar.at
     eval_modvec = EvaluatedAction.eval_modvec
     eval_cache = TensorModule.eval_cache
 
-    def spy_evaluate(self, s):
-        evaluated.append(s)
-        return evaluate(self, s)
+    def spy_at(self, assignment):
+        substituted.append(self)
+        return at(self, assignment)
 
     def spy_eval_modvec(self, v):
         seed_sizes.append(len(v.terms))
@@ -261,7 +262,7 @@ def test_proper_probe_evaluates_each_coefficient_once(monkeypatch):
         evs.append(eval_cache(self, assignment))
         return evs[-1]
 
-    monkeypatch.setattr(Evaluator, "__call__", spy_evaluate)
+    monkeypatch.setattr(Scalar, "at", spy_at)
     monkeypatch.setattr(EvaluatedAction, "eval_modvec", spy_eval_modvec)
     monkeypatch.setattr(TensorModule, "eval_cache", spy_eval_cache)
     M = n3(1, Fraction(-1, 2))
@@ -269,5 +270,8 @@ def test_proper_probe_evaluates_each_coefficient_once(monkeypatch):
                                  middle=1)
     assert r.details["verdict"] == "proper-invariant-subspace"
     ev, = evs
-    columns = sum(len(M.act_basis_d(*key)) for key in ev._memo)
-    assert len(evaluated) == columns + sum(seed_sizes)
+    assert ev._memo
+    inputs = [x for mat in M.rep.gen.values() for row in mat for x in row]
+    inputs += [M.rep.z_scalar, M.a]
+    assert substituted[:len(inputs)] == inputs
+    assert len(substituted) == len(inputs) + sum(seed_sizes)

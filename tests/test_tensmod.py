@@ -176,7 +176,7 @@ def test_table_example_lines_n3():
 
 
 def test_named_submodule_w_generators():
-    M = n2_module()
+    M = n2_module(b=1, c=GaussRat(0, -1))  # on W+'s locus b = i c
     gens = named_submodule(M, "W_plus", range(0, 1))
     # at weight 0: v+_0 and (a/2) v_0 - i w_0
     assert len(gens) == 2
@@ -235,6 +235,16 @@ def test_quotient_map_wminus():
     assert rpt.status == "pass"
     assert rpt.stats["tuples_checked"] == 304
     assert rpt.details["relations_derived"] == 18
+
+
+@pytest.mark.parametrize("a", [A + Fraction(1, 2), A * 2, A + GaussRat(0, 1)],
+                         ids=["half", "scaled", "imaginary"])
+def test_quotient_map_needs_origins_an_integer_apart(a):
+    M = n2_module(b=GaussRat(0, 1), c=1)
+    target = TensorModule(M.cfg, build_so2(GaussRat(0, 2), 2, P), a)
+    with pytest.raises(UsageError, match="weight origins must differ by an integer"):
+        iso_check_map(M, "quotient_wplus", Window(-2, 2, -8, 8, 4),
+                      params={"a": Fraction(5, 7)}, target=target)
 
 
 def test_quotient_fprime_requires_spin_one():

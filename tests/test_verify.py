@@ -13,6 +13,7 @@ from superkon.grassmann import EpsilonConfig, format_monomial, iset, xi_mul
 from superkon.linalg import WeightSpaces
 from superkon.repn import build_so2, build_so3_vm, check_so_relations
 from superkon.report import Report, Window, finish, violation
+from superkon.submod import iso_target, named_submodule
 from superkon.tensmod import (MODULE_MUTATIONS, EvaluatedAction, ModBasisVec,
                               ModVec, TensorModule, module_from_config)
 from superkon.verify import (check_bracket_crosscheck, check_eps_shift,
@@ -596,19 +597,51 @@ def test_submodule_closure_wplus():
     assert r.status == "pass"
 
 
-def test_submodule_closure_reports_images_outside_the_span():
-    # named_submodule builds W_plus without requiring b^2 + c^2 = 0; off
-    # that locus the span is not closed
-    M = n2(b=Fraction(1, 3), c=Fraction(2, 5))
+@pytest.mark.parametrize("name, b, c", [
+    ("W_plus", 1, GaussRat(0, 1)), ("W_plus", Fraction(1, 3), Fraction(2, 5)),
+    ("W_minus", 1, GaussRat(0, -1)), ("W_minus", Fraction(1, 3), Fraction(2, 5)),
+])
+def test_w_off_its_locus_is_a_usage_error(name, b, c):
+    # W+ is closed on b = i c, W- on b = -i c, and nowhere else: the
+    # mirrored point and a generic one gave 12 violations each before
+    # named_submodule refused them
+    M = n2()
+    w = module_window(-1, 1, M, inner_width=2)
+    asn = {"a": Fraction(5, 7), "b": b, "c": c}
+    locus = "b = i c" if name == "W_plus" else "b = -i c"
+    with pytest.raises(UsageError, match=f"{name} requires {locus}"):
+        check_submodule_closure(M, name, w, asn)
+    with pytest.raises(UsageError, match=f"{name} requires {locus}"):
+        named_submodule(M, name, range(0, 1))  # b and c formal
+    quotient = "quotient_wplus" if name == "W_plus" else "quotient_wminus"
+    with pytest.raises(UsageError, match=f"{quotient} requires {locus}"):
+        iso_target(n2(b=b, c=c), quotient)
+    on_locus = {**asn, "b": 1, "c": GaussRat(0, -1 if name == "W_plus" else 1)}
+    assert check_submodule_closure(M, name, w, on_locus).status == "pass"
+
+
+def test_submodule_closure_reports_images_outside_the_span(monkeypatch):
+    # a fake W_plus span without its generator (a/2 - 2) v - i w at weight
+    # -4: the images that land there leave the span
+    named = verify.named_submodule
+    monkeypatch.setattr(verify, "named_submodule",
+                        lambda *args: (lambda g: g[:3] + g[4:])(named(*args)))
+    M = n2()
     r = check_submodule_closure(M, "W_plus", module_window(-1, 1, M, inner_width=2),
-                                {"a": Fraction(5, 7)})
+                                W_LOCUS)
     assert r.status == "fail"
-    assert len(r.violations) == 12
+    assert len(r.violations) == 4
     assert not any("+-" in v["lhs"] or "; " in v["lhs"] for v in r.violations)
     witness = next(v for v in r.violations
-                   if v["inputs"] == "gen[0][1] under op=(-1,3)")
-    assert witness["lhs"] == "(25-168i)*D{}.v0@l=-4 + (0-70i)*D{1,2}.v0@l=-4"
+                   if v["inputs"] == "gen[0][0] under op=(-1,1)")
+    assert witness["lhs"] == "(23+0i)*D{}.v0@l=-4 + (0+14i)*D{1,2}.v0@l=-4"
     assert witness["rhs"] == "span of W_plus at weight -4"
+
+
+def test_simplicity_middle_must_be_positive():
+    M = n2()
+    with pytest.raises(UsageError, match="middle must be at least 1"):
+        window_simplicity(M, module_window(-2, 2, M), W_LOCUS, middle=0)
 
 
 def test_submodule_closure_fprime():
