@@ -355,20 +355,31 @@ def test_reports_with_b_and_c_from_params_pinned(run, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("check, eps, mutation, n_bad, digest", [
-    (check_phi, (1, 0), "drop_phi_coeff", 100,
+@pytest.mark.parametrize("check, eps, mutation, central, n_bad, digest", [
+    (check_phi, (1, 0), "drop_phi_coeff", False, 100,
      "74880064b727b9ff0b40b9c6175a6f8234e59415c2060e2838f50814ae506bdb"),
-    (check_phi, (1, 1, 0), "drop_phi_coeff", 295,
+    (check_phi, (1, 1, 0), "drop_phi_coeff", False, 295,
      "546a10190c6684cc4d4a853d517166c814e712a9d71dd89147bc2db91c1d33fc"),
-    (check_bracket_crosscheck, (1, 0), "drop_sign_intersection", 100,
+    (check_bracket_crosscheck, (1, 0), "drop_sign_intersection", False, 100,
      "9c5c133e9f4d332c6b125dcacde05321b8a288b65e27988102f410ac6e02ea27"),
-    (check_bracket_crosscheck, (1, 1, 0), "drop_sign_intersection", 375,
+    (check_bracket_crosscheck, (1, 1, 0), "drop_sign_intersection", False,
+     375,
      "f4574c5706466f1c9d6b137a4b825f14858cefb7e5b622f3ccd4acb5084dbd7d"),
-], ids=["phi-n2", "phi-n3", "crosscheck-n2", "crosscheck-n3"])
-def test_failing_algebra_reports_pinned(check, eps, mutation, n_bad, digest):
-    # the witnesses of these failing Reports print AlgebraElement text, which
-    # no passing workload Report shows: pin them byte for byte
-    r = check(acfg(len(eps), eps, mutation=mutation), SMALL)
+    (check_jacobi, (1, 1), "double_cocycle", True, 2,
+     "0a14e17444e398688b635b0404f0c4880c14b0a9d4618f8bda7e853f1158d689"),
+    (check_jacobi, (1, 1, 0), "double_cocycle", True, 4,
+     "3fc2e6bb960567af1ab58c552047981b3935ee47fea4879c5cff10fc7304c785"),
+    (check_jacobi, (1, 1), "drop_sign_intersection", False, 611,
+     "e8a0ee69bd8016b35c8b52aa677ce3fc8d5594b569efe1ea7554dba09aef5a95"),
+    (check_jacobi, (1, 1, 0), "drop_sign_intersection", False, 3758,
+     "506fbbd762e854a2dcf82328419b5e2e364e340d0dac6c14aeb1eb1260a81b5e"),
+], ids=["phi-n2", "phi-n3", "crosscheck-n2", "crosscheck-n3", "jacobi-cocycle-n2",
+        "jacobi-cocycle-n3", "jacobi-sign-n2", "jacobi-sign-n3"])
+def test_failing_algebra_reports_pinned(check, eps, mutation, central, n_bad, digest):
+    # the witnesses of these failing Reports print AlgebraElement text or the
+    # Jacobi residual's C and D terms, which no passing workload Report
+    # shows: pin them byte for byte
+    r = check(acfg(len(eps), eps, central, mutation), SMALL)
     assert r.status == "fail" and len(r.violations) == n_bad
     text = r.to_json(with_timing=False)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
