@@ -265,14 +265,27 @@ def bracket_columns(eps, k_min: int, k_max: int):
 
 def bracket_table(acfg: AlgebraConfig, k_min: int, k_max: int):
     """``(lo, rows)`` with ``rows[(p - k_min) * 2**N + I][(q - lo) * 2**N + J]
-    = bracket_ints(acfg, p, I, q, J)`` for ``p`` in the window and ``q`` in
-    :func:`bracket_columns`, each computed once.  Equal results share one
-    tuple, so an entry costs about one reference."""
+    = (c2, col, cen12)`` for ``p`` in the window and ``q`` in
+    :func:`bracket_columns`, read off ``(c2, rk, rI, cen12) =
+    bracket_ints(acfg, p, I, q, J)``, which is computed once per entry.
+    ``col = (rk - lo) * 2**N + rI`` is the column of the result symbol,
+    ``None`` when ``c2 == 0``; it decodes as ``rk = lo + (col >> N)``, ``rI =
+    col & (2**N - 1)``.  The result's mask is always ``I ^ J`` (the union of
+    disjoint masks, or of two masks sharing one xi with that xi removed) and
+    its exponent is fixed by the additive degree, so every bracket of one
+    basis triple lands on one column.  Equal entries share one tuple, so an
+    entry costs about one reference."""
     lo, hi = bracket_columns(acfg.cfg.eps, k_min, k_max)
-    n = 1 << acfg.cfg.N
+    N = acfg.cfg.N
+    n = 1 << N
     canon: dict = {}
-    return lo, [[canon.setdefault(r, r) for q in range(lo, hi + 1) for J in range(n)
-                 for r in [bracket_ints(acfg, p, I, q, J)]]
+
+    def entry(c2, rk, rI, cen12):
+        e = (c2, ((rk - lo) << N) + rI if c2 else None, cen12)
+        return canon.setdefault(e, e)
+
+    return lo, [[entry(*bracket_ints(acfg, p, I, q, J))
+                 for q in range(lo, hi + 1) for J in range(n)]
                 for p in range(k_min, k_max + 1) for I in range(n)]
 
 

@@ -8,7 +8,11 @@ on the inner weight range; the inner margin must cover the largest
 generator weight shift (see :func:`module_window`).
 
 Closures run at concrete Gaussian-rational parameter values; identity
-sweeps keep all parameters symbolic.  The module-axiom sweep sums each
+sweeps keep all parameters symbolic.  The Jacobi sweep reads every bracket
+from one :func:`~superkon.algebra.bracket_table`, whose entries hold the
+result's column: a bracket lands on mask ``I ^ J`` at the exponent its
+additive degree fixes, so a triple's D-residual is one integer at one
+symbol (see :func:`check_jacobi`).  The module-axiom sweep sums each
 identity's residual lhs - rhs as raw Gaussian-integer pairs over one
 denominator and builds Scalars only for the witness of a nonzero one
 (see :func:`check_module_axioms`).  Every dimension, membership and
@@ -62,20 +66,23 @@ def _parity(imask: int) -> int:
 
 
 def _jacobi_residual(table, lo: int, N: int, off: int, i: int, j: int, k: int):
-    """4x the D-part and 24x the central part of the graded Jacobi sum of
-    the window symbols in rows ``i, j, k`` of ``(lo, table) =
-    bracket_table(..)``; row ``r`` is the symbol at column ``r + off``."""
+    """4x the D-part, as ``{(rk, rI): coefficient}``, and 24x the central
+    part of the graded Jacobi sum of the window symbols in rows ``i, j, k``
+    of ``(lo, table) = bracket_table(..)``; row ``r`` is the symbol at column
+    ``r + off``, and an entry's result column ``col`` decodes as ``(lo +
+    (col >> N), col & mask)``.  The D-part may have several keys only if the
+    bracket breaks the grading."""
     terms: dict = {}
     cen = 0
     mask = (1 << N) - 1
     for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-        c2, rk, rI, _ = table[b][c + off]
+        c2, col, _ = table[b][c + off]
         if not c2:
             continue
-        c3, rk2, rI2, cen12 = table[a][((rk - lo) << N) + rI]
+        c3, col3, cen12 = table[a][col]
         sgn = -1 if (_parity(a & mask) and _parity(c & mask)) else 1
         if c3:
-            key = (rk2, rI2)
+            key = (lo + (col3 >> N), col3 & mask)
             terms[key] = terms.get(key, 0) + sgn * c2 * c3
         if cen12:
             cen += sgn * c2 * cen12
@@ -89,7 +96,15 @@ def check_jacobi(acfg: AlgebraConfig, w: Window, workers: int | None = None) -> 
     (unordered: the Jacobi sum of homogeneous arguments changes only by a
     global sign under permutations).  The sweep first computes every
     bracket it can read into one :func:`~superkon.algebra.bracket_table`.
-    ``workers`` may only be ``None`` or 1: the sweep runs in one process."""
+
+    A bracket lands on mask ``I ^ J`` at the exponent its additive degree
+    fixes, so the three D-terms of a triple's Jacobi sum share one result
+    column and the D-residual is one integer ``d``.  The sweep sums ``d``
+    and the central part ``cen`` with plain ints, and hands a triple to
+    :func:`_jacobi_residual`, which writes the witness, only when ``d`` or
+    ``cen`` is nonzero or a nonzero term lands on a second column (possible
+    only if the grading breaks).  ``workers`` may only be ``None`` or 1: the
+    sweep runs in one process."""
     if workers not in (None, 1):
         raise UsageError(f"check_jacobi runs in one process; workers={workers!r}")
     t0 = time.monotonic()
@@ -97,19 +112,59 @@ def check_jacobi(acfg: AlgebraConfig, w: Window, workers: int | None = None) -> 
     syms = [(p, im) for p in w.k_values() for im in range(1 << N)]
     lo, table = bracket_table(acfg, w.k_min, w.k_max)
     off = (w.k_min - lo) << N
-    bad = []
     total = len(syms)
+    par = [_parity(im) for _, im in syms]
+    bad = []
+
+    def record(i, j, k):
+        terms, cen = _jacobi_residual(table, lo, N, off, i, j, k)
+        if terms or cen:
+            parts = [f"{v}/4*D[t^{rk},m={rI}]" for (rk, rI), v in sorted(terms.items())]
+            if cen:
+                parts.append(f"{cen}/24*C")
+            bad.append(violation(f"x={syms[i]} y={syms[j]} z={syms[k]}",
+                                 lhs=" + ".join(parts), rhs="0",
+                                 diff=" + ".join(parts)))
+
+    # terms [i,[j,k]], [j,[k,i]], [k,[i,j]]; the sign is -1 when the outer
+    # symbol and the last inner one are both odd
     for i in range(total):
+        row_i, pi, ioff = table[i], par[i], i + off
         for j in range(i, total):
-            for k in range(j, total):
-                terms, cen = _jacobi_residual(table, lo, N, off, i, j, k)
-                if terms or cen:
-                    parts = [f"{v}/4*D[t^{rk},m={rI}]" for (rk, rI), v in sorted(terms.items())]
-                    if cen:
-                        parts.append(f"{cen}/24*C")
-                    bad.append(violation(f"x={syms[i]} y={syms[j]} z={syms[k]}",
-                                         lhs=" + ".join(parts), rhs="0",
-                                         diff=" + ".join(parts)))
+            row_j, pj = table[j], par[j]
+            c2ij, colij, _ = row_i[j + off]
+            for k, row_k, pk, (c2, col, _) in zip(range(j, total), table[j:], par[j:],
+                                                  row_j[j + off:total + off]):
+                d = cen = 0
+                key = None
+                split = False
+                if c2:
+                    c3, key, cen = row_i[col]
+                    if pi and pk:
+                        c2 = -c2
+                    d = c2 * c3
+                    cen *= c2
+                c2, col, _ = row_k[ioff]
+                if c2:
+                    c3, col, cen12 = row_j[col]
+                    if pj and pi:
+                        c2 = -c2
+                    if c3:
+                        if key is None:
+                            key = col
+                        elif col != key:
+                            split = True
+                        d += c2 * c3
+                    cen += c2 * cen12
+                if c2ij:
+                    c3, col, cen12 = row_k[colij]
+                    c2 = -c2ij if (pk and pj) else c2ij
+                    if c3 and key is not None and col != key:
+                        split = True
+                    d += c2 * c3
+                    cen += c2 * cen12
+                if d or cen or split:
+                    record(i, j, k)
     label = f"jacobi[N={N},eps={acfg.cfg.eps},central={acfg.central_enabled}]"
     return finish(label, bad, comb(total + 2, 3), t0)
 
@@ -125,14 +180,14 @@ def check_bracket_crosscheck(acfg: AlgebraConfig, w: Window) -> Report:
     cfg = acfg.cfg
     stripped = replace(acfg, central_enabled=False)
     syms = [(p, im) for p in w.k_values() for im in range(1 << cfg.N)]
+    funcs = [SuperFunction.monomial(params, *x) for x in syms]
     bad = []
     n = 0
-    for x in syms:
-        fx = SuperFunction.monomial(params, *x)
-        for y in syms:
+    for x, fx in zip(syms, funcs):
+        for y, fy in zip(syms, funcs):
             n += 1
             bb = bracket_basis(stripped, x, y, params)
-            cb = contact_bracket(cfg, fx, SuperFunction.monomial(params, *y))
+            cb = contact_bracket(cfg, fx, fy)
             if bb.d != cb:
                 bad.append(violation(
                     f"x={x} y={y}",
@@ -770,7 +825,7 @@ def _homomorphism_sweep(label: str, src: AlgebraConfig, dst: AlgebraConfig,
             n += 1
             lhs = f(bracket(src, x, y))
             rhs = bracket(dst, fx, fy)
-            if not (lhs - rhs).is_zero():
+            if lhs != rhs:
                 bad.append(violation(f"x={x} y={y}", lhs=str(lhs),
                                      rhs=str(rhs), diff=str(lhs - rhs)))
     return finish(label, bad, n, t0)

@@ -385,17 +385,18 @@ def test_failing_algebra_reports_pinned(check, eps, mutation, central, n_bad, di
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-def _reference_residual(a, x, y, z):
-    """The per-triple Jacobi residual computed straight from bracket_ints:
-    4x the D-part and 24x the central part of the graded Jacobi sum."""
+def _reference_residual(a, x, y, z, brackets=bracket_ints):
+    """The per-triple Jacobi residual computed straight from ``brackets``
+    (bracket_ints by default): 4x the D-part and 24x the central part of the
+    graded Jacobi sum."""
     terms = {}
     cen = 0
     for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
         sgn = -1 if (u[1].bit_count() & 1 and w[1].bit_count() & 1) else 1
-        c2, rk, rI, _ = bracket_ints(a, v[0], v[1], w[0], w[1])
+        c2, rk, rI, _ = brackets(a, v[0], v[1], w[0], w[1])
         if not c2:
             continue
-        c3, rk2, rI2, cen12 = bracket_ints(a, u[0], u[1], rk, rI)
+        c3, rk2, rI2, cen12 = brackets(a, u[0], u[1], rk, rI)
         if c3:
             terms[(rk2, rI2)] = terms.get((rk2, rI2), 0) + sgn * c2 * c3
         if cen12:
@@ -436,6 +437,7 @@ def test_table_oracle_configs_cover_every_mutation():
 @pytest.mark.parametrize("a,w", TABLE_ORACLE_CONFIGS)
 def test_jacobi_table_matches_per_triple_brackets(a, w):
     N = a.cfg.N
+    mask = (1 << N) - 1
     syms = [(p, im) for p in w.k_values() for im in range(1 << N)]
     lo, table = bracket_table(a, w.k_min, w.k_max)
     hi = lo + (len(table[0]) >> N) - 1
@@ -445,19 +447,58 @@ def test_jacobi_table_matches_per_triple_brackets(a, w):
     entries = [e for row in table for e in row]
     assert len({id(e) for e in entries}) == len(set(entries))  # interned
     off = (w.k_min - lo) << N
-    # every inner bracket lands inside the columns, so the outer read exists
-    for b, (q, J) in enumerate(syms):
-        for c, (r, K) in enumerate(syms):
-            c2, rk, _, _ = table[b][c + off]
-            assert table[b][c + off] == bracket_ints(a, q, J, r, K)
-            if c2:
-                assert lo <= rk <= hi
     n = len(syms)
+    # every entry decodes to its bracket: the result column is None exactly
+    # when there is no D-part, and the result sits at mask J ^ K and at the
+    # summed degree
+    for b, (q, J) in enumerate(syms):
+        for col, (c2, rcol, cen12) in enumerate(table[b]):
+            r, K = lo + (col >> N), col & mask
+            assert (rcol is None) == (c2 == 0)
+            rk, rI = (0, 0) if rcol is None else (lo + (rcol >> N), rcol & mask)
+            assert (c2, rk, rI, cen12) == bracket_ints(a, q, J, r, K)
+            if c2:
+                assert rI == J ^ K
+                assert a.cfg.degree(rk, rI) == a.cfg.degree(q, J) + a.cfg.degree(r, K)
+                # every inner bracket lands inside the columns, so the outer
+                # read exists
+                if off <= col < off + n:
+                    assert lo <= rk <= hi
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 assert (verify._jacobi_residual(table, lo, N, off, i, j, k)
                         == _reference_residual(a, syms[i], syms[j], syms[k]))
+
+
+def test_jacobi_sweep_finds_residuals_off_the_grading(monkeypatch):
+    # one bracket lands one exponent off, so the D-terms of a triple's Jacobi
+    # sum fall on two symbols: the sweep must not sum them as one integer
+    def shifted(a, p, im, q, jm):
+        c2, rk, rI, cen12 = bracket_ints(a, p, im, q, jm)
+        if (p, im, q, jm) == (0, 1, 0, 2):
+            rk += 1
+        return c2, rk, rI, cen12
+
+    monkeypatch.setattr(algebra, "bracket_ints", shifted)
+    a = acfg(2, (1, 0))
+    w = Window(-2, 2)
+    syms = [(p, im) for p in w.k_values() for im in range(4)]
+    expected = []
+    for i, x in enumerate(syms):
+        for j, y in enumerate(syms[i:], i):
+            for z in syms[j:]:
+                terms, cen = _reference_residual(a, x, y, z, shifted)
+                assert not cen
+                if terms:
+                    parts = " + ".join(f"{v}/4*D[t^{rk},m={rI}]"
+                                       for (rk, rI), v in sorted(terms.items()))
+                    expected.append(violation(f"x={x} y={y} z={z}", lhs=parts,
+                                              rhs="0", diff=parts))
+    r = check_jacobi(a, w)
+    assert r.status == "fail"
+    assert r.violations == sorted(expected, key=lambda v: v["inputs"])
+    assert any(v["diff"].count("D[") == 2 for v in r.violations)
 
 
 def test_jacobi_computes_each_bracket_once(monkeypatch):
