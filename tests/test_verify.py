@@ -14,6 +14,7 @@ from superkon.linalg import WeightSpaces
 from superkon.repn import build_so2, build_so3_vm, check_so_relations
 from superkon.report import Report, Window, finish, violation
 from superkon.submod import iso_target, named_submodule
+from superkon.tables import N2Table, N3Table, TableTerms, make_table
 from superkon.tensmod import (MODULE_MUTATIONS, EvaluatedAction, ModBasisVec,
                               ModVec, TensorModule, module_from_config)
 from superkon.verify import (check_bracket_crosscheck, check_eps_shift,
@@ -852,6 +853,33 @@ def test_table_agreement_reports():
     for M in (n2(), n3):
         r = check_table_agreement(M, w)
         assert r.status == "pass" and not r.violations
+
+
+@pytest.mark.parametrize("eps, two_m, sector, n_bad, digest", [
+    ((1, 1, 1), 2, None, 1482,
+     "0cb25db0bad964096ae5fd33003b12701d05220092f58900ae99831e7c2c2ec8"),
+    ((0, 0, 0), 1, 0, 996,
+     "65753f2b931be09029a212e686988be2e7ec870d04b71f81911abbb5cf0d25fb"),
+    ((1, 1), None, None, 126,
+     "d83d91e57bc4e5c86e0dbaf7666e5cef9e20f0b69b43e9949a0024787a471391"),
+    ((1, 0), None, 0, 144,
+     "374cbdfd6c118549e53a78fc1af9d7382219e7ac403e04e86949d7db6cfce24f"),
+], ids=["n3-eps111", "n3-eps000", "n2-eps11", "n2-eps10"])
+def test_failing_table_agreement_reports_pinned(monkeypatch, eps, two_m, sector,
+                                                n_bad, digest):
+    # no benchmark Report has a table witness; with every table line
+    # emptied, each line of each table disagrees and prints its text and
+    # both values: pin them byte for byte
+    for cls in (N2Table, N3Table):
+        monkeypatch.setattr(cls, "act", lambda self, line, k, sym: TableTerms())
+    rep = build_so2(B, C, P) if two_m is None else build_so3_vm(two_m, C, P)
+    M = TensorModule(EpsilonConfig(len(eps), eps), rep, A, sector)
+    r = check_table_agreement(M, Window(-1, 1, -2, 2, 0))
+    assert r.status == "fail" and len(r.violations) == n_bad
+    assert {re.match(r"line=(\S+) ", v["inputs"])[1] for v in r.violations} \
+        == {line_id for line_id, _ in make_table(M).lines()}
+    text = r.to_json(with_timing=False)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_perturbed_so3_control():
