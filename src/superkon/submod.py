@@ -288,20 +288,19 @@ def _quotient_seeds(source, target, name, l_range):
                     Scalar.const(params, GaussRat(0, 2 * sign)))
             seeds.append((_table_pick(st, opp, 0, tl), img))
         return seeds
-    if name == "quotient_fprime":
-        st = N3Table(source)
-        tt = N3Table(target)
-        sh = st.sh
-        seeds = []
-        for lam in l_range:
-            if lam % 2:
-                continue
-            tl = lam // 2
-            # v_{0,l} -> v+_{0, l - sh} at the same actual weight
-            seeds.append((_table_pick(st, "v", 0, tl),
-                          _table_pick(tt, "vp", 0, tl - sh)))
-        return [(s, t) for s, t in seeds if not s.is_zero()]
-    raise UsageError(name)
+    # quotient_fprime
+    st = N3Table(source)
+    tt = N3Table(target)
+    sh = st.sh
+    seeds = []
+    for lam in l_range:
+        if lam % 2:
+            continue
+        tl = lam // 2
+        # v_{0,l} -> v+_{0, l - sh} at the same actual weight
+        seeds.append((_table_pick(st, "v", 0, tl),
+                      _table_pick(tt, "vp", 0, tl - sh)))
+    return seeds
 
 
 def _check_quotient_map(source, target, name, w, params, t0):

@@ -1,13 +1,14 @@
 """Explicit action tables for N=2 and N=3, used as independent oracles
 against the generic recursive action.
 
-The tables are transcribed line by line in their original bases:
-
-* N=2 untwisted (eps = (1,1)): ``v_l, v+_l, v-_l, w_l`` sitting at
-  t-exponent ``a + 2l``;
-* N=2 twisted (eps = (1,0)): same symbol names at ``a + l``;
-* N=3 (eps = (e,e,e), e in {0,1}): ``v, v+, v-, w, w+, w-, u, ub`` with
-  representation index ``r`` (out-of-range ``r`` is the zero vector).
+The tables are transcribed line by line in their original diagonal bases
+(N=2: eps = (1,1) or (1,0); N=3: eps = (e,e,e), e in {0,1}).  Each table
+class states its basis once, as ``BASIS``: a kind maps to its prefix terms
+``(J, c)``, and the symbol ``(kind, r, l)`` is ``sum c xi_J`` times the
+representation vector ``r`` at the kind's t-exponent (the zero vector when
+``r`` is outside the representation).  Each line of ``LINES`` acts by
+``D[t^(k+1), prefix]`` with one kind's prefix (P+- has v+-'s, Q+- has
+w+-'s); only the twisted N=2 table's xi1 and xi2 have prefixes of their own.
 
 Several source lines arrive mangled or internally inconsistent with the
 ladder conventions; the repaired readings used here are marked
@@ -22,7 +23,7 @@ from typing import NamedTuple
 
 from .algebra import AlgebraElement
 from .exactnum import GaussRat, I, Scalar, UsageError, add_term, as_scalar
-from .grassmann import iset
+from .grassmann import format_monomial, iset
 from .tensmod import ModBasisVec, ModVec, TensorModule
 
 
@@ -33,26 +34,27 @@ class TableVec(NamedTuple):
 
 
 class TableTerms(dict):
-    """kind/(r,l) -> Scalar accumulator that drops zero adds."""
+    """TableVec -> Scalar sums; a zero entry maps to the zero vector."""
 
-    def add(self, sym: TableVec, coeff: Scalar):
-        if coeff:
-            add_term(self, sym, coeff)
-            if not self[sym]:
-                del self[sym]
+    add = add_term
 
 
 class BaseTable:
+    """A table over the class's ``BASIS`` (kind -> prefix terms) and
+    ``LINES`` (line id -> prefix terms, in table order)."""
+
+    BASIS: dict
+    LINES: dict
+
     def __init__(self, module: TensorModule):
         self.m = module
         self.params = module.params
         self.a = module.a
         self.c = module.rep.z_scalar
-        # the basis-map coefficients 1, i and -i, built once (Scalars are
-        # immutable, so every to_modvec call shares them)
-        self.one = Scalar.const(self.params, 1)
-        self.i = Scalar.const(self.params, I)
-        self.minus_i = -self.i
+        # the prefix coefficients, built once (Scalars are immutable)
+        self.coeff = {1: Scalar.const(self.params, 1),
+                      "i": Scalar.const(self.params, I),
+                      "-i": Scalar.const(self.params, -I)}
 
     def const(self, x):
         return Scalar.const(self.params, x)
@@ -67,11 +69,35 @@ class BaseTable:
             s = s + term
         return s
 
+    def to_modvec(self, sym: TableVec) -> ModVec:
+        terms = self.BASIS.get(sym.kind)
+        if terms is None:
+            raise UsageError(f"unknown table symbol kind {sym.kind!r}")
+        if not 0 <= sym.r < self.m.rep.dim:
+            return ModVec(self.params, {})
+        l = self.table_sym_weight(sym)
+        return ModVec(self.params, {ModBasisVec(l, J, sym.r): self.coeff[c]
+                                    for J, c in terms})
+
+    def syms_at_table_l(self, l: int):
+        return [TableVec(k, r, l) for k in self.BASIS
+                for r in range(self.m.rep.dim)]
+
+    def lines(self):
+        return self.LINES.items()
+
 
 class N2Table(BaseTable):
     """The two explicit N=2 action lists (one per sector)."""
 
-    KINDS = ("v", "vp", "vm", "w")
+    BASIS = {"v": ((0, 1),),
+             "vp": ((iset(1), 1), (iset(2), "i")),
+             "vm": ((iset(1), 1), (iset(2), "-i")),
+             "w": ((iset(1, 2), 1),)}
+    LINES = {"D": BASIS["v"], "P+": BASIS["vp"], "P-": BASIS["vm"],
+             "xi12": BASIS["w"]}
+    TWISTED_LINES = {"D": BASIS["v"], "xi1": ((iset(1), 1),),
+                     "xi2": ((iset(2), 1),), "xi12": BASIS["w"]}
 
     def __init__(self, module: TensorModule):
         super().__init__(module)
@@ -81,30 +107,13 @@ class N2Table(BaseTable):
             self.twisted = False
         elif module.cfg.eps == (1, 0):
             self.twisted = True
+            self.LINES = self.TWISTED_LINES
         else:
             raise UsageError("N=2 table covers eps=(1,1) and eps=(1,0) only")
         self.b = module.rep.gen[(1, 2)][0][0]
 
-    # -- basis map -----------------------------------------------------
-    def to_modvec(self, sym: TableVec) -> ModVec:
-        l = sym.l if self.twisted else 2 * sym.l
-        one = self.one
-        if sym.kind == "v":
-            terms = {ModBasisVec(l, 0, 0): one}
-        elif sym.kind in ("vp", "vm"):
-            terms = {ModBasisVec(l, iset(1), 0): one,
-                     ModBasisVec(l, iset(2), 0): self.i if sym.kind == "vp" else self.minus_i}
-        elif sym.kind == "w":
-            terms = {ModBasisVec(l, iset(1, 2), 0): one}
-        else:
-            raise UsageError(f"unknown table symbol kind {sym.kind!r}")
-        return ModVec(self.params, terms)
-
     def table_sym_weight(self, sym: TableVec) -> int:
         return sym.l if self.twisted else 2 * sym.l
-
-    def syms_at_table_l(self, l: int):
-        return [TableVec(k, 0, l) for k in self.KINDS]
 
     # -- table action ----------------------------------------------------
     def act(self, line: str, k: int, sym: TableVec) -> TableTerms:
@@ -145,7 +154,7 @@ class N2Table(BaseTable):
                 out.add(TableVec("vp" if plus else "vm", 0, lk),
                         self.lin((k, b)) + self.lin((1, a), (1, 2 * l), (2 * k, c)).scale_raw(
                             0, 1 if plus else -1, 2))
-        elif line == "xi12":
+        else:  # xi12
             if sym.kind == "v":
                 out.add(TableVec("v", 0, lk), b)
             elif sym.kind in ("vp", "vm"):
@@ -154,8 +163,6 @@ class N2Table(BaseTable):
             else:
                 out.add(TableVec("v", 0, lk), self.c.scale_raw(-k, 0))
                 out.add(TableVec("w", 0, lk), b)
-        else:
-            raise UsageError(f"unknown untwisted line {line!r}")
         return out
 
     def _act_twisted(self, line, k, sym) -> TableTerms:
@@ -206,7 +213,7 @@ class N2Table(BaseTable):
                 cp = self.lin((1, a), (1, l), (2 * k + 1, c), ((2 * k + 1), b * I))
                 out.add(TableVec("vp", 0, l2k + 1), cm.scale_raw(1, 0, 4))
                 out.add(TableVec("vm", 0, l2k + 1), cp.scale_raw(1, 0, 4))
-        elif line == "xi12":
+        else:  # xi12
             if sym.kind == "v":
                 out.add(TableVec("v", 0, l2k + 1), b)
             elif sym.kind in ("vp", "vm"):
@@ -216,31 +223,28 @@ class N2Table(BaseTable):
                 out.add(TableVec("v", 0, l2k + 1),
                         self.c.scale_raw(-(2 * k + 1), 0, 2))
                 out.add(TableVec("w", 0, l2k + 1), b)
-        else:
-            raise UsageError(f"unknown twisted line {line!r}")
         return out
-
-    def lines(self):
-        if self.twisted:
-            ops = [("D", [(0, 1)]), ("xi1", [(iset(1), 1)]),
-                   ("xi2", [(iset(2), 1)]), ("xi12", [(iset(1, 2), 1)])]
-        else:
-            ops = [("D", [(0, 1)]),
-                   ("P+", [(iset(1), 1), (iset(2), I)]),
-                   ("P-", [(iset(1), 1), (iset(2), GaussRat(0, -1))]),
-                   ("xi12", [(iset(1, 2), 1)])]
-        return ops
 
 
 class N3Table(BaseTable):
     """The explicit N=3 action list for eps = (e,e,e), e in {0,1}.
 
     Written with m = two_m/2 and sh = 1 - e; the representation basis is
-    v_0..v_{2m}.  Table symbols sit at t-exponents 2l (kinds v, w+, w-, u)
-    and 2l + sh (kinds v+, v-, w, ub).
+    v_0..v_{2m}.  A kind with an even prefix (v, w+, w-, u) sits at
+    t-exponent 2l, one with an odd prefix (v+, v-, w, ub) at 2l + sh.
     """
 
-    KINDS = ("v", "vp", "vm", "w", "wp", "wm", "u", "ub")
+    BASIS = {"v": ((0, 1),),
+             "vp": ((iset(1), 1), (iset(2), "i")),
+             "vm": ((iset(1), 1), (iset(2), "-i")),
+             "w": ((iset(3), 1),),
+             "wp": ((iset(1, 3), 1), (iset(2, 3), "i")),
+             "wm": ((iset(1, 3), 1), (iset(2, 3), "-i")),
+             "u": ((iset(1, 2), 1),),
+             "ub": ((iset(1, 2, 3), 1),)}
+    LINES = {"D": BASIS["v"], "P+": BASIS["vp"], "P-": BASIS["vm"],
+             "xi3": BASIS["w"], "xi12": BASIS["u"], "Q+": BASIS["wp"],
+             "Q-": BASIS["wm"], "xi123": BASIS["ub"]}
 
     def __init__(self, module: TensorModule):
         super().__init__(module)
@@ -263,42 +267,8 @@ class N3Table(BaseTable):
     def a2l(self, l: int) -> Scalar:
         return self.a + Scalar.const(self.params, 2 * l)
 
-    # -- basis map -----------------------------------------------------
-    def _exp(self, kind: str, l: int) -> int:
-        if kind in ("v", "wp", "wm", "u"):
-            return 2 * l
-        return 2 * l + self.sh
-
-    def to_modvec(self, sym: TableVec) -> ModVec:
-        if not (0 <= sym.r <= self.two_m):
-            return ModVec(self.params, {})
-        one, i_s, mi_s = self.one, self.i, self.minus_i
-        l = self._exp(sym.kind, sym.l)
-        k = sym.kind
-        if k == "v":
-            terms = {ModBasisVec(l, 0, sym.r): one}
-        elif k in ("vp", "vm"):
-            terms = {ModBasisVec(l, iset(1), sym.r): one,
-                     ModBasisVec(l, iset(2), sym.r): i_s if k == "vp" else mi_s}
-        elif k == "w":
-            terms = {ModBasisVec(l, iset(3), sym.r): one}
-        elif k in ("wp", "wm"):
-            terms = {ModBasisVec(l, iset(1, 3), sym.r): one,
-                     ModBasisVec(l, iset(2, 3), sym.r): i_s if k == "wp" else mi_s}
-        elif k == "u":
-            terms = {ModBasisVec(l, iset(1, 2), sym.r): one}
-        elif k == "ub":
-            terms = {ModBasisVec(l, iset(1, 2, 3), sym.r): one}
-        else:
-            raise UsageError(f"unknown table symbol kind {k!r}")
-        return ModVec(self.params, terms)
-
     def table_sym_weight(self, sym: TableVec) -> int:
-        return self._exp(sym.kind, sym.l)
-
-    def syms_at_table_l(self, l: int):
-        return [TableVec(k, r, l) for k in self.KINDS
-                for r in range(self.two_m + 1)]
+        return 2 * sym.l + self.sh * (self.BASIS[sym.kind][0][0].bit_count() & 1)
 
     # -- the table -----------------------------------------------------
     def act(self, line: str, k: int, sym: TableVec) -> TableTerms:
@@ -541,16 +511,6 @@ class N3Table(BaseTable):
                         self.num(Fraction(m2 - r, 2)))
         return out
 
-    def lines(self):
-        return [("D", [(0, 1)]),
-                ("P+", [(iset(1), 1), (iset(2), I)]),
-                ("P-", [(iset(1), 1), (iset(2), GaussRat(0, -1))]),
-                ("xi3", [(iset(3), 1)]),
-                ("xi12", [(iset(1, 2), 1)]),
-                ("Q+", [(iset(1, 3), 1), (iset(2, 3), I)]),
-                ("Q-", [(iset(1, 3), 1), (iset(2, 3), GaussRat(0, -1))]),
-                ("xi123", [(iset(1, 2, 3), 1)])]
-
 
 def make_table(module: TensorModule):
     if module.cfg.N == 2:
@@ -572,12 +532,13 @@ def compare_table(module: TensorModule, table, k_range, table_l_range):
     params = module.params
     disc = []
     checked = 0
-    for line_id, parts in table.lines():
+    for line_id, terms in table.lines():
+        line_text = f"D[t^k+1]{_line_suffix(terms)}"
         for k in k_range:
             op = AlgebraElement.zero(params)
-            for imask, coeff in parts:
+            for imask, c in terms:
                 op = op + AlgebraElement.d_symbol(params, k + 1, imask,
-                                                  Scalar.const(params, coeff))
+                                                  table.coeff[c])
             for tl in table_l_range:
                 for sym in table.syms_at_table_l(tl):
                     checked += 1
@@ -589,7 +550,7 @@ def compare_table(module: TensorModule, table, k_range, table_l_range):
                         mapped = mapped + table.to_modvec(sym2).scale(coeff)
                     if not (generic - mapped).is_zero():
                         disc.append({
-                            "line": f"D[t^k+1]{_line_suffix(line_id)} . {sym.kind}",
+                            "line": f"{line_text} . {sym.kind}",
                             "inputs": f"line={line_id} k={k} sym={sym}",
                             "table": str(mapped),
                             "generic": str(generic),
@@ -597,8 +558,9 @@ def compare_table(module: TensorModule, table, k_range, table_l_range):
     return disc, checked
 
 
-def _line_suffix(line_id: str) -> str:
-    return {"D": "", "P+": "xi{1}+i*xi{2}", "P-": "xi{1}-i*xi{2}",
-            "xi1": "xi{1}", "xi2": "xi{2}", "xi3": "xi{3}",
-            "xi12": "xi{1,2}", "Q+": "xi{1,3}+i*xi{2,3}",
-            "Q-": "xi{1,3}-i*xi{2,3}", "xi123": "xi{1,2,3}"}[line_id]
+def _line_suffix(terms) -> str:
+    """A line's prefix as its witness shows it after ``D[t^k+1]``:
+    ``xi{1}+i*xi{2}`` for P+, empty for D."""
+    sign = {1: "+", "i": "+i*", "-i": "-i*"}
+    return "".join(sign[c] + format_monomial(0, J)
+                   for J, c in terms if J).lstrip("+")

@@ -428,7 +428,7 @@ class ClosureResult:
 
 
 def _close(spaces: WeightSpaces, ops, act, vecs, w: Window,
-           stop=None) -> ClosureResult:
+           stop) -> ClosureResult:
     """Every closure, exact or modulo a prime: insert the seed vectors
     ``vecs``, then grow their span under ``ops`` by ``act(p, imask, vec)``
     (see :meth:`~superkon.linalg.WeightSpaces.grow`) until nothing new
@@ -436,7 +436,7 @@ def _close(spaces: WeightSpaces, ops, act, vecs, w: Window,
     ``l``."""
     work = [vec for vec in vecs if spaces.insert(vec) == "new"]
     for (_, _, shift), l, _, outcome in spaces.grow(work, ops, act):
-        if outcome == "new" and stop is not None and stop(l + shift):
+        if outcome == "new" and stop(l + shift):
             break
     ls = [l for l in range(w.l_min, w.l_max + 1) if spaces.dim(l)]
     return ClosureResult({l: spaces.rank(l) for l in ls},
@@ -445,15 +445,16 @@ def _close(spaces: WeightSpaces, ops, act, vecs, w: Window,
 
 
 def closure(module: TensorModule, seeds, w: Window, params: dict,
-            early_full: bool = False, ev=None) -> ClosureResult:
+            ev=None) -> ClosureResult:
     """Smallest windowed invariant subspace containing the ``ModVec``
     seeds, by exact elimination.
 
     Applies the window's D-symbols (see
     :meth:`~superkon.tensmod.TensorModule.window_ops`) to the
     current spanning set, drops vectors outside the weight range, and
-    row-reduces per weight space until stable (see :func:`_close`).  Only
-    inner-window dimensions are truncation-free.  An EvaluatedAction cache
+    row-reduces per weight space until stable, or until every inner weight
+    space is full (see :func:`_close`).  Only inner-window dimensions are
+    truncation-free; outer ones may stop short.  An EvaluatedAction cache
     may be shared across calls via ``ev``.  A seed that mixes weights
     raises UsageError.
     """
@@ -465,7 +466,7 @@ def closure(module: TensorModule, seeds, w: Window, params: dict,
     return _close(spaces, module.window_ops(w),
                   lambda p, im, vec: ev.act_vec(p, im, vec)[1],
                   [ev.eval_modvec(s)[1] for s in seeds], w,
-                  (lambda _: _inner_full(spaces, w)) if early_full else None)
+                  lambda _: _inner_full(spaces, w))
 
 
 def _inner_full(spaces: WeightSpaces, w: Window) -> bool:
@@ -575,9 +576,8 @@ def window_simplicity(module: TensorModule, w: Window, params: dict,
         for tl in range(min(mids) - 1, max(mids) + 2):
             for sym in table.syms_at_table_l(tl):
                 if table.table_sym_weight(sym) in mids:
-                    v = table.to_modvec(sym)
-                    if not v.is_zero():
-                        seeds.append((f"{sym.kind}[r={sym.r},l={sym.l}]", v))
+                    seeds.append((f"{sym.kind}[r={sym.r},l={sym.l}]",
+                                  table.to_modvec(sym)))
     ev = module.eval_cache(params)
     unique = []
     seen = set()
@@ -596,8 +596,7 @@ def window_simplicity(module: TensorModule, w: Window, params: dict,
         if bound is not None:
             candidates.append((bound, i))
     worst = _smallest_exact(
-        candidates, lambda i: closure(module, [unique[i][1]], w, params,
-                                      early_full=True, ev=ev))
+        candidates, lambda i: closure(module, [unique[i][1]], w, params, ev=ev))
     details = {"seeds": len(seeds), "middle_weights": mids,
                "note": "window-scale evidence, not a proof of simplicity"}
     if worst is None:

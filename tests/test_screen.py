@@ -57,7 +57,7 @@ def exact_window_simplicity(module, w, params, middle=2):
             continue
         seen.add(key)
         n += 1
-        res = verify.closure(module, [seed], w, params, early_full=True, ev=ev)
+        res = verify.closure(module, [seed], w, params, ev=ev)
         if not res.inner_full:
             size = sum(res.inner_dims().values())
             if worst is None or size < worst[0]:

@@ -175,6 +175,17 @@ def test_table_example_lines_n3():
                    Scalar.const(P, GaussRat(0, Fraction(-1, 2)))}
 
 
+def test_table_to_modvec_range_and_kinds():
+    for t in (N2Table(n2_module()), N2Table(n2_module(eps=(1, 0))),
+              N3Table(n3_module(two_m=1, eps=1))):
+        dim = t.m.rep.dim
+        assert not t.to_modvec(TableVec("vp", dim - 1, 0)).is_zero()
+        for r in (-1, dim):
+            assert t.to_modvec(TableVec("vp", r, 0)).is_zero()
+        with pytest.raises(UsageError, match="'vq'"):
+            t.to_modvec(TableVec("vq", 0, 0))
+
+
 def test_named_submodule_w_generators():
     M = n2_module(b=1, c=GaussRat(0, -1))  # on W+'s locus b = i c
     gens = named_submodule(M, "W_plus", range(0, 1))
