@@ -223,6 +223,34 @@ def norm_pairs(terms: dict, den: int):
     return den, terms
 
 
+def lifted_powers(re: int, im: int, d: int, deg: int) -> list:
+    """The integer pairs ``(re + im*i)^k * d^(deg-k)``, ``k = 0..deg``: the
+    powers of the value ``(re + im*i)/d`` up to ``deg``, each over the one
+    denominator ``d^deg``."""
+    pw = [(1, 0)]
+    for _ in range(deg):
+        r, m = pw[-1]
+        pw.append((r * re - m * im, r * im + m * re))
+    return [(r * d ** (deg - k), m * d ** (deg - k))
+            for k, (r, m) in enumerate(pw)]
+
+
+def term_sum(terms: dict, powers: dict) -> tuple:
+    """The integer pair ``sum (r + m*i) * prod_j powers[j][e_j]`` over the
+    ``terms`` ``e -> (r, m)`` of a Scalar; ``powers`` maps a parameter index
+    to its :func:`lifted_powers`, and the parameters it leaves out have
+    exponent zero in every term.  The substitution loop of :meth:`Scalar.at`
+    and of the evaluated action columns of :mod:`superkon.tensmod`."""
+    tre = tim = 0
+    for e, (r, m) in terms.items():
+        for j, pw in powers.items():
+            pr, pm = pw[e[j]]
+            r, m = r * pr - m * pm, r * pm + m * pr
+        tre += r
+        tim += m
+    return tre, tim
+
+
 class Scalar:
     """Sparse polynomial over a fixed ordered parameter list.
 
@@ -381,24 +409,18 @@ class Scalar:
         degs = [max(col) for col in zip(*self.terms)]
         if not any(degs):
             return self
-        vals = {}  # parameter index -> (re, im, d) of its value
+        powers = {}  # parameter index -> lifted powers of its value
         den = self.den
         for i, (name, deg) in enumerate(zip(self.params, degs)):
             if deg:
                 if name not in assignment:
                     raise UsageError(f"missing assignment for parameter {name!r}")
-                vals[i] = _exact_parts(assignment[name], f"parameter {name!r}")
-                den *= vals[i][2] ** deg
-        tre = tim = 0
-        for e, (r, m) in self.terms.items():
-            for i, (vr, vm, d) in vals.items():
-                for _ in range(e[i]):
-                    r, m = r * vr - m * vm, r * vm + m * vr
-                f = d ** (degs[i] - e[i])
-                r, m = r * f, m * f
-            tre += r
-            tim += m
-        return Scalar(self.params, {(0,) * len(self.params): (tre, tim)}, den)
+                vr, vm, d = _exact_parts(assignment[name], f"parameter {name!r}")
+                powers[i] = lifted_powers(vr, vm, d, deg)
+                den *= d ** deg
+        return Scalar(self.params,
+                      {(0,) * len(self.params): term_sum(self.terms, powers)},
+                      den)
 
     def eval(self, assignment: dict) -> GaussRat:
         """The value at ``assignment`` as a GaussRat (see :meth:`at`)."""

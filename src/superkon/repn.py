@@ -61,6 +61,19 @@ class SoRep:
                                   for ij, mat in self.gen.items()},
                        z_scalar=self.z_scalar.at(assignment))
 
+    def constant_over(self, params) -> "SoRep":
+        """This representation, with constant entries (as after
+        :meth:`at`), over the parameter list ``params``."""
+        params = tuple(params)
+
+        def over(x: Scalar) -> Scalar:
+            re, im, d = x.const_parts()
+            return Scalar(params, {(0,) * len(params): (re, im)}, d)
+
+        return replace(self, gen={ij: [[over(x) for x in row] for row in mat]
+                                  for ij, mat in self.gen.items()},
+                       z_scalar=over(self.z_scalar), params=params)
+
 
 def _const(params, x) -> Scalar:
     if isinstance(x, str):

@@ -41,7 +41,8 @@ from typing import NamedTuple
 
 from .algebra import AlgebraConfig, AlgebraElement, bracket_ints
 from .exactnum import (GaussRat, Scalar, Terms, TextReader, UsageError,
-                       add_term, as_scalar, norm_pairs)
+                       add_term, as_scalar, lifted_powers, norm_pairs,
+                       term_sum)
 from .grassmann import EpsilonConfig, members, tau
 from .linalg import gauss_mod, sqrt_minus_one
 from .repn import SoRep, config_dict, config_int, config_scalar, rep_from_config
@@ -276,18 +277,35 @@ class TensorModule:
         return EvaluatedAction(self, assignment)
 
 
+# The parameter list of the column families of an EvaluatedAction: the
+# formal origin alone, apart from the parameter names of the caller.
+ORIGIN = ("u",)
+
+
 class EvaluatedAction:
     """Action tables of a module with all formal parameters evaluated.
 
     ``module`` is the given module evaluated at the assignment
-    (:meth:`TensorModule.at`): its inputs are substituted once, so the
-    prefix recursion runs on constants and gives every coefficient's value
-    (substitution is a ring map).  The hot representation is
-    projective-integer: a vector is a dict ``basis -> (re, im)`` of
-    Gaussian-integer pairs, exact up to the separately returned positive
-    denominator.  Closure/rank sweeps drop the denominator (spans are
-    scale-invariant); the intertwining checks keep it to cross-scale row
-    pairs.
+    (:meth:`TensorModule.at`): its inputs are substituted once.
+
+    The action at weight ``l`` depends on ``l`` only through ``a + l``: the
+    recursion reads a weight only in the plain-series scalar ``a + l + 2k +
+    ck`` and moves every weight by amounts free of it.  So the columns come
+    from one more module, the evaluated representation with the formal
+    origin ``u`` (parameter list :data:`ORIGIN`, apart from the caller's).
+    Its column ``act_basis_d(p, I, (0, J, r))`` is a family, a polynomial in
+    ``u`` per output vector, memoised here per ``(p, I, J, r)``;
+    :meth:`table` evaluates it at ``u = a + l`` by
+    :func:`~superkon.exactnum.term_sum`, the loop of :meth:`Scalar.at
+    <superkon.exactnum.Scalar.at>`, from powers of ``a + l`` made once per
+    weight, and shifts its output weights by ``l``.  A window's columns run
+    the recursion once per family, however many weights the window has.
+
+    The hot representation is projective-integer: a vector is a dict
+    ``basis -> (re, im)`` of Gaussian-integer pairs, exact up to the
+    separately returned positive denominator.  Closure/rank sweeps drop the
+    denominator (spans are scale-invariant); the intertwining checks keep it
+    to cross-scale row pairs.
 
     Modulo a prime (:meth:`act_vec_mod`) a vector is a dict ``basis ->
     int`` of true values mod the prime (see :mod:`superkon.linalg`).  Its
@@ -300,6 +318,13 @@ class EvaluatedAction:
         self.module = module.at(assignment)
         self._assignment = assignment
         self._memo: dict = {}
+        m = self.module
+        self._origin = m.a.const_parts()
+        self._family_module = TensorModule(
+            m.cfg, m.rep.constant_over(ORIGIN), Scalar.var(ORIGIN, "u"),
+            m.sector_delta, m.mutation)
+        self._families: dict = {}
+        self._powers: dict = {}
 
     def table(self, p: int, imask: int, bv: ModBasisVec):
         """(den, ((bv2, (re, im)), ...)): the evaluated column of a
@@ -307,9 +332,34 @@ class EvaluatedAction:
         key = (p, imask, bv)
         hit = self._memo.get(key)
         if hit is None:
-            hit = _pairs(self.module.act_basis_d(p, imask, bv))
-            self._memo[key] = hit
+            deg, den, family = self._family(p, imask, bv.J, bv.r)
+            pkey = (bv.l, deg)
+            if pkey not in self._powers:
+                re, im, d = self._origin
+                self._powers[pkey] = ({0: lifted_powers(re + bv.l * d, im, d,
+                                                        deg)}, d ** deg)
+            powers, lift = self._powers[pkey]
+            col = {}
+            for l2, J2, r2, terms, f in family:
+                re, im = term_sum(terms, powers)
+                col[ModBasisVec(l2 + bv.l, J2, r2)] = (re * f, im * f)
+            den, col = norm_pairs(col, den * lift)
+            hit = self._memo[key] = (den, tuple(col.items()))
         return hit
+
+    def _family(self, p: int, imask: int, J: int, r: int):
+        """(degree in ``u``, den, ((l2, J2, r2, terms, f), ...)): the column
+        of ``D[t^p, xi_I]`` on ``(0, J, r)`` at the formal origin ``u``, each
+        coefficient ``terms`` over ``den / f``."""
+        key = (p, imask, J, r)
+        if key not in self._families:
+            col = self._family_module.act_basis_d(p, imask,
+                                                  ModBasisVec(0, J, r))
+            deg = max((e for s in col.values() for e, in s.terms), default=0)
+            den = lcm(*(s.den for s in col.values()))
+            self._families[key] = (deg, den, tuple(
+                (*bv2, s.terms, den // s.den) for bv2, s in col.items()))
+        return self._families[key]
 
     def act_d(self, p: int, imask: int, bv: ModBasisVec):
         """:meth:`table` as ``[(bv2, GaussRat), ...]``.  No library check
@@ -354,19 +404,11 @@ class EvaluatedAction:
 
     def eval_modvec(self, v: ModVec):
         """(den, dict of integer pairs) with true value dict/den."""
-        den, pairs = _pairs({bv: c.at(self._assignment)
-                             for bv, c in v.terms.items()})
-        return den, dict(pairs)
-
-
-def _pairs(terms: dict):
-    """(den, ((bv, (re, im)), ...)) for ``bv -> constant Scalar`` terms, with
-    zero values dropped; ``den`` is the least common denominator of the
-    values."""
-    vals = [(bv, *c.const_parts()) for bv, c in terms.items() if c]
-    den = lcm(*(d for *_, d in vals))
-    return den, tuple((bv, (re * (den // d), im * (den // d)))
-                      for bv, re, im, d in vals)
+        vals = [(bv, *c.at(self._assignment).const_parts())
+                for bv, c in v.terms.items()]
+        den = lcm(*(d for *_, d in vals))
+        return norm_pairs({bv: (re * (den // d), im * (den // d))
+                           for bv, re, im, d in vals}, den)
 
 
 def pairs_text(vec: dict) -> str:

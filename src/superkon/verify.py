@@ -24,7 +24,15 @@ and in the quotient-map checks of :mod:`~superkon.submod`, runs the one
 worklist :meth:`~superkon.linalg.WeightSpaces.grow` over the generators
 of :meth:`~superkon.tensmod.TensorModule.window_ops`, reading action
 columns from the one memo of :meth:`~superkon.tensmod.EvaluatedAction.table`.
-The simplicity probe is evidence at window scale, never a proof, and its
+The action at weight ``l`` depends on ``l`` only through ``a + l``, so
+that memo is filled from column families at a formal origin, memoised per
+``(p, I, J, r)`` in the same :class:`~superkon.tensmod.EvaluatedAction`
+and each evaluated at ``a + l``: a window's columns run the prefix
+recursion once per family, not once per weight.  :meth:`Scalar.at
+<superkon.exactnum.Scalar.at>` is applied to the module's inputs once and
+to each seed coefficient, never to an action column; the probe test
+``test_proper_probe_evaluates_each_coefficient_once`` pins that.  The
+simplicity probe is evidence at window scale, never a proof, and its
 report says so.
 """
 

@@ -377,9 +377,23 @@ def table_columns(M, ls, ps):
             for p in ps for im in range(1 << M.cfg.N)]
 
 
+XY = ("x", "y")
+
+
 @pytest.mark.parametrize("make,asn", [
     (lambda: n3_module(two_m=2, c=Fraction(3, 11)), {"a": Fraction(5, 7)}),
     (lambda: n2_module(b=GaussRat(0, 1), c=1), {"a": "4/7-2/3*i"}),
+    (lambda: n2_module(eps=(1, 0), b=Fraction(1, 3), c=Fraction(2, 5),
+                       sector=1), {"a": Fraction(5, 7)}),
+    # no parameters at all
+    (lambda: TensorModule(EpsilonConfig(2, (1, 1)),
+                          build_so2(Fraction(1, 3), GaussRat(0, 1), ()),
+                          Scalar.const((), Fraction(5, 7))), {}),
+    # parameters of the caller's own names, the origin depending on both
+    (lambda: TensorModule(EpsilonConfig(3, (1, 1, 1)),
+                          build_so3_vm(1, "x*y - 1/2", XY),
+                          Scalar.parse(XY, "x + 2*y")),
+     {"x": Fraction(2, 3), "y": "1/5+i"}),
 ])
 def test_table_matches_gaussrat_route(gaussrat_route, make, asn):
     fraction_eval, clear_denominators = gaussrat_route
@@ -409,3 +423,62 @@ def test_filling_a_table_constructs_no_fraction(monkeypatch):
         ev.table(*col)
     assert ev.table(2, 0, ModBasisVec(0, 0, 0))[1]
     assert made == []
+
+
+def test_table_runs_the_recursion_once_per_family(monkeypatch):
+    # the columns of every weight come from the families at weight 0, so a
+    # wider window runs the prefix recursion no more often
+    calls = []
+    act_basis_d = TensorModule.act_basis_d
+
+    def spy(self, p, imask, bv):
+        calls.append((p, imask, bv))
+        return act_basis_d(self, p, imask, bv)
+
+    monkeypatch.setattr(TensorModule, "act_basis_d", spy)
+    M = n3_module(two_m=2, c=Fraction(3, 11))
+    counts = []
+    for ls in (range(-2, 3), range(-6, 7)):
+        calls.clear()
+        ev = M.eval_cache({"a": Fraction(5, 7)})
+        for col in table_columns(M, ls, range(-1, 3)):
+            ev.table(*col)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
+# The weight-translation fact: the action at weight l depends on l only
+# through a + l.  Each case is a module and the assignment it is read at.
+ORIGIN_57 = {"a": Fraction(5, 7), "b": Fraction(1, 3), "c": Fraction(2, 5)}
+TRANSLATION_CASES = {
+    "n2_eps11": (lambda: n2_module(), ORIGIN_57),
+    "n2_eps10_sector0": (lambda: n2_module(eps=(1, 0), sector=0), ORIGIN_57),
+    "n2_eps10_sector1": (lambda: n2_module(eps=(1, 0), sector=1), ORIGIN_57),
+    "n3_eps111_V1": (lambda: n3_module(two_m=2), ORIGIN_57),
+    "n3_eps110_Vhalf": (lambda: TensorModule(
+        EpsilonConfig(3, (1, 1, 0)), build_so3_vm(1, C, P), A, 0), ORIGIN_57),
+    "n2_swap_tau": (lambda: TensorModule(
+        EpsilonConfig(2, (1, 0)), build_so2(B, C, P), A, 0,
+        mutation="swap_tau"), ORIGIN_57),
+    "n2_gaussian_origin": (lambda: n2_module(),
+                           {"a": "4/7-2/3*i", "b": 1, "c": "i"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRANSLATION_CASES))
+def test_action_depends_on_weight_only_through_origin(name):
+    make, asn = TRANSLATION_CASES[name]
+    M = make()
+    at_a = M.at(asn)
+    for l in range(-3, 4):  # every weight, on the module's lattice or off it
+        at_a_plus_l = TensorModule(M.cfg, M.rep, M.a + l, M.sector_delta,
+                                   M.mutation).at(asn)
+        for J in range(1 << M.cfg.N):
+            for r in range(M.rep.dim):
+                for p in range(-1, 3):
+                    for im in range(1 << M.cfg.N):
+                        col = at_a.act_basis_d(p, im, ModBasisVec(l, J, r))
+                        moved = at_a_plus_l.act_basis_d(p, im,
+                                                        ModBasisVec(0, J, r))
+                        assert col == {ModBasisVec(bv.l + l, bv.J, bv.r): c
+                                       for bv, c in moved.items()}

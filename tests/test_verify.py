@@ -697,6 +697,24 @@ def test_simplicity_middle_must_be_positive():
         window_simplicity(M, module_window(-2, 2, M), W_LOCUS, middle=0)
 
 
+@pytest.mark.xfail(strict=True, raises=UsageError,
+                   reason="open: twisted N=2 sector modules map vectors off "
+                          "their own lattice")
+@pytest.mark.parametrize("sector,stop", [(0, -5), (1, -6)])
+def test_twisted_n2_probe_stays_in_its_sector(sector, stop):
+    # the action (D[t^p, xi1 xi2] on a prefix-free vector moves l by an odd
+    # amount) and the table seeds leave the sector; the probe stops at the
+    # first vector outside its weight space's basis
+    M = n2(eps=(1, 0), b=Fraction(1, 3), c=Fraction(2, 5), a=Fraction(5, 7),
+           sector=sector)
+    try:
+        r = window_simplicity(M, module_window(-2, 2, 2), {}, middle=1)
+    except UsageError as e:
+        assert f"l={stop}," in str(e)
+        raise
+    assert r.details["verdict"]
+
+
 def test_submodule_closure_fprime():
     M = TensorModule(EpsilonConfig(3, (1, 1, 1)), build_so3_vm(2, Fraction(-1), P), A)
     w = module_window(-2, 2, M)
