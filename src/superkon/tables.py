@@ -24,6 +24,7 @@ from typing import NamedTuple
 from .algebra import AlgebraElement
 from .exactnum import GaussRat, I, Scalar, UsageError, add_term, as_scalar
 from .grassmann import format_monomial, iset
+from .report import violation
 from .tensmod import ModBasisVec, ModVec, TensorModule
 
 
@@ -523,14 +524,15 @@ def make_table(module: TensorModule):
 def compare_table(module: TensorModule, table, k_range, table_l_range):
     """Compare the table action against the generic action line by line.
 
-    Returns (discrepancies, tuples_checked); each discrepancy carries the
-    line id, the inputs, both values, and the generic one is authoritative.
+    Returns (violations, tuples_checked): each discrepancy is a
+    :func:`~superkon.report.violation` with the table value as ``lhs`` and
+    the generic value, which is authoritative, as ``rhs``.
     The ``k + 1`` below is deliberate: the tables are transcribed in modes
     ``k = p - 1`` of the D-symbols ``D[t^p, xi_I]``, so line ``k`` is
     compared with the stored exponent ``p = k + 1``.
     """
     params = module.params
-    disc = []
+    bad = []
     checked = 0
     for line_id, terms in table.lines():
         line_text = f"D[t^k+1]{_line_suffix(terms)}"
@@ -549,13 +551,12 @@ def compare_table(module: TensorModule, table, k_range, table_l_range):
                     for sym2, coeff in stated.items():
                         mapped = mapped + table.to_modvec(sym2).scale(coeff)
                     if not (generic - mapped).is_zero():
-                        disc.append({
-                            "line": f"{line_text} . {sym.kind}",
-                            "inputs": f"line={line_id} k={k} sym={sym}",
-                            "table": str(mapped),
-                            "generic": str(generic),
-                        })
-    return disc, checked
+                        bad.append(violation(
+                            f"line={line_id} k={k} sym={sym}",
+                            lhs=mapped, rhs=generic,
+                            diff=f"line {line_text} . {sym.kind}: table "
+                                 "disagrees; generic value is authoritative"))
+    return bad, checked
 
 
 def _line_suffix(terms) -> str:

@@ -157,6 +157,19 @@ class TensorModule:
         return [(p, im, self.cfg.degree(p, im)) for p in w.k_values()
                 for im in range(1 << self.cfg.N)]
 
+    def inner_basis(self, w) -> list:
+        """The basis vectors of the inner weights of window ``w``, by
+        weight; UsageError when there are none (say, an inner range of odd
+        weights on the even lattice), since a check over them checks
+        nothing."""
+        out = [bv for l in range(w.inner_l_min, w.inner_l_max + 1)
+               for bv in self.basis_at(l)]
+        if not out:
+            raise UsageError(f"the inner weights {w.inner_l_min}.."
+                             f"{w.inner_l_max} of the window hold no basis "
+                             "vector of the module")
+        return out
+
     # -- action ---------------------------------------------------------
     def act_function(self, k: int, imask: int, bv: ModBasisVec):
         """Monomial ``t^k xi_I`` on a basis vector -> (coeff_sign, bv) or None."""

@@ -5,18 +5,20 @@ Every check returns a :class:`~superkon.report.Report`; violations are in
 lexicographic input order so identical configurations produce identical
 reports regardless of evaluation order.  Window results are only trusted
 on the inner weight range; the inner margin must cover the largest
-generator weight shift (see :func:`module_window`).
+generator weight shift (see :func:`module_window`).  A check over the
+inner basis vectors refuses a window whose inner weights hold none (see
+:meth:`~superkon.tensmod.TensorModule.inner_basis`).
 
 Closures run at concrete Gaussian-rational parameter values; identity
-sweeps keep all parameters symbolic.  The Jacobi sweep reads every bracket
-from one :func:`~superkon.algebra.bracket_table`, whose entries hold the
-result's column: a bracket lands on mask ``I ^ J`` at the exponent its
-additive degree fixes, so a triple's D-residual is one integer at one
-symbol (see :func:`check_jacobi`).  The module-axiom sweep sums each
-identity's residual lhs - rhs as raw Gaussian-integer pairs over one
-denominator and builds Scalars only for the witness of a nonzero one
-(see :func:`check_module_axioms`).  Every dimension, membership and
-verdict in a report comes from exact elimination over Gaussian integers.
+sweeps keep all parameters symbolic.  An identity sweep runs a fast
+filter, which may flag too much but never too little, and hands each
+flagged case to the library's reference operation, which decides it and
+writes its witness: :func:`~superkon.algebra.bracket_ints` behind the
+filter over one :func:`~superkon.algebra.bracket_table` of
+:func:`check_jacobi`, :meth:`~superkon.tensmod.TensorModule.act` behind
+the raw Gaussian-integer residuals of :func:`check_module_axioms`.  Every
+dimension, membership and verdict in a report comes from exact
+elimination over Gaussian integers.
 The simplicity probe first screens its closures modulo a prime, where
 "full" is already certain, and redoes exactly only the closures the
 screen leaves open (see :func:`window_simplicity`).  Every closure, here
@@ -42,6 +44,7 @@ import time
 from dataclasses import dataclass, replace
 from math import comb, lcm
 
+from . import algebra
 from .algebra import (AlgebraConfig, AlgebraElement, bracket, bracket_basis,
                       bracket_table, eps_shift_map, filtration_exponent,
                       ideal_exponent, in_ideal_i, in_k_ell, phi, project_k0,
@@ -73,46 +76,43 @@ def _parity(imask: int) -> int:
 # Jacobi sweep (one bracket table per sweep)
 
 
-def _jacobi_residual(table, lo: int, N: int, off: int, i: int, j: int, k: int):
-    """4x the D-part, as ``{(rk, rI): coefficient}``, and 24x the central
-    part of the graded Jacobi sum of the window symbols in rows ``i, j, k``
-    of ``(lo, table) = bracket_table(..)``; row ``r`` is the symbol at column
-    ``r + off``, and an entry's result column ``col`` decodes as ``(lo +
-    (col >> N), col & mask)``.  The D-part may have several keys only if the
-    bracket breaks the grading."""
+def _jacobi_residual(acfg: AlgebraConfig, x, y, z):
+    """The reference: 4x the D-part, as ``{(rk, rI): coefficient}``, and
+    24x the central part of the graded Jacobi sum of the symbols ``x, y,
+    z`` (pairs ``(p, imask)``), each bracket read from
+    :func:`algebra.bracket_ints <superkon.algebra.bracket_ints>`, the
+    binding :func:`~superkon.algebra.bracket_table` is built from.  The
+    D-part may have several keys only if the bracket breaks the
+    grading."""
     terms: dict = {}
     cen = 0
-    mask = (1 << N) - 1
-    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-        c2, col, _ = table[b][c + off]
+    for u, v, t in ((x, y, z), (y, z, x), (z, x, y)):
+        c2, rk, rI, _ = algebra.bracket_ints(acfg, *v, *t)
         if not c2:
             continue
-        c3, col3, cen12 = table[a][col]
-        sgn = -1 if (_parity(a & mask) and _parity(c & mask)) else 1
+        c3, rk, rI, cen12 = algebra.bracket_ints(acfg, *u, rk, rI)
+        sgn = -1 if (_parity(u[1]) and _parity(t[1])) else 1
         if c3:
-            key = (lo + (col3 >> N), col3 & mask)
-            terms[key] = terms.get(key, 0) + sgn * c2 * c3
-        if cen12:
-            cen += sgn * c2 * cen12
-    if terms:  # most triples add nothing: skip the filter
-        terms = {key: v for key, v in terms.items() if v}
-    return terms, cen
+            terms[rk, rI] = terms.get((rk, rI), 0) + sgn * c2 * c3
+        cen += sgn * c2 * cen12
+    return {key: v for key, v in terms.items() if v}, cen
 
 
 def check_jacobi(acfg: AlgebraConfig, w: Window, workers: int | None = None) -> Report:
     """Graded Jacobi identity over all basis triples in the window
     (unordered: the Jacobi sum of homogeneous arguments changes only by a
-    global sign under permutations).  The sweep first computes every
-    bracket it can read into one :func:`~superkon.algebra.bracket_table`.
+    global sign under permutations).
 
-    A bracket lands on mask ``I ^ J`` at the exponent its additive degree
-    fixes, so the three D-terms of a triple's Jacobi sum share one result
-    column and the D-residual is one integer ``d``.  The sweep sums ``d``
-    and the central part ``cen`` with plain ints, and hands a triple to
-    :func:`_jacobi_residual`, which writes the witness, only when ``d`` or
-    ``cen`` is nonzero or a nonzero term lands on a second column (possible
-    only if the grading breaks).  ``workers`` may only be ``None`` or 1: the
-    sweep runs in one process."""
+    The filter reads every bracket from one
+    :func:`~superkon.algebra.bracket_table`.  A bracket lands on mask ``I ^
+    J`` at the exponent its additive degree fixes, so the three D-terms of
+    a triple's Jacobi sum share one result column and the D-residual is
+    one integer ``d``.  The filter sums ``d`` and the central part ``cen``
+    with plain ints and flags a triple when ``d`` or ``cen`` is nonzero or
+    a nonzero term lands on a second column (possible only if the grading
+    breaks).  Each flagged triple goes to :func:`_jacobi_residual`, which
+    decides and writes the witness.  ``workers`` may only be ``None`` or
+    1: the sweep runs in one process."""
     if workers not in (None, 1):
         raise UsageError(f"check_jacobi runs in one process; workers={workers!r}")
     t0 = time.monotonic()
@@ -125,14 +125,14 @@ def check_jacobi(acfg: AlgebraConfig, w: Window, workers: int | None = None) -> 
     bad = []
 
     def record(i, j, k):
-        terms, cen = _jacobi_residual(table, lo, N, off, i, j, k)
+        x, y, z = syms[i], syms[j], syms[k]
+        terms, cen = _jacobi_residual(acfg, x, y, z)
         if terms or cen:
             parts = [f"{v}/4*D[t^{rk},m={rI}]" for (rk, rI), v in sorted(terms.items())]
             if cen:
                 parts.append(f"{cen}/24*C")
-            bad.append(violation(f"x={syms[i]} y={syms[j]} z={syms[k]}",
-                                 lhs=" + ".join(parts), rhs="0",
-                                 diff=" + ".join(parts)))
+            bad.append(violation(f"x={x} y={y} z={z}", lhs=" + ".join(parts),
+                                 rhs="0", diff=" + ".join(parts)))
 
     # terms [i,[j,k]], [j,[k,i]], [k,[i,j]]; the sign is -1 when the outer
     # symbol and the last inner one are both odd
@@ -217,7 +217,8 @@ class _Packer:
     int: ``_EXP_BITS`` bits per parameter, the basis vector's index above
     them.  Every packed exponent stays below half a field, so adding two
     never carries into the next field: the key of a product term is the
-    image term's key plus the factor's packed exponent.
+    image term's key plus the factor's packed exponent.  Keys are only
+    compared, never unpacked.
 
     :meth:`image` turns an action image (dict ModBasisVec -> Scalar) into
     ``(den, flat, groups)`` over one denominator: ``flat`` lists
@@ -225,10 +226,8 @@ class _Packer:
     ``bv`` as a factor (see :meth:`coeff`)."""
 
     def __init__(self, params):
-        self.params = params
         self.shift = _EXP_BITS * len(params)
         self.index: dict = {}
-        self.vecs: list = []
 
     def exponent(self, e) -> int:
         packed = 0
@@ -250,25 +249,11 @@ class _Packer:
         den = lcm(*(c.den for c in terms.values()))
         flat, groups = [], []
         for bv, c in terms.items():
-            idx = self.index.get(bv)
-            if idx is None:
-                idx = self.index[bv] = len(self.vecs)
-                self.vecs.append(bv)
+            idx = self.index.setdefault(bv, len(self.index))
             coeff = self.coeff(c, den)
             flat.extend(((idx << self.shift) + e, r, m) for e, r, m in coeff[1])
             groups.append((bv, coeff))
         return den, flat, groups
-
-    def modvec(self, acc: "_Residual") -> ModVec:
-        """The accumulated sum as a ModVec of canonical Scalars."""
-        mask = (1 << _EXP_BITS) - 1
-        nparams = len(self.params)
-        split: dict = {}
-        for key, pair in acc.terms.items():
-            e = tuple((key >> (_EXP_BITS * i)) & mask for i in range(nparams))
-            split.setdefault(self.vecs[key >> self.shift], {})[e] = pair
-        return ModVec(self.params, {bv: Scalar(self.params, t, acc.den)
-                                    for bv, t in split.items()})
 
 
 class _Residual:
@@ -330,20 +315,21 @@ def check_module_axioms(module: TensorModule, w: Window) -> Report:
     """The bracket compatibility, associative function action, and mixed
     compatibility identities, fully symbolic in the parameters.
 
-    Each window symbol's image of each basis vector is computed once, by
-    :meth:`~superkon.tensmod.TensorModule.act_basis`, and packed once into
-    integer pairs (:class:`_Packer`).  An identity is a list of parts
-    ``(side, sign, coeff, image)``; its residual lhs - rhs is summed in one
-    :class:`_Residual`, so a passing identity builds no Scalar.  The witness
-    of a nonzero residual is each side, summed again, and the residual, as
-    module vectors of canonical Scalars."""
+    The filter: each window symbol's image of each basis vector is
+    computed once, by :meth:`~superkon.tensmod.TensorModule.act_basis`,
+    and packed once into integer pairs (:class:`_Packer`).  An identity is
+    a list of parts ``(sign, coeff, image)`` whose sum is its residual lhs
+    - rhs, summed in one :class:`_Residual`, so a passing identity builds
+    no Scalar.  A nonzero residual flags the identity, and the reference
+    decides it: both sides are computed again by
+    :meth:`~superkon.tensmod.TensorModule.act` on module vectors, and
+    their difference, when nonzero, is the violation with its witness."""
     t0 = time.monotonic()
     params = module.params
     acfg = AlgebraConfig(module.cfg)
     ops = module.window_ops(w)
     syms = [(p, im, is_d) for is_d in (True, False) for p, im, _ in ops]
-    vecs = [bv for l in range(w.inner_l_min, w.inner_l_max + 1)
-            for bv in module.basis_at(l)]
+    vecs = module.inner_basis(w)
     packer = _Packer(params)
     # images[sym][bv]: the symbol (p, imask, is_d) on a basis vector, packed
     images = _Memo(lambda sym: _Memo(
@@ -351,18 +337,18 @@ def check_module_axioms(module: TensorModule, w: Window) -> Report:
     bad = []
     n = 0
 
-    def settle(parts):
-        """None when the parts sum to zero, else the violation's texts."""
+    def flagged(parts):
+        """Whether the parts ``(sign, coeff, image)`` sum to nonzero."""
         res = _Residual()
-        for side, sign, coeff, img in parts:
-            res.add(coeff, img, side * sign)
-        if not res:
-            return None
-        lhs, rhs = _Residual(), _Residual()
-        for side, sign, coeff, img in parts:
-            (lhs if side > 0 else rhs).add(coeff, img, sign)
-        return {"lhs": str(packer.modvec(lhs)), "rhs": str(packer.modvec(rhs)),
-                "diff": str(packer.modvec(res))}
+        for sign, coeff, img in parts:
+            res.add(coeff, img, sign)
+        return bool(res)
+
+    def decide(inputs, lhs, rhs):
+        """The reference: a violation when the ModVecs differ."""
+        diff = lhs - rhs
+        if not diff.is_zero():
+            bad.append(violation(inputs, lhs=str(lhs), rhs=str(rhs), diff=str(diff)))
 
     def elem(p, im, is_d):
         return (AlgebraElement.d_symbol(params, p, im) if is_d
@@ -370,11 +356,11 @@ def check_module_axioms(module: TensorModule, w: Window) -> Report:
 
     for i, x in enumerate(syms):
         p1, i1, d1 = x
-        ix = images[x]
+        ex, ix = elem(*x), images[x]
         for y in syms[i:]:
             p2, i2, d2 = y
-            iy = images[y]
-            br = bracket(acfg, elem(*x), elem(*y))
+            ey, iy = elem(*y), images[y]
+            br = bracket(acfg, ex, ey)
             br_terms = ([(images[p, im, True], packer.coeff(c))
                          for (p, im), c in br.d.terms.items()]
                         + [(images[k, im, False], packer.coeff(c))
@@ -382,14 +368,16 @@ def check_module_axioms(module: TensorModule, w: Window) -> Report:
             sgn = -1 if (_parity(i1) and _parity(i2)) else 1
             for bv in vecs:
                 n += 1
-                parts = [(1, 1, c, isym[bv]) for isym, c in br_terms]
-                parts += [(-1, 1, c, ix[bv2]) for bv2, c in iy[bv][2]]
-                parts += [(-1, -sgn, c, iy[bv2]) for bv2, c in ix[bv][2]]
-                texts = settle(parts)
-                if texts:
-                    bad.append(violation(
-                        f"bracket x=({p1},{i1},{'D' if d1 else 'A'}) "
-                        f"y=({p2},{i2},{'D' if d2 else 'A'}) v={bv.text()}", **texts))
+                parts = [(1, c, isym[bv]) for isym, c in br_terms]
+                parts += [(-1, c, ix[bv2]) for bv2, c in iy[bv][2]]
+                parts += [(sgn, c, iy[bv2]) for bv2, c in ix[bv][2]]
+                if flagged(parts):
+                    v = ModVec.basis(params, bv)
+                    decide(f"bracket x=({p1},{i1},{'D' if d1 else 'A'}) "
+                           f"y=({p2},{i2},{'D' if d2 else 'A'}) v={bv.text()}",
+                           module.act(br, v),
+                           module.act(ex, module.act(ey, v))
+                           - module.act(ey, module.act(ex, v)).scale(sgn))
     # associative action of the function algebra
     monos = [(k, im) for k, im, _ in ops]
     for (k1, i1) in monos:
@@ -400,13 +388,17 @@ def check_module_axioms(module: TensorModule, w: Window) -> Report:
             fg = None if sm is None else images[k1 + k2, sm[1], False]
             for bv in vecs:
                 n += 1
-                parts = [(1, 1, c, f[bv2]) for bv2, c in g[bv][2]]
+                parts = [(1, c, f[bv2]) for bv2, c in g[bv][2]]
                 if fg is not None:
-                    parts.append((-1, sm[0], _ONE, fg[bv]))
-                texts = settle(parts)
-                if texts:
-                    bad.append(violation(
-                        f"assoc f=({k1},{i1}) g=({k2},{i2}) v={bv.text()}", **texts))
+                    parts.append((-sm[0], _ONE, fg[bv]))
+                if flagged(parts):
+                    v = ModVec.basis(params, bv)
+                    decide(f"assoc f=({k1},{i1}) g=({k2},{i2}) v={bv.text()}",
+                           module.act(elem(k1, i1, False),
+                                      module.act(elem(k2, i2, False), v)),
+                           ModVec(params, {}) if sm is None else module.act(
+                               AlgebraElement.a_monomial(params, k1 + k2, sm[1],
+                                                         sm[0]), v))
     return finish(f"module_axioms[N={module.cfg.N},eps={module.cfg.eps},"
                   f"rep={module.rep.label},sector={module.sector_delta}]",
                   bad, n, t0)
@@ -570,10 +562,9 @@ def window_simplicity(module: TensorModule, w: Window, params: dict,
     if middle < 1:
         raise UsageError("middle must be at least 1")
     t0 = time.monotonic()
-    mids = [l for l in range(w.inner_l_min, w.inner_l_max + 1)
-            if module.basis_at(l)]
     center = (w.l_min + w.l_max) // 2
-    mids.sort(key=lambda l: (abs(l - center), l))
+    mids = sorted({bv.l for bv in module.inner_basis(w)},
+                  key=lambda l: (abs(l - center), l))
     mids = sorted(mids[:middle])
     seeds = [(bv.text(), ModVec.basis(module.params, bv))
              for l in mids for bv in module.basis_at(l)]
@@ -705,8 +696,7 @@ def check_omega(module: TensorModule, m_max: int, w: Window,
         raise UsageError("m_max must be at least 1")
     t0 = time.monotonic()
     ev = module.eval_cache(params)
-    vecs = [bv for l in range(w.inner_l_min, w.inner_l_max + 1)
-            for bv in module.basis_at(l)]
+    vecs = module.inner_basis(w)
     found = {}
     n = 0
     for imask in range(1 << module.cfg.N):
@@ -920,11 +910,6 @@ def check_table_agreement(module: TensorModule, w: Window) -> Report:
     weights -1, 0 and 1.  Every discrepancy is a violation carrying the
     generic value (the source of truth)."""
     t0 = time.monotonic()
-    table = make_table(module)
-    disc, n = compare_table(module, table, w.k_values(), range(-1, 2))
-    bad = [violation(d["inputs"], lhs=d["table"], rhs=d["generic"],
-                     diff=f"line {d['line']}: table disagrees; "
-                          "generic value is authoritative")
-           for d in disc]
+    bad, n = compare_table(module, make_table(module), w.k_values(), range(-1, 2))
     return finish(f"table_agreement[N={module.cfg.N},eps={module.cfg.eps},"
                   f"rep={module.rep.label}]", bad, n, t0)

@@ -243,8 +243,10 @@ def test_window_simple_probe_makes_no_exact_action(monkeypatch):
 
 def test_proper_probe_evaluates_each_coefficient_once(monkeypatch):
     # the module's inputs are evaluated once and the action runs on their
-    # values, so no action column is substituted: only the inputs (origin,
-    # central scalar, generator entries) and the seed coefficients are
+    # values; action columns are evaluated from their families by
+    # exactnum.term_sum, not by Scalar.at, so Scalar.at sees only the
+    # inputs (origin, central scalar, generator entries) and the seed
+    # coefficients
     substituted, seed_sizes, evs = [], [], []
     at = Scalar.at
     eval_modvec = EvaluatedAction.eval_modvec

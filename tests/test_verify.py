@@ -11,9 +11,9 @@ from superkon.algebra import (ALGEBRA_MUTATIONS, AlgebraConfig, AlgebraElement,
 from superkon.exactnum import GaussRat, Scalar, UsageError
 from superkon.grassmann import EpsilonConfig, format_monomial, iset, xi_mul
 from superkon.linalg import WeightSpaces
-from superkon.repn import build_so2, build_so3_vm, check_so_relations
+from superkon.repn import SoRep, build_so2, build_so3_vm, check_so_relations
 from superkon.report import Report, Window, finish, violation
-from superkon.submod import iso_target, named_submodule
+from superkon.submod import iso_check_map, iso_target, named_submodule
 from superkon.tables import N2Table, N3Table, TableTerms, make_table
 from superkon.tensmod import (MODULE_MUTATIONS, EvaluatedAction, ModBasisVec,
                               ModVec, TensorModule, module_from_config)
@@ -233,6 +233,18 @@ def test_module_axioms_pinned_at_benchmark_scale(mutation, violations, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("mutation", [None, "swap_tau"], ids=["plain", "swap_tau"])
+def test_flagging_every_module_identity_changes_no_report(monkeypatch, mutation):
+    # the packed residual only flags; the reference decides, so a filter
+    # that flags every identity leaves the Report byte-identical
+    M = n2(eps=(1, 0))
+    M = TensorModule(M.cfg, M.rep, M.a, mutation=mutation)
+    w = module_window(-1, 1, M, inner_width=2)
+    want = check_module_axioms(M, w).to_json(with_timing=False)
+    monkeypatch.setattr(verify._Residual, "__bool__", lambda self: True)
+    assert check_module_axioms(M, w).to_json(with_timing=False) == want
+
+
 def test_residual_rescales_its_denominator_and_cancels():
     packer = verify._Packer(P)
     bv = ModBasisVec(0, 0, 0)
@@ -246,8 +258,7 @@ def test_residual_rescales_its_denominator_and_cancels():
     assert res.den == 2
     res.add(verify._ONE, image(Fraction(1, 3)))
     assert res.den == 6 and res
-    assert packer.modvec(res) == ModVec.basis(P, bv, Fraction(5, 6))
-    res.add(verify._ONE, image(Fraction(-5, 6)))
+    res.add(verify._ONE, image(Fraction(-5, 6)))  # the sum was exactly 5/6
     assert res.den == 6 and not res
     res.add(verify._ONE, image(Fraction(1, 4)))  # the lcm, not the product
     assert res.den == 12 and res
@@ -258,8 +269,8 @@ def test_residual_rescales_its_denominator_and_cancels():
     (_, i_coeff), = image(GaussRat(0, 1))[2]
     res = verify._Residual()
     res.add(i_coeff, image(GaussRat(0, 1)))
-    assert packer.modvec(res) == ModVec.basis(P, bv, -1)
-    res.add(verify._ONE, image(1))
+    assert res
+    res.add(verify._ONE, image(1))  # the product was exactly -1
     assert not res
 
     # packed exponents add: a * (b*c) - (a*b) * c = 0
@@ -465,11 +476,11 @@ def test_jacobi_table_matches_per_triple_brackets(a, w):
                 # read exists
                 if off <= col < off + n:
                     assert lo <= rk <= hi
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                assert (verify._jacobi_residual(table, lo, N, off, i, j, k)
-                        == _reference_residual(a, syms[i], syms[j], syms[k]))
+    for x in syms:
+        for y in syms:
+            for z in syms:
+                assert (verify._jacobi_residual(a, x, y, z)
+                        == _reference_residual(a, x, y, z))
 
 
 def test_jacobi_sweep_finds_residuals_off_the_grading(monkeypatch):
@@ -689,6 +700,27 @@ def test_submodule_closure_reports_images_outside_the_span(monkeypatch):
                    if v["inputs"] == "gen[0][0] under op=(-1,1)")
     assert witness["lhs"] == "(23+0i)*D{}.v0@l=-4 + (0+14i)*D{1,2}.v0@l=-4"
     assert witness["rhs"] == "span of W_plus at weight -4"
+
+
+# inner weight 1 only, which is off the even lattice of the all-ones twist
+NO_INNER_BASIS = Window(-1, 1, -7, 9, 8)
+ORIGIN_ONLY = {"a": Fraction(5, 7)}
+
+
+@pytest.mark.parametrize("run", [
+    lambda: window_simplicity(_n3(1, Fraction(3, 11)), NO_INNER_BASIS, ORIGIN_ONLY),
+    # N=1 has no table, so the probe has no seed but the inner basis
+    lambda: window_simplicity(
+        TensorModule(EpsilonConfig(1, (1,)), SoRep(1, 1, {}, C, P, "so1"), A),
+        NO_INNER_BASIS, {**ORIGIN_ONLY, "c": 1}),
+    lambda: check_omega(_n3(1, Fraction(3, 11)), 2, NO_INNER_BASIS, ORIGIN_ONLY),
+    lambda: check_module_axioms(_n3(1), NO_INNER_BASIS),
+    lambda: iso_check_map(_n3(1), "identity", NO_INNER_BASIS),
+], ids=["simplicity-n3", "simplicity-n1", "omega", "module_axioms", "iso_identity"])
+def test_window_without_inner_basis_is_a_usage_error(run):
+    # a check over no inner basis vector checks nothing: it refuses the window
+    with pytest.raises(UsageError, match=r"inner weights 1\.\.1 .* hold no basis"):
+        run()
 
 
 def test_simplicity_middle_must_be_positive():

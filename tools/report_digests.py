@@ -6,9 +6,14 @@ Report byte-identical.
 Run it on two checkouts and diff the outputs.  It builds every workload of
 ``bench/workloads.py`` at seeds 0-3, runs each check once and prints one
 line per check: workload, seed, check name and the sha256 of the Report's
-``to_json(with_timing=False)``.  Nothing under ``bench/`` is changed, and only
-the standard library and ``src/superkon`` of the checkout that holds this
-file are used.
+``to_json(with_timing=False)``.  Every workload Report passes, so it then
+runs one negative control per registered mutation, at a small window, and
+prints ``negative_control``, the mutation, its target check and the digest:
+these failing Reports are the ones that carry witness text.  Nothing under
+``bench/`` is changed, and only the standard library and ``src/superkon``
+of the checkout that holds this file are used, so to compare two
+checkouts with one check list, copy this file into the other checkout's
+``tools/`` and run both copies.
 """
 
 from __future__ import annotations
@@ -21,17 +26,58 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import workloads  # noqa: E402
+from superkon import verify  # noqa: E402
+from superkon.algebra import ALGEBRA_MUTATIONS, AlgebraConfig  # noqa: E402
+from superkon.exactnum import Scalar  # noqa: E402
+from superkon.grassmann import EpsilonConfig  # noqa: E402
+from superkon.repn import build_so2  # noqa: E402
+from superkon.report import Window  # noqa: E402
+from superkon.tensmod import MODULE_MUTATIONS, TensorModule  # noqa: E402
 
 SEEDS = range(4)
+SMALL = Window(-2, 2, -2, 2, 0)
+P = ("a", "b", "c")
+
+
+def _algebra(eps, mutation, central=False) -> AlgebraConfig:
+    return AlgebraConfig(EpsilonConfig(len(eps), eps), central, mutation)
+
+
+def _swap_tau():
+    b, c, a = (Scalar.var(P, x) for x in "bca")
+    m = TensorModule(EpsilonConfig(2, (1, 0)), build_so2(b, c, P), a,
+                     mutation="swap_tau")
+    return verify.check_module_axioms(m, verify.module_window(-1, 1, m, inner_width=2))
+
+
+# mutation -> its negative control; a registered mutation missing here
+# stops the run with a KeyError
+CONTROLS = {
+    "drop_sign_intersection": lambda: verify.check_bracket_crosscheck(
+        _algebra((1, 0), "drop_sign_intersection"), SMALL),
+    "double_cocycle": lambda: verify.check_jacobi(
+        _algebra((1, 1), "double_cocycle", central=True), SMALL),
+    "drop_phi_coeff": lambda: verify.check_phi(
+        _algebra((1, 0), "drop_phi_coeff"), SMALL),
+    "drop_delta_l0": lambda: verify.check_filtration(
+        _algebra((1, 1), "drop_delta_l0"), 1, SMALL),
+    "swap_tau": _swap_tau,
+}
+
+
+def _digest(report) -> str:
+    return hashlib.sha256(report.to_json(with_timing=False).encode()).hexdigest()
 
 
 def main() -> None:
     for name in workloads.WORKLOADS:
         for seed in SEEDS:
             for check in workloads.build(name, seed):
-                text = check.run().to_json(with_timing=False)
-                digest = hashlib.sha256(text.encode()).hexdigest()
-                print(name, seed, check.name, digest, flush=True)
+                print(name, seed, check.name, _digest(check.run()), flush=True)
+    registry = {**ALGEBRA_MUTATIONS, **MODULE_MUTATIONS}
+    for mutation in sorted(registry):
+        print("negative_control", mutation, registry[mutation],
+              _digest(CONTROLS[mutation]()), flush=True)
 
 
 if __name__ == "__main__":
