@@ -905,6 +905,17 @@ def test_table_agreement_reports():
         assert r.status == "pass" and not r.violations
 
 
+def test_table_agreement_pinned_at_benchmark_scale():
+    # V_1 at symbolic a, c on the benchmark's window: the passing Report is
+    # pinned byte for byte
+    r = check_table_agreement(_n3(2), Window(-2, 2, -2, 2, 0))
+    assert r.status == "pass"
+    assert r.stats["tuples_checked"] == 2880
+    text = r.to_json(with_timing=False)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "683879feec25724226705d499481f48ddfc4c2a09acfea0d56f8ba0b4d9825cc"
+
+
 @pytest.mark.parametrize("eps, two_m, sector, n_bad, digest", [
     ((1, 1, 1), 2, None, 1482,
      "0cb25db0bad964096ae5fd33003b12701d05220092f58900ae99831e7c2c2ec8"),
