@@ -209,16 +209,19 @@ def _exact_parts(value, what: str) -> tuple:
 def norm_pairs(terms: dict, den: int):
     """``(den, terms)`` for the vector ``terms/den`` of integer pairs ``key
     -> (re, im)``, canonical: zero pairs dropped, ``den > 0``, and no common
-    factor of ``den`` and every entry; ``(1, {})`` for the zero vector."""
-    if den < 0:
-        den = -den
-        terms = {k: (-r, -m) for k, (r, m) in terms.items()}
-    terms = {k: v for k, v in terms.items() if v[0] or v[1]}
+    factor of ``den`` and every entry; ``(1, terms)`` for the zero vector.
+    ``terms`` is normalised in place, so the caller passes a dict of its
+    own."""
+    for k in [k for k, (r, m) in terms.items() if not (r or m)]:
+        del terms[k]
     if not terms:
-        return 1, {}
+        return 1, terms
     g = pair_content(terms.values(), den)
-    if g > 1:
-        terms = {k: (r // g, m // g) for k, (r, m) in terms.items()}
+    if den < 0:
+        g = -g
+    if g != 1:
+        for k, (r, m) in terms.items():
+            terms[k] = (r // g, m // g)
         den //= g
     return den, terms
 
@@ -266,13 +269,21 @@ class Scalar:
         self.params = tuple(params)
         self.den, self.terms = norm_pairs(dict(terms or {}), den)
 
+    @staticmethod
+    def _made(params: tuple, terms: dict, den: int, canonical: bool = False):
+        """A Scalar over a dict the caller built for it, which it takes over:
+        normalised in place, or kept as it is when ``canonical``."""
+        s = Scalar.__new__(Scalar)
+        s.params = params
+        s.den, s.terms = (den, terms) if canonical else norm_pairs(terms, den)
+        return s
+
     # -- constructors ----------------------------------------------
     @classmethod
     def const(cls, params, value) -> "Scalar":
         params = tuple(params)
         nre, nim, d = _exact_parts(value, "a Scalar constant")
-        zero = (0,) * len(params)
-        return cls(params, {zero: (nre, nim)}, d)
+        return cls._made(params, {(0,) * len(params): (nre, nim)}, d)
 
     @classmethod
     def var(cls, params, name: str) -> "Scalar":
@@ -300,28 +311,35 @@ class Scalar:
 
     # -- ring operations --------------------------------------------
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, GaussRat)):
-            other = Scalar.const(self.params, other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        self._check(other)
+        if type(other) is not Scalar:
+            if isinstance(other, (int, Fraction, GaussRat)):
+                other = Scalar.const(self.params, other)
+            elif not isinstance(other, Scalar):
+                return NotImplemented
+        if self.params is not other.params:
+            self._check(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         d1, d2 = self.den, other.den
-        g = gcd(d1, d2)
-        m1, m2 = d2 // g, d1 // g
-        out = {k: (r * m1, m * m1) for k, (r, m) in self.terms.items()}
+        if d1 == d2:
+            m1 = m2 = 1
+            out = dict(self.terms)
+        else:
+            g = gcd(d1, d2)
+            m1, m2 = d2 // g, d1 // g
+            out = {k: (r * m1, m * m1) for k, (r, m) in self.terms.items()}
         for k, (r, m) in other.terms.items():
             pr, pm = out.get(k, (0, 0))
             out[k] = (pr + r * m2, pm + m * m2)
-        return Scalar(self.params, out, d1 * m1)
+        return Scalar._made(self.params, out, d1 * m1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        s = Scalar.__new__(Scalar)
-        s.params = self.params
-        s.terms = {k: (-r, -m) for k, (r, m) in self.terms.items()}
-        s.den = self.den
-        return s
+        return Scalar._made(self.params, {k: (-r, -m) for k, (r, m) in self.terms.items()},
+                            self.den, canonical=True)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Scalar) else -Scalar.const(self.params, other))
@@ -341,11 +359,13 @@ class Scalar:
         return None
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussRat)):
-            return self.scale_raw(*_exact_parts(other, "a Scalar factor"))
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        self._check(other)
+        if type(other) is not Scalar:
+            if isinstance(other, (int, Fraction, GaussRat)):
+                return self.scale_raw(*_exact_parts(other, "a Scalar factor"))
+            if not isinstance(other, Scalar):
+                return NotImplemented
+        if self.params is not other.params:
+            self._check(other)
         c = other.const_parts()
         if c is not None:
             return self.scale_raw(*c)
@@ -358,20 +378,22 @@ class Scalar:
                 e = tuple(a + b for a, b in zip(e1, e2))
                 pr, pm = out.get(e, (0, 0))
                 out[e] = (pr + r1 * r2 - m1 * m2, pm + r1 * m2 + m1 * r2)
-        return Scalar(self.params, out, self.den * other.den)
+        return Scalar._made(self.params, out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def scale_raw(self, nre: int, nim: int, den: int = 1) -> "Scalar":
-        """Multiply by the Gaussian rational ``(nre + nim*i)/den``."""
+        """Multiply by the Gaussian rational ``(nre + nim*i)/den``.  A unit
+        ``+-1`` or ``+-i`` keeps the terms canonical: no normalising."""
+        unit = den == 1 and nre * nre + nim * nim == 1
         if nim == 0:
-            if den == 1 and nre in (1, -1):
+            if unit:
                 return self if nre == 1 else -self
             out = {k: (r * nre, m * nre) for k, (r, m) in self.terms.items()}
         else:
             out = {k: (r * nre - m * nim, r * nim + m * nre)
                    for k, (r, m) in self.terms.items()}
-        return Scalar(self.params, out, self.den * den)
+        return Scalar._made(self.params, out, self.den * den, canonical=unit)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -386,11 +408,13 @@ class Scalar:
         return acc
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussRat)):
-            other = Scalar.const(self.params, other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return (self.params == other.params and self.den == other.den
+        if type(other) is not Scalar:
+            if isinstance(other, (int, Fraction, GaussRat)):
+                other = Scalar.const(self.params, other)
+            elif not isinstance(other, Scalar):
+                return NotImplemented
+        return ((self.params is other.params or self.params == other.params)
+                and self.den == other.den
                 and self.terms == other.terms)
 
     def __hash__(self):
@@ -548,6 +572,130 @@ class Terms:
 
     def __repr__(self):
         return f"{type(self).__name__}({self!s})"
+
+
+# ---------------------------------------------------------------------------
+# packed Gaussian-integer sums: the filters of the identity sweeps
+
+_EXP_BITS = 16  # bits per parameter in a packed exponent vector
+_INDEX_BITS = 32  # bits of a packed key's index, its field above the exponents
+
+
+class _Packer:
+    """Packs the exponent vector of a term and its key's index into one
+    int: ``_EXP_BITS`` bits per parameter, the index of the key (say, a
+    basis vector) above them.  Every packed exponent stays below half a
+    field, so adding two never carries into the next field: the key of a
+    product term is the image term's key plus the factor's packed exponent.
+    Keys are only compared, never unpacked.
+
+    :meth:`image` turns a dict ``key -> Scalar`` (an action image) into
+    ``(den, flat, groups)`` over one denominator: ``flat`` lists ``(packed
+    key, re, im)``, and ``groups`` lists ``(key, coeff)``, the entry at
+    ``key`` as a factor (see :meth:`coeff`)."""
+
+    def __init__(self, params):
+        self.shift = _EXP_BITS * len(params)
+        self.index: dict = {}
+        self._exponents: dict = {}
+
+    def exponent(self, e) -> int:
+        packed = self._exponents.get(e)
+        if packed is None:
+            packed = 0
+            for i, k in enumerate(e):
+                if k >> (_EXP_BITS - 1):
+                    raise UsageError(f"exponent {k} is too large to pack in "
+                                     f"{_EXP_BITS} bits without a carry")
+                packed |= k << (_EXP_BITS * i)
+            self._exponents[e] = packed
+        return packed
+
+    def coeff(self, s: Scalar, den: int = 0) -> tuple:
+        """``s`` as a factor ``(den, [(packed exponent, re, im), ...])``
+        over ``den``, a multiple of ``s.den`` (default ``s.den``)."""
+        den = den or s.den
+        f = den // s.den
+        return den, [(self.exponent(e), r * f, m * f) for e, (r, m) in s.terms.items()]
+
+    def image(self, terms: dict) -> tuple:
+        den = lcm(*(c.den for c in terms.values()))
+        flat, groups = [], []
+        for key, c in terms.items():
+            idx = self.index.setdefault(key, len(self.index))
+            if idx >> _INDEX_BITS:
+                raise UsageError(f"more than 2^{_INDEX_BITS} keys to pack")
+            coeff = self.coeff(c, den)
+            flat.extend(((idx << self.shift) + e, r, m) for e, r, m in coeff[1])
+            groups.append((key, coeff))
+        return den, flat, groups
+
+
+class _Memo(dict):
+    """``key -> compute(key)``, each value computed on its first read."""
+
+    __slots__ = ("compute",)
+
+    def __init__(self, compute):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key):
+        hit = self[key] = self.compute(key)
+        return hit
+
+
+class _Batch:
+    """The residuals of the identities ``0 .. size-1`` of one batch, each a
+    sum of products ``sign * coeff * image`` (as made by a :class:`_Packer`),
+    in one dict of Gaussian-integer pairs.  A key is the packed key of the
+    image term plus the factor's packed exponent, with the identity's index
+    placed above both, so no two identities share a key.  All residuals
+    share one denominator, grown to the lcm only when a product's
+    denominator does not divide it.  :meth:`flagged` lists the identities
+    whose residual is nonzero."""
+
+    __slots__ = ("size", "top", "den", "terms")
+
+    def __init__(self, packer: _Packer, size: int):
+        self.size = size
+        self.top = packer.shift + _INDEX_BITS
+        self.den = 1
+        self.terms: dict = {}
+
+    def add(self, index: int, coeff: tuple, image: tuple, sign: int = 1) -> None:
+        """Identity ``index`` ``+= sign * coeff * image``; ``coeff`` as in a
+        group of :meth:`_Packer.image`."""
+        flat = image[1]
+        if not flat:
+            return
+        cden, cterms = coeff
+        d = cden * image[0]
+        den = self.den
+        if den % d:
+            new = lcm(den, d)
+            f = new // den
+            self.terms = {k: (r * f, m * f) for k, (r, m) in self.terms.items()}
+            self.den = den = new
+        f = den // d * sign
+        base = index << self.top
+        terms = self.terms
+        get = terms.get
+        for e1, r1, m1 in cterms:
+            r1 *= f
+            m1 *= f
+            e1 += base
+            for key, r2, m2 in flat:
+                key += e1
+                pr, pm = get(key, (0, 0))
+                terms[key] = (pr + r1 * r2 - m1 * m2, pm + r1 * m2 + m1 * r2)
+
+    def flagged(self) -> list:
+        """The indices, ascending, of the identities with a nonzero
+        residual."""
+        top = self.top
+        nonzero = {k >> top for k, (r, m) in self.terms.items() if r or m}
+        return [i for i in range(self.size) if i in nonzero]
 
 
 _TOKEN = re.compile(r"\d+(?:\.\d+)?|[A-Za-z_]\w*|\S", re.ASCII)

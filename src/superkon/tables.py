@@ -22,7 +22,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .algebra import AlgebraElement
-from .exactnum import GaussRat, I, Scalar, UsageError, add_term, as_scalar
+from .exactnum import (_Batch, _Memo, _Packer, GaussRat, I, Scalar,
+                       UsageError, add_term, as_scalar)
 from .grassmann import format_monomial, iset
 from .report import violation
 from .tensmod import ModBasisVec, ModVec, TensorModule
@@ -260,10 +261,10 @@ class N3Table(BaseTable):
 
     # -- scalar builders ---------------------------------------------
     def num(self, x) -> Scalar:
-        return Scalar.const(self.params, Fraction(x))
+        return Scalar.const(self.params, x)
 
     def inum(self, x) -> Scalar:
-        return Scalar.const(self.params, GaussRat(0, Fraction(x)))
+        return self.num(x).scale_raw(0, 1)
 
     def a2l(self, l: int) -> Scalar:
         return self.a + Scalar.const(self.params, 2 * l)
@@ -530,8 +531,26 @@ def compare_table(module: TensorModule, table, k_range, table_l_range):
     The ``k + 1`` below is deliberate: the tables are transcribed in modes
     ``k = p - 1`` of the D-symbols ``D[t^p, xi_I]``, so line ``k`` is
     compared with the stored exponent ``p = k + 1``.
+
+    The filter: the tuples of one ``(line, k)`` form one
+    :class:`~superkon.exactnum._Batch`, one identity per table symbol.  Its
+    residual is the line's D-symbols on the symbol's vector, each image of
+    a basis vector read from :meth:`~superkon.tensmod.TensorModule.act_basis_d`
+    and packed once, minus the table's stated terms, each symbol's vector
+    packed once.  A flagged tuple goes to the reference,
+    :meth:`~superkon.tensmod.TensorModule.act` against the stated terms as
+    ModVecs, which decides it and writes the witness.
     """
     params = module.params
+    packer = _Packer(params)
+    packed = _Memo(lambda sym: packer.image(table.to_modvec(sym).terms))
+    # scaled[sym, c]: the symbol's vector times the prefix coefficient c,
+    # as (basis vector, packed coefficient) pairs
+    scaled = _Memo(lambda key: [
+        (bv, packer.coeff(cv * table.coeff[key[1]]))
+        for bv, cv in table.to_modvec(key[0]).terms.items()])
+    images = _Memo(lambda key: packer.image(module.act_basis_d(*key)))
+    syms = [sym for tl in table_l_range for sym in table.syms_at_table_l(tl)]
     bad = []
     checked = 0
     for line_id, terms in table.lines():
@@ -541,21 +560,26 @@ def compare_table(module: TensorModule, table, k_range, table_l_range):
             for imask, c in terms:
                 op = op + AlgebraElement.d_symbol(params, k + 1, imask,
                                                   table.coeff[c])
-            for tl in table_l_range:
-                for sym in table.syms_at_table_l(tl):
-                    checked += 1
-                    src = table.to_modvec(sym)
-                    generic = module.act(op, src)
-                    stated = table.act(line_id, k, sym)
-                    mapped = ModVec(params, {})
-                    for sym2, coeff in stated.items():
-                        mapped = mapped + table.to_modvec(sym2).scale(coeff)
-                    if not (generic - mapped).is_zero():
-                        bad.append(violation(
-                            f"line={line_id} k={k} sym={sym}",
-                            lhs=mapped, rhs=generic,
-                            diff=f"line {line_text} . {sym.kind}: table "
-                                 "disagrees; generic value is authoritative"))
+            batch = _Batch(packer, len(syms))
+            for j, sym in enumerate(syms):
+                for imask, c in terms:
+                    for bv, cv in scaled[sym, c]:
+                        batch.add(j, cv, images[k + 1, imask, bv])
+                for sym2, coeff in table.act(line_id, k, sym).items():
+                    batch.add(j, packer.coeff(coeff), packed[sym2], -1)
+            checked += len(syms)
+            for j in batch.flagged():
+                sym = syms[j]
+                generic = module.act(op, table.to_modvec(sym))
+                mapped = ModVec(params, {})
+                for sym2, coeff in table.act(line_id, k, sym).items():
+                    mapped = mapped + table.to_modvec(sym2).scale(coeff)
+                if not (generic - mapped).is_zero():
+                    bad.append(violation(
+                        f"line={line_id} k={k} sym={sym}",
+                        lhs=mapped, rhs=generic,
+                        diff=f"line {line_text} . {sym.kind}: table "
+                             "disagrees; generic value is authoritative"))
     return bad, checked
 
 

@@ -15,10 +15,13 @@ filter, which may flag too much but never too little, and hands each
 flagged case to the library's reference operation, which decides it and
 writes its witness: :func:`~superkon.algebra.bracket_ints` behind the
 filter over one :func:`~superkon.algebra.bracket_table` of
-:func:`check_jacobi`, :meth:`~superkon.tensmod.TensorModule.act` behind
-the raw Gaussian-integer residuals of :func:`check_module_axioms`.  Every
-dimension, membership and verdict in a report comes from exact
-elimination over Gaussian integers.
+:func:`check_jacobi`; :meth:`~superkon.tensmod.TensorModule.act` behind
+the Gaussian-integer residuals of :func:`check_module_axioms` and of
+:func:`~superkon.tables.compare_table` (under
+:func:`check_table_agreement`).  Those residuals are summed a batch at a
+time (:class:`~superkon.exactnum._Batch`): one batch per symbol pair, or
+per table line and mode.  Every dimension, membership and verdict in a
+report comes from exact elimination over Gaussian integers.
 The simplicity probe first screens its closures modulo a prime, where
 "full" is already certain, and redoes exactly only the closures the
 screen leaves open (see :func:`window_simplicity`).  Every closure, here
@@ -49,7 +52,7 @@ from .algebra import (AlgebraConfig, AlgebraElement, bracket, bracket_basis,
                       bracket_table, eps_shift_map, filtration_exponent,
                       ideal_exponent, in_ideal_i, in_k_ell, phi, project_k0,
                       tm1_power_d)
-from .exactnum import Scalar, UsageError
+from .exactnum import _Batch, _Memo, _Packer, Scalar, UsageError
 from .grassmann import (EpsilonConfig, SuperFunction, contact_bracket,
                         format_monomial, xi_mul)
 from .linalg import (PrimeInDenominator, WeightSpaces, gauss_mod,
@@ -209,106 +212,7 @@ def check_bracket_crosscheck(acfg: AlgebraConfig, w: Window) -> Report:
 # ---------------------------------------------------------------------------
 
 
-_EXP_BITS = 16  # bits per parameter in a packed exponent vector
-
-
-class _Packer:
-    """Packs the exponent vector of a term and its basis vector into one
-    int: ``_EXP_BITS`` bits per parameter, the basis vector's index above
-    them.  Every packed exponent stays below half a field, so adding two
-    never carries into the next field: the key of a product term is the
-    image term's key plus the factor's packed exponent.  Keys are only
-    compared, never unpacked.
-
-    :meth:`image` turns an action image (dict ModBasisVec -> Scalar) into
-    ``(den, flat, groups)`` over one denominator: ``flat`` lists
-    ``(key, re, im)``, and ``groups`` lists ``(bv, coeff)``, the entry at
-    ``bv`` as a factor (see :meth:`coeff`)."""
-
-    def __init__(self, params):
-        self.shift = _EXP_BITS * len(params)
-        self.index: dict = {}
-
-    def exponent(self, e) -> int:
-        packed = 0
-        for i, k in enumerate(e):
-            if k >> (_EXP_BITS - 1):
-                raise UsageError(f"exponent {k} is too large to pack in "
-                                 f"{_EXP_BITS} bits without a carry")
-            packed |= k << (_EXP_BITS * i)
-        return packed
-
-    def coeff(self, s: Scalar, den: int = 0) -> tuple:
-        """``s`` as a factor ``(den, [(packed exponent, re, im), ...])``
-        over ``den``, a multiple of ``s.den`` (default ``s.den``)."""
-        den = den or s.den
-        f = den // s.den
-        return den, [(self.exponent(e), r * f, m * f) for e, (r, m) in s.terms.items()]
-
-    def image(self, terms: dict) -> tuple:
-        den = lcm(*(c.den for c in terms.values()))
-        flat, groups = [], []
-        for bv, c in terms.items():
-            idx = self.index.setdefault(bv, len(self.index))
-            coeff = self.coeff(c, den)
-            flat.extend(((idx << self.shift) + e, r, m) for e, r, m in coeff[1])
-            groups.append((bv, coeff))
-        return den, flat, groups
-
-
-class _Residual:
-    """A sum of products ``coeff * image`` as Gaussian-integer pairs keyed
-    by packed (basis vector, exponent), over one denominator that grows to
-    the lcm only when a product's denominator does not divide it."""
-
-    __slots__ = ("den", "terms")
-
-    def __init__(self):
-        self.den = 1
-        self.terms: dict = {}
-
-    def add(self, coeff: tuple, image: tuple, sign: int = 1) -> None:
-        """``+= sign * coeff * image``; ``coeff`` as in a group of
-        :meth:`_Packer.image`."""
-        cden, cterms = coeff
-        d = cden * image[0]
-        den = self.den
-        if den % d:
-            new = lcm(den, d)
-            f = new // den
-            self.terms = {k: (r * f, m * f) for k, (r, m) in self.terms.items()}
-            self.den = den = new
-        f = den // d * sign
-        terms = self.terms
-        get = terms.get
-        flat = image[1]
-        for e1, r1, m1 in cterms:
-            r1 *= f
-            m1 *= f
-            for key, r2, m2 in flat:
-                key += e1
-                pr, pm = get(key, (0, 0))
-                terms[key] = (pr + r1 * r2 - m1 * m2, pm + r1 * m2 + m1 * r2)
-
-    def __bool__(self):
-        return any(map(any, self.terms.values()))
-
-
-_ONE = (1, [(0, 1, 0)])  # the coefficient 1, packed
-
-
-class _Memo(dict):
-    """``key -> compute(key)``, each value computed on its first read."""
-
-    __slots__ = ("compute",)
-
-    def __init__(self, compute):
-        super().__init__()
-        self.compute = compute
-
-    def __missing__(self, key):
-        hit = self[key] = self.compute(key)
-        return hit
+_ONE = (1, [(0, 1, 0)])  # the coefficient 1, packed as by _Packer.coeff
 
 
 def check_module_axioms(module: TensorModule, w: Window) -> Report:
@@ -317,13 +221,15 @@ def check_module_axioms(module: TensorModule, w: Window) -> Report:
 
     The filter: each window symbol's image of each basis vector is
     computed once, by :meth:`~superkon.tensmod.TensorModule.act_basis`,
-    and packed once into integer pairs (:class:`_Packer`).  An identity is
-    a list of parts ``(sign, coeff, image)`` whose sum is its residual lhs
-    - rhs, summed in one :class:`_Residual`, so a passing identity builds
-    no Scalar.  A nonzero residual flags the identity, and the reference
-    decides it: both sides are computed again by
-    :meth:`~superkon.tensmod.TensorModule.act` on module vectors, and
-    their difference, when nonzero, is the violation with its witness."""
+    and packed once into integer pairs (:class:`~superkon.exactnum._Packer`).
+    The identities of one symbol pair ``(x, y)``, or of one pair ``(f, g)``
+    of function monomials, form one :class:`~superkon.exactnum._Batch`, one
+    identity per inner basis vector: each part of its residual lhs - rhs is
+    added straight into the batch, so a passing identity builds no Scalar.
+    An identity the batch flags goes to the reference: both sides are
+    computed again by :meth:`~superkon.tensmod.TensorModule.act` on module
+    vectors, and their difference, when nonzero, is the violation with its
+    witness."""
     t0 = time.monotonic()
     params = module.params
     acfg = AlgebraConfig(module.cfg)
@@ -336,13 +242,6 @@ def check_module_axioms(module: TensorModule, w: Window) -> Report:
         lambda bv: packer.image(module.act_basis(sym, bv))))
     bad = []
     n = 0
-
-    def flagged(parts):
-        """Whether the parts ``(sign, coeff, image)`` sum to nonzero."""
-        res = _Residual()
-        for sign, coeff, img in parts:
-            res.add(coeff, img, sign)
-        return bool(res)
 
     def decide(inputs, lhs, rhs):
         """The reference: a violation when the ModVecs differ."""
@@ -366,18 +265,22 @@ def check_module_axioms(module: TensorModule, w: Window) -> Report:
                         + [(images[k, im, False], packer.coeff(c))
                            for (k, im), c in br.a.terms.items()])
             sgn = -1 if (_parity(i1) and _parity(i2)) else 1
-            for bv in vecs:
-                n += 1
-                parts = [(1, c, isym[bv]) for isym, c in br_terms]
-                parts += [(-1, c, ix[bv2]) for bv2, c in iy[bv][2]]
-                parts += [(sgn, c, iy[bv2]) for bv2, c in ix[bv][2]]
-                if flagged(parts):
-                    v = ModVec.basis(params, bv)
-                    decide(f"bracket x=({p1},{i1},{'D' if d1 else 'A'}) "
-                           f"y=({p2},{i2},{'D' if d2 else 'A'}) v={bv.text()}",
-                           module.act(br, v),
-                           module.act(ex, module.act(ey, v))
-                           - module.act(ey, module.act(ex, v)).scale(sgn))
+            batch = _Batch(packer, len(vecs))
+            for j, bv in enumerate(vecs):
+                for isym, c in br_terms:
+                    batch.add(j, c, isym[bv])
+                for bv2, c in iy[bv][2]:
+                    batch.add(j, c, ix[bv2], -1)
+                for bv2, c in ix[bv][2]:
+                    batch.add(j, c, iy[bv2], sgn)
+            n += len(vecs)
+            for j in batch.flagged():
+                v = ModVec.basis(params, vecs[j])
+                decide(f"bracket x=({p1},{i1},{'D' if d1 else 'A'}) "
+                       f"y=({p2},{i2},{'D' if d2 else 'A'}) v={vecs[j].text()}",
+                       module.act(br, v),
+                       module.act(ex, module.act(ey, v))
+                       - module.act(ey, module.act(ex, v)).scale(sgn))
     # associative action of the function algebra
     monos = [(k, im) for k, im, _ in ops]
     for (k1, i1) in monos:
@@ -386,19 +289,21 @@ def check_module_axioms(module: TensorModule, w: Window) -> Report:
             g = images[k2, i2, False]
             sm = xi_mul(i1, i2)
             fg = None if sm is None else images[k1 + k2, sm[1], False]
-            for bv in vecs:
-                n += 1
-                parts = [(1, c, f[bv2]) for bv2, c in g[bv][2]]
+            batch = _Batch(packer, len(vecs))
+            for j, bv in enumerate(vecs):
+                for bv2, c in g[bv][2]:
+                    batch.add(j, c, f[bv2])
                 if fg is not None:
-                    parts.append((-sm[0], _ONE, fg[bv]))
-                if flagged(parts):
-                    v = ModVec.basis(params, bv)
-                    decide(f"assoc f=({k1},{i1}) g=({k2},{i2}) v={bv.text()}",
-                           module.act(elem(k1, i1, False),
-                                      module.act(elem(k2, i2, False), v)),
-                           ModVec(params, {}) if sm is None else module.act(
-                               AlgebraElement.a_monomial(params, k1 + k2, sm[1],
-                                                         sm[0]), v))
+                    batch.add(j, _ONE, fg[bv], -sm[0])
+            n += len(vecs)
+            for j in batch.flagged():
+                v = ModVec.basis(params, vecs[j])
+                decide(f"assoc f=({k1},{i1}) g=({k2},{i2}) v={vecs[j].text()}",
+                       module.act(elem(k1, i1, False),
+                                  module.act(elem(k2, i2, False), v)),
+                       ModVec(params, {}) if sm is None else module.act(
+                           AlgebraElement.a_monomial(params, k1 + k2, sm[1],
+                                                     sm[0]), v))
     return finish(f"module_axioms[N={module.cfg.N},eps={module.cfg.eps},"
                   f"rep={module.rep.label},sector={module.sector_delta}]",
                   bad, n, t0)
@@ -620,8 +525,10 @@ def check_submodule_closure(module: TensorModule, name: str, w: Window,
 
     Every (generator, op) tuple whose target weight has a space is
     counted, a zero image included; a target space the span already fills
-    needs no image."""
+    needs no image.  A window whose inner weights hold no basis vector is
+    refused (see :meth:`~superkon.tensmod.TensorModule.inner_basis`)."""
     t0 = time.monotonic()
+    inner = {bv.l for bv in module.inner_basis(w)}
     ev = module.eval_cache(params)
     l_range = range(w.l_min, w.l_max + 1)
     gens = named_submodule(ev.module, name, l_range)
@@ -634,9 +541,7 @@ def check_submodule_closure(module: TensorModule, name: str, w: Window,
     ops = module.window_ops(w)
     bad = []
     n = 0
-    for l in sorted(buckets):
-        if not (w.inner_l_min <= l <= w.inner_l_max):
-            continue
+    for l in sorted(buckets.keys() & inner):
         for vi, vec in enumerate(buckets[l]):
             for (p, im, shift) in ops:
                 t = l + shift

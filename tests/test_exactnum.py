@@ -144,6 +144,53 @@ def test_norm_pairs():
     assert norm_pairs({"x": (4, -6), "y": (0, 0)}, -10) == (5, {"x": (-2, 3)})
 
 
+EA, EB = (1, 0, 0), (0, 1, 0)  # the exponents of a and b
+
+
+@pytest.mark.parametrize("got, terms, den", [
+    # a zero side returns the other operand
+    (lambda: const(0) + var("a"), {EA: (1, 0)}, 1),
+    (lambda: var("a") + const(0), {EA: (1, 0)}, 1),
+    (lambda: const(0) + const(0), {}, 1),
+    # units: +-1 and +-i, as Scalars and as numbers
+    (lambda: var("a") * const(1), {EA: (1, 0)}, 1),
+    (lambda: var("a") * -1, {EA: (-1, 0)}, 1),
+    (lambda: (var("a") + var("b") * I) * I, {EA: (0, 1), EB: (-1, 0)}, 1),
+    (lambda: const(-I) * Scalar(P, {EA: (3, 1)}, 2), {EA: (1, -3)}, 2),
+    (lambda: Scalar(P, {EA: (3, 1)}, 2).scale_raw(0, -1), {EA: (1, -3)}, 2),
+    # equal denominators: a sum that cancels to zero, a sum whose entries
+    # share a factor, a sum whose denominator reduces
+    (lambda: Scalar(P, {EA: (1, 0)}, 2) + Scalar(P, {EA: (-1, 0)}, 2), {EA: (0, 0)}, 2),
+    (lambda: Scalar(P, {EA: (1, 0), EB: (1, 0)}, 3)
+     + Scalar(P, {EA: (1, 0), EB: (5, 0)}, 3), {EA: (2, 0), EB: (6, 0)}, 3),
+    (lambda: Scalar(P, {EA: (1, 0)}, 4) + Scalar(P, {EA: (3, 0)}, 4), {EA: (4, 0)}, 4),
+    (lambda: Scalar(P, {EA: (1, 1)}, 6) + Scalar(P, {EB: (3, 0)}, 6),
+     {EA: (1, 1), EB: (3, 0)}, 6),
+    # unequal denominators and a non-unit factor still normalise
+    (lambda: Scalar(P, {EA: (1, 0)}, 2) + Scalar(P, {EA: (1, 0)}, 6), {EA: (4, 0)}, 6),
+    (lambda: Scalar(P, {EA: (3, 0)}, 4).scale_raw(2, 0, 3), {EA: (6, 0)}, 12),
+], ids=["zero+x", "x+zero", "zero+zero", "x*1", "x*-1", "x*i", "-i*x",
+        "scale-i", "cancel", "common-factor", "den-reduces", "den-kept",
+        "unequal-dens", "non-unit"])
+def test_scalar_fast_paths_match_the_constructor(got, terms, den):
+    # every fast path gives what the normalising constructor gives for the
+    # unreduced sum or product
+    result, want = got(), Scalar(P, terms, den)
+    assert type(result) is Scalar and result == want
+    assert (result.terms, result.den) == (want.terms, want.den)
+
+
+def test_scalar_fast_paths_share_no_state():
+    a = var("a")
+    assert a * 1 is a and a + 0 is a
+    raw = {EA: (2, 0)}
+    assert Scalar(P, raw, 2) == a and raw == {EA: (2, 0)}  # the caller's dict is kept
+    neg = -a
+    assert neg.terms is not a.terms and a.terms == {EA: (1, 0)}
+    s = const(0) + a
+    assert s is a
+
+
 def test_terms_subclasses_never_mix():
     one = const(1)
     v = ModVec(P, {ModBasisVec(0, 0, 0): one})

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from superkon import algebra, verify
+from superkon import algebra, exactnum, verify
 from superkon.algebra import (ALGEBRA_MUTATIONS, AlgebraConfig, AlgebraElement,
                               bracket, bracket_columns, bracket_ints,
                               bracket_table)
@@ -233,59 +233,88 @@ def test_module_axioms_pinned_at_benchmark_scale(mutation, violations, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def _flag_every_index(monkeypatch):
+    monkeypatch.setattr(exactnum._Batch, "flagged", lambda self: list(range(self.size)))
+
+
 @pytest.mark.parametrize("mutation", [None, "swap_tau"], ids=["plain", "swap_tau"])
 def test_flagging_every_module_identity_changes_no_report(monkeypatch, mutation):
-    # the packed residual only flags; the reference decides, so a filter
-    # that flags every identity leaves the Report byte-identical
+    # the batch only flags; the reference decides, so a batch that flags
+    # every identity leaves the Report byte-identical
     M = n2(eps=(1, 0))
     M = TensorModule(M.cfg, M.rep, M.a, mutation=mutation)
     w = module_window(-1, 1, M, inner_width=2)
     want = check_module_axioms(M, w).to_json(with_timing=False)
-    monkeypatch.setattr(verify._Residual, "__bool__", lambda self: True)
+    _flag_every_index(monkeypatch)
     assert check_module_axioms(M, w).to_json(with_timing=False) == want
 
 
+@pytest.mark.parametrize("emptied", [False, True], ids=["pass", "emptied"])
+def test_flagging_every_table_tuple_changes_no_report(monkeypatch, emptied):
+    # the same for the table comparison: a passing N=3 module, and the N=3
+    # table with every line emptied
+    if emptied:
+        monkeypatch.setattr(N3Table, "act", lambda self, line, k, sym: TableTerms())
+    w = Window(-1, 1, -2, 2, 0)
+    r = check_table_agreement(_n3(2), w)
+    assert (r.status == "fail") is emptied
+    want = r.to_json(with_timing=False)
+    _flag_every_index(monkeypatch)
+    assert check_table_agreement(_n3(2), w).to_json(with_timing=False) == want
+
+
 def test_residual_rescales_its_denominator_and_cancels():
-    packer = verify._Packer(P)
+    packer = exactnum._Packer(P)
     bv = ModBasisVec(0, 0, 0)
 
     def image(value):
         return packer.image({bv: value if isinstance(value, Scalar)
                              else Scalar.const(P, value)})
 
-    res = verify._Residual()
-    res.add(verify._ONE, image(Fraction(1, 2)))
+    res = exactnum._Batch(packer, 1)
+    res.add(0, verify._ONE, image(Fraction(1, 2)))
     assert res.den == 2
-    res.add(verify._ONE, image(Fraction(1, 3)))
-    assert res.den == 6 and res
-    res.add(verify._ONE, image(Fraction(-5, 6)))  # the sum was exactly 5/6
-    assert res.den == 6 and not res
-    res.add(verify._ONE, image(Fraction(1, 4)))  # the lcm, not the product
-    assert res.den == 12 and res
-    res.add(verify._ONE, image(Fraction(-1, 4)))
-    assert not res
+    res.add(0, verify._ONE, image(Fraction(1, 3)))
+    assert res.den == 6 and res.flagged() == [0]
+    res.add(0, verify._ONE, image(Fraction(-5, 6)))  # the sum was exactly 5/6
+    assert res.den == 6 and res.flagged() == []
+    res.add(0, verify._ONE, image(Fraction(1, 4)))  # the lcm, not the product
+    assert res.den == 12 and res.flagged() == [0]
+    res.add(0, verify._ONE, image(Fraction(-1, 4)))
+    assert res.flagged() == []
 
     # i*i + 1 = 0, with the coefficient i read as a factor of an image
     (_, i_coeff), = image(GaussRat(0, 1))[2]
-    res = verify._Residual()
-    res.add(i_coeff, image(GaussRat(0, 1)))
-    assert res
-    res.add(verify._ONE, image(1))  # the product was exactly -1
-    assert not res
+    res = exactnum._Batch(packer, 1)
+    res.add(0, i_coeff, image(GaussRat(0, 1)))
+    assert res.flagged() == [0]
+    res.add(0, verify._ONE, image(1))  # the product was exactly -1
+    assert res.flagged() == []
 
     # packed exponents add: a * (b*c) - (a*b) * c = 0
     (_, a_coeff), = image(A)[2]
     (_, ab_coeff), = image(A * B)[2]
-    res = verify._Residual()
-    res.add(a_coeff, image(B * C))
-    res.add(ab_coeff, image(C), -1)
-    assert not res
+    res = exactnum._Batch(packer, 1)
+    res.add(0, a_coeff, image(B * C))
+    res.add(0, ab_coeff, image(C), -1)
+    assert res.flagged() == []
+
+
+def test_identities_of_one_batch_never_cancel():
+    # residuals +x and -x at the same output key, in identities 1 and 3 of
+    # one batch: each is flagged, the others are not
+    packer = exactnum._Packer(P)
+    x = packer.image({ModBasisVec(0, 0, 0): A * C})
+    batch = exactnum._Batch(packer, 4)
+    batch.add(1, verify._ONE, x)
+    batch.add(3, verify._ONE, x, -1)
+    assert batch.flagged() == [1, 3]
 
 
 def test_packed_exponents_refuse_a_carry():
-    packer = verify._Packer(P)
+    packer = exactnum._Packer(P)
     bv = ModBasisVec(0, 0, 0)
-    top = 1 << (verify._EXP_BITS - 1)  # two of these carry into the next field
+    top = 1 << (exactnum._EXP_BITS - 1)  # two of these carry into the next field
     packer.image({bv: Scalar(P, {(0, top - 1, 0): (1, 0)})})
     with pytest.raises(UsageError, match="too large to pack"):
         packer.image({bv: Scalar(P, {(0, top, 0): (1, 0)})})
@@ -716,7 +745,10 @@ ORIGIN_ONLY = {"a": Fraction(5, 7)}
     lambda: check_omega(_n3(1, Fraction(3, 11)), 2, NO_INNER_BASIS, ORIGIN_ONLY),
     lambda: check_module_axioms(_n3(1), NO_INNER_BASIS),
     lambda: iso_check_map(_n3(1), "identity", NO_INNER_BASIS),
-], ids=["simplicity-n3", "simplicity-n1", "omega", "module_axioms", "iso_identity"])
+    lambda: check_submodule_closure(_n3(2, Fraction(-1)), "F_prime", NO_INNER_BASIS,
+                                    ORIGIN_ONLY),
+], ids=["simplicity-n3", "simplicity-n1", "omega", "module_axioms", "iso_identity",
+        "submodule_closure"])
 def test_window_without_inner_basis_is_a_usage_error(run):
     # a check over no inner basis vector checks nothing: it refuses the window
     with pytest.raises(UsageError, match=r"inner weights 1\.\.1 .* hold no basis"):
