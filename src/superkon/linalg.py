@@ -1,4 +1,4 @@
-"""Linear algebra over Gaussian rationals, exact and modulo a prime.
+"""Exact linear algebra over Gaussian rationals.
 
 Exact row vectors are lists of Gaussian-integer pairs ``(re, im)`` with
 any common denominator already cleared.  An :class:`Echelon` keeps its
@@ -10,15 +10,6 @@ combination of the stored rows weighted by its pivot entries.  Membership
 touches only the free columns and needs no gcd, and ranks and memberships
 carry no rounding or pivot-threshold questions.
 
-Rows modulo a prime ``q = 1 (mod 4)`` are lists of ints in ``[0, q)``.  A
-Gaussian rational ``(re + im*i)/den`` with ``q`` not dividing ``den`` maps
-to ``(re + s*im) / den mod q``, where ``s`` is the square root of -1 from
-:func:`sqrt_minus_one`; this is a ring map, so the rank of rows mod ``q``
-is at most their rank over Q(i), never more.  A :class:`ModpEchelon`
-keeps such rows reduced with ``1`` at each pivot, which makes it a rank
-screen: "full mod q" proves "full", while a smaller rank mod ``q`` proves
-nothing.
-
 :class:`WeightSpaces` keeps one echelon per weight space of a window; it
 is the one place where module vectors become rows.
 
@@ -28,9 +19,8 @@ orthogonal-algebra relation checks and the degree-zero projection).
 
 from __future__ import annotations
 
-from functools import lru_cache
+from collections import deque
 from itertools import chain
-from operator import mul
 
 from .exactnum import Scalar, UsageError, pair_content
 
@@ -54,8 +44,6 @@ class Echelon:
     machinery into an intertwining-map checker: insert ``[source | image]``
     rows with the limit at the source width.
     """
-
-    zero = (0, 0)
 
     def __init__(self, ncols: int, pivot_limit: int | None = None):
         self.ncols = ncols
@@ -136,97 +124,6 @@ class Echelon:
         return not any(x or y for _, x, y in self._residual(row))
 
 
-class PrimeInDenominator(ArithmeticError):
-    """A value to be reduced modulo a prime has that prime in its
-    denominator, so it has no image mod the prime."""
-
-
-@lru_cache(maxsize=None)
-def sqrt_minus_one(prime: int) -> int:
-    """``g^((q-1)/4) mod q`` for the least ``g`` with ``g^((q-1)/2) != 1``:
-    a square root of -1 modulo a prime ``q = 1 (mod 4)``, where that ``g``
-    is the least quadratic non-residue.  The caller passes such a prime;
-    UsageError when the power is not -1 (for every ``q = 3 (mod 4)`` and
-    for most composites)."""
-    if prime % 4 == 1:
-        for g in range(2, prime):
-            e = pow(g, (prime - 1) // 2, prime)
-            if e == prime - 1:
-                return pow(g, (prime - 1) // 4, prime)
-            if e != 1:
-                break
-    raise UsageError(f"{prime} is not a prime congruent to 1 mod 4")
-
-
-def gauss_mod(re: int, im: int, den: int, prime: int) -> int:
-    """The image of ``(re + im*i)/den`` modulo ``prime`` (see above)."""
-    if den % prime == 0:
-        raise PrimeInDenominator(prime)
-    return (re + sqrt_minus_one(prime) * im) * pow(den, -1, prime) % prime
-
-
-class ModpEchelon:
-    """Growing reduced row-echelon basis over the integers mod a prime.
-
-    The rank screen for :class:`Echelon`, with its ``insert`` outcomes and
-    ``pivot_limit`` rule; rows are lists of ints in ``[0, prime)``.  Every
-    stored row is ``1`` at its own pivot and ``0`` at the other pivots, so
-    only its free-column entries are kept, column by column: ``_cols[c]``
-    lists the stored rows' entries at free column ``c`` in the order of
-    ``_pivots``.  The residual of a row at ``c`` is ``row[c]`` minus one dot
-    product with its pivot entries, and the row lies in the span iff every
-    residual is zero.
-    """
-
-    zero = 0
-
-    def __init__(self, ncols: int, prime: int, pivot_limit: int | None = None):
-        self.ncols = ncols
-        self.prime = prime
-        self.pivot_limit = ncols if pivot_limit is None else pivot_limit
-        self._pivots: list = []
-        self._cols = {c: [] for c in range(ncols)}  # ascending free columns
-
-    @property
-    def rank(self) -> int:
-        return len(self._pivots)
-
-    def _residual(self, row: list) -> list:
-        """``(c, x)`` for each free column ``c``, ascending: ``x`` is
-        ``row[c]`` minus the stored rows at ``c`` weighted by ``row``'s
-        pivot entries, mod the prime."""
-        head = [row[p] for p in self._pivots]
-        q = self.prime
-        return [(c, (row[c] - sum(map(mul, head, col))) % q)
-                for c, col in self._cols.items()]
-
-    def insert(self, row: list) -> str:
-        """As :meth:`Echelon.insert`."""
-        residual = self._residual(row)
-        pivot, x = next(((c, x) for c, x in residual if x), (None, 0))
-        if pivot is None:
-            return "dependent"
-        if pivot >= self.pivot_limit:
-            return "inconsistent"
-        # the new row, scaled to 1 at its pivot, is subtracted from the
-        # stored ones at their entry in the pivot column
-        q = self.prime
-        inv = pow(x, -1, q)
-        lead = self._cols.pop(pivot)
-        for c, x in residual:
-            if c != pivot:
-                y = x * inv % q
-                col = self._cols[c]
-                if y:
-                    col[:] = [(u - e * y) % q for u, e in zip(col, lead)]
-                col.append(y)
-        self._pivots.append(pivot)
-        return "new"
-
-    def contains(self, row: list) -> bool:
-        return not any(x for _, x in self._residual(row))
-
-
 def _weight(vec: dict) -> int:
     ws = {bv.l for bv in vec}
     if len(ws) > 1:
@@ -235,12 +132,10 @@ def _weight(vec: dict) -> int:
 
 
 class WeightSpaces:
-    """One :class:`Echelon` per weight space of a window, or with
-    ``prime`` one :class:`ModpEchelon` modulo it.
+    """One :class:`Echelon` per weight space of a window.
 
-    Vectors are dicts ``basis vector -> (re, im)`` (``-> int`` mod a
-    prime) whose basis vectors carry their weight as ``.l``; a vector must
-    lie in one weight space.
+    Vectors are dicts ``basis vector -> (re, im)`` whose basis vectors
+    carry their weight as ``.l``; a vector must lie in one weight space.
     ``basis_at(l)`` lists the basis at weight ``l``, and only weights in
     ``weights`` with a nonempty basis get a space.  A vector at such a
     weight with a term outside that basis (off the module's lattice)
@@ -253,8 +148,7 @@ class WeightSpaces:
     column maps because the two modules share basis labels.
     """
 
-    def __init__(self, basis_at, weights, image_basis=None, shift: int = 0,
-                 prime: int | None = None):
+    def __init__(self, basis_at, weights, image_basis=None, shift: int = 0):
         self.shift = shift
         self._pairs = image_basis is not None
         self._cols: dict = {}    # weight -> (source columns, image columns)
@@ -265,10 +159,8 @@ class WeightSpaces:
             if cols or image:
                 self._cols[l] = (cols, {bv: len(cols) + i
                                         for i, bv in enumerate(image)})
-                ncols = len(cols) + len(image)
-                self._spaces[l] = (
-                    Echelon(ncols, pivot_limit=len(cols)) if prime is None
-                    else ModpEchelon(ncols, prime, pivot_limit=len(cols)))
+                self._spaces[l] = Echelon(len(cols) + len(image),
+                                          pivot_limit=len(cols))
 
     def weight(self, vec: dict, image: dict | None = None):
         """The weight of a nonzero ``vec``; for a zero one, the weight of
@@ -288,7 +180,7 @@ class WeightSpaces:
             return None, None
         space = self._spaces[l]
         cols, icols = self._cols[l]
-        row = [space.zero] * space.ncols
+        row = [(0, 0)] * space.ncols
         try:
             for bv, rm in vec.items():
                 row[cols[bv]] = rm
@@ -305,18 +197,37 @@ class WeightSpaces:
         space, row = self._space_row(vec, image)
         return None if space is None else space.insert(row)
 
-    def grow(self, work: list, ops, act):
-        """The worklist loop of every closure.  Each row of ``work`` (stored
-        already; a vector, or with ``image_basis`` a pair ``(vec, image)``)
-        in turn, appended ones included, meets each op ``(p, imask,
-        shift)``: unless its target weight ``l + shift`` is settled, the
-        image ``act(p, imask, row)`` is inserted, appended when new, and
-        ``(op, l, image, outcome)`` yielded for a non-None outcome.  The
-        caller may stop early by leaving the loop."""
+    def grow(self, work: list, ops, act, inner):
+        """The worklist loop of every closure, inner weights first.  Each
+        row of ``work`` (stored already; a vector, or with ``image_basis``
+        a pair ``(vec, image)``), appended ones included, meets each op
+        ``(p, imask, shift)`` whose target weight ``l + shift`` is not
+        settled: the image ``act(p, imask, row)`` is inserted, appended
+        when new, and ``(op, l, image, outcome)`` yielded for a non-None
+        outcome.  The caller may stop early by leaving the loop.
+
+        The ops into the weights of ``inner`` (the window's inner range)
+        meet every row before any op into another weight runs: the ops
+        into other weights wait in one queue, and the next of them runs
+        only when every row, appended ones included, has met its ops into
+        inner weights.  A closure that stops once its inner weights are
+        full thus computes no image at an outer weight that the inner
+        ones did not need.  Run to the end, every order gives the same
+        span."""
         pairs = self._pairs
-        for row in work:  # reaches the rows appended below too
-            l = self.weight(*row) if pairs else self.weight(row)
-            for op in ops:
+        served = 0  # rows that have met their ops into inner weights
+        later: deque = deque()  # (op, l, row) into other weights, in turn
+        while served < len(work) or later:
+            if served < len(work):
+                row = work[served]
+                served += 1
+                l = self.weight(*row) if pairs else self.weight(row)
+                now = []
+                for op in ops:
+                    (now if l + op[2] in inner else later).append((op, l, row))
+            else:
+                now = [later.popleft()]
+            for op, l, row in now:
                 p, im, shift = op
                 if self.settled(l + shift):
                     continue

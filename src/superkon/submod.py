@@ -217,11 +217,11 @@ def iso_check_map(source: TensorModule, name: str, w: Window,
     :meth:`~superkon.tensmod.TensorModule.window_ops`.  Total maps
     (sector_shift, identity) are checked symbolically key by key.
     Quotient maps need a concrete parameter assignment: the displayed seed
-    images are propagated by the worklist every closure shares
-    (:meth:`~superkon.linalg.WeightSpaces.grow`), reading the one column
-    memo of ``EvaluatedAction.table``, and each relation is inserted into
-    a pivot-limited echelon, so any inconsistency is reported with its
-    witness.
+    images are propagated by the worklist every closure shares, inner
+    weights first (:meth:`~superkon.linalg.WeightSpaces.grow`), reading the
+    one column memo of ``EvaluatedAction.table``, and each relation is
+    inserted into a pivot-limited echelon, so any inconsistency is
+    reported with its witness.
     """
     t0 = time.monotonic()
     if name not in ISO_NAMES:
@@ -338,7 +338,9 @@ def _check_quotient_map(source, target, name, w, params, t0):
         return cross(*src_eval.act_vec(p, im, row[0]),
                      *tgt_eval.act_vec(p, im, row[1]))
 
-    for (p, im, _), l, (sv2, tv2), outcome in spaces.grow(work, ops, act):
+    inner = range(w.inner_l_min, w.inner_l_max + 1)
+    for (p, im, _), l, (sv2, tv2), outcome in spaces.grow(work, ops, act,
+                                                          inner):
         n += 1
         if outcome == "inconsistent":
             bad.append(violation(

@@ -44,7 +44,6 @@ from .exactnum import (GaussRat, Scalar, Terms, TextReader, UsageError,
                        add_term, as_scalar, lifted_powers, norm_pairs,
                        term_sum)
 from .grassmann import EpsilonConfig, members, tau
-from .linalg import gauss_mod, sqrt_minus_one
 from .repn import SoRep, config_dict, config_int, config_scalar, rep_from_config
 
 
@@ -318,13 +317,8 @@ class EvaluatedAction:
     ``basis -> (re, im)`` of Gaussian-integer pairs, exact up to the
     separately returned positive denominator.  Closure/rank sweeps drop the
     denominator (spans are scale-invariant); the intertwining checks keep it
-    to cross-scale row pairs.
-
-    Modulo a prime (:meth:`act_vec_mod`) a vector is a dict ``basis ->
-    int`` of true values mod the prime (see :mod:`superkon.linalg`).  Its
-    columns are the exact :meth:`table` columns, reduced mod the prime as
-    they are read.  So :meth:`table`'s memo is the one copy of each
-    column, whichever of the two forms asks for it first.
+    to cross-scale row pairs.  :meth:`table`'s memo is the one copy of each
+    column; every closure reads it through :meth:`act_vec`.
     """
 
     def __init__(self, module: TensorModule, assignment: dict):
@@ -398,22 +392,6 @@ class EvaluatedAction:
                 out[bv2] = (pr + (r * r2 - m * m2) * s,
                             pm + (r * m2 + m * r2) * s)
         return norm_pairs(out, den)
-
-    def act_vec_mod(self, prime: int, p: int, imask: int, vec: dict) -> dict:
-        """:meth:`act_vec` modulo ``prime``, on and to dicts ``basis ->
-        int`` with zero values dropped.  Each column it needs is the
-        memoised :meth:`table` column, reduced mod ``prime`` as it is read;
-        PrimeInDenominator when ``prime`` divides the column's denominator,
-        the lcm of its coefficient denominators, so exactly when it divides
-        one of them."""
-        s = sqrt_minus_one(prime)
-        out: dict = {}
-        for bv, x in vec.items():
-            den, pairs = self.table(p, imask, bv)
-            x = gauss_mod(x, 0, den, prime)  # x / den
-            for bv2, (r, m) in pairs:
-                out[bv2] = out.get(bv2, 0) + x * (r + s * m)
-        return {bv: y for bv, v in out.items() if (y := v % prime)}
 
     def eval_modvec(self, v: ModVec):
         """(den, dict of integer pairs) with true value dict/den."""

@@ -22,13 +22,14 @@ the Gaussian-integer residuals of :func:`check_module_axioms` and of
 time (:class:`~superkon.exactnum._Batch`): one batch per symbol pair, or
 per table line and mode.  Every dimension, membership and verdict in a
 report comes from exact elimination over Gaussian integers.
-The simplicity probe first screens its closures modulo a prime, where
-"full" is already certain, and redoes exactly only the closures the
-screen leaves open (see :func:`window_simplicity`).  Every closure, here
-and in the quotient-map checks of :mod:`~superkon.submod`, runs the one
-worklist :meth:`~superkon.linalg.WeightSpaces.grow` over the generators
-of :meth:`~superkon.tensmod.TensorModule.window_ops`, reading action
-columns from the one memo of :meth:`~superkon.tensmod.EvaluatedAction.table`.
+The simplicity probe closes each seed once, exactly, and stops a closure
+as soon as its inner window is full or its span holds an earlier seed
+(see :func:`window_simplicity`).  Every closure, here and in the
+quotient-map checks of :mod:`~superkon.submod`, runs the one worklist
+:meth:`~superkon.linalg.WeightSpaces.grow` over the generators of
+:meth:`~superkon.tensmod.TensorModule.window_ops`, inner weights first,
+reading action columns from the one memo of
+:meth:`~superkon.tensmod.EvaluatedAction.table`.
 The action at weight ``l`` depends on ``l`` only through ``a + l``, so
 that memo is filled from column families at a formal origin, memoised per
 ``(p, I, J, r)`` in the same :class:`~superkon.tensmod.EvaluatedAction`
@@ -55,8 +56,7 @@ from .algebra import (AlgebraConfig, AlgebraElement, bracket, bracket_basis,
 from .exactnum import _Batch, _Memo, _Packer, Scalar, UsageError
 from .grassmann import (EpsilonConfig, SuperFunction, contact_bracket,
                         format_monomial, xi_mul)
-from .linalg import (PrimeInDenominator, WeightSpaces, gauss_mod,
-                     mat_commutator, mat_eq)
+from .linalg import WeightSpaces, mat_commutator, mat_eq
 from .report import INFO, Report, Window, finish, violation
 from .submod import named_submodule
 from .tables import compare_table, make_table
@@ -334,13 +334,14 @@ class ClosureResult:
 
 def _close(spaces: WeightSpaces, ops, act, vecs, w: Window,
            stop) -> ClosureResult:
-    """Every closure, exact or modulo a prime: insert the seed vectors
-    ``vecs``, then grow their span under ``ops`` by ``act(p, imask, vec)``
-    (see :meth:`~superkon.linalg.WeightSpaces.grow`) until nothing new
+    """Every closure: insert the seed vectors ``vecs``, then grow their
+    span under ``ops`` by ``act(p, imask, vec)``, inner weights first (see
+    :meth:`~superkon.linalg.WeightSpaces.grow`), until nothing new
     appears, or until ``stop(l)`` holds after a new vector at weight
     ``l``."""
     work = [vec for vec in vecs if spaces.insert(vec) == "new"]
-    for (_, _, shift), l, _, outcome in spaces.grow(work, ops, act):
+    inner = range(w.inner_l_min, w.inner_l_max + 1)
+    for (_, _, shift), l, _, outcome in spaces.grow(work, ops, act, inner):
         if outcome == "new" and stop(l + shift):
             break
     ls = [l for l in range(w.l_min, w.l_max + 1) if spaces.dim(l)]
@@ -368,72 +369,20 @@ def closure(module: TensorModule, seeds, w: Window, params: dict,
     if ev is None:
         ev = module.eval_cache(params)
     spaces = WeightSpaces(module.basis_at, range(w.l_min, w.l_max + 1))
-    return _close(spaces, module.window_ops(w),
-                  lambda p, im, vec: ev.act_vec(p, im, vec)[1],
+    return _close(spaces, module.window_ops(w), _act(ev),
                   [ev.eval_modvec(s)[1] for s in seeds], w,
                   lambda _: _inner_full(spaces, w))
+
+
+def _act(ev):
+    """The closures' action: the integer pairs of an image, its
+    denominator dropped (spans are scale-invariant)."""
+    return lambda p, im, vec: ev.act_vec(p, im, vec)[1]
 
 
 def _inner_full(spaces: WeightSpaces, w: Window) -> bool:
     inner = range(w.inner_l_min, w.inner_l_max + 1)
     return all(spaces.settled(l) for l in inner)
-
-
-# The prime of the simplicity screen: 2^30 - 35, which is 1 mod 4; a
-# product of two residues stays below 2^60, two digits of a Python int.
-SCREEN_PRIME = 1073741789
-
-
-def _screen(module: TensorModule, seed: ModVec, w: Window, ev, prime: int,
-            known: dict):
-    """Close one seed modulo ``prime``, the screen of
-    :func:`window_simplicity`.  Returns None when the closure is full mod
-    ``prime``, else a lower bound on its inner rank sum mod ``prime``.
-
-    ``known`` maps a weight to ``(vector mod prime, result)`` pairs of the
-    seeds screened so far, and this seed joins them.  Once the span holds
-    a known seed vector it holds that seed's closure, so the loop stops
-    there with that seed's result: full stays full, and a lower bound
-    stays a lower bound.  The seed enters as its integer pairs (spans are
-    scale-invariant), so only a column can raise PrimeInDenominator."""
-    spaces = WeightSpaces(module.basis_at, range(w.l_min, w.l_max + 1),
-                          prime=prime)
-    vec = {bv: x for bv, (r, m) in ev.eval_modvec(seed)[1].items()
-           if (x := gauss_mod(r, m, 1, prime))}
-    held = []  # the results of the known seeds the span holds
-
-    def stop(l):
-        held.extend(b for g, b in known.get(l, ()) if spaces.contains(g))
-        return bool(held) or _inner_full(spaces, w)
-
-    res = _close(spaces, module.window_ops(w),
-                 lambda p, im, vec: ev.act_vec_mod(prime, p, im, vec),
-                 [vec], w, stop)
-    if res.inner_full or None in held:
-        bound = None
-    else:
-        bound = max(held) if held else sum(res.inner_dims().values())
-    if vec:
-        known.setdefault(spaces.weight(vec), []).append((vec, bound))
-    return bound
-
-
-def _smallest_exact(candidates, close):
-    """The least ``(size, index, result)`` over the candidates ``(bound,
-    index)`` whose exact closure ``result = close(index)`` is not full,
-    ``size`` being its inner dimension sum and ``bound`` a lower bound on
-    it; None when every closure is full.  Candidates are closed in order of
-    (bound, index) until none left can beat the best so far."""
-    worst = None
-    for bound, i in sorted(candidates):
-        if worst is not None and (bound, i) > worst[:2]:
-            break
-        res = close(i)
-        if not res.inner_full:
-            size = sum(res.inner_dims().values())
-            if worst is None or (size, i) < worst[:2]:
-                worst = (size, i, res)
-    return worst
 
 
 def window_simplicity(module: TensorModule, w: Window, params: dict,
@@ -446,23 +395,17 @@ def window_simplicity(module: TensorModule, w: Window, params: dict,
     least inner dimension sum, the earliest seed among equals) is
     reported.
 
-    Every closure runs first modulo :data:`SCREEN_PRIME` ``q`` (see
-    :func:`_screen`).  Why a full screen is certain: the exact closure and
-    the one mod ``q`` are the spans of the same words in the window
-    generators applied to the seed; the screen only runs when every value
-    is q-integral, reduction mod ``q`` is a ring map, so each word's vector
-    mod ``q`` is the reduction of its exact vector, and reduction never
-    raises the rank of a set of vectors.  The dimension mod ``q`` is thus
-    at most the exact one at every weight, and "inner window full mod q"
-    proves "full": that seed is done.
-
-    Pruning: every other seed is a candidate, with a lower bound on its
-    exact inner dimension sum from the screen (0 when ``q`` divides a
-    coefficient's denominator).  Candidates are closed exactly
-    in order of (bound, seed order), and the loop stops at the first one
-    that cannot beat the best exact result so far: one whose bound is
-    larger, or equal at a later seed.  The verdict, ``smallest_seed`` and
-    the dimensions are therefore those of closing every seed exactly.
+    Each seed is closed once, exactly (see :func:`_close`), and its
+    closure stops at the first of two events: the inner window is full, or
+    the span holds the vector of an earlier seed.  In the second case this
+    closure contains that seed's whole closure (membership is exact).  If
+    that one is full, so is this one; if not, this one is at least as
+    large and comes later, so it can never be the reported smallest, as
+    ties go to the earliest seed.  By induction over the seeds, the probe
+    is window-simple exactly when every closure run to its end is full,
+    and the smallest of those that are not is the smallest of all.  The
+    verdict, ``smallest_seed`` and the dimensions are therefore those of
+    closing every seed to the end.
     """
     if middle < 1:
         raise UsageError("middle must be at least 1")
@@ -490,17 +433,26 @@ def window_simplicity(module: TensorModule, w: Window, params: dict,
         if key not in seen:
             seen.add(key)
             unique.append((label, seed))
-    candidates = []  # (lower bound on the exact size, seed index)
-    known: dict = {}
+    ops = module.window_ops(w)
+    act = _act(ev)
+    worst = None  # (inner dimension sum, seed index, closure)
+    earlier: dict = {}  # weight -> the vectors of the seeds closed so far
     for i, (_, seed) in enumerate(unique):
-        try:
-            bound = _screen(module, seed, w, ev, SCREEN_PRIME, known)
-        except PrimeInDenominator:
-            bound = 0
-        if bound is not None:
-            candidates.append((bound, i))
-    worst = _smallest_exact(
-        candidates, lambda i: closure(module, [unique[i][1]], w, params, ev=ev))
+        vec = ev.eval_modvec(seed)[1]
+        spaces = WeightSpaces(module.basis_at, range(w.l_min, w.l_max + 1))
+        held = []  # the earlier seed vectors the span holds
+
+        def stop(l):
+            held.extend(g for g in earlier.get(l, ()) if spaces.contains(g))
+            return bool(held) or _inner_full(spaces, w)
+
+        res = _close(spaces, ops, act, [vec], w, stop)
+        if not (held or res.inner_full):
+            size = sum(res.inner_dims().values())
+            if worst is None or size < worst[0]:
+                worst = (size, i, res)
+        if vec:
+            earlier.setdefault(spaces.weight(vec), []).append(vec)
     details = {"seeds": len(seeds), "middle_weights": mids,
                "note": "window-scale evidence, not a proof of simplicity"}
     if worst is None:

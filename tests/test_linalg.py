@@ -4,10 +4,8 @@ from itertools import chain
 import pytest
 
 from superkon.exactnum import UsageError, pair_content
-from superkon.linalg import (Echelon, ModpEchelon, PrimeInDenominator,
-                             WeightSpaces, gauss_mod, sqrt_minus_one)
+from superkon.linalg import Echelon, WeightSpaces
 from superkon.tensmod import ModBasisVec
-from superkon.verify import SCREEN_PRIME as DEFAULT_PRIME
 
 
 def basis_at(l):
@@ -115,78 +113,6 @@ def test_echelon_matches_fraction_free_reference():
     assert min(seen.values()) > 100, seen
 
 
-def _mod_row(row, prime):
-    return [gauss_mod(x, y, 1, prime) for x, y in row]
-
-
-@pytest.mark.parametrize("prime", [DEFAULT_PRIME, 5, 13])
-def test_modp_rank_never_exceeds_exact_rank(prime):
-    rng = random.Random(20261018)
-    lower = 0  # cases whose rank mod the prime fell below the exact rank
-    for case in range(240):
-        width = 1 + case % 16
-        limit = None if case % 4 else rng.randint(0, width)
-        e, m = Echelon(width, limit), ModpEchelon(width, prime, limit)
-        spanned = []
-        for _ in range(2 * width):
-            if rng.random() < 0.5 or not spanned:
-                row = [_gauss(rng, 6) if rng.random() < 0.5 else (0, 0)
-                       for _ in range(width)]
-            else:
-                row = _combine(rng, rng.sample(spanned, min(3, len(spanned))),
-                               width)
-            outcome = e.insert(row)
-            mod_outcome = m.insert(_mod_row(row, prime))
-            assert m.rank <= e.rank
-            if prime == DEFAULT_PRIME:
-                assert mod_outcome == outcome
-                assert m.contains(_mod_row(row, prime)) == e.contains(row)
-            if outcome != "inconsistent":
-                spanned.append(row)
-        lower += m.rank < e.rank
-    if prime == DEFAULT_PRIME:
-        assert lower == 0
-    else:
-        assert lower > 0  # the bound is exercised, not only met
-
-
-def test_gauss_mod_is_a_ring_map():
-    rng = random.Random(7)
-    for prime in (5, 13, 29, DEFAULT_PRIME):
-        s = sqrt_minus_one(prime)
-        assert s * s % prime == prime - 1
-        for _ in range(50):
-            (a, b), (c, d) = _gauss(rng, 50), _gauss(rng, 50)
-            d1, d2 = rng.choice([1, 2, 3, 7]), rng.choice([1, 3, 11])
-            if prime in (d1, d2):
-                continue
-            x, y = gauss_mod(a, b, d1, prime), gauss_mod(c, d, d2, prime)
-            # (a + bi)/d1 * (c + di)/d2 and the sum over d1*d2
-            assert gauss_mod(a * c - b * d, a * d + b * c, d1 * d2,
-                             prime) == x * y % prime
-            assert gauss_mod(a * d2 + c * d1, b * d2 + d * d1, d1 * d2,
-                             prime) == (x + y) % prime
-    with pytest.raises(PrimeInDenominator):
-        gauss_mod(1, 0, 10, 5)
-    for bad in (3, 7, 9, 21, 45):
-        with pytest.raises(UsageError):
-            sqrt_minus_one(bad)
-
-
-def test_weight_spaces_modulo_a_prime():
-    ws = WeightSpaces(basis_at, range(-1, 2), prime=13)
-    assert ws.insert({ModBasisVec(0, 1, 0): 3}) == "new"
-    assert ws.insert({ModBasisVec(0, 1, 0): 5}) == "dependent"
-    assert ws.contains({ModBasisVec(0, 1, 0): 1})
-    assert ws.insert({ModBasisVec(0, 0, 0): 1, ModBasisVec(0, 2, 0): 12}) == "new"
-    assert not ws.settled(0)
-    assert ws.insert({ModBasisVec(0, 2, 0): 4}) == "new"
-    assert ws.settled(0) and ws.rank(0) == ws.dim(0) == 3
-    assert ws.insert({ModBasisVec(5, 0, 0): 1}) is None
-    with pytest.raises(UsageError, match=r"ModBasisVec\(l=1, J=3, r=0\)"):
-        ws.insert({ModBasisVec(1, 3, 0): 1})
-
-
 def test_weight_spaces_outside_window():
     ws = WeightSpaces(basis_at, range(-1, 2))
     assert ws.insert({ModBasisVec(5, 0, 0): (1, 0)}) is None
@@ -243,6 +169,87 @@ def test_mixed_weights_raise_usage_error():
         ws.insert({ModBasisVec(0, 0, 0): (1, 0), ModBasisVec(1, 0, 0): (1, 0)})
     with pytest.raises(UsageError):
         ws.insert({ModBasisVec(0, 0, 0): (1, 0)}, {ModBasisVec(1, 0, 0): (1, 0)})
+
+
+def _toy_closure(rng, dim=3):
+    """Ops ``(p, 0, shift)`` over the weights -2..2 (``dim`` basis vectors
+    each), each a sparse random matrix of 0 and +-1 per source weight, and
+    their action on integer-pair vectors; images outside -2..2 have no
+    space."""
+    ops = [(p, 0, shift) for p, shift in enumerate((-1, 0, 1, 2, -2))]
+    mats = {(p, l): [[rng.choice((0, 0, 0, 0, 0, 1, -1)) for _ in range(dim)]
+                     for _ in range(dim)]
+            for p, _, _ in ops for l in range(-2, 3)}
+
+    def basis_at(l):
+        return [ModBasisVec(l, J, 0) for J in range(dim)] if -2 <= l <= 2 else []
+
+    def act(p, im, vec):
+        l = next(iter(vec)).l
+        vals = [vec.get(ModBasisVec(l, i, 0), (0, 0)) for i in range(dim)]
+        out = {}
+        for j, coeffs in enumerate(mats[p, l]):
+            x = sum(c * v[0] for c, v in zip(coeffs, vals))
+            y = sum(c * v[1] for c, v in zip(coeffs, vals))
+            if x or y:
+                out[ModBasisVec(l + ops[p][2], j, 0)] = (x, y)
+        return out
+
+    seed = {ModBasisVec(0, 0, 0): (1, 0), ModBasisVec(0, 1, 0): (0, 1)}
+    return basis_at, ops, act, seed
+
+
+def test_grow_reaches_the_first_in_first_out_ranks():
+    ranks = set()
+    for case in range(60):
+        basis_at, ops, act, seed = _toy_closure(random.Random(case))
+        spaces = WeightSpaces(basis_at, range(-2, 3))
+        spaces.insert(seed)
+        for _ in spaces.grow([seed], ops, act, range(-1, 2)):
+            pass
+        # the plain loop: every row meets every op, in turn
+        ref = WeightSpaces(basis_at, range(-2, 3))
+        work = [seed] if ref.insert(seed) == "new" else []
+        for row in work:
+            for p, im, _ in ops:
+                if ref.insert(image := act(p, im, row)) == "new":
+                    work.append(image)
+        got = [spaces.rank(l) for l in range(-2, 3)]
+        assert got == [ref.rank(l) for l in range(-2, 3)]
+        ranks.add(tuple(got))
+    assert len(ranks) > 5  # not only full spaces
+
+
+def test_grow_serves_the_inner_weights_first():
+    inner = range(-1, 2)
+    reentered = 0  # cases where an inner op ran after an outer one
+    for case in range(60):
+        basis_at, ops, act, seed = _toy_closure(random.Random(case))
+        spaces = WeightSpaces(basis_at, range(-2, 3))
+        spaces.insert(seed)
+        work = [seed]
+        met = set()  # (op, row id) of each image into an inner weight
+        log = []
+
+        def spy(p, im, row):
+            t = next(iter(row)).l + ops[p][2]
+            if t in inner:
+                met.add((p, id(row)))
+            else:
+                # every row so far has met every op into an inner weight,
+                # or that weight is full and needs no image
+                for r in work:
+                    for q, _, shift in ops:
+                        u = next(iter(r)).l + shift
+                        assert (u not in inner or (q, id(r)) in met
+                                or spaces.settled(u))
+            log.append(t in inner)
+            return act(p, im, row)
+
+        for _ in spaces.grow(work, ops, spy, inner):
+            pass
+        reentered += any(a and not b for a, b in zip(log[1:], log))
+    assert reentered > 10
 
 
 def test_pair_content():
