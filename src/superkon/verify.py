@@ -435,11 +435,13 @@ def window_simplicity(module: TensorModule, w: Window, params: dict,
             unique.append((label, seed))
     ops = module.window_ops(w)
     act = _act(ev)
+    l_range = range(w.l_min, w.l_max + 1)
+    bases = {l: module.basis_at(l) for l in l_range}  # listed once, for all seeds
     worst = None  # (inner dimension sum, seed index, closure)
     earlier: dict = {}  # weight -> the vectors of the seeds closed so far
     for i, (_, seed) in enumerate(unique):
         vec = ev.eval_modvec(seed)[1]
-        spaces = WeightSpaces(module.basis_at, range(w.l_min, w.l_max + 1))
+        spaces = WeightSpaces(bases.get, l_range)
         held = []  # the earlier seed vectors the span holds
 
         def stop(l):
