@@ -4,7 +4,9 @@
 by exact elimination, the smallest non-full closure (earliest seed among
 equals) reported.  :func:`superkon.verify.window_simplicity` stops a
 closure once its inner window is full or its span holds an earlier seed;
-it must match the reference byte for byte.
+it must match the reference byte for byte, also when every seed vector is
+scaled by an integer (exact membership, and with it the second stop, does
+not see the scale).
 """
 
 import time
@@ -113,9 +115,25 @@ def references():
     return out
 
 
+# seed scales: 1, two small primes and a prime near 2**30
+SCALES = (1, 5, 13, 1073741789)
+
+
+@pytest.mark.parametrize("scale", SCALES)
 @pytest.mark.parametrize("name", PROBES)
-def test_probe_matches_exact_probe(name, references):
+def test_screened_probe_matches_exact_probe(name, scale, references,
+                                            monkeypatch):
+    # "screened": each closure is cut off at the first of the probe's two
+    # early stops; the reference closes every unscaled seed to the end
     make, middle, verdict = PROBES[name]
+    eval_modvec = EvaluatedAction.eval_modvec
+
+    def scaled(self, v):
+        den, vec = eval_modvec(self, v)
+        return den, {bv: (scale * re, scale * im)
+                     for bv, (re, im) in vec.items()}
+
+    monkeypatch.setattr(EvaluatedAction, "eval_modvec", scaled)
     M = make()
     r = verify.window_simplicity(M, probe_window(M), ORIGIN, middle)
     assert r.details["verdict"] == verdict
