@@ -30,8 +30,13 @@ I}(1-eps_i)``; the bracket adds degrees.
 The D-symbol ``D[t^k, xi_I]`` acts on functions as the operator
 ``D_f`` of ``f = t^k xi_I``, read off the contact bracket of
 :mod:`superkon.grassmann`: ``D_f(g) = {f, g} + 2 d_eps(f) g``, since
-``delta g = 2g - sum_i xi_i partial_i g``; :func:`apply_d` and the
-contact bracket share :func:`superkon.grassmann.contact_core`.  So an
+``delta g = 2g - sum_i xi_i partial_i g``.  So :func:`apply_d` and the
+contact bracket sum the products of
+:func:`~superkon.grassmann.contact_core` on the two functions'
+:class:`~superkon.grassmann.ContactParts`, plus ``d_eps(f) sum_i xi_i
+partial_i g`` where the bracket has ``-d_eps(f) delta(g)``;
+:func:`bracket` reads each unit monomial's parts from one memo, so a sweep
+over basis pairs differentiates each monomial once.  An
 :class:`AlgebraElement` stores its D-part ``sum D_f`` as the
 superfunction ``sum f``, next to its function part and its C
 coefficient.
@@ -54,8 +59,9 @@ from math import comb, factorial
 
 from .exactnum import (Scalar, TextReader, UsageError, add_term, as_scalar,
                        term_text)
-from .grassmann import (EpsilonConfig, SuperFunction, contact_core, members,
-                        partial_sign, xi_mul)
+from .grassmann import (EpsilonConfig, SuperFunction, as_parts, contact_core,
+                        members, monomial_parts, partial_sign, product_sum,
+                        xi_mul)
 
 
 # Negative-control mutations an AlgebraConfig accepts, each with the check
@@ -299,13 +305,15 @@ def bracket_basis(acfg: AlgebraConfig, x, y, params=()) -> AlgebraElement:
         central=Scalar.const(params, Fraction(cen12, 12)) if cen12 else None)
 
 
-def apply_d(cfg: EpsilonConfig, f: SuperFunction,
-            g: SuperFunction) -> SuperFunction:
+def apply_d(cfg: EpsilonConfig, f, g) -> SuperFunction:
     """Apply the differential operator attached to the function ``f``:
     ``D_f(g) = {f, g} + 2 d_eps(f) g``.  With ``delta g = 2g - sum_i xi_i
     partial_i g`` that is ``contact_core(f, g) + d_eps(f) sum_i xi_i
-    partial_i g``."""
-    return contact_core(cfg, f, g) + f.d_eps(cfg) * g.xi_degree()
+    partial_i g``, summed into one dict.  ``f`` and ``g`` are
+    superfunctions or their :class:`~superkon.grassmann.ContactParts`, so a
+    caller that passes parts differentiates nothing here."""
+    f, g = as_parts(cfg, f), as_parts(cfg, g)
+    return product_sum(f.params, contact_core(f, g) + [(1, f.d_eps, g.xi_degree)])
 
 
 def bracket(acfg: AlgebraConfig, x: AlgebraElement,
@@ -313,25 +321,40 @@ def bracket(acfg: AlgebraConfig, x: AlgebraElement,
     """Full bilinear bracket on the extended algebra.
 
     D x D via the structure constants (plus central term), D x function
-    via the operator action, function x function = 0, C central.
+    via the operator action, function x function = 0, C central.  Terms
+    are summed into plain dicts and one Scalar, and one element is built at
+    the end.  A D x D term is read straight off :func:`bracket_ints`; a D x
+    function term is ``apply_d`` on the two unit monomials' memoised parts
+    (:func:`~superkon.grassmann.monomial_parts`; parts, not results, are
+    kept) times the two coefficients.
     """
     params = x.params
-    out = AlgebraElement.zero(params)
+    cfg = acfg.cfg
+    d: dict = {}
+    a: dict = {}
+    central = Scalar.zero(params)
     for (p, Im), cx in x.d.terms.items():
         for (q, Jm), cy in y.d.terms.items():
-            bb = bracket_basis(acfg, (p, Im), (q, Jm), params)
-            if bb:
-                out = out + bb.scale(cx * cy)
+            coeff2, rk, rI, cen12 = bracket_ints(acfg, p, Im, q, Jm)
+            if coeff2 or cen12:
+                c = cx * cy
+                if coeff2:
+                    add_term(d, (rk, rI), c.scale_raw(coeff2, 0, 2))
+                if cen12:
+                    central = central + c.scale_raw(cen12, 0, 12)
     for u, v, swapped in ((x, y, False), (y, x, True)):
         for (p, Im), cu in u.d.terms.items():
-            f = SuperFunction.monomial(params, p, Im, cu)
+            f = monomial_parts(cfg, params, p, Im)
             for (k, Jm), cv in v.a.terms.items():
-                res = apply_d(acfg.cfg, f, SuperFunction.monomial(params, k, Jm, cv))
+                c = cu * cv
                 # [g, D_f] = -(-1)^{|g||f|} D_f(g)
                 if swapped and not (Im.bit_count() & Jm.bit_count() & 1):
-                    res = -res
-                out = out + AlgebraElement(params, a=res)
-    return out
+                    c = -c
+                res = apply_d(cfg, f, monomial_parts(cfg, params, k, Jm))
+                for key, r in res.terms.items():
+                    add_term(a, key, r * c)
+    return AlgebraElement(params, SuperFunction(params, d),
+                          SuperFunction(params, a), central)
 
 
 def a_action(f: SuperFunction, x: AlgebraElement) -> AlgebraElement:

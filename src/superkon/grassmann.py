@@ -12,10 +12,20 @@ On top of the plain product this module provides the odd derivations
 ``partial_i``, the degree-style operator :func:`delta`
 (``f -> 2f - sum_i xi_i partial_i f``), the twisted derivative
 :func:`d_eps` (``partial_t - (1/2) t^{-1} sum_i eps_i xi_i partial_i``)
-and the contact bracket built from them, whose :func:`contact_core` is
-also the core of the operator ``D_f``.  A superfunction
+and the contact bracket built from them.  A superfunction
 (:class:`SuperFunction`) is a :class:`~superkon.exactnum.Terms` over the
 monomial keys ``(k, imask)``.
+
+What the contact bracket reads from one superfunction (``delta f``,
+``d_eps f``, ``sum_i xi_i partial_i f`` and each ``partial_i f``, plain
+and signed) is its :class:`ContactParts`, computed once;
+:func:`contact_core` lists the products of two functions' parts that the
+bracket shares with the operator ``D_f``, and :func:`product_sum`, which
+is also the plain product, sums them into one dict.  :func:`monomial_parts`
+memoises the parts of each unit monomial, like :func:`tau`, :func:`xi_mul`
+and :func:`partial_sign`: a sweep over basis pairs meets each monomial
+once per partner.  It keeps parts, not results: a sweep meets many more
+distinct pairs than monomials, and each pair only a few times.
 """
 
 from __future__ import annotations
@@ -160,39 +170,19 @@ class SuperFunction(Terms):
 
     # -- products ---------------------------------------------------------
     def __mul__(self, other):
-        """Product in the superalgebra (signs via :func:`xi_mul`)."""
+        """Product in the superalgebra (see :func:`product_sum`)."""
         if isinstance(other, SuperFunction):
-            out: dict = {}
-            for (k1, I1), c1 in self.terms.items():
-                for (k2, I2), c2 in other.terms.items():
-                    sm = xi_mul(I1, I2)
-                    if sm is None:
-                        continue
-                    sign, union = sm
-                    add = c1 * c2
-                    add_term(out, (k1 + k2, union), -add if sign < 0 else add)
-            return SuperFunction(self.params, out)
+            return product_sum(self.params,
+                               ((1, self.terms.items(), other.terms.items()),))
         return self.scale(other)
 
     def __rmul__(self, other):
         # scalars are even: left and right scaling agree
         return self.scale(other)
 
-    def t_shift(self, k: int) -> "SuperFunction":
-        """Multiply by ``t^k``."""
-        return SuperFunction(self.params,
-                             {(e + k, I): c for (e, I), c in self.terms.items()})
-
-    # -- hashing and parity ---------------------------------------------
+    # -- hashing ----------------------------------------------------------
     def __hash__(self):
         return hash((self.params, frozenset((k, str(c)) for k, c in self.terms.items())))
-
-    def parity_parts(self):
-        """(even part, odd part); parity of ``t^k xi_I`` is ``|I| mod 2``."""
-        ev, od = {}, {}
-        for (k, I), c in self.terms.items():
-            (od if I.bit_count() & 1 else ev)[(k, I)] = c
-        return (SuperFunction(self.params, ev), SuperFunction(self.params, od))
 
     # -- derivations ----------------------------------------------------
     def partial(self, i: int) -> "SuperFunction":
@@ -260,43 +250,89 @@ def parse_monomial(text: str):
 # ---------------------------------------------------------------------------
 
 
-def contact_core(cfg: EpsilonConfig, f: SuperFunction,
-                 g: SuperFunction) -> SuperFunction:
-    """The part the contact bracket shares with the operator ``D_f`` of
+def product_sum(params, products) -> SuperFunction:
+    """``sum_j s_j u_j v_j`` in the superalgebra (signs via
+    :func:`xi_mul`), summed into one dict, for the triples ``(s_j, u_j,
+    v_j)`` of a sign ``+-1`` and two superfunctions given by their items
+    ``((k, imask), coeff)``."""
+    out: dict = {}
+    for sign, u, v in products:
+        for (k1, I1), c1 in u:
+            for (k2, I2), c2 in v:
+                sm = xi_mul(I1, I2)
+                if sm is not None:
+                    c = c1 * c2
+                    add_term(out, (k1 + k2, sm[1]), c if sm[0] == sign else -c)
+    return SuperFunction(params, out)
+
+
+class ContactParts:
+    """What the contact bracket reads from a superfunction ``f``, as items
+    ``((k, imask), coeff)`` for :func:`product_sum` (a zero piece is
+    ``()``): ``delta f``, ``d_eps f``, ``sum_i xi_i partial_i f`` and, per
+    odd variable ``i``, ``None`` when ``partial_i f = 0``, else the factors
+    that the ``i``-th term of :func:`contact_core` takes from ``f`` on the
+    left and on the right, ``(t^{-eps_i} (-1)^{|f|} partial_i f, partial_i
+    f)``.  The sign is taken term by term, on the homogeneous parts of
+    ``f``: an odd term of ``partial_i f`` comes from an even term of ``f``."""
+
+    __slots__ = ("params", "delta", "d_eps", "xi_degree", "partials")
+
+    def __init__(self, cfg: EpsilonConfig, f: SuperFunction):
+        self.params = f.params
+        self.delta = tuple(f.delta().terms.items())
+        self.d_eps = tuple(f.d_eps(cfg).terms.items())
+        self.xi_degree = tuple(f.xi_degree().terms.items())
+        partials = []
+        for i, e in enumerate(cfg.eps, 1):
+            di = f.partial(i).terms
+            partials.append((tuple(((k - e, I), c if I.bit_count() & 1 else -c)
+                                   for (k, I), c in di.items()),
+                             tuple(di.items())) if di else None)
+        self.partials = tuple(partials)
+
+
+def as_parts(cfg: EpsilonConfig, f) -> ContactParts:
+    """``f`` when it is :class:`ContactParts` already, else the parts of the
+    superfunction ``f``."""
+    return f if isinstance(f, ContactParts) else ContactParts(cfg, f)
+
+
+@lru_cache(maxsize=None)
+def monomial_parts(cfg: EpsilonConfig, params: tuple, k: int,
+                   imask: int) -> ContactParts:
+    """The parts of the unit monomial ``t^k xi_I`` over ``params``, once
+    per key (the module docstring says why parts, not results)."""
+    return ContactParts(cfg, SuperFunction.monomial(params, k, imask))
+
+
+def contact_core(f: ContactParts, g: ContactParts) -> list:
+    """The products, as :func:`product_sum` takes them, of the part the
+    contact bracket shares with the operator ``D_f`` of
     :func:`superkon.algebra.apply_d`:
 
     ``(delta f) d_eps(g) + (-1)^{|f|} sum_i t^{-eps_i} partial_i(f)
     partial_i(g)``,
 
-    the parity sign taken on the homogeneous parts of ``f``.
+    read off the parts of ``f`` and ``g``; a term whose ``partial_i`` is
+    zero on either side is left out.
     """
-    params = f.params
-    out = f.delta() * g.d_eps(cfg)
-    f_even, f_odd = f.parity_parts()
-    for i in range(1, cfg.N + 1):
-        gi = g.partial(i)
-        if not gi:
-            continue
-        piece = SuperFunction.zero(params)
-        fe = f_even.partial(i)
-        if fe:
-            piece = piece + fe * gi
-        fo = f_odd.partial(i)
-        if fo:
-            piece = piece - (fo * gi)
-        if piece:
-            out = out + piece.t_shift(-cfg.eps[i - 1])
-    return out
+    return [(1, f.delta, g.d_eps)] + [
+        (1, fi[0], gi[1]) for fi, gi in zip(f.partials, g.partials) if fi and gi]
 
 
-def contact_bracket(cfg: EpsilonConfig, f: SuperFunction,
-                    g: SuperFunction) -> SuperFunction:
+def contact_bracket(cfg: EpsilonConfig, f, g) -> SuperFunction:
     """The contact bracket
 
     ``{f, g} = (delta f) d_eps(g) - d_eps(f) (delta g)
                + (-1)^{|f|} sum_i t^{-eps_i} partial_i(f) partial_i(g)``,
 
     that is :func:`contact_core` minus ``d_eps(f) (delta g)``, extended
-    bilinearly.
+    bilinearly and summed into one dict.  ``f`` and ``g`` are superfunctions
+    or their :class:`ContactParts`; a sweep passes parts, so that it
+    differentiates each function once, not once per pair.  Everything comes
+    from the generic operators of :class:`SuperFunction`, never from the
+    structure constants, so this stays an independent oracle for them.
     """
-    return contact_core(cfg, f, g) - f.d_eps(cfg) * g.delta()
+    f, g = as_parts(cfg, f), as_parts(cfg, g)
+    return product_sum(f.params, contact_core(f, g) + [(-1, f.d_eps, g.delta)])

@@ -54,8 +54,8 @@ from .algebra import (AlgebraConfig, AlgebraElement, bracket, bracket_basis,
                       ideal_exponent, in_ideal_i, in_k_ell, phi, project_k0,
                       tm1_power_d)
 from .exactnum import _Batch, _Memo, _Packer, Scalar, UsageError
-from .grassmann import (EpsilonConfig, SuperFunction, contact_bracket,
-                        format_monomial, xi_mul)
+from .grassmann import (EpsilonConfig, contact_bracket, format_monomial,
+                        monomial_parts, xi_mul)
 from .linalg import WeightSpaces, mat_commutator, mat_eq
 from .report import INFO, Report, Window, finish, violation
 from .submod import named_submodule
@@ -185,13 +185,16 @@ def check_jacobi(acfg: AlgebraConfig, w: Window, workers: int | None = None) -> 
 
 def check_bracket_crosscheck(acfg: AlgebraConfig, w: Window) -> Report:
     """Structure constants against the contact bracket through f <-> D_f.
-    The central term is stripped on the structure-constant side."""
+    The central term is stripped on the structure-constant side.  Each
+    window monomial is differentiated once (its
+    :func:`~superkon.grassmann.monomial_parts`), and the contact bracket
+    combines those parts once per pair."""
     t0 = time.monotonic()
     params = ()
     cfg = acfg.cfg
     stripped = replace(acfg, central_enabled=False)
     syms = [(p, im) for p in w.k_values() for im in range(1 << cfg.N)]
-    funcs = [SuperFunction.monomial(params, *x) for x in syms]
+    funcs = [monomial_parts(cfg, params, *x) for x in syms]
     bad = []
     n = 0
     for x, fx in zip(syms, funcs):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -10,7 +11,8 @@ from superkon.algebra import (AlgebraConfig, AlgebraElement, a_action,
                               in_ideal_i, in_k_ell, k_ell_valuation, phi,
                               project_k0, tm1_coefficient, tm1_power_d)
 from superkon.exactnum import GaussRat, Scalar, UsageError
-from superkon.grassmann import EpsilonConfig, SuperFunction, contact_bracket, iset
+from superkon.grassmann import (EpsilonConfig, SuperFunction, contact_bracket, iset,
+                                monomial_parts)
 
 P = ()
 
@@ -297,6 +299,84 @@ def test_jacobi_small_with_central():
         s3 = -1 if par(z) * par(y) else 1
         total = t1.scale(s1) + t2.scale(s2) + t3.scale(s3)
         assert total.is_zero(), (x, y, z)
+
+
+def _reference_bracket(acfg, x, y):
+    """The bracket one term at a time: an AlgebraElement per basis term, from
+    bracket_basis and from apply_d on superfunctions, added to a running
+    element."""
+    params = x.params
+    out = AlgebraElement.zero(params)
+    for (p, Im), cx in x.d.terms.items():
+        for (q, Jm), cy in y.d.terms.items():
+            bb = bracket_basis(acfg, (p, Im), (q, Jm), params)
+            if bb:
+                out = out + bb.scale(cx * cy)
+    for u, v, swapped in ((x, y, False), (y, x, True)):
+        for (p, Im), cu in u.d.terms.items():
+            f = SuperFunction.monomial(params, p, Im, cu)
+            for (k, Jm), cv in v.a.terms.items():
+                res = apply_d(acfg.cfg, f, SuperFunction.monomial(params, k, Jm, cv))
+                if swapped and not (Im.bit_count() & Jm.bit_count() & 1):
+                    res = -res
+                out = out + AlgebraElement(params, a=res)
+    return out
+
+
+SYMBOLS = ("a", "b", "c")
+
+
+def _random_scalar(rng):
+    """A few terms in a, b, c of degree at most 2, Gaussian numerators."""
+    terms = {tuple(rng.randint(0, 2) for _ in SYMBOLS):
+             (rng.randint(-3, 3), rng.randint(-1, 1)) for _ in range(rng.randint(1, 3))}
+    return Scalar(SYMBOLS, terms, rng.choice((1, 2, 3)))
+
+
+def _random_element(rng, n, k):
+    """D-part, function part and C at random, with the D-part's plain
+    monomial at exponent ``k`` (degree 2(k-1)) set: D[t^3] and D[t^-1] have
+    degrees 4 and -4, so their bracket has a central term."""
+    def part():
+        return {(rng.randint(-2, 2), rng.randrange(1 << n)): _random_scalar(rng)
+                for _ in range(rng.randint(1, 4))}
+
+    d = part()
+    d[(k, 0)] = _random_scalar(rng)
+    return AlgebraElement(SYMBOLS, SuperFunction(SYMBOLS, d),
+                          SuperFunction(SYMBOLS, part()), _random_scalar(rng))
+
+
+ZERO_ONE_TWISTS = [eps for n in (1, 2, 3) for eps in product((0, 1), repeat=n)]
+
+
+@pytest.mark.parametrize("central", [False, True])
+@pytest.mark.parametrize("eps", ZERO_ONE_TWISTS, ids=str)
+def test_bracket_matches_the_per_term_reference(eps, central):
+    # symbolic multi-term elements with D-parts, function parts and C
+    c = cfg(len(eps), eps, central)
+    rng = random.Random(f"{eps}{central}")
+    seen = {"d": False, "a": False, "central": False}
+    for _ in range(6):
+        x, y = _random_element(rng, len(eps), 3), _random_element(rng, len(eps), -1)
+        got = bracket(c, x, y)
+        assert got == _reference_bracket(c, x, y), (str(x), str(y))
+        for part in seen:
+            seen[part] |= bool(getattr(got, part))
+    assert seen == {"d": True, "a": True, "central": central}
+
+
+def test_bracket_parts_are_kept_per_parameter_list():
+    # the same config and monomials over () and then over (a, b, c): an
+    # entry shared between the two lists would mix their Scalars
+    c = cfg(2, (1, 0))
+    monomial_parts.cache_clear()
+    for params in ((), SYMBOLS):
+        x = AlgebraElement.d_symbol(params, 1, iset(1), 3)
+        y = AlgebraElement.a_monomial(params, 2, iset(1, 2), 5)
+        got = bracket(c, x, y)
+        assert got.a and got == _reference_bracket(c, x, y)
+        assert got == -bracket(c, y, x)
 
 
 @pytest.mark.parametrize("eps", [(1,), (0,), (1, 0), (2, -1), (1, 1, 0)])

@@ -2,8 +2,9 @@
 every name it defines at its top level is used somewhere, every method of
 its classes is called somewhere, every named parameter of every
 function it defines is read in that function, no module imports a
-process or thread module or reads the environment, and every name the
-benchmark's tracer wraps still exists.
+process or thread module or reads the environment, every absolute import
+is of the standard library, and every name the benchmark's tracer wraps
+still exists.
 
 Stdlib ``ast`` only, but for the tracer, whose tables are read by loading
 the file.  A name counts as used in a module when it appears as a load
@@ -13,6 +14,7 @@ anywhere in it, including inside string annotations.
 import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -280,6 +282,40 @@ def test_process_detector_flags_pools_threads_and_environment(tmp_path):
                                         "m.py:4: concurrent.futures",
                                         "m.py:5: os.getenv",
                                         "m.py:6: os.environ"]
+
+
+# pyproject.toml declares no dependencies: the package imports only the
+# standard library and itself (relative imports).
+def non_stdlib_imports(path: Path) -> list:
+    """``file:line: name`` for every absolute import in ``path`` whose top
+    package is not in ``sys.stdlib_module_names``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.lineno, node.module))
+    return [f"{path.name}:{line}: {name}" for line, name in sorted(found)
+            if name.split(".")[0] not in sys.stdlib_module_names]
+
+
+def test_package_imports_only_the_standard_library():
+    found = [u for path in sorted(SRC.glob("*.py"))
+             for u in non_stdlib_imports(path)]
+    assert not found, "imports outside the standard library:\n" + "\n".join(found)
+
+
+def test_stdlib_detector_flags_a_third_party_import(tmp_path):
+    mod = tmp_path / "m.py"
+    mod.write_text("from __future__ import annotations\n"
+                   "import os.path\n"
+                   "import numpy as np\n"
+                   "from fractions import Fraction\n"
+                   "from sympy.core import Symbol\n"
+                   "from . import algebra\n"
+                   "from .exactnum import Scalar\n")
+    assert non_stdlib_imports(mod) == ["m.py:3: numpy", "m.py:5: sympy.core"]
 
 
 def traced_names_missing(path) -> list:

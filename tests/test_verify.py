@@ -4,12 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from superkon import algebra, exactnum, verify
+from superkon import algebra, exactnum, grassmann, verify
 from superkon.algebra import (ALGEBRA_MUTATIONS, AlgebraConfig, AlgebraElement,
                               bracket, bracket_columns, bracket_ints,
                               bracket_table)
 from superkon.exactnum import GaussRat, Scalar, UsageError
-from superkon.grassmann import EpsilonConfig, format_monomial, iset, xi_mul
+from superkon.grassmann import (EpsilonConfig, SuperFunction, format_monomial,
+                                iset, xi_mul)
 from superkon.linalg import WeightSpaces
 from superkon.repn import SoRep, build_so2, build_so3_vm, check_so_relations
 from superkon.report import Report, Window, finish, violation
@@ -559,6 +560,35 @@ def test_jacobi_computes_each_bracket_once(monkeypatch):
     # every bracket goes through the table builder, once
     assert 0 < len(calls) <= rows * cols
     assert len(set(calls)) == len(calls)
+
+
+@pytest.mark.parametrize("check, eps, monomials", [
+    (check_bracket_crosscheck, (1, 1, 0), 56),
+    (check_phi, (1, 0), 32),
+])
+def test_superfunction_sweeps_differentiate_each_monomial_once(monkeypatch, check,
+                                                                eps, monomials):
+    # each of the window's unit monomials (7 exponents, 2**N masks; phi's
+    # images add one exponent below) is differentiated once, however many
+    # pairs it meets: at most 3N partial calls and one d_eps call each
+    calls = {"partial": 0, "d_eps": 0}
+
+    def spy(name):
+        original = getattr(SuperFunction, name)
+
+        def counted(self, *args):
+            calls[name] += 1
+            return original(self, *args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(SuperFunction, name, spy(name))
+    grassmann.monomial_parts.cache_clear()
+    r = check(acfg(len(eps), eps), Window(-3, 3))
+    assert r.status == "pass"
+    assert grassmann.monomial_parts.cache_info().currsize == monomials
+    assert 0 < calls["partial"] <= 3 * len(eps) * monomials
+    assert 0 < calls["d_eps"] <= monomials
 
 
 def test_unknown_mutation_rejected():
