@@ -55,6 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement, permutations
 from math import comb, factorial
 
 from .exactnum import (Scalar, TextReader, UsageError, add_term, as_scalar,
@@ -293,6 +294,144 @@ def bracket_table(acfg: AlgebraConfig, k_min: int, k_max: int):
     return lo, [[entry(*bracket_ints(acfg, p, I, q, J))
                  for q in range(lo, hi + 1) for J in range(n)]
                 for p in range(k_min, k_max + 1) for I in range(n)]
+
+
+def bracket_table_is_polynomial(acfg: AlgebraConfig, k_min: int, lo: int,
+                                rows) -> bool:
+    """Whether the :func:`bracket_table` ``(lo, rows)`` of a window from
+    ``k_min`` is polynomial, in one pass: for each mask pair ``(I, J)``,
+    ``c2`` is affine in ``(p, q)`` (zero second differences), a nonzero
+    ``c2`` lands on mask ``I ^ J`` at exponent ``p + q + shift_sum(I & J) -
+    1`` (degrees add) and a nonzero ``cen12`` only at total degree 0; on
+    the window x window block ``entry(y, x) = -(-1)^{|x||y|} entry(x, y)``."""
+    cfg = acfg.cfg
+    N = cfg.N
+    n = 1 << N
+    width, ncols = len(rows) >> N, len(rows[0]) >> N
+    for I in range(n):
+        block = rows[I::n]
+        for J in range(n):
+            grid = [row[J::n] for row in block]  # grid[p - k_min][q - lo]
+            c00 = grid[0][0][0]
+            dq = grid[0][1][0] - c00 if ncols > 1 else 0
+            dp = grid[1][0][0] - c00 if width > 1 else 0
+            col0 = k_min + cfg.shift_sum(I & J) - 1  # (rk - lo) at p, q = k_min, lo
+            twice = 4 - cfg.shift_sum(I) - cfg.shift_sum(J) - 2 * (k_min + lo)
+            diag = None if twice & 1 else twice >> 1  # (p - k_min) + (q - lo) at degree 0
+            for a, got in enumerate(grid):
+                c = c00 + a * dp
+                line = range(c, c + ncols * dq, dq) if dq else [c] * ncols
+                want = [(c2, ((col0 + a + b) << N) + (I ^ J) if c2 else None, 0)
+                        for b, c2 in enumerate(line)]
+                if diag is not None and 0 <= diag - a < ncols:
+                    b = diag - a
+                    want[b] = want[b][:2] + got[b][2:]
+                if got != want:
+                    return False
+    off = (k_min - lo) << N
+    odd = [(i & (n - 1)).bit_count() & 1 for i in range(len(rows))]
+    for i, row in enumerate(rows):
+        for j in range(i, len(rows)):
+            c2, col, cen12 = row[off + j]
+            if not (odd[i] and odd[j]):
+                c2, cen12 = -c2, -cen12
+            if rows[j][off + i] != (c2, col, cen12):
+                return False
+    return True
+
+
+def jacobi_filter(table, par, off: int, i: int, j: int, k: int) -> bool:
+    """The filter of :func:`~superkon.verify.check_jacobi` on the window
+    symbols ``i, j, k`` (in any order), read from the rows ``table`` of a
+    :func:`bracket_table` whose window starts at column ``off``, with
+    ``par`` the symbols' parities: it sums [i,[j,k]], [j,[k,i]] and
+    [k,[i,j]] (sign -1 when the outer symbol and the last inner one are
+    both odd) as the D-residual ``d`` and the central part ``cen``, and
+    flags the triple when either is nonzero or a D-term lands on a second
+    column (only off the grading)."""
+    row_i, row_j, row_k = table[i], table[j], table[k]
+    pi, pj, pk = par[i], par[j], par[k]
+    d = cen = 0
+    key = None
+    split = False
+    c2, col, _ = row_j[k + off]
+    if c2:
+        c3, key, cen = row_i[col]
+        if pi and pk:
+            c2 = -c2
+        d = c2 * c3
+        cen *= c2
+    c2, col, _ = row_k[i + off]
+    if c2:
+        c3, col, cen12 = row_j[col]
+        if pj and pi:
+            c2 = -c2
+        if c3:
+            if key is None:
+                key = col
+            elif col != key:
+                split = True
+            d += c2 * c3
+        cen += c2 * cen12
+    c2, col, _ = row_i[j + off]
+    if c2:
+        c3, col, cen12 = row_k[col]
+        if pk and pj:
+            c2 = -c2
+        if c3 and key is not None and col != key:
+            split = True
+        d += c2 * c3
+        cen += c2 * cen12
+    return bool(d or cen or split)
+
+
+def jacobi_flags(acfg: AlgebraConfig, k_min: int, lo: int, rows):
+    """The triples ``i <= j <= k`` of window symbols (rows of the
+    :func:`bracket_table` ``(lo, rows)`` of a window from ``k_min``) that
+    :func:`jacobi_filter` flags, in index order.  When the table is not
+    polynomial (:func:`bracket_table_is_polynomial`) the filter runs on
+    every triple.  When it is, it runs on the 27 triples of each mask
+    multiset ``I <= J <= K`` with exponents from the window's first three
+    (all of them when it has fewer) and, with the central term, on every
+    triple of total degree 0; then on all the window triples of each
+    multiset flagged there (see :func:`~superkon.verify.check_jacobi` for
+    why nothing else can be flagged)."""
+    N = acfg.cfg.N
+    n = 1 << N
+    total = len(rows)
+    masks = [i & (n - 1) for i in range(total)]
+    par = [m.bit_count() & 1 for m in masks]
+    off = (k_min - lo) << N
+
+    def flags(i, j, k):
+        return jacobi_filter(rows, par, off, i, j, k)
+
+    multisets = list(combinations_with_replacement(range(n), 3))
+    flagged = multisets
+    if bracket_table_is_polynomial(acfg, k_min, lo, rows):
+        grid = range(min(3, total >> N))  # exponents k_min, k_min + 1, k_min + 2
+        flagged = {m for m in multisets
+                   if any(flags((a << N) | m[0], (b << N) | m[1], (c << N) | m[2])
+                          for a in grid for b in grid for c in grid)}
+        if acfg.central_enabled:
+            degs = [acfg.cfg.degree(k_min + (i >> N), masks[i]) for i in range(total)]
+            by_degree: dict = {}
+            for k, dk in enumerate(degs):
+                by_degree.setdefault(dk, []).append(k)
+            flagged.update(tuple(sorted((masks[i], masks[j], masks[k])))
+                           for i in range(total) for j in range(i, total)
+                           for k in by_degree.get(-degs[i] - degs[j], ())
+                           if k >= j and flags(i, j, k))
+    thirds: dict = {}  # (mask of i, mask of j) -> masks of k on a flagged multiset
+    for m in flagged:
+        for x, y, z in permutations(m):
+            thirds.setdefault((x, y), set()).add(z)
+    for i in range(total):
+        for j in range(i, total):
+            ks = thirds.get((masks[i], masks[j]))
+            for k in range(j, total) if ks else ():
+                if masks[k] in ks and flags(i, j, k):
+                    yield i, j, k
 
 
 def bracket_basis(acfg: AlgebraConfig, x, y, params=()) -> AlgebraElement:

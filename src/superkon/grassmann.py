@@ -31,7 +31,7 @@ distinct pairs than monomials, and each pair only a few times.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .exactnum import Terms, TextReader, UsageError, add_term, as_scalar
 
@@ -120,13 +120,27 @@ class EpsilonConfig:
             raise UsageError(f"eps must have length N={self.N}, got {eps}")
         object.__setattr__(self, "eps", eps)
 
+    # The two sums over every mask, each one tuple indexed by mask, built on
+    # first use: the bracket reads them once per basis pair.  They are not
+    # dataclass fields, so equality, hash and repr see only N and eps.
+    @cached_property
+    def _eps_sums(self) -> tuple:
+        sums = [0]
+        for e in self.eps:  # the masks with bit i set follow those without
+            sums += [s + e for s in sums]
+        return tuple(sums)
+
+    @cached_property
+    def _shift_sums(self) -> tuple:
+        return tuple(m.bit_count() - s for m, s in enumerate(self._eps_sums))
+
     def eps_sum(self, mask: int) -> int:
         """sum of eps_i over i in the mask."""
-        return sum(self.eps[i - 1] for i in members(mask))
+        return self._eps_sums[mask]
 
     def shift_sum(self, mask: int) -> int:
         """sum of (1 - eps_i) over i in the mask."""
-        return sum(1 - self.eps[i - 1] for i in members(mask))
+        return self._shift_sums[mask]
 
     def degree(self, p: int, mask: int) -> int:
         """The degree ``2(p-1) + sum_{i in I}(1 - eps_i)`` of the symbol
@@ -135,7 +149,7 @@ class EpsilonConfig:
         in total degree 0), a D-symbol moves module weights by its degree,
         and the function monomial ``t^k xi_I`` by that of ``D[t^{k+1},
         xi_I]``."""
-        return 2 * (p - 1) + self.shift_sum(mask)
+        return 2 * (p - 1) + self._shift_sums[mask]
 
     @property
     def is_ramond(self) -> bool:

@@ -318,7 +318,9 @@ class EvaluatedAction:
     separately returned positive denominator.  Closure/rank sweeps drop the
     denominator (spans are scale-invariant); the intertwining checks keep it
     to cross-scale row pairs.  :meth:`table`'s memo is the one copy of each
-    column; every closure reads it through :meth:`act_vec`.
+    column; every closure reads it through :meth:`act_vec`.  The columns
+    share one :class:`ModBasisVec` per basis vector they name, which holds
+    a closure's peak memory down.
     """
 
     def __init__(self, module: TensorModule, assignment: dict):
@@ -332,6 +334,7 @@ class EvaluatedAction:
             m.sector_delta, m.mutation)
         self._families: dict = {}
         self._powers: dict = {}
+        self._basis: dict = {}  # basis vector -> its one shared copy
 
     def table(self, p: int, imask: int, bv: ModBasisVec):
         """(den, ((bv2, (re, im)), ...)): the evaluated column of a
@@ -349,7 +352,8 @@ class EvaluatedAction:
             col = {}
             for l2, J2, r2, terms, f in family:
                 re, im = term_sum(terms, powers)
-                col[ModBasisVec(l2 + bv.l, J2, r2)] = (re * f, im * f)
+                bv2 = ModBasisVec(l2 + bv.l, J2, r2)
+                col[self._basis.setdefault(bv2, bv2)] = (re * f, im * f)
             den, col = norm_pairs(col, den * lift)
             hit = self._memo[key] = (den, tuple(col.items()))
         return hit

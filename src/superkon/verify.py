@@ -15,7 +15,11 @@ filter, which may flag too much but never too little, and hands each
 flagged case to the library's reference operation, which decides it and
 writes its witness: :func:`~superkon.algebra.bracket_ints` behind the
 filter over one :func:`~superkon.algebra.bracket_table` of
-:func:`check_jacobi`; :meth:`~superkon.tensmod.TensorModule.act` behind
+:func:`check_jacobi` (run on a 3 x 3 x 3 exponent grid per mask triple,
+plus the triples of total degree 0, when the table is affine per mask
+pair, graded, central only at total degree 0 and super-antisymmetric, so
+that each D-residual has degree at most 2 in each exponent);
+:meth:`~superkon.tensmod.TensorModule.act` behind
 the Gaussian-integer residuals of :func:`check_module_axioms` and of
 :func:`~superkon.tables.compare_table` (under
 :func:`check_table_agreement`).  Those residuals are summed a batch at a
@@ -106,28 +110,30 @@ def check_jacobi(acfg: AlgebraConfig, w: Window, workers: int | None = None) -> 
     (unordered: the Jacobi sum of homogeneous arguments changes only by a
     global sign under permutations).
 
-    The filter reads every bracket from one
-    :func:`~superkon.algebra.bracket_table`.  A bracket lands on mask ``I ^
-    J`` at the exponent its additive degree fixes, so the three D-terms of
-    a triple's Jacobi sum share one result column and the D-residual is
-    one integer ``d``.  The filter sums ``d`` and the central part ``cen``
-    with plain ints and flags a triple when ``d`` or ``cen`` is nonzero or
-    a nonzero term lands on a second column (possible only if the grading
-    breaks).  Each flagged triple goes to :func:`_jacobi_residual`, which
-    decides and writes the witness.  ``workers`` may only be ``None`` or
-    1: the sweep runs in one process."""
+    Every bracket is read from one :func:`~superkon.algebra.bracket_table`,
+    and each triple that :func:`~superkon.algebra.jacobi_flags` yields
+    (flagged by :func:`~superkon.algebra.jacobi_filter`) goes to
+    :func:`_jacobi_residual`, which decides and writes the witness.  When
+    the table is polynomial
+    (:func:`~superkon.algebra.bracket_table_is_polynomial`), the filter's
+    D-residual on masks ``I <= J <= K`` is one polynomial of degree at most
+    2 in each exponent, for every order of the triple (by
+    super-antisymmetry), so it vanishes on the window once it vanishes on a
+    3 x 3 x 3 grid of window exponents (the grid case of Alon's
+    Combinatorial Nullstellensatz, Combin. Probab. Comput. 8, 1999), and
+    the central part vanishes off total degree 0.  So the filter runs on 27
+    triples per mask multiset, and with the central term on every window
+    triple of total degree 0.  A multiset flagged there, or every one when
+    the table is not polynomial, goes through the filter on all its window
+    triples.  ``workers`` may only be ``None`` or 1."""
     if workers not in (None, 1):
         raise UsageError(f"check_jacobi runs in one process; workers={workers!r}")
     t0 = time.monotonic()
     N = acfg.cfg.N
     syms = [(p, im) for p in w.k_values() for im in range(1 << N)]
     lo, table = bracket_table(acfg, w.k_min, w.k_max)
-    off = (w.k_min - lo) << N
-    total = len(syms)
-    par = [_parity(im) for _, im in syms]
     bad = []
-
-    def record(i, j, k):
+    for i, j, k in algebra.jacobi_flags(acfg, w.k_min, lo, table):
         x, y, z = syms[i], syms[j], syms[k]
         terms, cen = _jacobi_residual(acfg, x, y, z)
         if terms or cen:
@@ -136,48 +142,8 @@ def check_jacobi(acfg: AlgebraConfig, w: Window, workers: int | None = None) -> 
                 parts.append(f"{cen}/24*C")
             bad.append(violation(f"x={x} y={y} z={z}", lhs=" + ".join(parts),
                                  rhs="0", diff=" + ".join(parts)))
-
-    # terms [i,[j,k]], [j,[k,i]], [k,[i,j]]; the sign is -1 when the outer
-    # symbol and the last inner one are both odd
-    for i in range(total):
-        row_i, pi, ioff = table[i], par[i], i + off
-        for j in range(i, total):
-            row_j, pj = table[j], par[j]
-            c2ij, colij, _ = row_i[j + off]
-            for k, row_k, pk, (c2, col, _) in zip(range(j, total), table[j:], par[j:],
-                                                  row_j[j + off:total + off]):
-                d = cen = 0
-                key = None
-                split = False
-                if c2:
-                    c3, key, cen = row_i[col]
-                    if pi and pk:
-                        c2 = -c2
-                    d = c2 * c3
-                    cen *= c2
-                c2, col, _ = row_k[ioff]
-                if c2:
-                    c3, col, cen12 = row_j[col]
-                    if pj and pi:
-                        c2 = -c2
-                    if c3:
-                        if key is None:
-                            key = col
-                        elif col != key:
-                            split = True
-                        d += c2 * c3
-                    cen += c2 * cen12
-                if c2ij:
-                    c3, col, cen12 = row_k[colij]
-                    c2 = -c2ij if (pk and pj) else c2ij
-                    if c3 and key is not None and col != key:
-                        split = True
-                    d += c2 * c3
-                    cen += c2 * cen12
-                if d or cen or split:
-                    record(i, j, k)
     label = f"jacobi[N={N},eps={acfg.cfg.eps},central={acfg.central_enabled}]"
-    return finish(label, bad, comb(total + 2, 3), t0)
+    return finish(label, bad, comb(len(syms) + 2, 3), t0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
+from dataclasses import fields
 from itertools import product
 
 import pytest
 
+from superkon.algebra import AlgebraConfig
 from superkon.exactnum import Scalar, UsageError
 from superkon.grassmann import (EpsilonConfig, SuperFunction, contact_bracket,
                                 format_monomial, iset, members,
@@ -173,6 +175,32 @@ def test_degree_values():
     assert EpsilonConfig(3, (0, 0, 0)).degree(0, iset(1, 2, 3)) == 1
     assert EpsilonConfig(3, (1, 1, 1)).degree(3, iset(1, 2, 3)) == 4
     assert EpsilonConfig(1, (2,)).degree(1, iset(1)) == -1
+
+
+@pytest.mark.parametrize("eps", [
+    (0,), (1,), (3,), (1, 0), (0, 1), (2, -1), (1, 1, 0), (3, 0, -2),
+    (1, 1, 0, 0), (2, 1, 0, -1), (1, 1, 1, 1, 1), (0, 1, 0, 1, 1), (4, -3, 0, 2, -1),
+])
+def test_epsilon_config_mask_tables(eps):
+    # the sums are read from one tuple per config; they must equal their
+    # member-sum definitions at every mask, and the tables must stay out of
+    # equality, hash and repr
+    cfg = EpsilonConfig(len(eps), eps)
+    fresh = EpsilonConfig(len(eps), eps)
+    for mask in range(1 << len(eps)):
+        ms = members(mask)
+        assert cfg.eps_sum(mask) == sum(eps[i - 1] for i in ms)
+        assert cfg.shift_sum(mask) == sum(1 - eps[i - 1] for i in ms)
+        for p in (-2, 0, 1, 3):
+            assert cfg.degree(p, mask) == 2 * (p - 1) + sum(1 - eps[i - 1] for i in ms)
+    assert cfg == fresh and hash(cfg) == hash(fresh)
+    assert repr(cfg) == f"EpsilonConfig(N={len(eps)}, eps={eps!r})"
+    acfg = AlgebraConfig(cfg, len(eps) <= 3)
+    assert acfg == AlgebraConfig(fresh, len(eps) <= 3)
+    assert hash(acfg) == hash(AlgebraConfig(fresh, len(eps) <= 3))
+    assert repr(acfg) == (f"AlgebraConfig(cfg={cfg!r}, "
+                          f"central_enabled={len(eps) <= 3}, mutation=None)")
+    assert [f.name for f in fields(cfg)] == ["N", "eps"]
 
 
 def test_monomial_text_round_trip():

@@ -1,6 +1,8 @@
 import hashlib
 import re
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import comb
 
 import pytest
 
@@ -513,6 +515,24 @@ def test_jacobi_table_matches_per_triple_brackets(a, w):
                         == _reference_residual(a, x, y, z))
 
 
+def _reference_jacobi(a, w, brackets=bracket_ints):
+    """check_jacobi's violations, sweeping every window triple through
+    ``_reference_residual``."""
+    syms = [(p, im) for p in w.k_values() for im in range(1 << a.cfg.N)]
+    expected = []
+    for i, x in enumerate(syms):
+        for j, y in enumerate(syms[i:], i):
+            for z in syms[j:]:
+                terms, cen = _reference_residual(a, x, y, z, brackets)
+                parts = [f"{v}/4*D[t^{rk},m={rI}]" for (rk, rI), v in sorted(terms.items())]
+                if cen:
+                    parts.append(f"{cen}/24*C")
+                if parts:
+                    expected.append(violation(f"x={x} y={y} z={z}", lhs=" + ".join(parts),
+                                              rhs="0", diff=" + ".join(parts)))
+    return sorted(expected, key=lambda v: v["inputs"])
+
+
 def test_jacobi_sweep_finds_residuals_off_the_grading(monkeypatch):
     # one bracket lands one exponent off, so the D-terms of a triple's Jacobi
     # sum fall on two symbols: the sweep must not sum them as one integer
@@ -525,22 +545,135 @@ def test_jacobi_sweep_finds_residuals_off_the_grading(monkeypatch):
     monkeypatch.setattr(algebra, "bracket_ints", shifted)
     a = acfg(2, (1, 0))
     w = Window(-2, 2)
-    syms = [(p, im) for p in w.k_values() for im in range(4)]
-    expected = []
-    for i, x in enumerate(syms):
-        for j, y in enumerate(syms[i:], i):
-            for z in syms[j:]:
-                terms, cen = _reference_residual(a, x, y, z, shifted)
-                assert not cen
-                if terms:
-                    parts = " + ".join(f"{v}/4*D[t^{rk},m={rI}]"
-                                       for (rk, rI), v in sorted(terms.items()))
-                    expected.append(violation(f"x={x} y={y} z={z}", lhs=parts,
-                                              rhs="0", diff=parts))
+    expected = _reference_jacobi(a, w, shifted)
     r = check_jacobi(a, w)
     assert r.status == "fail"
-    assert r.violations == sorted(expected, key=lambda v: v["inputs"])
+    assert r.violations == expected
     assert any(v["diff"].count("D[") == 2 for v in r.violations)
+
+
+def _scale_c2(pair, factor):
+    """bracket_ints with c2 scaled on one mask pair, in both orders: the
+    table stays affine, graded and super-antisymmetric."""
+    def scaled(a, p, im, q, jm):
+        c2, rk, rI, cen12 = bracket_ints(a, p, im, q, jm)
+        return (c2 * factor if {im, jm} == set(pair) else c2), rk, rI, cen12
+    return scaled
+
+
+def _bump(entries, dc2=0, drk=0, dcen12=0):
+    """bracket_ints with the entries ``(p, I, q, J)`` changed."""
+    def bumped(a, p, im, q, jm):
+        c2, rk, rI, cen12 = bracket_ints(a, p, im, q, jm)
+        if (p, im, q, jm) in entries:
+            return c2 + dc2, rk + drk, rI, cen12 + dcen12
+        return c2, rk, rI, cen12
+    return bumped
+
+
+@pytest.mark.parametrize("a, w, brackets, polynomial", [
+    (acfg(3, (1, 1, 1), central=True), SMALL, _scale_c2((1, 2), 2), True),
+    (acfg(3, (1, 1, 0)), SMALL, _scale_c2((0, 3), 3), True),
+    (acfg(3, (1, 0, 0), central=True), SMALL, _scale_c2((1, 6), -1), True),
+    (acfg(2, (2, -1), central=True), Window(-3, 3), _scale_c2((1, 2), 2), True),
+    # the fallback triggers: not affine (an entry outside the window block,
+    # so still antisymmetric), off the grading (in both orders, above the
+    # grid), a central term off total degree 0, not antisymmetric
+    (acfg(3, (1, 1, 1)), SMALL, _bump({(0, 1, 3, 2)}, dc2=1), False),
+    (acfg(2, (1, 0)), SMALL, _bump({(2, 1, 2, 2), (2, 2, 2, 1)}, drk=1), False),
+    (acfg(3, (1, 1, 1), central=True), SMALL, _bump({(0, 1, 3, 2)}, dcen12=12), False),
+    (acfg(3, (1, 1, 0), mutation="drop_sign_intersection"), SMALL, bracket_ints, False),
+    (acfg(4, (1, 1, 0, 0), mutation="drop_sign_intersection"), Window(-1, 1),
+     bracket_ints, False),
+], ids=["scale-12", "scale-03", "scale-16", "twist-2-1", "c2-bump", "landing",
+        "cen12-off-degree-0", "sign-n3", "sign-n4"])
+def test_jacobi_grid_path_finds_every_violation(monkeypatch, a, w, brackets, polynomial):
+    # a broken bracket on either path: the Report equals the sweep of every
+    # window triple through the reference
+    monkeypatch.setattr(algebra, "bracket_ints", brackets)
+    lo, table = bracket_table(a, w.k_min, w.k_max)
+    assert algebra.bracket_table_is_polynomial(a, w.k_min, lo, table) == polynomial
+    expected = _reference_jacobi(a, w, brackets)
+    r = check_jacobi(a, w)
+    assert r.status == "fail" and r.violations == expected
+    n = len(w.k_values()) << a.cfg.N
+    assert r.stats["tuples_checked"] == comb(n + 2, 3)
+
+
+@pytest.mark.parametrize("a", [
+    acfg(1, (0,), central=True), acfg(1, (1,), central=True),
+    acfg(2, (1, 0), central=True), acfg(3, (1, 1, 1), central=True),
+    acfg(4, (1, 1, 0, 0)),
+], ids=["n1-0", "n1-1", "n2-10", "n3-111", "n4-1100"])
+def test_jacobi_terms_have_degree_two_in_each_exponent(a):
+    # the bound check_jacobi's 3 x 3 x 3 grid rests on, pinned for the
+    # correct algebras: each of the three terms of a mask triple's Jacobi
+    # sum, grouped by result column (rk - p - q - r, rI), has zero third
+    # differences in each exponent over -6..6, and degree 2 is attained; its
+    # central part vanishes off total degree 0
+    N = a.cfg.N
+    n = 1 << N
+    K = 6
+    S = 2 * K + 1
+    lo, table = bracket_table(a, -K, K)
+    rows = [table[m::n] for m in range(n)]  # rows[I][p + K]: the row of (p, I)
+    deg = [[a.cfg.degree(p, m) for p in range(-K, K + 1)] for m in range(n)]
+    # a function on the cube as a flat list over (e_x, e_y, e_z); for each
+    # axis stride, the points with two or three more on their line
+    cube = [(step, [x for x in range(S ** 3) if x // step % S < S - 2],
+             [x for x in range(S ** 3) if x // step % S < S - 3])
+            for step in (S * S, S, 1)]
+    quadratic = False
+    for m in combinations_with_replacement(range(n), 3):
+        for u, v, t in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            X, Y, Z = m[u], m[v], m[t]  # the term [x, [y, z]]
+            sgn = -1 if X.bit_count() & Z.bit_count() & 1 else 1
+            groups: dict = {}
+            for ey, row in enumerate(rows[Y]):
+                for ez in range(S):
+                    c2, col, _ = row[((ez - K - lo) << N) | Z]
+                    if not c2:
+                        continue
+                    for ex, (c3, rcol, cen12) in enumerate([r[col] for r in rows[X]]):
+                        assert not cen12 or deg[X][ex] + deg[Y][ey] + deg[Z][ez] == 0
+                        if c3:
+                            key = (lo + (rcol >> N) - ex - ey - ez + 3 * K, rcol & (n - 1))
+                            if key not in groups:
+                                groups[key] = [0] * S ** 3
+                            groups[key][(ex * S + ey) * S + ez] = sgn * c2 * c3
+            for f in groups.values():
+                for step, twos, threes in cube:
+                    assert not any(f[x] - 3 * f[x + step] + 3 * f[x + 2 * step]
+                                   - f[x + 3 * step] for x in threes)
+                    quadratic = quadratic or any(
+                        f[x] - 2 * f[x + step] + f[x + 2 * step] for x in twos)
+    assert quadratic
+
+
+def test_jacobi_filter_runs_on_the_grid(monkeypatch):
+    # a passing sweep runs the filter on 27 triples per mask multiset and on
+    # the window triples of total degree 0, and decides no triple
+    calls = {"jacobi_filter": 0, "_jacobi_residual": 0}
+
+    def spy(module, name):
+        original = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    spy(algebra, "jacobi_filter")
+    spy(verify, "_jacobi_residual")
+    a = acfg(3, (1, 1, 1), central=True)
+    w = Window(-4, 4)
+    r = check_jacobi(a, w)
+    assert r.status == "pass" and r.stats["tuples_checked"] == 64824
+    degs = [a.cfg.degree(p, im) for p in w.k_values() for im in range(8)]
+    degree0 = sum(1 for i, d in enumerate(degs) for j in range(i, len(degs))
+                  for e in degs[j:] if d + degs[j] + e == 0)
+    assert 0 < calls["jacobi_filter"] <= 27 * comb(8 + 2, 3) + degree0
+    assert calls["_jacobi_residual"] == 0
 
 
 def test_jacobi_computes_each_bracket_once(monkeypatch):

@@ -9,7 +9,9 @@ line per check: workload, seed, check name and the sha256 of the Report's
 ``to_json(with_timing=False)``.  Every workload Report passes, so it then
 runs one negative control per registered mutation, at a small window, and
 prints ``negative_control``, the mutation, its target check and the digest:
-these failing Reports are the ones that carry witness text.  Nothing under
+these failing Reports are the ones that carry witness text.  Two more
+lines, ``jacobi_control``, pin failing ``check_jacobi`` Reports at N=3 on
+the sweep's fallback path and on its total-degree-0 path.  Nothing under
 ``bench/`` is changed, and only the standard library and ``src/superkon``
 of the checkout that holds this file are used, so to compare two
 checkouts with one check list, copy this file into the other checkout's
@@ -65,6 +67,17 @@ CONTROLS = {
 }
 
 
+# two more Jacobi controls, each on one path of check_jacobi's filter: the
+# fallback over every triple (an antisymmetry-breaking mutation at N=3) and
+# the total-degree-0 sweep of the central term at N=3
+JACOBI_CONTROLS = {
+    "drop_sign_intersection": lambda: verify.check_jacobi(
+        _algebra((1, 1, 0), "drop_sign_intersection"), SMALL),
+    "double_cocycle": lambda: verify.check_jacobi(
+        _algebra((1, 1, 1), "double_cocycle", central=True), SMALL),
+}
+
+
 def _digest(report) -> str:
     return hashlib.sha256(report.to_json(with_timing=False).encode()).hexdigest()
 
@@ -78,6 +91,9 @@ def main() -> None:
     for mutation in sorted(registry):
         print("negative_control", mutation, registry[mutation],
               _digest(CONTROLS[mutation]()), flush=True)
+    for mutation, control in JACOBI_CONTROLS.items():
+        print("jacobi_control", mutation, "check_jacobi", _digest(control()),
+              flush=True)
 
 
 if __name__ == "__main__":
