@@ -60,9 +60,9 @@ from math import comb, factorial
 
 from .exactnum import (Scalar, TextReader, UsageError, add_term, as_scalar,
                        term_text)
-from .grassmann import (EpsilonConfig, SuperFunction, as_parts, contact_core,
-                        members, monomial_parts, partial_sign, product_sum,
-                        xi_mul)
+from .grassmann import (EpsilonConfig, SuperFunction, affine_shifts, as_parts,
+                        contact_core, members, monomial_parts, partial_sign,
+                        parts_shifts, product_sum, xi_mul)
 
 
 # Negative-control mutations an AlgebraConfig accepts, each with the check
@@ -303,11 +303,14 @@ def bracket_table_is_polynomial(acfg: AlgebraConfig, k_min: int, lo: int,
     ``c2`` is affine in ``(p, q)`` (zero second differences), a nonzero
     ``c2`` lands on mask ``I ^ J`` at exponent ``p + q + shift_sum(I & J) -
     1`` (degrees add) and a nonzero ``cen12`` only at total degree 0; on
-    the window x window block ``entry(y, x) = -(-1)^{|x||y|} entry(x, y)``."""
+    the window x window block ``entry(y, x) = -(-1)^{|x||y|} entry(x, y)``
+    and an entry with ``c2 != 0`` lands inside the row, so reading its
+    result column needs no range check."""
     cfg = acfg.cfg
     N = cfg.N
     n = 1 << N
     width, ncols = len(rows) >> N, len(rows[0]) >> N
+    window = range(k_min - lo, k_min - lo + width)  # the window's columns
     for I in range(n):
         block = rows[I::n]
         for J in range(n):
@@ -326,7 +329,9 @@ def bracket_table_is_polynomial(acfg: AlgebraConfig, k_min: int, lo: int,
                 if diag is not None and 0 <= diag - a < ncols:
                     b = diag - a
                     want[b] = want[b][:2] + got[b][2:]
-                if got != want:
+                first = col0 + a + window.start  # result exponent index at q = k_min
+                if got != want or ((first < 0 or first + width > ncols) and any(
+                        line[b] for b in window if not 0 <= col0 + a + b < ncols)):
                     return False
     off = (k_min - lo) << N
     odd = [(i & (n - 1)).bit_count() & 1 for i in range(len(rows))]
@@ -395,20 +400,30 @@ def jacobi_flags(acfg: AlgebraConfig, k_min: int, lo: int, rows):
     (all of them when it has fewer) and, with the central term, on every
     triple of total degree 0; then on all the window triples of each
     multiset flagged there (see :func:`~superkon.verify.check_jacobi` for
-    why nothing else can be flagged)."""
+    why nothing else can be flagged).  A triple with an inner bracket whose
+    result column lies outside the row (only possible when the table is not
+    polynomial) is flagged without a read."""
     N = acfg.cfg.N
     n = 1 << N
     total = len(rows)
     masks = [i & (n - 1) for i in range(total)]
     par = [m.bit_count() & 1 for m in masks]
     off = (k_min - lo) << N
+    polynomial = bracket_table_is_polynomial(acfg, k_min, lo, rows)
+    width = len(rows[0])
+    escapes = set() if polynomial else {
+        (i, j) for i, row in enumerate(rows)
+        for j, (c2, col, _) in enumerate(row[off:off + total])
+        if c2 and not 0 <= col < width}
 
     def flags(i, j, k):
+        if escapes and not escapes.isdisjoint(((j, k), (k, i), (i, j))):
+            return True
         return jacobi_filter(rows, par, off, i, j, k)
 
     multisets = list(combinations_with_replacement(range(n), 3))
     flagged = multisets
-    if bracket_table_is_polynomial(acfg, k_min, lo, rows):
+    if polynomial:
         grid = range(min(3, total >> N))  # exponents k_min, k_min + 1, k_min + 2
         flagged = {m for m in multisets
                    if any(flags((a << N) | m[0], (b << N) | m[1], (c << N) | m[2])
@@ -432,6 +447,98 @@ def jacobi_flags(acfg: AlgebraConfig, k_min: int, lo: int, rows):
             for k in range(j, total) if ks else ():
                 if masks[k] in ks and flags(i, j, k):
                     yield i, j, k
+
+
+def bracket_is_polynomial(acfg: AlgebraConfig, params, rows: range, parts: range):
+    """The exponents the brackets of basis elements land on, as a range,
+    when each such bracket is, per pair of kinds and masks and at each key
+    shifted by the two exponents, a polynomial of degree at most 1 in each:
+    the central term is off, the :func:`bracket_table` of the D-symbols with
+    exponents in ``rows`` passes :func:`bracket_table_is_polynomial`, and
+    the monomial parts with exponents in ``parts`` (which holds ``rows``)
+    are affine (:func:`~superkon.grassmann.parts_shifts`).  None
+    otherwise."""
+    if acfg.central_enabled:
+        return None
+    lo, table = bracket_table(acfg, rows.start, rows.stop - 1)
+    if not bracket_table_is_polynomial(acfg, rows.start, lo, table):
+        return None
+    hi = lo + (len(table[0]) >> acfg.cfg.N) - 1
+    del table  # before the parts, which the monomial_parts memo keeps
+    shifts = parts_shifts(acfg.cfg, tuple(params), parts)
+    if shifts is None:
+        return None
+    # a D x function term lands on the sum of two parts' keys
+    return range(min(lo, 2 * (parts.start + shifts[0])),
+                 max(hi, 2 * (parts.stop - 1 + shifts[1])) + 1)
+
+
+def homomorphism_is_polynomial(src: AlgebraConfig, dst: AlgebraConfig, f,
+                               params, ks: range) -> bool:
+    """Whether both sides of ``f([x, y]_src) == [f(x), f(y)]_dst``, for basis
+    elements ``x, y`` with exponents in ``ks`` and a linear map ``f``, are
+    per class (two kinds and masks) and at each key shifted by the two
+    exponents polynomials of degree at most 2 in each exponent.  They are
+    when both brackets are polynomial on what they read
+    (:func:`bracket_is_polynomial`: ``ks`` for ``src``, the exponents of the
+    images of the window's basis elements for ``dst``) and ``f`` sends each
+    D-symbol and function monomial with an exponent ``e`` that a ``src``
+    bracket lands on to terms, without C, whose coefficients are affine in
+    ``e`` at keys that shift with it
+    (:func:`~superkon.grassmann.affine_shifts`): a bracket term has degree at
+    most 1 in each exponent, and ``f`` multiplies it by one affine factor."""
+    reach = bracket_is_polynomial(src, params, ks, ks)
+    if reach is None:
+        return False
+    zero = Scalar.zero(params)
+    d_exps, exps = [ks.start, ks.stop - 1], []  # of the images of window symbols
+    for make in (AlgebraElement.d_symbol, AlgebraElement.a_monomial):
+        for imask in range(1 << src.cfg.N):
+            ys = [f(make(params, e, imask)) for e in reach]
+            if any(y.central for y in ys) or any(
+                    affine_shifts(lines, reach.start, zero) is None
+                    for lines in ([y.d.terms.items() for y in ys],
+                                  [y.a.terms.items() for y in ys])):
+                return False
+            for y in ys[ks.start - reach.start:ks.stop - reach.start]:
+                d_exps += [k for k, _ in y.d.terms]
+                exps += [k for k, _ in y.a.terms]
+    exps += d_exps
+    rows, parts = range(min(d_exps), max(d_exps) + 1), range(min(exps), max(exps) + 1)
+    if dst == src and rows == ks:  # the table is the one checked above
+        return parts_shifts(dst.cfg, tuple(params), parts) is not None
+    return bracket_is_polynomial(dst, params, rows, parts) is not None
+
+
+def grid_sweep(keys, pairs, compare, degree: int, polynomial: bool) -> list:
+    """The results of ``compare(i, j)`` other than None, in the order of
+    ``pairs()``, on the pairs a pair sweep must compare.  A pair's class is
+    ``(keys[i], keys[j])``, and the symbols of one key are listed in
+    exponent order.  That is every pair, unless ``polynomial`` says that on
+    each class the compared coefficients are polynomials of degree at most
+    ``degree`` in each of the two exponents, and every key has more than
+    ``degree`` symbols.  Then ``compare`` runs first on the ``(degree +
+    1)^2`` pairs of each class that occurs, from the first ``degree + 1``
+    symbols of each key, and then on all the pairs of the classes it flags
+    there: a polynomial of degree at most ``degree`` in each variable that
+    vanishes on such a grid is zero (the grid case of Alon's Combinatorial
+    Nullstellensatz, Combin. Probab. Comput. 8, 1999)."""
+    firsts: dict = {}
+    for i, key in enumerate(keys):
+        firsts.setdefault(key, []).append(i)
+    flagged = None  # every class
+    if polynomial and all(len(v) > degree for v in firsts.values()):
+        grid = {key: v[:degree + 1] for key, v in firsts.items()}
+        flagged = {c for c in dict.fromkeys((keys[i], keys[j]) for i, j in pairs())
+                   if any(compare(i, j) is not None
+                          for i in grid[c[0]] for j in grid[c[1]])}
+    out = []
+    for i, j in pairs():
+        if flagged is None or (keys[i], keys[j]) in flagged:
+            v = compare(i, j)
+            if v is not None:
+                out.append(v)
+    return out
 
 
 def bracket_basis(acfg: AlgebraConfig, x, y, params=()) -> AlgebraElement:

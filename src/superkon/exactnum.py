@@ -598,6 +598,7 @@ class _Packer:
         self.shift = _EXP_BITS * len(params)
         self.index: dict = {}
         self._exponents: dict = {}
+        self._shared: dict = {}  # a factor's packed term -> its one copy
 
     def exponent(self, e) -> int:
         packed = self._exponents.get(e)
@@ -625,9 +626,10 @@ class _Packer:
             idx = self.index.setdefault(key, len(self.index))
             if idx >> _INDEX_BITS:
                 raise UsageError(f"more than 2^{_INDEX_BITS} keys to pack")
-            coeff = self.coeff(c, den)
-            flat.extend(((idx << self.shift) + e, r, m) for e, r, m in coeff[1])
-            groups.append((key, coeff))
+            cden, cterms = self.coeff(c, den)
+            cterms = [self._shared.setdefault(t, t) for t in cterms]
+            flat.extend(((idx << self.shift) + e, r, m) for e, r, m in cterms)
+            groups.append((key, (cden, cterms)))
         return den, flat, groups
 
 
@@ -641,8 +643,7 @@ class _Memo(dict):
         self.compute = compute
 
     def __missing__(self, key):
-        hit = self[key] = self.compute(key)
-        return hit
+        return self.setdefault(key, self.compute(key))
 
 
 class _Batch:
@@ -762,10 +763,7 @@ class TextReader:
 
     def sum(self) -> Scalar:
         """A ``sum`` with no basis symbol, as a Scalar."""
-        total = Scalar.zero(self.params)
-        for c, _ in self.terms():
-            total = total + c
-        return total
+        return sum((c for c, _ in self.terms()), Scalar.zero(self.params))
 
     def _product(self, symbol):
         coeff = Scalar.const(self.params, -1 if self.accept("-") else 1)

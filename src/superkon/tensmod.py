@@ -319,8 +319,8 @@ class EvaluatedAction:
     denominator (spans are scale-invariant); the intertwining checks keep it
     to cross-scale row pairs.  :meth:`table`'s memo is the one copy of each
     column; every closure reads it through :meth:`act_vec`.  The columns
-    share one :class:`ModBasisVec` per basis vector they name, which holds
-    a closure's peak memory down.
+    share one :class:`ModBasisVec` per basis vector they name and one copy
+    of each coefficient pair, which holds a closure's peak memory down.
     """
 
     def __init__(self, module: TensorModule, assignment: dict):
@@ -334,7 +334,7 @@ class EvaluatedAction:
             m.sector_delta, m.mutation)
         self._families: dict = {}
         self._powers: dict = {}
-        self._basis: dict = {}  # basis vector -> its one shared copy
+        self._shared: dict = {}  # basis vector or coefficient pair -> its one copy
 
     def table(self, p: int, imask: int, bv: ModBasisVec):
         """(den, ((bv2, (re, im)), ...)): the evaluated column of a
@@ -349,13 +349,15 @@ class EvaluatedAction:
                 self._powers[pkey] = ({0: lifted_powers(re + bv.l * d, im, d,
                                                         deg)}, d ** deg)
             powers, lift = self._powers[pkey]
+            shared = self._shared
             col = {}
             for l2, J2, r2, terms, f in family:
                 re, im = term_sum(terms, powers)
                 bv2 = ModBasisVec(l2 + bv.l, J2, r2)
-                col[self._basis.setdefault(bv2, bv2)] = (re * f, im * f)
+                col[shared.setdefault(bv2, bv2)] = (re * f, im * f)
             den, col = norm_pairs(col, den * lift)
-            hit = self._memo[key] = (den, tuple(col.items()))
+            hit = self._memo[key] = (den, tuple(
+                [(bv2, shared.setdefault(pair, pair)) for bv2, pair in col.items()]))
         return hit
 
     def _family(self, p: int, imask: int, J: int, r: int):

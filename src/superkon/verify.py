@@ -18,7 +18,15 @@ filter over one :func:`~superkon.algebra.bracket_table` of
 :func:`check_jacobi` (run on a 3 x 3 x 3 exponent grid per mask triple,
 plus the triples of total degree 0, when the table is affine per mask
 pair, graded, central only at total degree 0 and super-antisymmetric, so
-that each D-residual has degree at most 2 in each exponent);
+that each D-residual has degree at most 2 in each exponent); the per-pair
+comparison of :func:`check_bracket_crosscheck` and of the homomorphism
+sweep under :func:`check_phi` and :func:`check_eps_shift` behind the same
+comparison on the window's first 2 x 2 (crosscheck) or 3 x 3 exponents
+per class of pairs, the rest of a class compared only when it is flagged
+there (run so when the structure constants are polynomial on the window,
+the monomial parts affine in the exponent and the map affine on what it is
+applied to, so that each compared coefficient has degree at most 1 or 2
+in each exponent; see :func:`~superkon.algebra.grid_sweep`);
 :meth:`~superkon.tensmod.TensorModule.act` behind
 the Gaussian-integer residuals of :func:`check_module_axioms` and of
 :func:`~superkon.tables.compare_table` (under
@@ -50,6 +58,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from itertools import combinations_with_replacement, product
 from math import comb, lcm
 
 from . import algebra
@@ -150,32 +159,46 @@ def check_jacobi(acfg: AlgebraConfig, w: Window, workers: int | None = None) -> 
 
 
 def check_bracket_crosscheck(acfg: AlgebraConfig, w: Window) -> Report:
-    """Structure constants against the contact bracket through f <-> D_f.
-    The central term is stripped on the structure-constant side.  Each
-    window monomial is differentiated once (its
-    :func:`~superkon.grassmann.monomial_parts`), and the contact bracket
-    combines those parts once per pair."""
+    """Structure constants against the contact bracket through f <-> D_f,
+    on every ordered pair of window symbols.  The central term is stripped
+    on the structure-constant side.  Each window monomial is differentiated
+    once (its :func:`~superkon.grassmann.monomial_parts`), and the contact
+    bracket combines those parts once per compared pair.
+
+    Per ordered mask pair, at each result key shifted by the two exponents,
+    both sides are polynomials of degree at most 1 in each exponent when the
+    structure constants are polynomial on the window and the parts affine
+    (:func:`~superkon.algebra.bracket_is_polynomial`).  Then the pairs are
+    compared on the window's first 2 x 2 exponents per mask pair, and a mask
+    pair flagged there, or every one when a condition fails or the window
+    has one exponent, on all its window pairs
+    (:func:`~superkon.algebra.grid_sweep`)."""
     t0 = time.monotonic()
     params = ()
     cfg = acfg.cfg
     stripped = replace(acfg, central_enabled=False)
     syms = [(p, im) for p in w.k_values() for im in range(1 << cfg.N)]
+    ks = range(w.k_min, w.k_max + 1)
+    polynomial = algebra.bracket_is_polynomial(stripped, params, ks, ks) is not None
     funcs = [monomial_parts(cfg, params, *x) for x in syms]
-    bad = []
-    n = 0
-    for x, fx in zip(syms, funcs):
-        for y, fy in zip(syms, funcs):
-            n += 1
-            bb = bracket_basis(stripped, x, y, params)
-            cb = contact_bracket(cfg, fx, fy)
-            if bb.d != cb:
-                bad.append(violation(
-                    f"x={x} y={y}",
-                    lhs=str(bb),
-                    rhs=" + ".join(f"D[{format_monomial(*k)}]*({c})"
-                                   for k, c in sorted(cb.terms.items())),
-                    diff="structure constants disagree with the contact bracket"))
-    return finish(f"bracket_crosscheck[N={cfg.N},eps={cfg.eps}]", bad, n, t0)
+
+    def compare(i, j):
+        x, y = syms[i], syms[j]
+        bb = bracket_basis(stripped, x, y, params)
+        cb = contact_bracket(cfg, funcs[i], funcs[j])
+        if bb.d != cb:
+            return violation(
+                f"x={x} y={y}",
+                lhs=str(bb),
+                rhs=" + ".join(f"D[{format_monomial(*k)}]*({c})"
+                               for k, c in sorted(cb.terms.items())),
+                diff="structure constants disagree with the contact bracket")
+        return None
+
+    n = len(syms)
+    bad = algebra.grid_sweep([im for _, im in syms],
+                             lambda: product(range(n), repeat=2), compare, 1, polynomial)
+    return finish(f"bracket_crosscheck[N={cfg.N},eps={cfg.eps}]", bad, n * n, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -634,31 +657,49 @@ def check_filtration(acfg: AlgebraConfig, ell_max: int, w: Window) -> Report:
 def _homomorphism_sweep(label: str, src: AlgebraConfig, dst: AlgebraConfig,
                         f, w: Window) -> Report:
     """``f([x, y]_src) == [f(x), f(y)]_dst`` on all pairs of window basis
-    elements (operators and functions); each element is mapped once."""
+    elements (operators and functions); each element is mapped once.  A
+    pair's class is its two kinds and masks.  When both sides are, per
+    class, polynomials of degree at most 2 in each exponent
+    (:func:`~superkon.algebra.homomorphism_is_polynomial`), the pairs are
+    compared on the window's first 3 x 3 exponents per class that occurs,
+    and a class flagged there, or every one when a condition fails or the
+    window has fewer than 3 exponents, on all its window pairs
+    (:func:`~superkon.algebra.grid_sweep`)."""
     t0 = time.monotonic()
     params = ()
     N = src.cfg.N
+    polynomial = algebra.homomorphism_is_polynomial(src, dst, f, params,
+                                                    range(w.k_min, w.k_max + 1))
     elems = [AlgebraElement.d_symbol(params, p, im)
              for p in w.k_values() for im in range(1 << N)]
     elems += [AlgebraElement.a_monomial(params, k, im)
               for k in w.k_values() for im in range(1 << N)]
     images = [f(x) for x in elems]
-    bad = []
-    n = 0
-    for i, (x, fx) in enumerate(zip(elems, images)):
-        for y, fy in zip(elems[i:], images[i:]):
-            n += 1
-            lhs = f(bracket(src, x, y))
-            rhs = bracket(dst, fx, fy)
-            if lhs != rhs:
-                bad.append(violation(f"x={x} y={y}", lhs=str(lhs),
-                                     rhs=str(rhs), diff=str(lhs - rhs)))
-    return finish(label, bad, n, t0)
+
+    def compare(i, j):
+        x, y = elems[i], elems[j]
+        lhs = f(bracket(src, x, y))
+        rhs = bracket(dst, images[i], images[j])
+        if lhs != rhs:
+            return violation(f"x={x} y={y}", lhs=str(lhs), rhs=str(rhs),
+                             diff=str(lhs - rhs))
+        return None
+
+    n = len(elems)
+    keys = [(i < n // 2, i % (1 << N)) for i in range(n)]  # (is a D-symbol, mask)
+    bad = algebra.grid_sweep(keys, lambda: combinations_with_replacement(range(n), 2),
+                             compare, 2, polynomial)
+    return finish(label, bad, n * (n + 1) // 2, t0)
 
 
 def check_phi(acfg: AlgebraConfig, w: Window) -> Report:
     """The degree-shift automorphism respects brackets on all basis pairs
-    (including mixed operator/function pairs)."""
+    (including mixed operator/function pairs).  phi adds to ``D[t^{k+1},
+    xi_I]`` its degree, affine in ``k``, times ``t^k xi_I``; so when the
+    structure constants are polynomial on the window and the monomial parts
+    affine in the exponent, both sides have degree at most 2 in each
+    exponent per class of pairs, and the window's first 3 x 3 exponents
+    decide a class (see :func:`_homomorphism_sweep`)."""
     stripped = replace(acfg, central_enabled=False)
     return _homomorphism_sweep(f"phi[N={acfg.cfg.N},eps={acfg.cfg.eps}]",
                                stripped, stripped, lambda x: phi(stripped, x), w)
@@ -727,7 +768,10 @@ def check_projection(acfg: AlgebraConfig, w: Window) -> Report:
 
 def check_eps_shift(src: EpsilonConfig, dst: EpsilonConfig, w: Window) -> Report:
     """The exponent relabeling between twist vectors with even difference
-    is a bracket homomorphism on all window pairs."""
+    is a bracket homomorphism on all window pairs.  It moves each exponent
+    by a constant per mask, so the sweep takes the grid of
+    :func:`_homomorphism_sweep` when both algebras' brackets are
+    polynomial on what it reads."""
     return _homomorphism_sweep(f"eps_shift[{src.eps}->{dst.eps}]",
                                AlgebraConfig(src), AlgebraConfig(dst),
                                lambda x: eps_shift_map(src, dst, x), w)

@@ -425,6 +425,17 @@ def test_filling_a_table_constructs_no_fraction(monkeypatch):
     assert made == []
 
 
+def test_table_columns_share_equal_parts():
+    # the evaluated columns hold one copy of each basis vector and of each
+    # coefficient pair they name
+    M = n3_module(two_m=2, c=Fraction(3, 11))
+    ev = M.eval_cache({"a": Fraction(5, 7)})
+    items = [it for col in table_columns(M, range(-2, 3), range(-1, 3))
+             for it in ev.table(*col)[1]]
+    for parts in ([b for b, _ in items], [p for _, p in items]):
+        assert len({id(x) for x in parts}) == len(set(parts)) < len(parts)
+
+
 def test_table_runs_the_recursion_once_per_family(monkeypatch):
     # the columns of every weight come from the families at weight 0, so a
     # wider window runs the prefix recursion no more often

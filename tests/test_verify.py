@@ -323,6 +323,16 @@ def test_packed_exponents_refuse_a_carry():
         packer.image({bv: Scalar(P, {(0, top, 0): (1, 0)})})
 
 
+def test_packed_images_share_equal_factor_terms():
+    # the factors of the images one packer makes hold one tuple per equal
+    # term, however many images hold it
+    packer = exactnum._Packer(P)
+    one = packer.image({ModBasisVec(0, 0, 0): A * B + 2 * C})[2][0][1][1]
+    two = packer.image({ModBasisVec(1, 0, 0): 2 * C + A * B})[2][0][1][1]
+    assert sorted(one) == sorted(two) and len(one) == 2
+    assert {id(t) for t in one} == {id(t) for t in two}
+
+
 def test_phi_pass_and_control():
     w = Window(-2, 2, -2, 2, 0)
     assert check_phi(acfg(2, (1, 0)), w).status == "pass"
@@ -693,6 +703,277 @@ def test_jacobi_computes_each_bracket_once(monkeypatch):
     # every bracket goes through the table builder, once
     assert 0 < len(calls) <= rows * cols
     assert len(set(calls)) == len(calls)
+
+
+def _moved(s):
+    """bracket_ints with the result of [D[t^0, xi{1}], D[t^1, xi{2}]] moved by
+    ``s`` exponents, in that order only."""
+    def moved(a, p, im, q, jm):
+        c2, rk, rI, cen12 = bracket_ints(a, p, im, q, jm)
+        return c2, rk + s if (p, im, q, jm) == (0, 1, 1, 2) else rk, rI, cen12
+    return moved
+
+
+def _graded_escape(a, p, im, q, jm):
+    """bracket_ints with an affine, graded, antisymmetric bracket of two
+    xi{1,2} symbols, whose result lands outside the table's row for some
+    window pairs."""
+    if im == jm == 3:
+        return 2 * (p - q), p + q + a.cfg.shift_sum(3) - 1, 0, 0
+    return bracket_ints(a, p, im, q, jm)
+
+
+@pytest.mark.parametrize("a, brackets", [
+    *[(acfg(2, (1, 0)), _moved(s)) for s in (-20, -12, -10, -9, -6, 5, 9, 20)],
+    (acfg(2, (-1, -1)), _graded_escape),
+], ids=[*(f"moved{s:+d}" for s in (-20, -12, -10, -9, -6, 5, 9, 20)), "graded"])
+def test_jacobi_flags_results_outside_the_row(monkeypatch, a, brackets):
+    # a bracket whose result column lies outside the table's row flags its
+    # triples, which the reference decides: no wrapped read, no IndexError
+    monkeypatch.setattr(algebra, "bracket_ints", brackets)
+    w = Window(-2, 2)
+    lo, table = bracket_table(a, w.k_min, w.k_max)
+    assert not algebra.bracket_table_is_polynomial(a, w.k_min, lo, table)
+    expected = _reference_jacobi(a, w, brackets)
+    assert len(expected) == (18 if a.cfg.eps == (1, 0) else 216)
+    assert check_jacobi(a, w).violations == expected
+
+
+@pytest.fixture
+def fresh_parts():
+    """An empty monomial_parts memo before and after the test, so that no
+    parts built under a patched derivative stay in it."""
+    grassmann.monomial_parts.cache_clear()
+    yield
+    grassmann.monomial_parts.cache_clear()
+
+
+def _full_sweep(monkeypatch, check, *args):
+    """The Report of ``check`` with every pair compared."""
+    with monkeypatch.context() as m:
+        m.setattr(algebra, "grid_sweep", lambda keys, pairs, compare, *_: [
+            v for v in (compare(i, j) for i, j in pairs()) if v is not None])
+        return check(*args)
+
+
+def _calls(monkeypatch, name):
+    """The argument tuples of every call of ``verify.<name>``, appended as
+    they come."""
+    calls = []
+    original = getattr(verify, name)
+    monkeypatch.setattr(verify, name, lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
+def _curved_d_eps(monkeypatch):
+    """SuperFunction.d_eps plus k^2 t^{k-1} xi_I on each term t^k xi_I: not
+    affine in the exponent."""
+    original = SuperFunction.d_eps
+
+    def curved(self, cfg):
+        return original(self, cfg) + SuperFunction(self.params, {
+            (k - 1, im): c.scale_raw(k * k, 0) for (k, im), c in self.terms.items()})
+    monkeypatch.setattr(SuperFunction, "d_eps", curved)
+
+
+def _tilt(pair, alpha):
+    """bracket_ints with ``alpha`` times (first exponent - second exponent)
+    added to c2 on one mask pair, in both orders.  With masks {1,2} and {2}
+    at the twist (1, 0) this stays affine, graded and antisymmetric, and
+    phi's residual, the result's degree times this change, vanishes on the
+    first 2 x 2 exponents from 0 but not on 3 x 3."""
+    def tilted(a, p, im, q, jm):
+        c2, rk, rI, cen12 = bracket_ints(a, p, im, q, jm)
+        return (c2 + alpha * (p - q) if {im, jm} == set(pair) else c2), rk, rI, cen12
+    return tilted
+
+
+def _patch_brackets(brackets):
+    return lambda monkeypatch: monkeypatch.setattr(algebra, "bracket_ints", brackets)
+
+
+# sweep -> (check, the function of verify each compared pair calls, its calls
+# per pair, twist, a window too short for the sweep's grid)
+PAIR_SWEEPS = {
+    "crosscheck": (check_bracket_crosscheck, "contact_bracket", 1, (1, 1, 0),
+                   Window(-1, -1)),
+    "phi": (check_phi, "bracket", 2, (1, 0), Window(-1, 0)),
+}
+# case -> (mutation, window (None: the short one), patch, whether the grid runs)
+PAIR_SWEEP_CASES = {
+    # c2 scaled on one mask pair, in both orders: the table stays polynomial
+    "scale-12": (None, SMALL, _patch_brackets(_scale_c2((1, 2), 2)), True),
+    "scale-03": (None, Window(-3, 3), _patch_brackets(_scale_c2((0, 3), -1)), True),
+    "tilt-32": (None, Window(0, 3), _patch_brackets(_tilt((3, 2), 2)), True),
+    # the fallback triggers: c2 + 1 at one window entry (in both orders, so
+    # still antisymmetric; the grid's exponents miss it), a table that is not
+    # antisymmetric, a d_eps that is not affine in the exponent, a window too
+    # short for the grid
+    "c2-bump": (None, SMALL, _patch_brackets(_bump({(0, 1, 1, 2), (1, 2, 0, 1)},
+                                                   dc2=1)), False),
+    "sign": ("drop_sign_intersection", SMALL, lambda monkeypatch: None, False),
+    "d-eps": (None, SMALL, _curved_d_eps, False),
+    "short": (None, None, _patch_brackets(_scale_c2((0, 3), -1)), False),
+}
+
+
+@pytest.mark.parametrize("sweep", PAIR_SWEEPS)
+@pytest.mark.parametrize("case", PAIR_SWEEP_CASES)
+def test_pair_sweep_grid_finds_every_violation(monkeypatch, fresh_parts, sweep, case):
+    # a broken algebra on either path: the Report equals the sweep that
+    # compares every pair, and only the grid path compares fewer
+    check, spied, per_pair, eps, short = PAIR_SWEEPS[sweep]
+    mutation, w, patch, grid = PAIR_SWEEP_CASES[case]
+    w = w or short
+    a = acfg(len(eps), eps, mutation=mutation)
+    patch(monkeypatch)
+    full = _full_sweep(monkeypatch, check, a, w)
+    calls = _calls(monkeypatch, spied)
+    r = check(a, w)
+    assert r.status == "fail"
+    assert r.to_json(with_timing=False) == full.to_json(with_timing=False)
+    n = len(w.k_values()) << a.cfg.N
+    pairs = n * n if sweep == "crosscheck" else n * (2 * n + 1)
+    assert r.stats["tuples_checked"] == pairs
+    assert (len(calls) < per_pair * pairs) == grid
+
+
+def _grid_degree(groups, bound):
+    """The largest degree, up to ``bound``, of the functions ``groups`` (each
+    a square list of lists over the exponent grid) in either exponent;
+    asserts zero ``bound + 1``-th differences along every row and column."""
+    top = 0
+    for f in groups.values():
+        for lines in (f, list(zip(*f))):
+            for line in lines:
+                for e in range(bound + 1):
+                    if not any(line):
+                        break
+                    top = max(top, e)
+                    line = [v - u for u, v in zip(line, line[1:])]
+                else:
+                    assert not any(line)
+    return top
+
+
+def _pair_sides(pairs, K):
+    """Each side of a pair sweep grouped by output offset: for ``pairs[(p,
+    q)]`` the sides' term dicts over keys ``(k, mask)``, the map from (side,
+    k - p - q, mask) to twice the coefficients over -K..K x -K..K."""
+    S = 2 * K + 1
+    groups: dict = {}
+    for (p, q), sides in pairs.items():
+        for tag, terms in enumerate(sides):
+            for (k, im), c in terms.items():
+                re, imag, den = c.const_parts()
+                assert imag == 0 and 2 % den == 0
+                grid = groups.setdefault((tag, k - p - q, im), [[0] * S for _ in range(S)])
+                grid[p + K][q + K] = re * 2 // den
+    return groups
+
+
+# the twists of the table oracle configs, N = 1..4
+ORACLE_TWISTS = sorted({a.cfg.eps for a, _ in TABLE_ORACLE_CONFIGS if a.mutation is None},
+                       key=lambda eps: (len(eps), eps))
+
+
+@pytest.mark.parametrize("eps", [e for e in ORACLE_TWISTS if len(e) < 4 or e == (1, 1, 0, 0)],
+                         ids=lambda eps: ",".join(map(str, eps)))
+def test_crosscheck_sides_have_degree_one_in_each_exponent(eps):
+    # the bound check_bracket_crosscheck's 2 x 2 grid rests on: per ordered
+    # mask pair, both sides (structure constants and contact bracket),
+    # grouped by output offset, have zero second differences in each exponent
+    # over -6..6, and degree 1 is attained
+    K = 6
+    a = acfg(len(eps), eps)
+    n = 1 << a.cfg.N
+    parts = {(p, im): grassmann.monomial_parts(a.cfg, (), p, im)
+             for p in range(-K, K + 1) for im in range(n)}
+    top = 0
+    for I in range(n):
+        for J in range(n):
+            top = max(top, _grid_degree(_pair_sides({
+                (p, q): (algebra.bracket_basis(a, (p, I), (q, J)).d.terms,
+                         grassmann.contact_bracket(a.cfg, parts[p, I], parts[q, J]).terms)
+                for p in range(-K, K + 1) for q in range(-K, K + 1)}, K), 1))
+    assert top == 1
+
+
+@pytest.mark.parametrize("eps", [e for e in ORACLE_TWISTS if len(e) < 3 or e == (1, 1, 1)],
+                         ids=lambda eps: ",".join(map(str, eps)))
+def test_phi_sides_have_degree_two_in_each_exponent(eps):
+    # the bound check_phi's 3 x 3 grid rests on: per class the sweep meets (a
+    # D-symbol, then a D-symbol or a function), both sides' D- and A-parts,
+    # grouped by output offset, have zero third differences in each exponent
+    # over -6..6, and degree 2 is attained
+    K = 6
+    a = acfg(len(eps), eps)
+    n = 1 << a.cfg.N
+    ks = range(-K, K + 1)
+    elems = {(kind, im, p): make((), p, im)
+             for kind, make in (("D", AlgebraElement.d_symbol),
+                                ("A", AlgebraElement.a_monomial))
+             for im in range(n) for p in ks}
+    images = {key: algebra.phi(a, x) for key, x in elems.items()}
+    top = 0
+    for I in range(n):
+        for y in [("D", J) for J in range(n)] + [("A", J) for J in range(n)]:
+            sides = {}
+            for p in ks:
+                for q in ks:
+                    x, yk = ("D", I, p), (*y, q)
+                    lhs = algebra.phi(a, bracket(a, elems[x], elems[yk]))
+                    rhs = bracket(a, images[x], images[yk])
+                    sides[p, q] = (lhs.d.terms, lhs.a.terms, rhs.d.terms, rhs.a.terms)
+            top = max(top, _grid_degree(_pair_sides(sides, K), 2))
+    assert top == 2
+
+
+@pytest.mark.parametrize("brackets, grid", [
+    (_tilt((3, 2), 2), True),  # the two twists see a different p - q
+    (_bump({(0, 1, 1, 2), (1, 2, 0, 1)}, dc2=1), False),
+], ids=["tilt-32", "c2-bump"])
+def test_eps_shift_grid_finds_every_violation(monkeypatch, brackets, grid):
+    monkeypatch.setattr(algebra, "bracket_ints", brackets)
+    args = (EpsilonConfig(2, (2, 0)), EpsilonConfig(2, (0, 0)), SMALL)
+    full = _full_sweep(monkeypatch, check_eps_shift, *args)
+    calls = _calls(monkeypatch, "bracket")
+    r = check_eps_shift(*args)
+    assert r.status == "fail"
+    assert r.to_json(with_timing=False) == full.to_json(with_timing=False)
+    assert (len(calls) < 2 * r.stats["tuples_checked"]) == grid
+
+
+def test_phi_grid_needs_an_affine_coefficient(monkeypatch):
+    # a phi whose added coefficient has an extra p^2: the sweep compares
+    # every pair, and its Report is the full sweep's
+    def curved(a, x):
+        extra = {(p - 1, im): c.scale_raw(p * p, 0) for (p, im), c in x.d.terms.items()}
+        return algebra.phi(a, x) + AlgebraElement(x.params, a=SuperFunction(x.params, extra))
+
+    monkeypatch.setattr(verify, "phi", curved)
+    a = acfg(2, (1, 0))
+    full = _full_sweep(monkeypatch, check_phi, a, SMALL)
+    calls = _calls(monkeypatch, "bracket")
+    r = check_phi(a, SMALL)
+    assert r.status == "fail"
+    assert r.to_json(with_timing=False) == full.to_json(with_timing=False)
+    assert len(calls) == 2 * r.stats["tuples_checked"] == 2 * 20 * 41
+
+
+@pytest.mark.parametrize("check, eps, spied, most, tuples", [
+    (check_bracket_crosscheck, (1, 1, 0), "contact_bracket", 4 * 8 ** 2, 56 * 56),
+    (check_phi, (1, 0), "bracket", 2 * 9 * (2 * 4) ** 2, 56 * 57 // 2),
+], ids=["crosscheck", "phi"])
+def test_passing_pair_sweep_compares_the_grid(monkeypatch, check, eps, spied, most,
+                                              tuples):
+    # a passing sweep compares (d + 1)^2 pairs per class: at most 4 (2**N)^2
+    # contact brackets for the crosscheck, 2 brackets on 9 pairs of each of
+    # the (2 * 2**N)^2 ordered classes for phi
+    calls = _calls(monkeypatch, spied)
+    r = check(acfg(len(eps), eps), Window(-3, 3))
+    assert r.status == "pass" and r.stats["tuples_checked"] == tuples
+    assert 0 < len(calls) <= most
 
 
 @pytest.mark.parametrize("check, eps, monomials", [

@@ -11,7 +11,9 @@ runs one negative control per registered mutation, at a small window, and
 prints ``negative_control``, the mutation, its target check and the digest:
 these failing Reports are the ones that carry witness text.  Two more
 lines, ``jacobi_control``, pin failing ``check_jacobi`` Reports at N=3 on
-the sweep's fallback path and on its total-degree-0 path.  Nothing under
+the sweep's fallback path and on its total-degree-0 path, and two lines,
+``pair_control``, failing ``check_bracket_crosscheck`` and ``check_phi``
+Reports at N=3, one on each path of the pair sweeps.  Nothing under
 ``bench/`` is changed, and only the standard library and ``src/superkon``
 of the checkout that holds this file are used, so to compare two
 checkouts with one check list, copy this file into the other checkout's
@@ -78,6 +80,18 @@ JACOBI_CONTROLS = {
 }
 
 
+# one control on each path of the pair sweeps at N=3: the crosscheck under an
+# antisymmetry-breaking mutation (the fallback over every pair) and phi
+# under a wrong but affine coefficient (the 3 x 3 grid, then the flagged
+# classes)
+PAIR_CONTROLS = {
+    "drop_sign_intersection": ("check_bracket_crosscheck", lambda: verify.check_bracket_crosscheck(
+        _algebra((1, 1, 0), "drop_sign_intersection"), SMALL)),
+    "drop_phi_coeff": ("check_phi", lambda: verify.check_phi(
+        _algebra((1, 1, 0), "drop_phi_coeff"), SMALL)),
+}
+
+
 def _digest(report) -> str:
     return hashlib.sha256(report.to_json(with_timing=False).encode()).hexdigest()
 
@@ -94,6 +108,8 @@ def main() -> None:
     for mutation, control in JACOBI_CONTROLS.items():
         print("jacobi_control", mutation, "check_jacobi", _digest(control()),
               flush=True)
+    for mutation, (check, control) in PAIR_CONTROLS.items():
+        print("pair_control", mutation, check, _digest(control()), flush=True)
 
 
 if __name__ == "__main__":
