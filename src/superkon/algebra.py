@@ -55,6 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations_with_replacement, permutations
 from math import comb, factorial
 
@@ -88,6 +89,14 @@ class AlgebraConfig:
         if self.central_enabled and self.cfg.N > 3:
             raise UsageError(
                 f"central extension for N={self.cfg.N} not supported (N <= 3)")
+
+    # The affine form of every ordered mask pair, ``_pair_forms[I][J] =
+    # pair_form(self, I, J)``, built on first use: bracket_ints reads one per
+    # call.  Not a dataclass field, so equality, hash and repr ignore it.
+    @cached_property
+    def _pair_forms(self) -> tuple:
+        n = 1 << self.cfg.N
+        return tuple(tuple(pair_form(self, I, J) for J in range(n)) for I in range(n))
 
 
 class AlgebraElement:
@@ -206,41 +215,52 @@ def _read_symbol(r: TextReader):
 # structure constants
 
 
+def pair_form(acfg: AlgebraConfig, Im: int, Jm: int):
+    """The D-part of the bracket of ``D[t^p, xi_I]`` and ``D[t^q, xi_J]`` as
+    one affine form: ``(c0, cp, cq, shift, rI)`` with ``coeff2 = c0 + cp p +
+    cq q`` landing on ``D[t^(p+q+shift), xi_rI]``, or None when the D-part
+    is zero for every ``p, q`` (see the module docstring for the formula)."""
+    cfg = acfg.cfg
+    inter = Im & Jm
+    if inter == 0:
+        nI, nJ = Im.bit_count(), Jm.bit_count()
+        sign, union = xi_mul(Im, Jm)
+        # (2-|I|)(2q - eps(J)) - (2-|J|)(2p - eps(I)), times the sign
+        form = (sign * ((2 - nJ) * cfg.eps_sum(Im) - (2 - nI) * cfg.eps_sum(Jm)),
+                -2 * sign * (2 - nJ), 2 * sign * (2 - nI), -1, union)
+        return form if any(form[:3]) else None
+    if inter.bit_count() == 1:
+        i = inter.bit_length()  # single bit -> its 1-based index
+        sign, rest = xi_mul(Im & ~inter, Jm & ~inter)
+        s = partial_sign(i, Im) * partial_sign(i, Jm) * sign
+        if (Im.bit_count() & 1) and acfg.mutation != "drop_sign_intersection":
+            s = -s
+        return 2 * s, 0, 0, -cfg.eps[i - 1], rest
+    return None
+
+
 def bracket_ints(acfg: AlgebraConfig, p: int, Im: int, q: int, Jm: int):
     """Fast integer core of the basis bracket.
 
     Returns ``(coeff2, rk, rI, cen12)``: the D-part is
-    ``(coeff2/2) * D[t^rk, xi_rI]`` (``coeff2 = 0`` for none) and the
-    central part is ``(cen12/12) * C``.
+    ``(coeff2/2) * D[t^rk, xi_rI]`` (``coeff2 = 0``, ``rk = rI = 0`` for
+    none) and the central part is ``(cen12/12) * C``.  The D-part is read
+    off the mask pair's affine form (:func:`pair_form`, all of them built
+    once per config), so ``coeff2`` is affine in ``(p, q)`` and ``rk = p +
+    q + shift``; the central part is computed here.
     """
-    cfg = acfg.cfg
-    inter = Im & Jm
-    coeff2 = 0
-    rk = 0
-    rI = 0
-    nI = Im.bit_count()
-    nJ = Jm.bit_count()
-    if inter == 0:
-        c2 = ((2 - nI) * (2 * q - cfg.eps_sum(Jm))
-              - (2 - nJ) * (2 * p - cfg.eps_sum(Im)))
-        if c2:
-            sign, union = xi_mul(Im, Jm)
-            coeff2 = sign * c2
-            rk = p + q - 1
-            rI = union
-    elif inter.bit_count() == 1:
-        i = inter.bit_length()  # single bit -> its 1-based index
-        s = partial_sign(i, Im) * partial_sign(i, Jm)
-        bit = 1 << (i - 1)
-        sm = xi_mul(Im & ~bit, Jm & ~bit)
-        s *= sm[0]
-        if (nI & 1) and acfg.mutation != "drop_sign_intersection":
-            s = -s
-        coeff2 = 2 * s
-        rk = p + q - cfg.eps[i - 1]
-        rI = sm[1]
+    coeff2 = rk = rI = 0
+    form = acfg._pair_forms[Im][Jm]
+    if form is not None:
+        c0, cp, cq, shift, rI = form
+        coeff2 = c0 + cp * p + cq * q
+        if coeff2:
+            rk = p + q + shift
+        else:
+            rI = 0
     cen12 = 0
     if acfg.central_enabled and Im == Jm:
+        cfg = acfg.cfg
         d = cfg.degree(p, Im)
         if d + cfg.degree(q, Jm) == 0:
             # Cocycle values by xi-size, in the degree d of the first
@@ -248,6 +268,7 @@ def bracket_ints(acfg: AlgebraConfig, p: int, Im: int, q: int, Jm: int):
             # with the structure constants above that is the unique choice
             # closing the Jacobi identity (checked against the standard
             # N=2 super-Virasoro relations).
+            nI = Im.bit_count()
             if nI == 0:
                 cen12 = d * (d * d - 4) // 2
             elif nI == 1:
@@ -270,7 +291,7 @@ def bracket_columns(eps, k_min: int, k_max: int):
             max(k_max, 2 * k_max - min(1, *eps)))
 
 
-def bracket_table(acfg: AlgebraConfig, k_min: int, k_max: int):
+def bracket_table(acfg: AlgebraConfig, k_min: int, k_max: int, block: bool = False):
     """``(lo, rows)`` with ``rows[(p - k_min) * 2**N + I][(q - lo) * 2**N + J]
     = (c2, col, cen12)`` for ``p`` in the window and ``q`` in
     :func:`bracket_columns`, read off ``(c2, rk, rI, cen12) =
@@ -281,46 +302,58 @@ def bracket_table(acfg: AlgebraConfig, k_min: int, k_max: int):
     disjoint masks, or of two masks sharing one xi with that xi removed) and
     its exponent is fixed by the additive degree, so every bracket of one
     basis triple lands on one column.  Equal entries share one tuple, so an
-    entry costs about one reference."""
+    entry costs about one reference.  With ``block`` the rows hold only the
+    window's columns, ``q - k_min`` in place of ``q - lo`` (``col`` is
+    still counted from ``lo``): the pair sweeps read no result column."""
     lo, hi = bracket_columns(acfg.cfg.eps, k_min, k_max)
     N = acfg.cfg.N
     n = 1 << N
+    qs = range(k_min, k_max + 1) if block else range(lo, hi + 1)
     canon: dict = {}
-
-    def entry(c2, rk, rI, cen12):
-        e = (c2, ((rk - lo) << N) + rI if c2 else None, cen12)
-        return canon.setdefault(e, e)
-
-    return lo, [[entry(*bracket_ints(acfg, p, I, q, J))
-                 for q in range(lo, hi + 1) for J in range(n)]
-                for p in range(k_min, k_max + 1) for I in range(n)]
+    rows = []
+    for p in range(k_min, k_max + 1):
+        for I in range(n):
+            row = []
+            for q in qs:
+                for J in range(n):
+                    c2, rk, rI, cen12 = bracket_ints(acfg, p, I, q, J)
+                    e = (c2, ((rk - lo) << N) + rI if c2 else None, cen12)
+                    row.append(canon.setdefault(e, e))
+            rows.append(row)
+    return lo, rows
 
 
 def bracket_table_is_polynomial(acfg: AlgebraConfig, k_min: int, lo: int,
-                                rows) -> bool:
+                                rows, block: bool = False) -> bool:
     """Whether the :func:`bracket_table` ``(lo, rows)`` of a window from
-    ``k_min`` is polynomial, in one pass: for each mask pair ``(I, J)``,
-    ``c2`` is affine in ``(p, q)`` (zero second differences), a nonzero
-    ``c2`` lands on mask ``I ^ J`` at exponent ``p + q + shift_sum(I & J) -
-    1`` (degrees add) and a nonzero ``cen12`` only at total degree 0; on
-    the window x window block ``entry(y, x) = -(-1)^{|x||y|} entry(x, y)``
-    and an entry with ``c2 != 0`` lands inside the row, so reading its
-    result column needs no range check."""
+    ``k_min`` (built with the same ``block``) is polynomial, in one pass:
+    for each mask pair ``(I, J)``, ``c2`` is affine in ``(p, q)`` (zero
+    row, column and mixed second differences), a nonzero ``c2`` lands on
+    mask ``I ^ J`` at exponent ``p + q + shift_sum(I & J) - 1`` (degrees
+    add) and a nonzero ``cen12`` only at total degree 0; on the window x
+    window block ``entry(y, x) = -(-1)^{|x||y|} entry(x, y)``, and an entry
+    there with ``c2 != 0`` lands in :func:`bracket_columns` (for the full
+    table: inside the row, so reading its result column needs no range
+    check)."""
     cfg = acfg.cfg
     N = cfg.N
     n = 1 << N
     width, ncols = len(rows) >> N, len(rows[0]) >> N
-    window = range(k_min - lo, k_min - lo + width)  # the window's columns
+    q0 = k_min if block else lo  # the exponent of the first column
+    land = ncols  # how many result exponents from lo an entry may land on
+    if block:
+        land = bracket_columns(cfg.eps, k_min, k_min + width - 1)[1] - lo + 1
+    window = range(k_min - q0, k_min - q0 + width)  # the window's columns
     for I in range(n):
-        block = rows[I::n]
+        block_I = rows[I::n]
         for J in range(n):
-            grid = [row[J::n] for row in block]  # grid[p - k_min][q - lo]
+            grid = [row[J::n] for row in block_I]  # grid[p - k_min][q - q0]
             c00 = grid[0][0][0]
             dq = grid[0][1][0] - c00 if ncols > 1 else 0
             dp = grid[1][0][0] - c00 if width > 1 else 0
-            col0 = k_min + cfg.shift_sum(I & J) - 1  # (rk - lo) at p, q = k_min, lo
-            twice = 4 - cfg.shift_sum(I) - cfg.shift_sum(J) - 2 * (k_min + lo)
-            diag = None if twice & 1 else twice >> 1  # (p - k_min) + (q - lo) at degree 0
+            col0 = k_min + q0 - lo + cfg.shift_sum(I & J) - 1  # (rk - lo) at p, q = k_min, q0
+            twice = 4 - cfg.shift_sum(I) - cfg.shift_sum(J) - 2 * (k_min + q0)
+            diag = None if twice & 1 else twice >> 1  # (p - k_min) + (q - q0) at degree 0
             for a, got in enumerate(grid):
                 c = c00 + a * dp
                 line = range(c, c + ncols * dq, dq) if dq else [c] * ncols
@@ -330,10 +363,10 @@ def bracket_table_is_polynomial(acfg: AlgebraConfig, k_min: int, lo: int,
                     b = diag - a
                     want[b] = want[b][:2] + got[b][2:]
                 first = col0 + a + window.start  # result exponent index at q = k_min
-                if got != want or ((first < 0 or first + width > ncols) and any(
-                        line[b] for b in window if not 0 <= col0 + a + b < ncols)):
+                if got != want or ((first < 0 or first + width > land) and any(
+                        line[b] for b in window if not 0 <= col0 + a + b < land)):
                     return False
-    off = (k_min - lo) << N
+    off = window.start << N
     odd = [(i & (n - 1)).bit_count() & 1 for i in range(len(rows))]
     for i, row in enumerate(rows):
         for j in range(i, len(rows)):
@@ -395,12 +428,14 @@ def jacobi_flags(acfg: AlgebraConfig, k_min: int, lo: int, rows):
     :func:`bracket_table` ``(lo, rows)`` of a window from ``k_min``) that
     :func:`jacobi_filter` flags, in index order.  When the table is not
     polynomial (:func:`bracket_table_is_polynomial`) the filter runs on
-    every triple.  When it is, it runs on the 27 triples of each mask
-    multiset ``I <= J <= K`` with exponents from the window's first three
-    (all of them when it has fewer) and, with the central term, on every
-    triple of total degree 0; then on all the window triples of each
-    multiset flagged there (see :func:`~superkon.verify.check_jacobi` for
-    why nothing else can be flagged).  A triple with an inner bracket whose
+    every triple.  When it is, it runs on the 10 triples of each mask
+    multiset ``I <= J <= K`` whose exponents are ``k_min`` plus offsets
+    ``a + b + c <= 2`` (on every triple of the multiset when the window has
+    fewer than 3 exponents) and, with the central term, on every triple of
+    total degree 0; then on all the window triples of each multiset flagged
+    there (the D-residual has total degree at most 2, see
+    :func:`~superkon.verify.check_jacobi` for why nothing else can be
+    flagged).  A triple with an inner bracket whose
     result column lies outside the row (only possible when the table is not
     polynomial) is flagged without a read."""
     N = acfg.cfg.N
@@ -424,10 +459,14 @@ def jacobi_flags(acfg: AlgebraConfig, k_min: int, lo: int, rows):
     multisets = list(combinations_with_replacement(range(n), 3))
     flagged = multisets
     if polynomial:
-        grid = range(min(3, total >> N))  # exponents k_min, k_min + 1, k_min + 2
+        # exponent offsets from k_min: the 10 points a + b + c <= 2, or the
+        # whole window when it has fewer than 3 exponents
+        exps = range(total >> N)
+        lattice = [(a, b, c) for a in exps for b in exps for c in exps
+                   if len(exps) < 3 or a + b + c <= 2]
         flagged = {m for m in multisets
                    if any(flags((a << N) | m[0], (b << N) | m[1], (c << N) | m[2])
-                          for a in grid for b in grid for c in grid)}
+                          for a, b, c in lattice)}
         if acfg.central_enabled:
             degs = [acfg.cfg.degree(k_min + (i >> N), masks[i]) for i in range(total)]
             by_degree: dict = {}
@@ -460,10 +499,10 @@ def bracket_is_polynomial(acfg: AlgebraConfig, params, rows: range, parts: range
     otherwise."""
     if acfg.central_enabled:
         return None
-    lo, table = bracket_table(acfg, rows.start, rows.stop - 1)
-    if not bracket_table_is_polynomial(acfg, rows.start, lo, table):
+    lo, table = bracket_table(acfg, rows.start, rows.stop - 1, block=True)
+    if not bracket_table_is_polynomial(acfg, rows.start, lo, table, block=True):
         return None
-    hi = lo + (len(table[0]) >> acfg.cfg.N) - 1
+    hi = bracket_columns(acfg.cfg.eps, rows.start, rows.stop - 1)[1]
     del table  # before the parts, which the monomial_parts memo keeps
     shifts = parts_shifts(acfg.cfg, tuple(params), parts)
     if shifts is None:

@@ -13,12 +13,13 @@ Closures run at concrete Gaussian-rational parameter values; identity
 sweeps keep all parameters symbolic.  An identity sweep runs a fast
 filter, which may flag too much but never too little, and hands each
 flagged case to the library's reference operation, which decides it and
-writes its witness: :func:`~superkon.algebra.bracket_ints` behind the
-filter over one :func:`~superkon.algebra.bracket_table` of
-:func:`check_jacobi` (run on a 3 x 3 x 3 exponent grid per mask triple,
-plus the triples of total degree 0, when the table is affine per mask
-pair, graded, central only at total degree 0 and super-antisymmetric, so
-that each D-residual has degree at most 2 in each exponent); the per-pair
+writes its witness: :func:`~superkon.algebra.bracket_ints`, which reads
+each bracket off one affine form per mask pair, behind the filter over one
+:func:`~superkon.algebra.bracket_table` of :func:`check_jacobi` (run on
+the 10 exponent triples of the degree-2 lattice per mask triple, plus the
+triples of total degree 0, when the table is affine per mask pair, graded,
+central only at total degree 0 and super-antisymmetric, so that each
+D-residual has total degree at most 2 in the three exponents); the per-pair
 comparison of :func:`check_bracket_crosscheck` and of the homomorphism
 sweep under :func:`check_phi` and :func:`check_eps_shift` behind the same
 comparison on the window's first 2 x 2 (crosscheck) or 3 x 3 exponents
@@ -124,17 +125,24 @@ def check_jacobi(acfg: AlgebraConfig, w: Window, workers: int | None = None) -> 
     (flagged by :func:`~superkon.algebra.jacobi_filter`) goes to
     :func:`_jacobi_residual`, which decides and writes the witness.  When
     the table is polynomial
-    (:func:`~superkon.algebra.bracket_table_is_polynomial`), the filter's
-    D-residual on masks ``I <= J <= K`` is one polynomial of degree at most
-    2 in each exponent, for every order of the triple (by
-    super-antisymmetry), so it vanishes on the window once it vanishes on a
-    3 x 3 x 3 grid of window exponents (the grid case of Alon's
-    Combinatorial Nullstellensatz, Combin. Probab. Comput. 8, 1999), and
-    the central part vanishes off total degree 0.  So the filter runs on 27
-    triples per mask multiset, and with the central term on every window
-    triple of total degree 0.  A multiset flagged there, or every one when
-    the table is not polynomial, goes through the filter on all its window
-    triples.  ``workers`` may only be ``None`` or 1."""
+    (:func:`~superkon.algebra.bracket_table_is_polynomial`), each inner
+    bracket's ``c2`` is affine in its two exponents and lands at an
+    exponent affine in them, so each term ``c2 * c3`` of the filter's
+    D-residual on masks ``I <= J <= K`` is a product of two affine forms in
+    the exponents ``(p, q, r)``: the residual is one polynomial of total
+    degree at most 2, for every order of the triple (by
+    super-antisymmetry).  Such a polynomial that vanishes on the 10 points
+    ``a + b + c <= 2`` of offsets from the window's first exponent is zero:
+    at ``c = 0`` it is a quadratic in two variables vanishing on 6 lattice
+    points, hence zero, so it is ``c`` times an affine form that vanishes on
+    the 4-point simplex (the principal lattice is unisolvent, Chung and
+    Yao, SIAM J. Numer. Anal. 14, 1977).  The central part vanishes off
+    total degree 0.  So the filter runs on 10 triples per mask multiset
+    (every triple of the window when it has fewer than 3 exponents), and
+    with the central term on every window triple of total degree 0.  A
+    multiset flagged there, or every one when the table is not polynomial,
+    goes through the filter on all its window triples.  ``workers`` may only
+    be ``None`` or 1."""
     if workers not in (None, 1):
         raise UsageError(f"check_jacobi runs in one process; workers={workers!r}")
     t0 = time.monotonic()
@@ -471,20 +479,24 @@ def check_submodule_closure(module: TensorModule, name: str, w: Window,
 
     Every (generator, op) tuple whose target weight has a space is
     counted, a zero image included; a target space the span already fills
-    needs no image.  A window whose inner weights hold no basis vector is
-    refused (see :meth:`~superkon.tensmod.TensorModule.inner_basis`)."""
+    needs no image.  Only the generators at an inner weight or at an op's
+    target from one are evaluated and inserted: no other weight is read.
+    A window whose inner weights hold no basis vector is refused (see
+    :meth:`~superkon.tensmod.TensorModule.inner_basis`)."""
     t0 = time.monotonic()
     inner = {bv.l for bv in module.inner_basis(w)}
     ev = module.eval_cache(params)
     l_range = range(w.l_min, w.l_max + 1)
-    gens = named_submodule(ev.module, name, l_range)
+    ops = module.window_ops(w)
+    read = inner | {l + shift for l in inner for _, _, shift in ops}
+    gens = [g for g in named_submodule(ev.module, name, l_range)
+            if any(bv.l in read for bv in g.terms)]
     spaces = WeightSpaces(module.basis_at, l_range)
     buckets: dict = {}
     for g in gens:
         vec = ev.eval_modvec(g)[1]
         if spaces.insert(vec) is not None:
             buckets.setdefault(spaces.weight(vec), []).append(vec)
-    ops = module.window_ops(w)
     bad = []
     n = 0
     for l in sorted(buckets.keys() & inner):

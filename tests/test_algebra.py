@@ -5,14 +5,14 @@ from math import comb
 
 import pytest
 
-from superkon.algebra import (AlgebraConfig, AlgebraElement, a_action,
-                              apply_d, bracket, bracket_basis, bracket_ints,
+from superkon.algebra import (ALGEBRA_MUTATIONS, AlgebraConfig, AlgebraElement,
+                              a_action, apply_d, bracket, bracket_basis, bracket_ints,
                               eps_shift_map,
                               in_ideal_i, in_k_ell, k_ell_valuation, phi,
                               project_k0, tm1_coefficient, tm1_power_d)
 from superkon.exactnum import GaussRat, Scalar, UsageError
 from superkon.grassmann import (EpsilonConfig, SuperFunction, contact_bracket, iset,
-                                monomial_parts)
+                                monomial_parts, partial_sign, xi_mul)
 
 P = ()
 
@@ -241,6 +241,66 @@ def test_bracket_is_graded(eps):
             central += 1
             assert total == 0, ((p, Im), (q, Jm))
     assert graded and (central or len(eps) > 3)
+
+
+def _reference_bracket_ints(acfg, p, Im, q, Jm):
+    """bracket_ints as the structure-constant formula, branching on the
+    masks at every call (the body it had before the per-mask-pair forms)."""
+    cfg = acfg.cfg
+    inter = Im & Jm
+    coeff2 = rk = rI = 0
+    nI = Im.bit_count()
+    nJ = Jm.bit_count()
+    if inter == 0:
+        c2 = ((2 - nI) * (2 * q - cfg.eps_sum(Jm))
+              - (2 - nJ) * (2 * p - cfg.eps_sum(Im)))
+        if c2:
+            sign, union = xi_mul(Im, Jm)
+            coeff2 = sign * c2
+            rk = p + q - 1
+            rI = union
+    elif inter.bit_count() == 1:
+        i = inter.bit_length()
+        s = partial_sign(i, Im) * partial_sign(i, Jm)
+        bit = 1 << (i - 1)
+        sm = xi_mul(Im & ~bit, Jm & ~bit)
+        s *= sm[0]
+        if (nI & 1) and acfg.mutation != "drop_sign_intersection":
+            s = -s
+        coeff2 = 2 * s
+        rk = p + q - cfg.eps[i - 1]
+        rI = sm[1]
+    cen12 = 0
+    if acfg.central_enabled and Im == Jm:
+        d = cfg.degree(p, Im)
+        if d + cfg.degree(q, Jm) == 0:
+            cen12 = {0: d * (d * d - 4) // 2, 1: d * d - 1, 2: -2 * d, 3: -4}[nI]
+            if acfg.mutation == "double_cocycle" and nI == 0:
+                cen12 *= 2
+    return coeff2, rk, rI, cen12
+
+
+# 0/1 twists and others, N = 1..5; the central term where it exists
+BRACKET_ORACLE_TWISTS = [(1,), (0,), (2,), (-1,), (1, 0), (0, 0), (2, -1), (-1, -1),
+                         (1, 1, 1), (1, 1, 0), (3, 0, -2), (1, 1, 0, 0), (2, 1, 0, -1),
+                         (1, 1, 1, 1, 1), (2, -1, 0, 1, -3)]
+
+
+@pytest.mark.parametrize("mutation", [None, *ALGEBRA_MUTATIONS])
+@pytest.mark.parametrize("eps", BRACKET_ORACLE_TWISTS, ids=str)
+def test_bracket_ints_matches_the_formula(eps, mutation):
+    # every ordered mask pair at p, q in -6..6, central term on and off
+    n = 1 << len(eps)
+    ks = range(-6, 7)
+    for central in (False, True) if len(eps) <= 3 else (False,):
+        a = cfg(len(eps), eps, central, mutation)
+        for Im in range(n):
+            for Jm in range(n):
+                for p in ks:
+                    for q in ks:
+                        assert (bracket_ints(a, p, Im, q, Jm)
+                                == _reference_bracket_ints(a, p, Im, q, Jm)), (
+                            (p, Im), (q, Jm), central)
 
 
 def test_bracket_crosscheck_small():

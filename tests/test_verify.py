@@ -1,7 +1,7 @@
 import hashlib
 import re
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from math import comb
 
 import pytest
@@ -610,30 +610,25 @@ def test_jacobi_grid_path_finds_every_violation(monkeypatch, a, w, brackets, pol
     assert r.stats["tuples_checked"] == comb(n + 2, 3)
 
 
-@pytest.mark.parametrize("a", [
+# one twist per N = 1..4, the central term where it exists
+JACOBI_DEGREE_CONFIGS = pytest.mark.parametrize("a", [
     acfg(1, (0,), central=True), acfg(1, (1,), central=True),
     acfg(2, (1, 0), central=True), acfg(3, (1, 1, 1), central=True),
     acfg(4, (1, 1, 0, 0)),
 ], ids=["n1-0", "n1-1", "n2-10", "n3-111", "n4-1100"])
-def test_jacobi_terms_have_degree_two_in_each_exponent(a):
-    # the bound check_jacobi's 3 x 3 x 3 grid rests on, pinned for the
-    # correct algebras: each of the three terms of a mask triple's Jacobi
-    # sum, grouped by result column (rk - p - q - r, rI), has zero third
-    # differences in each exponent over -6..6, and degree 2 is attained; its
-    # central part vanishes off total degree 0
+
+
+def _jacobi_terms(a, K):
+    """Each of the three terms of each mask triple's Jacobi sum, grouped by
+    result column (rk - p - q - r, rI), as a flat list over the exponent
+    cube -K..K cubed, index ((p + K) * S + q + K) * S + r + K with S = 2K + 1;
+    asserts on the way that its central part vanishes off total degree 0."""
     N = a.cfg.N
     n = 1 << N
-    K = 6
     S = 2 * K + 1
     lo, table = bracket_table(a, -K, K)
     rows = [table[m::n] for m in range(n)]  # rows[I][p + K]: the row of (p, I)
     deg = [[a.cfg.degree(p, m) for p in range(-K, K + 1)] for m in range(n)]
-    # a function on the cube as a flat list over (e_x, e_y, e_z); for each
-    # axis stride, the points with two or three more on their line
-    cube = [(step, [x for x in range(S ** 3) if x // step % S < S - 2],
-             [x for x in range(S ** 3) if x // step % S < S - 3])
-            for step in (S * S, S, 1)]
-    quadratic = False
     for m in combinations_with_replacement(range(n), 3):
         for u, v, t in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
             X, Y, Z = m[u], m[v], m[t]  # the term [x, [y, z]]
@@ -651,18 +646,63 @@ def test_jacobi_terms_have_degree_two_in_each_exponent(a):
                             if key not in groups:
                                 groups[key] = [0] * S ** 3
                             groups[key][(ex * S + ey) * S + ez] = sgn * c2 * c3
-            for f in groups.values():
-                for step, twos, threes in cube:
-                    assert not any(f[x] - 3 * f[x + step] + 3 * f[x + 2 * step]
-                                   - f[x + 3 * step] for x in threes)
-                    quadratic = quadratic or any(
-                        f[x] - 2 * f[x + step] + f[x + 2 * step] for x in twos)
+            yield from groups.values()
+
+
+@JACOBI_DEGREE_CONFIGS
+def test_jacobi_terms_have_degree_two_in_each_exponent(a):
+    # the bound of a grid per exponent, pinned for the correct algebras: each
+    # term has zero third differences in each exponent over -6..6, and degree
+    # 2 is attained; its central part vanishes off total degree 0
+    K = 6
+    S = 2 * K + 1
+    # a function on the cube as a flat list over (e_x, e_y, e_z); for each
+    # axis stride, the points with two or three more on their line
+    cube = [(step, [x for x in range(S ** 3) if x // step % S < S - 2],
+             [x for x in range(S ** 3) if x // step % S < S - 3])
+            for step in (S * S, S, 1)]
+    quadratic = False
+    for f in _jacobi_terms(a, K):
+        for step, twos, threes in cube:
+            assert not any(f[x] - 3 * f[x + step] + 3 * f[x + 2 * step]
+                           - f[x + 3 * step] for x in threes)
+            quadratic = quadratic or any(
+                f[x] - 2 * f[x + step] + f[x + 2 * step] for x in twos)
     assert quadratic
 
 
+@JACOBI_DEGREE_CONFIGS
+def test_jacobi_terms_have_total_degree_two(a):
+    # the bound check_jacobi's 10-point lattice rests on, pinned for the
+    # correct algebras: every third-order difference of each term, mixed ones
+    # included, vanishes over -6..6, and some mixed second difference does
+    # not (a product of two exponents is reached)
+    K = 6
+    S = 2 * K + 1
+    steps = (S * S, S, 1)
+    point = [(x // (S * S), x // S % S, x % S) for x in range(S ** 3)]
+    orders = [(i, j, k) for i in range(4) for j in range(4 - i) for k in range(4 - i - j)]
+    # the points where the difference of each order stays in the cube
+    inside = {o: [x for x, c in enumerate(point) if all(e + d < S for e, d in zip(c, o))]
+              for o in orders}
+    mixed = False
+    for f in _jacobi_terms(a, K):
+        diffs = {(0, 0, 0): f}
+        for o in orders[1:]:  # each after the one it differences
+            axis = next(i for i in (2, 1, 0) if o[i])
+            g = diffs[tuple(e - (i == axis) for i, e in enumerate(o))]
+            diffs[o] = d = [v - u for u, v in zip(g, g[steps[axis]:])]
+            if sum(o) == 3:
+                assert not any(d[x] for x in inside[o]), o
+            elif sorted(o) == [0, 1, 1]:
+                mixed = mixed or any(d[x] for x in inside[o])
+    assert mixed
+
+
 def test_jacobi_filter_runs_on_the_grid(monkeypatch):
-    # a passing sweep runs the filter on 27 triples per mask multiset and on
-    # the window triples of total degree 0, and decides no triple
+    # a passing sweep runs the filter on the 10 lattice triples (offsets a + b
+    # + c <= 2) per mask multiset and on the window triples of total degree
+    # 0, and decides no triple
     calls = {"jacobi_filter": 0, "_jacobi_residual": 0}
 
     def spy(module, name):
@@ -682,7 +722,7 @@ def test_jacobi_filter_runs_on_the_grid(monkeypatch):
     degs = [a.cfg.degree(p, im) for p in w.k_values() for im in range(8)]
     degree0 = sum(1 for i, d in enumerate(degs) for j in range(i, len(degs))
                   for e in degs[j:] if d + degs[j] + e == 0)
-    assert 0 < calls["jacobi_filter"] <= 27 * comb(8 + 2, 3) + degree0
+    assert 0 < calls["jacobi_filter"] <= 10 * comb(8 + 2, 3) + degree0
     assert calls["_jacobi_residual"] == 0
 
 
@@ -790,6 +830,57 @@ def _tilt(pair, alpha):
 
 def _patch_brackets(brackets):
     return lambda monkeypatch: monkeypatch.setattr(algebra, "bracket_ints", brackets)
+
+
+@pytest.mark.parametrize("a, brackets, masks", [
+    (acfg(2, (0, 0)), _scale_c2((0, 3), 2), (0, 1, 2)),
+    (acfg(3, (1, 1, 0)), _tilt((1, 6), 1), (0, 1, 6)),
+], ids=["scale-03", "tilt-16"])
+def test_jacobi_lattice_reaches_past_the_cube(monkeypatch, a, brackets, masks):
+    # a fault that keeps the table polynomial and whose residual on one mask
+    # triple vanishes on the offsets {0, 1}^3 from k_min but not on the
+    # lattice: a sweep of that cube alone would miss it; the lattice's
+    # offsets 2 find it, and the Report is the sweep of every window triple
+    monkeypatch.setattr(algebra, "bracket_ints", brackets)
+    N = a.cfg.N
+    w = Window(0, 3)
+    lo, table = bracket_table(a, w.k_min, w.k_max)
+    assert algebra.bracket_table_is_polynomial(a, w.k_min, lo, table)
+    par = [(i & ((1 << N) - 1)).bit_count() & 1 for i in range(len(table))]
+    off = (w.k_min - lo) << N
+
+    def flagged(offsets):
+        return [t for t in offsets if algebra.jacobi_filter(
+            table, par, off, *((e << N) | m for e, m in zip(t, masks)))]
+
+    assert not flagged(product(range(2), repeat=3))
+    assert flagged(t for t in product(range(3), repeat=3) if sum(t) <= 2)
+    r = check_jacobi(a, w)
+    assert r.status == "fail" and r.violations == _reference_jacobi(a, w, brackets)
+    assert any(sorted(int(m) for m in re.findall(r", (\d+)\)", v["inputs"])) == list(masks)
+               for v in r.violations)
+
+
+@pytest.mark.parametrize("w", [Window(0, 0), Window(-1, -1), Window(0, 1), Window(-1, 0)],
+                         ids=["1-at-0", "1-at-neg1", "2-at-0", "2-at-neg1"])
+@pytest.mark.parametrize("a, brackets", [
+    (acfg(3, (1, 1, 0)), _scale_c2((1, 2), 2)),
+    (acfg(2, (0, 0)), _scale_c2((0, 3), 2)),
+    (acfg(3, (1, 1, 0)), _tilt((1, 6), 1)),
+    (acfg(3, (1, 1, -3), central=True, mutation="double_cocycle"), bracket_ints),
+], ids=["scale-12", "scale-03", "tilt-16", "cocycle"])
+def test_jacobi_short_window_reads_the_whole_window(monkeypatch, a, brackets, w):
+    # a window of 1 or 2 exponents has no lattice: on the polynomial path the
+    # sweep reads every window triple, and its Report is the full sweep's
+    monkeypatch.setattr(algebra, "bracket_ints", brackets)
+    lo, table = bracket_table(a, w.k_min, w.k_max)
+    assert algebra.bracket_table_is_polynomial(a, w.k_min, lo, table)
+    r = check_jacobi(a, w)
+    with monkeypatch.context() as m:
+        m.setattr(algebra, "bracket_table_is_polynomial", lambda *args: False)
+        full = check_jacobi(a, w)
+    assert r.to_json(with_timing=False) == full.to_json(with_timing=False)
+    assert r.violations == _reference_jacobi(a, w, brackets)
 
 
 # sweep -> (check, the function of verify each compared pair calls, its calls
@@ -974,6 +1065,36 @@ def test_passing_pair_sweep_compares_the_grid(monkeypatch, check, eps, spied, mo
     r = check(acfg(len(eps), eps), Window(-3, 3))
     assert r.status == "pass" and r.stats["tuples_checked"] == tuples
     assert 0 < len(calls) <= most
+
+
+def test_pair_sweep_builds_only_the_window_block(monkeypatch):
+    # the crosscheck's polynomial test reads the window x window block of the
+    # bracket table (56 x 56 entries at N=3 on 7 exponents), not its columns
+    # beyond, and the grid compares at most 2 x 2 pairs per mask pair
+    calls = []
+
+    def spy(a, *args):
+        calls.append(args)
+        return bracket_ints(a, *args)
+
+    monkeypatch.setattr(algebra, "bracket_ints", spy)
+    r = check_bracket_crosscheck(acfg(3, (1, 1, 0)), Window(-3, 3))
+    assert r.status == "pass"
+    assert 0 < len(calls) <= 56 * 56 + 4 * 8 ** 2
+
+
+@pytest.mark.parametrize("a, brackets, reach", [
+    (acfg(2, (1, 0)), bracket_ints, range(-6, 5)),
+    (acfg(2, (2, -1)), bracket_ints, range(-8, 7)),
+    (acfg(2, (-1, -1)), _graded_escape, None),
+], ids=["correct-10", "correct-2-1", "graded-escape"])
+def test_pair_sweep_table_lands_in_the_columns(monkeypatch, a, brackets, reach):
+    # the window block's brackets land in bracket_columns, which is the range
+    # the pair sweeps check the map on; a graded, affine and antisymmetric
+    # bracket that lands beyond it fails the test
+    monkeypatch.setattr(algebra, "bracket_ints", brackets)
+    ks = range(-2, 3)
+    assert algebra.bracket_is_polynomial(a, (), ks, ks) == reach
 
 
 @pytest.mark.parametrize("check, eps, monomials", [
@@ -1228,6 +1349,27 @@ def test_submodule_closure_fprime():
     w = module_window(-2, 2, M)
     r = check_submodule_closure(M, "F_prime", w, {"a": Fraction(5, 7)})
     assert r.status == "pass"
+
+
+def test_submodule_closure_evaluates_only_the_weights_it_reads(monkeypatch):
+    # F' has 16 generators at each of the 13 even weights of the window; the
+    # check reads the inner weights -2, 0, 2 and the targets of the window's
+    # ops from them (shifts -6..2), so it evaluates the generators at -8..4
+    weights = []
+    eval_modvec = EvaluatedAction.eval_modvec
+
+    def spy(self, v):
+        weights.extend({bv.l for bv in v.terms})
+        return eval_modvec(self, v)
+
+    monkeypatch.setattr(EvaluatedAction, "eval_modvec", spy)
+    M = TensorModule(EpsilonConfig(3, (1, 1, 1)), build_so3_vm(2, Fraction(-1), P), A)
+    w = module_window(-2, 2, M)
+    assert len(named_submodule(M, "F_prime", range(w.l_min, w.l_max + 1))) == 13 * 16
+    r = check_submodule_closure(M, "F_prime", w, {"a": Fraction(5, 7)})
+    assert r.status == "pass"
+    assert sorted(set(weights)) == list(range(-8, 5, 2))
+    assert len(weights) == 7 * 16
 
 
 def test_closures_compute_no_image_for_a_settled_target(monkeypatch):

@@ -9,9 +9,10 @@ line per check: workload, seed, check name and the sha256 of the Report's
 ``to_json(with_timing=False)``.  Every workload Report passes, so it then
 runs one negative control per registered mutation, at a small window, and
 prints ``negative_control``, the mutation, its target check and the digest:
-these failing Reports are the ones that carry witness text.  Two more
+these failing Reports are the ones that carry witness text.  Three more
 lines, ``jacobi_control``, pin failing ``check_jacobi`` Reports at N=3 on
-the sweep's fallback path and on its total-degree-0 path, and two lines,
+the sweep's fallback path, on its total-degree-0 path and on a two-exponent
+window, where the polynomial path reads the whole window; two lines,
 ``pair_control``, failing ``check_bracket_crosscheck`` and ``check_phi``
 Reports at N=3, one on each path of the pair sweeps.  Nothing under
 ``bench/`` is changed, and only the standard library and ``src/superkon``
@@ -69,15 +70,20 @@ CONTROLS = {
 }
 
 
-# two more Jacobi controls, each on one path of check_jacobi's filter: the
-# fallback over every triple (an antisymmetry-breaking mutation at N=3) and
-# the total-degree-0 sweep of the central term at N=3
-JACOBI_CONTROLS = {
-    "drop_sign_intersection": lambda: verify.check_jacobi(
-        _algebra((1, 1, 0), "drop_sign_intersection"), SMALL),
-    "double_cocycle": lambda: verify.check_jacobi(
-        _algebra((1, 1, 1), "double_cocycle", central=True), SMALL),
-}
+# three more Jacobi controls, each on one path of check_jacobi's filter: the
+# fallback over every triple (an antisymmetry-breaking mutation at N=3), the
+# total-degree-0 sweep of the central term at N=3, and a window of two
+# exponents, too short for the 10-point lattice, so the polynomial path reads
+# the whole window (the twist -3 gives a degree -4 plain symbol there, where
+# the doubled cocycle is nonzero)
+JACOBI_CONTROLS = [
+    ("drop_sign_intersection", lambda: verify.check_jacobi(
+        _algebra((1, 1, 0), "drop_sign_intersection"), SMALL)),
+    ("double_cocycle", lambda: verify.check_jacobi(
+        _algebra((1, 1, 1), "double_cocycle", central=True), SMALL)),
+    ("double_cocycle", lambda: verify.check_jacobi(
+        _algebra((1, 1, -3), "double_cocycle", central=True), Window(-1, 0))),
+]
 
 
 # one control on each path of the pair sweeps at N=3: the crosscheck under an
@@ -105,7 +111,7 @@ def main() -> None:
     for mutation in sorted(registry):
         print("negative_control", mutation, registry[mutation],
               _digest(CONTROLS[mutation]()), flush=True)
-    for mutation, control in JACOBI_CONTROLS.items():
+    for mutation, control in JACOBI_CONTROLS:
         print("jacobi_control", mutation, "check_jacobi", _digest(control()),
               flush=True)
     for mutation, (check, control) in PAIR_CONTROLS.items():
