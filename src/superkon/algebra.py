@@ -324,30 +324,31 @@ def bracket_table(acfg: AlgebraConfig, k_min: int, k_max: int, block: bool = Fal
 
 
 def bracket_table_is_polynomial(acfg: AlgebraConfig, k_min: int, lo: int,
-                                rows, block: bool = False) -> bool:
+                                rows) -> bool:
     """Whether the :func:`bracket_table` ``(lo, rows)`` of a window from
-    ``k_min`` (built with the same ``block``) is polynomial, in one pass:
-    for each mask pair ``(I, J)``, ``c2`` is affine in ``(p, q)`` (zero
-    row, column and mixed second differences), a nonzero ``c2`` lands on
-    mask ``I ^ J`` at exponent ``p + q + shift_sum(I & J) - 1`` (degrees
-    add) and a nonzero ``cen12`` only at total degree 0; on the window x
-    window block ``entry(y, x) = -(-1)^{|x||y|} entry(x, y)``, and an entry
-    there with ``c2 != 0`` lands in :func:`bracket_columns` (for the full
-    table: inside the row, so reading its result column needs no range
-    check)."""
+    ``k_min`` (the full table, or its window block when square) is
+    polynomial, in one pass: for each mask pair ``(I, J)``, ``c2`` is affine
+    in ``(p, q)`` (zero row, column and mixed second differences), a nonzero
+    ``c2`` lands on mask ``I ^ J`` at exponent ``p + q + shift_sum(I & J) -
+    1`` (degrees add) and a nonzero ``cen12`` only at total degree 0; on the
+    window x window block ``entry(y, x) = -(-1)^{|x||y|} entry(x, y)``, and
+    an entry there with ``c2 != 0`` lands in :func:`bracket_columns` (for
+    the full table: inside the row, so reading its result column needs no
+    range check)."""
     cfg = acfg.cfg
     N = cfg.N
     n = 1 << N
     width, ncols = len(rows) >> N, len(rows[0]) >> N
-    q0 = k_min if block else lo  # the exponent of the first column
-    land = ncols  # how many result exponents from lo an entry may land on
-    if block:
-        land = bracket_columns(cfg.eps, k_min, k_min + width - 1)[1] - lo + 1
+    # the exponent of the first column: a square table is the window block
+    # (or a full table whose columns are the window, where both agree)
+    q0 = k_min if ncols == width else lo
+    # how many result exponents from lo an entry may land on
+    land = bracket_columns(cfg.eps, k_min, k_min + width - 1)[1] - lo + 1
     window = range(k_min - q0, k_min - q0 + width)  # the window's columns
     for I in range(n):
-        block_I = rows[I::n]
+        block = rows[I::n]
         for J in range(n):
-            grid = [row[J::n] for row in block_I]  # grid[p - k_min][q - q0]
+            grid = [row[J::n] for row in block]  # grid[p - k_min][q - q0]
             c00 = grid[0][0][0]
             dq = grid[0][1][0] - c00 if ncols > 1 else 0
             dp = grid[1][0][0] - c00 if width > 1 else 0
@@ -500,7 +501,7 @@ def bracket_is_polynomial(acfg: AlgebraConfig, params, rows: range, parts: range
     if acfg.central_enabled:
         return None
     lo, table = bracket_table(acfg, rows.start, rows.stop - 1, block=True)
-    if not bracket_table_is_polynomial(acfg, rows.start, lo, table, block=True):
+    if not bracket_table_is_polynomial(acfg, rows.start, lo, table):
         return None
     hi = bracket_columns(acfg.cfg.eps, rows.start, rows.stop - 1)[1]
     del table  # before the parts, which the monomial_parts memo keeps

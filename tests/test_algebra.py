@@ -245,7 +245,7 @@ def test_bracket_is_graded(eps):
 
 def _reference_bracket_ints(acfg, p, Im, q, Jm):
     """bracket_ints as the structure-constant formula, branching on the
-    masks at every call (the body it had before the per-mask-pair forms)."""
+    masks at every call: the oracle for the per-mask-pair forms."""
     cfg = acfg.cfg
     inter = Im & Jm
     coeff2 = rk = rI = 0
@@ -274,7 +274,14 @@ def _reference_bracket_ints(acfg, p, Im, q, Jm):
     if acfg.central_enabled and Im == Jm:
         d = cfg.degree(p, Im)
         if d + cfg.degree(q, Jm) == 0:
-            cen12 = {0: d * (d * d - 4) // 2, 1: d * d - 1, 2: -2 * d, 3: -4}[nI]
+            if nI == 0:
+                cen12 = d * (d * d - 4) // 2
+            elif nI == 1:
+                cen12 = d * d - 1
+            elif nI == 2:
+                cen12 = -2 * d
+            elif nI == 3:
+                cen12 = -4
             if acfg.mutation == "double_cocycle" and nI == 0:
                 cen12 *= 2
     return coeff2, rk, rI, cen12
