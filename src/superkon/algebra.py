@@ -56,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations, product
 from math import comb, factorial
 
 from .exactnum import (Scalar, TextReader, UsageError, add_term, as_scalar,
@@ -429,16 +429,16 @@ def jacobi_flags(acfg: AlgebraConfig, k_min: int, lo: int, rows):
     :func:`bracket_table` ``(lo, rows)`` of a window from ``k_min``) that
     :func:`jacobi_filter` flags, in index order.  When the table is not
     polynomial (:func:`bracket_table_is_polynomial`) the filter runs on
-    every triple.  When it is, it runs on the 10 triples of each mask
-    multiset ``I <= J <= K`` whose exponents are ``k_min`` plus offsets
-    ``a + b + c <= 2`` (on every triple of the multiset when the window has
-    fewer than 3 exponents) and, with the central term, on every triple of
-    total degree 0; then on all the window triples of each multiset flagged
-    there (the D-residual has total degree at most 2, see
+    every triple.  When it is, it runs on the triples of each mask multiset
+    ``I <= J <= K`` whose exponents are ``k_min`` plus offsets ``a + b + c
+    <= 2`` inside the window (10 of them, 7 on a window of 2 exponents and
+    1 on a window of 1) and, with the central term, on every triple of total
+    degree 0; then on all the window triples of each multiset flagged there
+    (the D-residual has total degree at most 2, see
     :func:`~superkon.verify.check_jacobi` for why nothing else can be
-    flagged).  A triple with an inner bracket whose
-    result column lies outside the row (only possible when the table is not
-    polynomial) is flagged without a read."""
+    flagged).  A triple with an inner bracket whose result column lies
+    outside the row (only possible when the table is not polynomial) is
+    flagged without a read."""
     N = acfg.cfg.N
     n = 1 << N
     total = len(rows)
@@ -460,11 +460,9 @@ def jacobi_flags(acfg: AlgebraConfig, k_min: int, lo: int, rows):
     multisets = list(combinations_with_replacement(range(n), 3))
     flagged = multisets
     if polynomial:
-        # exponent offsets from k_min: the 10 points a + b + c <= 2, or the
-        # whole window when it has fewer than 3 exponents
-        exps = range(total >> N)
-        lattice = [(a, b, c) for a in exps for b in exps for c in exps
-                   if len(exps) < 3 or a + b + c <= 2]
+        # exponent offsets from k_min: the points a + b + c <= 2 in the window
+        lattice = [t for t in product(range(min(3, total >> N)), repeat=3)
+                   if sum(t) <= 2]
         flagged = {m for m in multisets
                    if any(flags((a << N) | m[0], (b << N) | m[1], (c << N) | m[2])
                           for a, b, c in lattice)}

@@ -136,13 +136,14 @@ def check_jacobi(acfg: AlgebraConfig, w: Window, workers: int | None = None) -> 
     at ``c = 0`` it is a quadratic in two variables vanishing on 6 lattice
     points, hence zero, so it is ``c`` times an affine form that vanishes on
     the 4-point simplex (the principal lattice is unisolvent, Chung and
-    Yao, SIAM J. Numer. Anal. 14, 1977).  The central part vanishes off
-    total degree 0.  So the filter runs on 10 triples per mask multiset
-    (every triple of the window when it has fewer than 3 exponents), and
-    with the central term on every window triple of total degree 0.  A
-    multiset flagged there, or every one when the table is not polynomial,
-    goes through the filter on all its window triples.  ``workers`` may only
-    be ``None`` or 1."""
+    Yao, SIAM J. Numer. Anal. 14, 1977).  On a window of 2 exponents the 7
+    of those points inside it suffice: there such a polynomial is ``sum q_i
+    a_i (a_i - 1)``, zero on the whole window.  The central part vanishes
+    off total degree 0.  So the filter runs on at most 10 triples per mask
+    multiset, and with the central term on every window triple of total
+    degree 0.  A multiset flagged there, or every one when the table is not
+    polynomial, goes through the filter on all its window triples.
+    ``workers`` may only be ``None`` or 1."""
     if workers not in (None, 1):
         raise UsageError(f"check_jacobi runs in one process; workers={workers!r}")
     t0 = time.monotonic()

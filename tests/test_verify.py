@@ -869,9 +869,10 @@ def test_jacobi_lattice_reaches_past_the_cube(monkeypatch, a, brackets, masks):
     (acfg(3, (1, 1, 0)), _tilt((1, 6), 1)),
     (acfg(3, (1, 1, -3), central=True, mutation="double_cocycle"), bracket_ints),
 ], ids=["scale-12", "scale-03", "tilt-16", "cocycle"])
-def test_jacobi_short_window_reads_the_whole_window(monkeypatch, a, brackets, w):
-    # a window of 1 or 2 exponents has no lattice: on the polynomial path the
-    # sweep reads every window triple, and its Report is the full sweep's
+def test_jacobi_short_window_gives_the_full_sweep(monkeypatch, a, brackets, w):
+    # a window of 1 or 2 exponents holds 1 or 7 of the lattice's points, and
+    # a residual of total degree <= 2 that vanishes there vanishes on the
+    # whole window: the polynomial path's Report is the full sweep's
     monkeypatch.setattr(algebra, "bracket_ints", brackets)
     lo, table = bracket_table(a, w.k_min, w.k_max)
     assert algebra.bracket_table_is_polynomial(a, w.k_min, lo, table)

@@ -12,7 +12,7 @@ prints ``negative_control``, the mutation, its target check and the digest:
 these failing Reports are the ones that carry witness text.  Three more
 lines, ``jacobi_control``, pin failing ``check_jacobi`` Reports at N=3 on
 the sweep's fallback path, on its total-degree-0 path and on a two-exponent
-window, where the polynomial path reads the whole window; two lines,
+window, where the polynomial path reads 7 lattice points; two lines,
 ``pair_control``, failing ``check_bracket_crosscheck`` and ``check_phi``
 Reports at N=3, one on each path of the pair sweeps.  Nothing under
 ``bench/`` is changed, and only the standard library and ``src/superkon``
@@ -73,9 +73,8 @@ CONTROLS = {
 # three more Jacobi controls, each on one path of check_jacobi's filter: the
 # fallback over every triple (an antisymmetry-breaking mutation at N=3), the
 # total-degree-0 sweep of the central term at N=3, and a window of two
-# exponents, too short for the 10-point lattice, so the polynomial path reads
-# the whole window (the twist -3 gives a degree -4 plain symbol there, where
-# the doubled cocycle is nonzero)
+# exponents, which holds 7 of the 10 lattice points (the twist -3 gives a
+# degree -4 plain symbol there, where the doubled cocycle is nonzero)
 JACOBI_CONTROLS = [
     ("drop_sign_intersection", lambda: verify.check_jacobi(
         _algebra((1, 1, 0), "drop_sign_intersection"), SMALL)),
