@@ -55,7 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement, permutations, product
 from math import comb, factorial
 
@@ -91,12 +91,20 @@ class AlgebraConfig:
                 f"central extension for N={self.cfg.N} not supported (N <= 3)")
 
     # The affine form of every ordered mask pair, ``_pair_forms[I][J] =
-    # pair_form(self, I, J)``, built on first use: bracket_ints reads one per
-    # call.  Not a dataclass field, so equality, hash and repr ignore it.
+    # pair_form(self, I, J)``, looked up on first use: bracket_ints reads one
+    # per call.  Not a dataclass field, so equality, hash and repr ignore it.
     @cached_property
     def _pair_forms(self) -> tuple:
-        n = 1 << self.cfg.N
-        return tuple(tuple(pair_form(self, I, J) for J in range(n)) for I in range(n))
+        return _pair_form_table(self.cfg, self.mutation)
+
+
+@lru_cache(maxsize=None)
+def _pair_form_table(cfg: EpsilonConfig, mutation: str | None) -> tuple:
+    """Every :func:`pair_form` of one twist and mutation, built once for all
+    the configs that share them (the central term does not enter)."""
+    acfg = AlgebraConfig(cfg, mutation=mutation)
+    n = 1 << cfg.N
+    return tuple(tuple(pair_form(acfg, I, J) for J in range(n)) for I in range(n))
 
 
 class AlgebraElement:
