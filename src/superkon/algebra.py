@@ -56,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations_with_replacement, product
 from math import comb, factorial
 
 from .exactnum import (Scalar, TextReader, UsageError, add_term, as_scalar,
@@ -394,105 +394,72 @@ def jacobi_filter(table, par, off: int, i: int, j: int, k: int) -> bool:
     ``par`` the symbols' parities: it sums [i,[j,k]], [j,[k,i]] and
     [k,[i,j]] (sign -1 when the outer symbol and the last inner one are
     both odd) as the D-residual ``d`` and the central part ``cen``, and
-    flags the triple when either is nonzero or a D-term lands on a second
-    column (only off the grading)."""
+    flags the triple when either is nonzero.  It reads only tables that
+    :func:`bracket_table_is_polynomial` passed: graded, results in the row."""
     row_i, row_j, row_k = table[i], table[j], table[k]
     pi, pj, pk = par[i], par[j], par[k]
     d = cen = 0
-    key = None
-    split = False
     c2, col, _ = row_j[k + off]
     if c2:
-        c3, key, cen = row_i[col]
+        c3, _, cen = row_i[col]
         if pi and pk:
             c2 = -c2
         d = c2 * c3
         cen *= c2
     c2, col, _ = row_k[i + off]
     if c2:
-        c3, col, cen12 = row_j[col]
+        c3, _, cen12 = row_j[col]
         if pj and pi:
             c2 = -c2
-        if c3:
-            if key is None:
-                key = col
-            elif col != key:
-                split = True
-            d += c2 * c3
+        d += c2 * c3
         cen += c2 * cen12
     c2, col, _ = row_i[j + off]
     if c2:
-        c3, col, cen12 = row_k[col]
+        c3, _, cen12 = row_k[col]
         if pk and pj:
             c2 = -c2
-        if c3 and key is not None and col != key:
-            split = True
         d += c2 * c3
         cen += c2 * cen12
-    return bool(d or cen or split)
+    return bool(d or cen)
 
 
 def jacobi_flags(acfg: AlgebraConfig, k_min: int, lo: int, rows):
-    """The triples ``i <= j <= k`` of window symbols (rows of the
-    :func:`bracket_table` ``(lo, rows)`` of a window from ``k_min``) that
-    :func:`jacobi_filter` flags, in index order.  When the table is not
-    polynomial (:func:`bracket_table_is_polynomial`) the filter runs on
-    every triple.  When it is, it runs on the triples of each mask multiset
-    ``I <= J <= K`` whose exponents are ``k_min`` plus offsets ``a + b + c
-    <= 2`` inside the window (10 of them, 7 on a window of 2 exponents and
-    1 on a window of 1) and, with the central term, on every triple of total
-    degree 0; then on all the window triples of each multiset flagged there
-    (the D-residual has total degree at most 2, see
+    """The mask multisets ``(I, J, K)``, ``I <= J <= K``, whose window
+    triples :func:`~superkon.verify.check_jacobi` hands to its reference,
+    read from the :func:`bracket_table` ``(lo, rows)`` of a window from
+    ``k_min``: ``None`` (all of them) when the table is not polynomial
+    (:func:`bracket_table_is_polynomial`), else those of the triples that
+    :func:`jacobi_filter` flags among the exponent offsets ``a + b + c <=
+    2`` from ``k_min`` inside the window (10 per multiset, 7 on a window of
+    2 exponents and 1 on a window of 1) and, with the central term, the
+    window triples of total degree 0 (see
     :func:`~superkon.verify.check_jacobi` for why nothing else can be
-    flagged).  A triple with an inner bracket whose result column lies
-    outside the row (only possible when the table is not polynomial) is
-    flagged without a read."""
+    flagged)."""
+    if not bracket_table_is_polynomial(acfg, k_min, lo, rows):
+        return None
     N = acfg.cfg.N
     n = 1 << N
     total = len(rows)
     masks = [i & (n - 1) for i in range(total)]
     par = [m.bit_count() & 1 for m in masks]
     off = (k_min - lo) << N
-    polynomial = bracket_table_is_polynomial(acfg, k_min, lo, rows)
-    width = len(rows[0])
-    escapes = set() if polynomial else {
-        (i, j) for i, row in enumerate(rows)
-        for j, (c2, col, _) in enumerate(row[off:off + total])
-        if c2 and not 0 <= col < width}
-
-    def flags(i, j, k):
-        if escapes and not escapes.isdisjoint(((j, k), (k, i), (i, j))):
-            return True
-        return jacobi_filter(rows, par, off, i, j, k)
-
-    multisets = list(combinations_with_replacement(range(n), 3))
-    flagged = multisets
-    if polynomial:
-        # exponent offsets from k_min: the points a + b + c <= 2 in the window
-        lattice = [t for t in product(range(min(3, total >> N)), repeat=3)
-                   if sum(t) <= 2]
-        flagged = {m for m in multisets
-                   if any(flags((a << N) | m[0], (b << N) | m[1], (c << N) | m[2])
-                          for a, b, c in lattice)}
-        if acfg.central_enabled:
-            degs = [acfg.cfg.degree(k_min + (i >> N), masks[i]) for i in range(total)]
-            by_degree: dict = {}
-            for k, dk in enumerate(degs):
-                by_degree.setdefault(dk, []).append(k)
-            flagged.update(tuple(sorted((masks[i], masks[j], masks[k])))
-                           for i in range(total) for j in range(i, total)
-                           for k in by_degree.get(-degs[i] - degs[j], ())
-                           if k >= j and flags(i, j, k))
-    thirds: dict = {}  # (mask of i, mask of j) -> masks of k on a flagged multiset
-    for m in flagged:
-        for x, y, z in permutations(m):
-            thirds.setdefault((x, y), set()).add(z)
-    for i in range(total):
-        for j in range(i, total):
-            ks = thirds.get((masks[i], masks[j]))
-            for k in range(j, total) if ks else ():
-                if masks[k] in ks and flags(i, j, k):
-                    yield i, j, k
+    # exponent offsets from k_min: the points a + b + c <= 2 in the window
+    lattice = [t for t in product(range(min(3, total >> N)), repeat=3)
+               if sum(t) <= 2]
+    flagged = {m for m in combinations_with_replacement(range(n), 3)
+               if any(jacobi_filter(rows, par, off, (a << N) | m[0],
+                                    (b << N) | m[1], (c << N) | m[2])
+                      for a, b, c in lattice)}
+    if acfg.central_enabled:
+        degs = [acfg.cfg.degree(k_min + (i >> N), masks[i]) for i in range(total)]
+        by_degree: dict = {}
+        for k, dk in enumerate(degs):
+            by_degree.setdefault(dk, []).append(k)
+        flagged.update(tuple(sorted((masks[i], masks[j], masks[k])))
+                       for i in range(total) for j in range(i, total)
+                       for k in by_degree.get(-degs[i] - degs[j], ())
+                       if k >= j and jacobi_filter(rows, par, off, i, j, k))
+    return flagged
 
 
 def bracket_is_polynomial(acfg: AlgebraConfig, params, rows: range, parts: range):

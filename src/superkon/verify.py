@@ -16,10 +16,11 @@ flagged case to the library's reference operation, which decides it and
 writes its witness: :func:`~superkon.algebra.bracket_ints`, which reads
 each bracket off one affine form per mask pair, behind the filter over one
 :func:`~superkon.algebra.bracket_table` of :func:`check_jacobi` (run on
-the 10 exponent triples of the degree-2 lattice per mask triple, plus the
-triples of total degree 0, when the table is affine per mask pair, graded,
-central only at total degree 0 and super-antisymmetric, so that each
-D-residual has total degree at most 2 in the three exponents); the per-pair
+the 10 exponent triples of the degree-2 lattice per mask triple and the
+triples of total degree 0; the reference decides every window triple of
+the mask triples flagged there, or of all unless the table is affine per
+mask pair, graded, central only at total degree 0 and super-antisymmetric,
+which bounds each D-residual's total degree by 2); the per-pair
 comparison of :func:`check_bracket_crosscheck` and of the homomorphism
 sweep under :func:`check_phi` and :func:`check_eps_shift` behind the same
 comparison on the window's first 2 x 2 (crosscheck) or 3 x 3 exponents
@@ -121,16 +122,14 @@ def check_jacobi(acfg: AlgebraConfig, w: Window, workers: int | None = None) -> 
     global sign under permutations).
 
     Every bracket is read from one :func:`~superkon.algebra.bracket_table`,
-    and each triple that :func:`~superkon.algebra.jacobi_flags` yields
-    (flagged by :func:`~superkon.algebra.jacobi_filter`) goes to
-    :func:`_jacobi_residual`, which decides and writes the witness.  When
-    the table is polynomial
-    (:func:`~superkon.algebra.bracket_table_is_polynomial`), each inner
-    bracket's ``c2`` is affine in its two exponents and lands at an
-    exponent affine in them, so each term ``c2 * c3`` of the filter's
-    D-residual on masks ``I <= J <= K`` is a product of two affine forms in
-    the exponents ``(p, q, r)``: the residual is one polynomial of total
-    degree at most 2, for every order of the triple (by
+    and the reference :func:`_jacobi_residual` decides each triple it is
+    given and writes the witness.  When the table is not polynomial
+    (:func:`~superkon.algebra.bracket_table_is_polynomial`), it is given
+    every window triple.  When it is, each inner bracket's ``c2`` is affine
+    in its two exponents and lands at an exponent affine in them, so each
+    term ``c2 * c3`` of the D-residual on masks ``I <= J <= K`` is a product
+    of two affine forms in the exponents ``(p, q, r)``: the residual is one
+    polynomial of total degree at most 2, for every order of the triple (by
     super-antisymmetry).  Such a polynomial that vanishes on the 10 points
     ``a + b + c <= 2`` of offsets from the window's first exponent is zero:
     at ``c = 0`` it is a quadratic in two variables vanishing on 6 lattice
@@ -139,10 +138,11 @@ def check_jacobi(acfg: AlgebraConfig, w: Window, workers: int | None = None) -> 
     Yao, SIAM J. Numer. Anal. 14, 1977).  On a window of 2 exponents the 7
     of those points inside it suffice: there such a polynomial is ``sum q_i
     a_i (a_i - 1)``, zero on the whole window.  The central part vanishes
-    off total degree 0.  So the filter runs on at most 10 triples per mask
-    multiset, and with the central term on every window triple of total
-    degree 0.  A multiset flagged there, or every one when the table is not
-    polynomial, goes through the filter on all its window triples.
+    off total degree 0.  So :func:`~superkon.algebra.jacobi_flags` runs the
+    table filter :func:`~superkon.algebra.jacobi_filter` on at most 10
+    triples per mask multiset, and with the central term on every window
+    triple of total degree 0; the reference is given every window triple of
+    the multisets flagged there, and no triple when none is.
     ``workers`` may only be ``None`` or 1."""
     if workers not in (None, 1):
         raise UsageError(f"check_jacobi runs in one process; workers={workers!r}")
@@ -150,9 +150,12 @@ def check_jacobi(acfg: AlgebraConfig, w: Window, workers: int | None = None) -> 
     N = acfg.cfg.N
     syms = [(p, im) for p in w.k_values() for im in range(1 << N)]
     lo, table = bracket_table(acfg, w.k_min, w.k_max)
+    flagged = algebra.jacobi_flags(acfg, w.k_min, lo, table)
     bad = []
-    for i, j, k in algebra.jacobi_flags(acfg, w.k_min, lo, table):
-        x, y, z = syms[i], syms[j], syms[k]
+    # None sends every window triple to the reference, an empty set none
+    for x, y, z in combinations_with_replacement(syms, 3) if flagged != set() else ():
+        if flagged is not None and tuple(sorted((x[1], y[1], z[1]))) not in flagged:
+            continue
         terms, cen = _jacobi_residual(acfg, x, y, z)
         if terms or cen:
             parts = [f"{v}/4*D[t^{rk},m={rI}]" for (rk, rI), v in sorted(terms.items())]
@@ -564,33 +567,21 @@ def check_omega(module: TensorModule, m_max: int, w: Window,
     found = {}
     n = 0
     for imask in range(1 << module.cfg.N):
-        minimal = None
+        found[imask] = None
         for m in range(1, m_max + 1):
             signed = [(-1) ** i * comb(m, i) for i in range(m + 1)]
-            ok = True
-            for k in w.k_values():
-                for p in w.k_values():
-                    for bv in vecs:
-                        n += 1
-                        if not _omega_image_is_zero(ev, signed, k, p, imask, bv):
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
+            for k, p, bv in product(w.k_values(), w.k_values(), vecs):
+                n += 1
+                if not _omega_image_is_zero(ev, signed, k, p, imask, bv):
                     break
-            if ok:
-                minimal = m
+            else:
+                found[imask] = m
                 break
-        found[imask] = minimal
     details = {"minimal_m": {format_monomial(0, im) if im else "1": v
                              for im, v in sorted(found.items())},
-               "m_max": m_max}
-    missing = [im for im, v in found.items() if v is None]
-    status = INFO
-    details["all_found"] = not missing
+               "m_max": m_max, "all_found": None not in found.values()}
     return finish(f"omega[N={module.cfg.N},eps={module.cfg.eps},"
-                  f"rep={module.rep.label}]", [], n, t0, status=status,
+                  f"rep={module.rep.label}]", [], n, t0, status=INFO,
                   details=details)
 
 

@@ -599,15 +599,33 @@ def _bump(entries, dc2=0, drk=0, dcen12=0):
         "cen12-off-degree-0", "sign-n3", "sign-n4"])
 def test_jacobi_grid_path_finds_every_violation(monkeypatch, a, w, brackets, polynomial):
     # a broken bracket on either path: the Report equals the sweep of every
-    # window triple through the reference
+    # window triple through the reference.  One fallback rule: a table that
+    # is not polynomial runs no filter and gives the reference every window
+    # triple; a polynomial one gives it every window triple, once each, of
+    # the mask multisets with a violation (those the lattice flags), and no
+    # other
     monkeypatch.setattr(algebra, "bracket_ints", brackets)
     lo, table = bracket_table(a, w.k_min, w.k_max)
     assert algebra.bracket_table_is_polynomial(a, w.k_min, lo, table) == polynomial
+    filtered = []
+    original = algebra.jacobi_filter
+    monkeypatch.setattr(algebra, "jacobi_filter",
+                        lambda *args: filtered.append(args) or original(*args))
+    decided = _calls(monkeypatch, "_jacobi_residual")
     expected = _reference_jacobi(a, w, brackets)
     r = check_jacobi(a, w)
     assert r.status == "fail" and r.violations == expected
-    n = len(w.k_values()) << a.cfg.N
-    assert r.stats["tuples_checked"] == comb(n + 2, 3)
+    syms = [(p, im) for p in w.k_values() for im in range(1 << a.cfg.N)]
+    assert r.stats["tuples_checked"] == comb(len(syms) + 2, 3)
+    triples = list(combinations_with_replacement(syms, 3))
+    if polynomial:
+        flagged = {tuple(sorted(int(m) for m in re.findall(r", (\d+)\)", v["inputs"])))
+                   for v in expected}
+        triples = [t for t in triples if tuple(sorted(im for _, im in t)) in flagged]
+        assert filtered and 0 < len(triples) < comb(len(syms) + 2, 3)
+    else:
+        assert not filtered
+    assert [args[1:] for args in decided] == triples
 
 
 # one twist per N = 1..4, the central term where it exists
@@ -768,8 +786,9 @@ def _graded_escape(a, p, im, q, jm):
     (acfg(2, (-1, -1)), _graded_escape),
 ], ids=[*(f"moved{s:+d}" for s in (-20, -12, -10, -9, -6, 5, 9, 20)), "graded"])
 def test_jacobi_flags_results_outside_the_row(monkeypatch, a, brackets):
-    # a bracket whose result column lies outside the table's row flags its
-    # triples, which the reference decides: no wrapped read, no IndexError
+    # a bracket whose result column lies outside the table's row fails the
+    # polynomial check, so the reference decides every window triple and
+    # the filter reads no table column: no wrapped read, no IndexError
     monkeypatch.setattr(algebra, "bracket_ints", brackets)
     w = Window(-2, 2)
     lo, table = bracket_table(a, w.k_min, w.k_max)
