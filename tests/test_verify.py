@@ -602,7 +602,7 @@ def test_jacobi_grid_path_finds_every_violation(monkeypatch, a, w, brackets, pol
     # window triple through the reference.  One fallback rule: a table that
     # is not polynomial runs no filter and gives the reference every window
     # triple; a polynomial one gives it every window triple, once each, of
-    # the mask multisets with a violation (those the lattice flags), and no
+    # the mask multisets with a violation (those the filter flags), and no
     # other
     monkeypatch.setattr(algebra, "bracket_ints", brackets)
     lo, table = bracket_table(a, w.k_min, w.k_max)
