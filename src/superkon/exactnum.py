@@ -157,7 +157,8 @@ class GaussRat:
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # equal to an int or Fraction, so hashed alike
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     # -- text form --------------------------------------------------
     def __str__(self):
@@ -418,6 +419,9 @@ class Scalar:
                 and self.terms == other.terms)
 
     def __hash__(self):
+        # a constant equals its GaussRat value, so it is hashed alike
+        if self.const_parts() is not None:
+            return hash(self.as_gaussrat())
         return hash((self.params, self.den, frozenset(self.terms.items())))
 
     # -- evaluation ---------------------------------------------------

@@ -20,9 +20,11 @@ images and propagated: each new relation ``pair = (source mod submodule,
 image)`` is inserted into a pivot-limited echelon, so an inconsistent
 image (or a submodule vector with a nonzero image) surfaces as a
 violation.  One display is corrected here: the untwisted quotient image
-of ``v-_l`` must be ``-(a+2l) v_l + 2i w_l`` (twice the W+ generator);
-the printed ``-2(a+2l) v_l + 2i w_l`` fails the plain-series
-intertwining identically in ``k``.
+of ``v-_l`` must be ``-(a+2l) v_l + 2i w_l``; the printed
+``-2(a+2l) v_l + 2i w_l`` fails the plain-series intertwining identically
+in ``k``.  The corrected image is computed as -2 times the target's second
+W+ generator, by the one helper that states both W displays on both twists
+(mirrored for W-).
 """
 
 from __future__ import annotations
@@ -42,6 +44,24 @@ def _table_pick(table, kind, r, table_l) -> ModVec:
     return table.to_modvec(TableVec(kind, r, table_l))
 
 
+def _w_generators(table: N2Table, sign: int, lam: int) -> list:
+    """The two displayed generators of W+ (``sign`` 1) or W- (``sign`` -1)
+    at weight ``lam``: ``v+`` (``v-``) and ``(a + lam) v - 2i*sign*w``, the
+    second halved on untwisted weights.  Untwisted weights are even; an odd
+    one holds no generator."""
+    if table.twisted:
+        tl, half = lam, 1
+    elif lam % 2:
+        return []
+    else:
+        tl, half = lam // 2, 2
+    return [_table_pick(table, "vp" if sign > 0 else "vm", 0, tl),
+            _table_pick(table, "v", 0, tl).scale(
+                (table.a + table.const(lam)).scale_raw(1, 0, half))
+            + _table_pick(table, "w", 0, tl).scale(
+                table.const(GaussRat(0, Fraction(-2 * sign, half))))]
+
+
 def named_submodule(module: TensorModule, name: str, l_range) -> list:
     """Generating vectors of a named submodule, for weights in l_range."""
     if name == "Cw_minus1":
@@ -58,31 +78,8 @@ def named_submodule(module: TensorModule, name: str, l_range) -> list:
         sign = 1 if name == "W_plus" else -1
         _require_w_locus(module, sign, name)
         table = N2Table(module)
-        kind = "vp" if sign > 0 else "vm"
-        out = []
-        for lam in l_range:
-            if table.twisted:
-                tl = lam
-                gens = [
-                    _table_pick(table, kind, 0, tl),
-                    _table_pick(table, "v", 0, tl).scale(
-                        module.a + Scalar.const(module.params, lam))
-                    + _table_pick(table, "w", 0, tl).scale(
-                        Scalar.const(module.params, GaussRat(0, -2 * sign))),
-                ]
-            else:
-                if lam % 2:
-                    continue
-                tl = lam // 2
-                gens = [
-                    _table_pick(table, kind, 0, tl),
-                    _table_pick(table, "v", 0, tl).scale(
-                        (module.a + Scalar.const(module.params, lam)).scale_raw(1, 0, 2))
-                    + _table_pick(table, "w", 0, tl).scale(
-                        Scalar.const(module.params, GaussRat(0, -sign))),
-                ]
-            out.extend(g for g in gens if not g.is_zero())
-        return out
+        return [g for lam in l_range for g in _w_generators(table, sign, lam)
+                if not g.is_zero()]
 
     if name == "F_prime":
         _require(module.cfg.N == 3, "F_prime is an N=3 submodule")
@@ -94,59 +91,46 @@ def named_submodule(module: TensorModule, name: str, l_range) -> list:
                  "F_prime requires the central scalar to equal minus the "
                  "representation spin")
         sh = table.sh
-        a = module.a
+        k = table.const
         out = []
 
-        def csum(l):
+        def gen(tl, *terms):
+            # one generator from (kind, r, coefficient) table vectors at
+            # table weight tl; a zero sum is dropped
+            g = sum((_table_pick(table, kind, r, tl).scale(x) for kind, r, x in terms),
+                    ModVec(module.params, {}))
+            if not g.is_zero():
+                out.append(g)
+
+        def csum(tl):
             # a + 2l + c(1 - e)
-            return a + Scalar.const(module.params, 2 * l) + c.scale_raw(sh, 0)
+            return module.a + k(2 * tl) + c.scale_raw(sh, 0)
 
         for lam in l_range:
             # family at even offsets: u-bold, w-bold; at shifted offsets:
             # ubar-bold, v-bold
             if lam % 2 == 0:
                 tl = lam // 2
+                s = csum(tl)
                 for r in range(two_m + 1):
-                    g = _table_pick(table, "u", r, tl).scale(
-                        Scalar.const(module.params, two_m + 1 - r)) \
-                        + _table_pick(table, "v", r, tl).scale(
-                            csum(tl).scale_raw(0, two_m + 1 - r, 2)) \
-                        + _table_pick(table, "wm", r - 1, tl).scale(
-                            Scalar.const(module.params, GaussRat(0, r)))
-                    if not g.is_zero():
-                        out.append(g)
+                    gen(tl, ("u", r, k(two_m + 1 - r)),
+                        ("v", r, s.scale_raw(0, two_m + 1 - r, 2)),
+                        ("wm", r - 1, k(GaussRat(0, r))))
                 for r in range(two_m + 3):
-                    g = _table_pick(table, "wp", r, tl).scale(
-                        Scalar.const(module.params,
-                                     (two_m - r + 2) * (two_m - r + 1))) \
-                        + _table_pick(table, "v", r - 1, tl).scale(
-                            csum(tl) * Scalar.const(module.params,
-                                                    -r * (two_m - r + 2))) \
-                        + _table_pick(table, "wm", r - 2, tl).scale(
-                            Scalar.const(module.params, -r * (r - 1)))
-                    if not g.is_zero():
-                        out.append(g)
+                    gen(tl, ("wp", r, k((two_m - r + 2) * (two_m - r + 1))),
+                        ("v", r - 1, s.scale_raw(-r * (two_m - r + 2), 0)),
+                        ("wm", r - 2, k(-r * (r - 1))))
             if (lam - sh) % 2 == 0:
                 tl = (lam - sh) // 2
+                s = csum(tl)
                 for r in range(two_m + 1):
-                    g = _table_pick(table, "ub", r, tl).scale(
-                        Scalar.const(module.params, two_m + 1 - r)) \
-                        + _table_pick(table, "w", r, tl).scale(
-                            csum(tl).scale_raw(0, two_m + 1 - r, 2)) \
-                        + _table_pick(table, "vm", r - 1, tl).scale(
-                            csum(tl).scale_raw(0, r, 2))
-                    if not g.is_zero():
-                        out.append(g)
+                    gen(tl, ("ub", r, k(two_m + 1 - r)),
+                        ("w", r, s.scale_raw(0, two_m + 1 - r, 2)),
+                        ("vm", r - 1, s.scale_raw(0, r, 2)))
                 for r in range(two_m + 3):
-                    g = _table_pick(table, "vp", r, tl).scale(
-                        Scalar.const(module.params,
-                                     (two_m - r + 2) * (two_m - r + 1))) \
-                        + _table_pick(table, "w", r - 1, tl).scale(
-                            Scalar.const(module.params, -2 * r * (two_m - r + 2))) \
-                        + _table_pick(table, "vm", r - 2, tl).scale(
-                            Scalar.const(module.params, -r * (r - 1)))
-                    if not g.is_zero():
-                        out.append(g)
+                    gen(tl, ("vp", r, k((two_m - r + 2) * (two_m - r + 1))),
+                        ("w", r - 1, k(-2 * r * (two_m - r + 2))),
+                        ("vm", r - 2, k(-r * (r - 1))))
         return out
 
     raise UsageError(f"unknown submodule name {name!r}")
@@ -268,38 +252,25 @@ def _quotient_seeds(source, target, name, l_range):
     """(source ModVec, target ModVec) seed pairs for a quotient map."""
     params = source.params
     if name in ("quotient_wplus", "quotient_wminus"):
-        st = N2Table(source)
-        tt = N2Table(target)
+        # untwisted displays: on a twisted module the W generators leave the
+        # window's lattice, and the check stops before seeding
+        st, tt = N2Table(source), N2Table(target)
         sign = 1 if name == "quotient_wplus" else -1
-        like = "vp" if sign > 0 else "vm"
-        opp = "vm" if sign > 0 else "vp"
+        minus_two = Scalar.const(params, -2)
         seeds = []
         for lam in l_range:
-            if lam % 2:
-                continue
-            tl = lam // 2
-            seeds.append((_table_pick(st, "v", 0, tl),
-                          _table_pick(tt, like, 0, tl)))
-            # corrected image: -(a+2l) v + 2i*sign * w in the target
-            img = _table_pick(tt, "v", 0, tl).scale(
-                -(source.a + Scalar.const(params, lam))) \
-                + _table_pick(tt, "w", 0, tl).scale(
-                    Scalar.const(params, GaussRat(0, 2 * sign)))
-            seeds.append((_table_pick(st, opp, 0, tl), img))
+            gens = _w_generators(tt, sign, lam)
+            if gens:
+                # v -> v+ (v-), and v- (v+) -> -2 times the target's second
+                # generator
+                seeds += [(ModVec.basis(params, ModBasisVec(lam, 0, 0)), gens[0]),
+                          (_w_generators(st, -sign, lam)[0], gens[1].scale(minus_two))]
         return seeds
-    # quotient_fprime
-    st = N3Table(source)
+    # quotient_fprime: v_{0,l} -> v+_{0, l - sh} at the same actual weight
     tt = N3Table(target)
-    sh = st.sh
-    seeds = []
-    for lam in l_range:
-        if lam % 2:
-            continue
-        tl = lam // 2
-        # v_{0,l} -> v+_{0, l - sh} at the same actual weight
-        seeds.append((_table_pick(st, "v", 0, tl),
-                      _table_pick(tt, "vp", 0, tl - sh)))
-    return seeds
+    return [(ModVec.basis(params, ModBasisVec(lam, 0, 0)),
+             _table_pick(tt, "vp", 0, lam // 2 - tt.sh))
+            for lam in l_range if lam % 2 == 0]
 
 
 def _check_quotient_map(source, target, name, w, params, t0):

@@ -216,38 +216,27 @@ class TensorModule:
                     if c:
                         out[ModBasisVec(newl, 0, r2)] = c
             # three or more xi factors act as zero on prefix-free vectors
+        elif p == 1 and nI == 1 and imask < J & -J:
+            # prepend: the definition of the prefix basis
+            out[ModBasisVec(bv.l + self.cfg.degree(1, imask), J | imask,
+                            bv.r)] = self._one
         else:
+            # the rest of the prefix: bv = D[t, xi_j1] vec2; commute past the
+            # leading prefix factor, except for an odd square against it,
+            # X = (1/2) [D, D] rest
             jbit = J & -J
-            if p == 1 and nI == 1 and imask < jbit:
-                # prepend: the definition of the prefix basis
-                out[ModBasisVec(bv.l + self.cfg.degree(1, imask), J | imask,
-                                bv.r)] = self._one
-                self._memo[key] = out
-                return out
-            # the rest of the prefix: bv = D[t, xi_j1] vec2
             vec2 = ModBasisVec(bv.l - self.cfg.degree(1, jbit), J & ~jbit, bv.r)
-            if p == 1 and imask == jbit:
-                # odd square against its own leading factor:
-                # X = (1/2) [D, D] rest
-                c2, rk, rI, _ = bracket_ints(self._acfg, 1, imask, 1, imask)
-                if c2:
-                    inner = self.act_basis_d(rk, rI, vec2)
-                    for bv2, c in inner.items():
-                        add_term(out, bv2, c.scale_raw(c2, 0, 4))
-                out = {b: c for b, c in out.items() if c}
-                self._memo[key] = out
-                return out
-            # general step: commute past the leading prefix factor
+            square = p == 1 and imask == jbit
             c2, rk, rI, _ = bracket_ints(self._acfg, p, imask, 1, jbit)
             if c2:
                 for bv2, c in self.act_basis_d(rk, rI, vec2).items():
-                    add_term(out, bv2, c.scale_raw(c2, 0, 2))
-            neg = nI & 1
-            inner = self.act_basis_d(p, imask, vec2)
-            for bv2, c in inner.items():
-                for bv3, c3 in self.act_basis_d(1, jbit, bv2).items():
-                    add = c * c3
-                    add_term(out, bv3, -add if neg else add)
+                    add_term(out, bv2, c.scale_raw(c2, 0, 4 if square else 2))
+            if not square:
+                neg = nI & 1
+                for bv2, c in self.act_basis_d(p, imask, vec2).items():
+                    for bv3, c3 in self.act_basis_d(1, jbit, bv2).items():
+                        add = c * c3
+                        add_term(out, bv3, -add if neg else add)
         out = {b: c for b, c in out.items() if c}
         self._memo[key] = out
         return out

@@ -71,7 +71,7 @@ from .algebra import (AlgebraConfig, AlgebraElement, bracket, bracket_basis,
 from .exactnum import _Batch, _Memo, _Packer, Scalar, UsageError
 from .grassmann import (EpsilonConfig, contact_bracket, format_monomial,
                         monomial_parts, xi_mul)
-from .linalg import WeightSpaces, mat_commutator, mat_eq
+from .linalg import WeightSpaces, mat_commutator, mat_eq, mat_zeros
 from .report import INFO, Report, Window, finish, violation
 from .submod import named_submodule
 from .tables import compare_table, make_table
@@ -736,21 +736,16 @@ def check_projection(acfg: AlgebraConfig, w: Window) -> Report:
         if img is None:
             continue
         z, m = img
+        # the displayed image: 1 for D[t]-D[1], E_ji - E_ij for D[t, xi_i xi_j]
+        want = mat_zeros(params, N)
         if pair is None:
-            if z != one or any(e for row in m for e in row):
-                bad.append(violation(f"image of {label}", lhs=str(z), rhs="1"))
-            continue
-        i, j = pair
-        ok = z.is_zero()
-        for rr in range(N):
-            for cc in range(N):
-                want = (one if (rr, cc) == (j - 1, i - 1)
-                        else (-one if (rr, cc) == (i - 1, j - 1)
-                              else Scalar.zero(params)))
-                ok = ok and m[rr][cc] == want
-        if not ok:
-            bad.append(violation(f"image of {label}", lhs=str(m),
-                                 rhs="E_ji - E_ij"))
+            ok, lhs, rhs = z == one, str(z), "1"
+        else:
+            i, j = pair
+            want[j - 1][i - 1], want[i - 1][j - 1] = one, -one
+            ok, lhs, rhs = z.is_zero(), str(m), "E_ji - E_ij"
+        if not (ok and mat_eq(m, want)):
+            bad.append(violation(f"image of {label}", lhs=lhs, rhs=rhs))
     # the generators are K0 by construction (same filtration exponents)
     imgs = [project_k0(acfg, g) for g in gens]
     for xi, x in enumerate(gens):

@@ -439,3 +439,16 @@ def test_text_parses_to_its_value(kind, text, want):
 def test_gaussrat_parts_are_exact(make):
     with pytest.raises(UsageError, match="float|str"):
         make()
+
+
+def test_hash_agrees_with_equality():
+    # objects that compare equal must hash equal, across types too
+    for x in (0, 3, Fraction(-5, 7)):
+        assert GaussRat(x) == x and hash(GaussRat(x)) == hash(x)
+        assert const(x) == x and hash(const(x)) == hash(x)
+        assert const(x) == GaussRat(x) and hash(const(x)) == hash(GaussRat(x))
+    assert len({GaussRat(1), 1, Fraction(1)}) == 1
+    assert len({const(3), GaussRat(3), 3}) == 1
+    z = GaussRat(Fraction(1, 2), -2)
+    assert const(z) == z and hash(const(z)) == hash(z)
+    assert len({const(z), z, const(GaussRat(Fraction(1, 2), 2))}) == 2

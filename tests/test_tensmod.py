@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -196,6 +197,52 @@ def test_named_submodule_w_generators():
     assert coeff_v == A.scale_raw(1, 0, 2)
     assert g2.terms[ModBasisVec(0, iset(1, 2), 0)] == \
         Scalar.const(P, GaussRat(0, -1))
+
+
+_W_PLUS = {"b": 1, "c": GaussRat(0, -1)}  # b = i c
+_W_MINUS = {"b": 1, "c": GaussRat(0, 1)}  # b = -i c
+
+
+@pytest.mark.parametrize("name, module, l_range, count, digest", [
+    ("W_plus", lambda: n2_module(**_W_PLUS), range(-2, 3), 6,
+     "f492375e19f2aba778dc2741b001b701e9a4221b3b764eab9f17fe7e1408b252"),
+    ("W_minus", lambda: n2_module(**_W_MINUS), range(-2, 3), 6,
+     "9e2e1cdcc0a95826ca5cffbb764d074252e487de4d87e849b533a8416cf3ed48"),
+    ("W_plus", lambda: n2_module(eps=(1, 0), sector=0, **_W_PLUS),
+     range(-2, 3), 10,
+     "53d2394e89ca54f95c359c56df248012daa4ed76689b8ec51001622ce431221e"),
+    ("W_minus", lambda: n2_module(eps=(1, 0), sector=0, **_W_MINUS),
+     range(-2, 3), 10,
+     "47f26cf43bb8dd27c745659ac6c06c06ec7d319f3722b8196c5f4253662f36bd"),
+    ("W_plus", lambda: n2_module(eps=(1, 0), sector=1, **_W_PLUS),
+     range(-2, 3), 10,
+     "53d2394e89ca54f95c359c56df248012daa4ed76689b8ec51001622ce431221e"),
+    ("W_minus", lambda: n2_module(eps=(1, 0), sector=1, **_W_MINUS),
+     range(-2, 3), 10,
+     "47f26cf43bb8dd27c745659ac6c06c06ec7d319f3722b8196c5f4253662f36bd"),
+    ("F_prime", lambda: n3_module(two_m=1, eps=1, c=Fraction(-1, 2)),
+     range(-1, 2), 12,
+     "1fe45927c0c9188b8207130791ad208cca3c7033eb83176027dc14692ca44ea0"),
+    ("F_prime", lambda: n3_module(two_m=1, eps=0, c=Fraction(-1, 2)),
+     range(-1, 2), 18,
+     "27158bfc805c9db0c01ec4a5e63a8733843071e0248800a3253e53a57784b62a"),
+    ("F_prime", lambda: n3_module(two_m=2, eps=1, c=-1), range(-1, 2), 16,
+     "3c3916b8bc36b93841ef3b64b1fbb2712006b4aa3aca86eede490144806da60d"),
+    ("F_prime", lambda: n3_module(two_m=2, eps=0, c=-1), range(-1, 2), 24,
+     "a04373c2d89e73df98b48d119ecdb6b22966f23c848c33367e0121c580c972eb"),
+    ("Cw_minus1", lambda: n2_module(eps=(1, 0), b=0, c=0, a=1, sector=0),
+     range(-2, 3), 1,
+     "f60be3371a7301e77a92520f21c9f019dca19594af665942ebb73d6bce469ab7"),
+], ids=["wplus_11", "wminus_11", "wplus_10_s0", "wminus_10_s0", "wplus_10_s1",
+        "wminus_10_s1", "fprime_1_111", "fprime_1_000", "fprime_2_111",
+        "fprime_2_000", "cw_minus1"])
+def test_named_submodule_generators_pinned(name, module, l_range, count, digest):
+    # every generator of every named submodule, in order, by its text; the
+    # two twisted sectors give the same list while N2Table ignores the sector
+    gens = named_submodule(module(), name, l_range)
+    assert len(gens) == count
+    text = "\n".join(str(g) for g in gens)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_named_submodule_cw():

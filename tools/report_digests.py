@@ -15,7 +15,10 @@ the sweep's fallback path (the reference on every window triple), on its
 total-degree-0 path and on a two-exponent window, where the polynomial path
 reads 7 lattice points; two lines,
 ``pair_control``, failing ``check_bracket_crosscheck`` and ``check_phi``
-Reports at N=3, one on each path of the pair sweeps.  Nothing under
+Reports at N=3, one on each path of the pair sweeps.  No workload runs W-,
+so two lines, ``w_minus``, pin its ``check_submodule_closure`` Report and
+its ``quotient_wminus`` map on ``b = -i c``, which read the sign -1 branch
+of the W displays.  Nothing under
 ``bench/`` is changed, and only the standard library and ``src/superkon``
 of the checkout that holds this file are used, so to compare two
 checkouts with one check list, copy this file into the other checkout's
@@ -26,15 +29,16 @@ from __future__ import annotations
 
 import hashlib
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import workloads  # noqa: E402
-from superkon import verify  # noqa: E402
+from superkon import submod, verify  # noqa: E402
 from superkon.algebra import ALGEBRA_MUTATIONS, AlgebraConfig  # noqa: E402
-from superkon.exactnum import Scalar  # noqa: E402
+from superkon.exactnum import GaussRat, Scalar  # noqa: E402
 from superkon.grassmann import EpsilonConfig  # noqa: E402
 from superkon.repn import build_so2  # noqa: E402
 from superkon.report import Window  # noqa: E402
@@ -99,6 +103,23 @@ PAIR_CONTROLS = {
 }
 
 
+def _w_minus_source() -> TensorModule:
+    # on W-'s locus b = -i c: module_closure's W+ source with b negated
+    return TensorModule(EpsilonConfig(2, (1, 1)), build_so2(GaussRat(0, -1), 1, P),
+                        Scalar.var(P, "a"))
+
+
+# the two W- Reports, at the first workload origin
+W_MINUS_PARAMS = {"a": Fraction(workloads.origin(0))}
+W_MINUS_CONTROLS = {
+    "check_submodule_closure": lambda: verify.check_submodule_closure(
+        _w_minus_source(), "W_minus", verify.module_window(-2, 2, 2), W_MINUS_PARAMS),
+    "iso_check_map": lambda: submod.iso_check_map(
+        _w_minus_source(), "quotient_wminus", Window(-2, 2, -8, 8, 4),
+        params=W_MINUS_PARAMS),
+}
+
+
 def _digest(report) -> str:
     return hashlib.sha256(report.to_json(with_timing=False).encode()).hexdigest()
 
@@ -117,6 +138,8 @@ def main() -> None:
               flush=True)
     for mutation, (check, control) in PAIR_CONTROLS.items():
         print("pair_control", mutation, check, _digest(control()), flush=True)
+    for check, control in W_MINUS_CONTROLS.items():
+        print("w_minus", check, _digest(control()), flush=True)
 
 
 if __name__ == "__main__":
