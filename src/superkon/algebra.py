@@ -41,6 +41,14 @@ over basis pairs differentiates each monomial once.  An
 superfunction ``sum f``, next to its function part and its C
 coefficient.
 
+Every structure constant lives in a form: one affine form per ordered
+mask pair for the D-part (:func:`pair_form`) and one cubic in the degree
+per mask for the central term (:func:`central_form`).  :func:`bracket_ints`
+reads them at integer exponents, and :func:`jacobi_sum` composes them with
+formal ones.  The bracket, phi and the relabeling also take exponents that
+are formal :class:`~superkon.exactnum.Scalar` values, which the pair
+sweeps of :mod:`superkon.verify` use.
+
 Also here: the function-multiplication action on the algebra
 (``f . D_g = D_{fg}``), the automorphism sending ``D[t^{k+1}, xi_I]`` to
 itself plus its degree times ``t^k xi_I``, the exponent
@@ -56,14 +64,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement
 from math import comb, factorial
 
 from .exactnum import (Scalar, TextReader, UsageError, add_term, as_scalar,
                        term_text)
-from .grassmann import (EpsilonConfig, SuperFunction, affine_shifts, as_parts,
-                        contact_core, members, monomial_parts, partial_sign,
-                        parts_shifts, product_sum, xi_mul)
+from .grassmann import (EpsilonConfig, SuperFunction, as_parts, contact_core,
+                        members, monomial_parts, partial_sign, product_sum,
+                        times, xi_mul)
 
 
 # Negative-control mutations an AlgebraConfig accepts, each with the check
@@ -255,7 +263,9 @@ def bracket_ints(acfg: AlgebraConfig, p: int, Im: int, q: int, Jm: int):
     none) and the central part is ``(cen12/12) * C``.  The D-part is read
     off the mask pair's affine form (:func:`pair_form`, all of them built
     once per config), so ``coeff2`` is affine in ``(p, q)`` and ``rk = p +
-    q + shift``; the central part is computed here.
+    q + shift``; the central part off the mask's cubic in the degree
+    (:func:`central_form`), at total degree 0 only.  With formal
+    exponents the degree-0 gate never opens.
     """
     coeff2 = rk = rI = 0
     form = acfg._pair_forms[Im][Jm]
@@ -271,287 +281,114 @@ def bracket_ints(acfg: AlgebraConfig, p: int, Im: int, q: int, Jm: int):
         cfg = acfg.cfg
         d = cfg.degree(p, Im)
         if d + cfg.degree(q, Jm) == 0:
-            # Cocycle values by xi-size, in the degree d of the first
-            # symbol.  The two- and three-xi values carry a minus sign:
-            # with the structure constants above that is the unique choice
-            # closing the Jacobi identity (checked against the standard
-            # N=2 super-Virasoro relations).
-            nI = Im.bit_count()
-            if nI == 0:
-                cen12 = d * (d * d - 4) // 2
-            elif nI == 1:
-                cen12 = d * d - 1
-            elif nI == 2:
-                cen12 = -2 * d
-            elif nI == 3:
-                cen12 = -4
-            if acfg.mutation == "double_cocycle" and nI == 0:
-                # doubling only the plain-series component breaks the
-                # cocycle condition (a uniform rescaling would not)
-                cen12 *= 2
+            k0, k1, k2, k3 = central_form(acfg, Im)
+            cen12 = (k0 + d * (k1 + d * (k2 + d * k3))) // 2
     return coeff2, rk, rI, cen12
 
 
-def bracket_columns(eps, k_min: int, k_max: int):
-    """Exponent range ``(lo, hi)`` of :func:`bracket_table`'s columns: the
-    window and every ``p + q - 1`` or ``p + q - eps_i`` of two window ones."""
-    return (min(k_min, 2 * k_min - max(1, *eps)),
-            max(k_max, 2 * k_max - min(1, *eps)))
+# Twice the cocycle value cen12 by xi-size, as the coefficients of a cubic
+# in the degree d of the first symbol: d(d^2 - 4)/2, d^2 - 1, -2d and -4.
+# The two- and three-xi values carry a minus sign: with the structure
+# constants above that is the unique choice closing the Jacobi identity
+# (checked against the standard N=2 super-Virasoro relations).
+_COCYCLE = ((0, -4, 0, 1), (-2, 0, 2, 0), (0, -4, 0, 0), (-8, 0, 0, 0))
 
 
-def bracket_table(acfg: AlgebraConfig, k_min: int, k_max: int, block: bool = False):
-    """``(lo, rows)`` with ``rows[(p - k_min) * 2**N + I][(q - lo) * 2**N + J]
-    = (c2, col, cen12)`` for ``p`` in the window and ``q`` in
-    :func:`bracket_columns`, read off ``(c2, rk, rI, cen12) =
-    bracket_ints(acfg, p, I, q, J)``, which is computed once per entry.
-    ``col = (rk - lo) * 2**N + rI`` is the column of the result symbol,
-    ``None`` when ``c2 == 0``; it decodes as ``rk = lo + (col >> N)``, ``rI =
-    col & (2**N - 1)``.  The result's mask is always ``I ^ J`` (the union of
-    disjoint masks, or of two masks sharing one xi with that xi removed) and
-    its exponent is fixed by the additive degree, so every bracket of one
-    basis triple lands on one column.  Equal entries share one tuple, so an
-    entry costs about one reference.  With ``block`` the rows hold only the
-    window's columns, ``q - k_min`` in place of ``q - lo`` (``col`` is
-    still counted from ``lo``): the pair sweeps read no result column."""
-    lo, hi = bracket_columns(acfg.cfg.eps, k_min, k_max)
-    N = acfg.cfg.N
-    n = 1 << N
-    qs = range(k_min, k_max + 1) if block else range(lo, hi + 1)
-    canon: dict = {}
-    rows = []
-    for p in range(k_min, k_max + 1):
-        for I in range(n):
-            row = []
-            for q in qs:
-                for J in range(n):
-                    c2, rk, rI, cen12 = bracket_ints(acfg, p, I, q, J)
-                    e = (c2, ((rk - lo) << N) + rI if c2 else None, cen12)
-                    row.append(canon.setdefault(e, e))
-            rows.append(row)
-    return lo, rows
+def central_form(acfg: AlgebraConfig, Im: int) -> tuple:
+    """``(k0, k1, k2, k3)`` with ``2 cen12 = k0 + k1 d + k2 d^2 + k3 d^3``
+    for the central term of ``I = J`` at the degree ``d`` of the first
+    symbol (:func:`bracket_ints` reads it at total degree 0 only)."""
+    nI = Im.bit_count()  # at most 3: the extension exists for N <= 3
+    form = _COCYCLE[nI]
+    if acfg.mutation == "double_cocycle" and nI == 0:
+        # doubling only the plain-series component breaks the cocycle
+        # condition (a uniform rescaling would not)
+        form = tuple(2 * k for k in form)
+    return form
 
 
-def bracket_table_is_polynomial(acfg: AlgebraConfig, k_min: int, lo: int,
-                                rows) -> bool:
-    """Whether the :func:`bracket_table` ``(lo, rows)`` of a window from
-    ``k_min`` (the full table, or its window block when square) is
-    polynomial, in one pass: for each mask pair ``(I, J)``, ``c2`` is affine
-    in ``(p, q)`` (zero row, column and mixed second differences), a nonzero
-    ``c2`` lands on mask ``I ^ J`` at exponent ``p + q + shift_sum(I & J) -
-    1`` (degrees add) and a nonzero ``cen12`` only at total degree 0; on the
-    window x window block ``entry(y, x) = -(-1)^{|x||y|} entry(x, y)``, and
-    an entry there with ``c2 != 0`` lands in :func:`bracket_columns` (for
-    the full table: inside the row, so reading its result column needs no
-    range check)."""
+# The monomials 1, p, q, r, p^2, pq, pr, q^2, qr, r^2 of a quadratic form in
+# three exponents, as index pairs into affine forms' (1, p, q, r) coefficients,
+# and the exponents p, q, r themselves as affine forms.
+QUADRATIC = ((0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 2),
+             (2, 3), (3, 3))
+_EXPONENTS = ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+# two formal exponents p, q: the pair sweeps' symbols, and the plane on
+# which the Jacobi sum's central part is read
+FORMAL = ("p", "q")
+FORMAL_EXPONENTS = _P, _Q = tuple(Scalar.var(FORMAL, x) for x in FORMAL)
+
+
+def _at(form, e1, e2) -> tuple:
+    """A pair form's ``c0 + cp e1 + cq e2`` at two affine exponents."""
+    c0, cp, cq = form[:3]
+    return tuple(cp * a + cq * b + (c0 if i == 0 else 0)
+                 for i, (a, b) in enumerate(zip(e1, e2)))
+
+
+def _on_plane(f, T: int) -> Scalar:
+    """The affine form ``f`` in ``(p, q, r)`` at ``r = T - p - q``."""
+    return f[0] + f[3] * T + (f[1] - f[3]) * _P + (f[2] - f[3]) * _Q
+
+
+def jacobi_sum(acfg: AlgebraConfig, m: tuple):
+    """The graded Jacobi sum ``[x,[y,z]] + [y,[z,x]] + [z,[x,y]]`` of ``x =
+    D[t^p, xi_I]``, ``y = D[t^q, xi_J]`` and ``z = D[t^r, xi_K]``, ``m = (I,
+    J, K)``, with formal exponents (sign -1 on a term whose outer symbol
+    and last inner one are both odd), as ``(d, cen)``.
+
+    Each term's two structure constants are the mask pairs' affine forms
+    (:func:`pair_form`), so ``d`` maps each landing ``(shift, mask)``, the
+    symbol ``D[t^(p+q+r+shift), xi_mask]``, to 4x its coefficient, an
+    integer quadratic form in ``(p, q, r)`` over the monomials
+    ``QUADRATIC``.  A central term is the inner constant times the outer
+    mask's cubic in the outer symbol's degree (:func:`central_form`), and
+    :func:`bracket_ints` gives it only where the outer symbol and the inner
+    result have degrees summing to 0, a plane ``p + q + r = T``: ``cen``
+    maps each such ``T`` to 24x the C coefficient there, a Scalar over
+    ``(p, q)`` with ``r = T - p - q``."""
+    forms = acfg._pair_forms
     cfg = acfg.cfg
-    N = cfg.N
-    n = 1 << N
-    width, ncols = len(rows) >> N, len(rows[0]) >> N
-    # the exponent of the first column: a square table is the window block
-    # (or a full table whose columns are the window, where both agree)
-    q0 = k_min if ncols == width else lo
-    # how many result exponents from lo an entry may land on
-    land = bracket_columns(cfg.eps, k_min, k_min + width - 1)[1] - lo + 1
-    window = range(k_min - q0, k_min - q0 + width)  # the window's columns
-    for I in range(n):
-        block = rows[I::n]
-        for J in range(n):
-            grid = [row[J::n] for row in block]  # grid[p - k_min][q - q0]
-            c00 = grid[0][0][0]
-            dq = grid[0][1][0] - c00 if ncols > 1 else 0
-            dp = grid[1][0][0] - c00 if width > 1 else 0
-            col0 = k_min + q0 - lo + cfg.shift_sum(I & J) - 1  # (rk - lo) at p, q = k_min, q0
-            twice = 4 - cfg.shift_sum(I) - cfg.shift_sum(J) - 2 * (k_min + q0)
-            diag = None if twice & 1 else twice >> 1  # (p - k_min) + (q - q0) at degree 0
-            for a, got in enumerate(grid):
-                c = c00 + a * dp
-                line = range(c, c + ncols * dq, dq) if dq else [c] * ncols
-                want = [(c2, ((col0 + a + b) << N) + (I ^ J) if c2 else None, 0)
-                        for b, c2 in enumerate(line)]
-                if diag is not None and 0 <= diag - a < ncols:
-                    b = diag - a
-                    want[b] = want[b][:2] + got[b][2:]
-                first = col0 + a + window.start  # result exponent index at q = k_min
-                if got != want or ((first < 0 or first + width > land) and any(
-                        line[b] for b in window if not 0 <= col0 + a + b < land)):
-                    return False
-    off = window.start << N
-    odd = [(i & (n - 1)).bit_count() & 1 for i in range(len(rows))]
-    for i, row in enumerate(rows):
-        for j in range(i, len(rows)):
-            c2, col, cen12 = row[off + j]
-            if not (odd[i] and odd[j]):
-                c2, cen12 = -c2, -cen12
-            if rows[j][off + i] != (c2, col, cen12):
-                return False
-    return True
+    d: dict = {}
+    cen: dict = {}
+    for u, v, t in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        inner = forms[m[v]][m[t]]
+        if inner is None:
+            continue
+        shift, rI = inner[3:]
+        c2 = _at(inner, _EXPONENTS[v], _EXPONENTS[t])
+        sgn = -1 if m[u].bit_count() & m[t].bit_count() & 1 else 1
+        outer = forms[m[u]][rI]
+        if outer is not None:
+            land = _at((shift, 1, 1), _EXPONENTS[v], _EXPONENTS[t])  # e_v + e_t + shift
+            c3 = _at(outer, _EXPONENTS[u], land)
+            acc = d.setdefault((shift + outer[3], outer[4]), [0] * len(QUADRATIC))
+            for n, (i, j) in enumerate(QUADRATIC):
+                acc[n] += sgn * (c2[i] * c3[j] + (c2[j] * c3[i] if i != j else 0))
+        if acfg.central_enabled and m[u] == rI:
+            # the outer symbol and the inner result, both on mask rI, have
+            # degrees 2(e_u - 1) + s and 2(e_v + e_t + shift - 1) + s
+            s = cfg.shift_sum(rI)
+            T = 2 - shift - s
+            deg = 2 * _on_plane(_EXPONENTS[u], T) + s - 2
+            k0, k1, k2, k3 = central_form(acfg, rI)
+            value = _on_plane(c2, T) * (k0 + deg * (k1 + deg * (k2 + deg * k3)))
+            cen[T] = cen.get(T, 0) + value.scale_raw(sgn, 0, 2)
+    return d, cen
 
 
-def jacobi_filter(table, par, off: int, i: int, j: int, k: int) -> bool:
-    """The filter of :func:`~superkon.verify.check_jacobi` on the window
-    symbols ``i, j, k`` (in any order), read from the rows ``table`` of a
-    :func:`bracket_table` whose window starts at column ``off``, with
-    ``par`` the symbols' parities: it sums [i,[j,k]], [j,[k,i]] and
-    [k,[i,j]] (sign -1 when the outer symbol and the last inner one are
-    both odd) as the D-residual ``d`` and the central part ``cen``, and
-    flags the triple when either is nonzero.  It reads only tables that
-    :func:`bracket_table_is_polynomial` passed: graded, results in the row."""
-    row_i, row_j, row_k = table[i], table[j], table[k]
-    pi, pj, pk = par[i], par[j], par[k]
-    d = cen = 0
-    c2, col, _ = row_j[k + off]
-    if c2:
-        c3, _, cen = row_i[col]
-        if pi and pk:
-            c2 = -c2
-        d = c2 * c3
-        cen *= c2
-    c2, col, _ = row_k[i + off]
-    if c2:
-        c3, _, cen12 = row_j[col]
-        if pj and pi:
-            c2 = -c2
-        d += c2 * c3
-        cen += c2 * cen12
-    c2, col, _ = row_i[j + off]
-    if c2:
-        c3, _, cen12 = row_k[col]
-        if pk and pj:
-            c2 = -c2
-        d += c2 * c3
-        cen += c2 * cen12
-    return bool(d or cen)
-
-
-def jacobi_flags(acfg: AlgebraConfig, k_min: int, lo: int, rows):
-    """The mask multisets ``(I, J, K)``, ``I <= J <= K``, whose window
-    triples :func:`~superkon.verify.check_jacobi` hands to its reference,
-    read from the :func:`bracket_table` ``(lo, rows)`` of a window from
-    ``k_min``: ``None`` (all of them) when the table is not polynomial
-    (:func:`bracket_table_is_polynomial`), else those of the triples that
-    :func:`jacobi_filter` flags among the exponent offsets ``a + b + c <=
-    2`` from ``k_min`` inside the window (10 per multiset, 7 on a window of
-    2 exponents and 1 on a window of 1) and, with the central term, the
-    window triples of total degree 0 (see
-    :func:`~superkon.verify.check_jacobi` for why nothing else can be
-    flagged)."""
-    if not bracket_table_is_polynomial(acfg, k_min, lo, rows):
-        return None
-    N = acfg.cfg.N
-    n = 1 << N
-    total = len(rows)
-    masks = [i & (n - 1) for i in range(total)]
-    par = [m.bit_count() & 1 for m in masks]
-    off = (k_min - lo) << N
-    # exponent offsets from k_min: the points a + b + c <= 2 in the window
-    lattice = [t for t in product(range(min(3, total >> N)), repeat=3)
-               if sum(t) <= 2]
-    flagged = {m for m in combinations_with_replacement(range(n), 3)
-               if any(jacobi_filter(rows, par, off, (a << N) | m[0],
-                                    (b << N) | m[1], (c << N) | m[2])
-                      for a, b, c in lattice)}
-    if acfg.central_enabled:
-        degs = [acfg.cfg.degree(k_min + (i >> N), masks[i]) for i in range(total)]
-        by_degree: dict = {}
-        for k, dk in enumerate(degs):
-            by_degree.setdefault(dk, []).append(k)
-        flagged.update(tuple(sorted((masks[i], masks[j], masks[k])))
-                       for i in range(total) for j in range(i, total)
-                       for k in by_degree.get(-degs[i] - degs[j], ())
-                       if k >= j and jacobi_filter(rows, par, off, i, j, k))
-    return flagged
-
-
-def bracket_is_polynomial(acfg: AlgebraConfig, params, rows: range, parts: range):
-    """The exponents the brackets of basis elements land on, as a range,
-    when each such bracket is, per pair of kinds and masks and at each key
-    shifted by the two exponents, a polynomial of degree at most 1 in each:
-    the central term is off, the :func:`bracket_table` of the D-symbols with
-    exponents in ``rows`` passes :func:`bracket_table_is_polynomial`, and
-    the monomial parts with exponents in ``parts`` (which holds ``rows``)
-    are affine (:func:`~superkon.grassmann.parts_shifts`).  None
-    otherwise."""
-    if acfg.central_enabled:
-        return None
-    lo, table = bracket_table(acfg, rows.start, rows.stop - 1, block=True)
-    if not bracket_table_is_polynomial(acfg, rows.start, lo, table):
-        return None
-    hi = bracket_columns(acfg.cfg.eps, rows.start, rows.stop - 1)[1]
-    del table  # before the parts, which the monomial_parts memo keeps
-    shifts = parts_shifts(acfg.cfg, tuple(params), parts)
-    if shifts is None:
-        return None
-    # a D x function term lands on the sum of two parts' keys
-    return range(min(lo, 2 * (parts.start + shifts[0])),
-                 max(hi, 2 * (parts.stop - 1 + shifts[1])) + 1)
-
-
-def homomorphism_is_polynomial(src: AlgebraConfig, dst: AlgebraConfig, f,
-                               params, ks: range) -> bool:
-    """Whether both sides of ``f([x, y]_src) == [f(x), f(y)]_dst``, for basis
-    elements ``x, y`` with exponents in ``ks`` and a linear map ``f``, are
-    per class (two kinds and masks) and at each key shifted by the two
-    exponents polynomials of degree at most 2 in each exponent.  They are
-    when both brackets are polynomial on what they read
-    (:func:`bracket_is_polynomial`: ``ks`` for ``src``, the exponents of the
-    images of the window's basis elements for ``dst``) and ``f`` sends each
-    D-symbol and function monomial with an exponent ``e`` that a ``src``
-    bracket lands on to terms, without C, whose coefficients are affine in
-    ``e`` at keys that shift with it
-    (:func:`~superkon.grassmann.affine_shifts`): a bracket term has degree at
-    most 1 in each exponent, and ``f`` multiplies it by one affine factor."""
-    reach = bracket_is_polynomial(src, params, ks, ks)
-    if reach is None:
-        return False
-    zero = Scalar.zero(params)
-    d_exps, exps = [ks.start, ks.stop - 1], []  # of the images of window symbols
-    for make in (AlgebraElement.d_symbol, AlgebraElement.a_monomial):
-        for imask in range(1 << src.cfg.N):
-            ys = [f(make(params, e, imask)) for e in reach]
-            if any(y.central for y in ys) or any(
-                    affine_shifts(lines, reach.start, zero) is None
-                    for lines in ([y.d.terms.items() for y in ys],
-                                  [y.a.terms.items() for y in ys])):
-                return False
-            for y in ys[ks.start - reach.start:ks.stop - reach.start]:
-                d_exps += [k for k, _ in y.d.terms]
-                exps += [k for k, _ in y.a.terms]
-    exps += d_exps
-    rows, parts = range(min(d_exps), max(d_exps) + 1), range(min(exps), max(exps) + 1)
-    if dst == src and rows == ks:  # the table is the one checked above
-        return parts_shifts(dst.cfg, tuple(params), parts) is not None
-    return bracket_is_polynomial(dst, params, rows, parts) is not None
-
-
-def grid_sweep(keys, pairs, compare, degree: int, polynomial: bool) -> list:
-    """The results of ``compare(i, j)`` other than None, in the order of
-    ``pairs()``, on the pairs a pair sweep must compare.  A pair's class is
-    ``(keys[i], keys[j])``, and the symbols of one key are listed in
-    exponent order.  That is every pair, unless ``polynomial`` says that on
-    each class the compared coefficients are polynomials of degree at most
-    ``degree`` in each of the two exponents, and every key has more than
-    ``degree`` symbols.  Then ``compare`` runs first on the ``(degree +
-    1)^2`` pairs of each class that occurs, from the first ``degree + 1``
-    symbols of each key, and then on all the pairs of the classes it flags
-    there: a polynomial of degree at most ``degree`` in each variable that
-    vanishes on such a grid is zero (the grid case of Alon's Combinatorial
-    Nullstellensatz, Combin. Probab. Comput. 8, 1999)."""
-    firsts: dict = {}
-    for i, key in enumerate(keys):
-        firsts.setdefault(key, []).append(i)
-    flagged = None  # every class
-    if polynomial and all(len(v) > degree for v in firsts.values()):
-        grid = {key: v[:degree + 1] for key, v in firsts.items()}
-        flagged = {c for c in dict.fromkeys((keys[i], keys[j]) for i, j in pairs())
-                   if any(compare(i, j) is not None
-                          for i in grid[c[0]] for j in grid[c[1]])}
-    out = []
-    for i, j in pairs():
-        if flagged is None or (keys[i], keys[j]) in flagged:
-            v = compare(i, j)
-            if v is not None:
-                out.append(v)
-    return out
+def jacobi_failures(acfg: AlgebraConfig) -> set:
+    """The ordered mask triples on which :func:`jacobi_sum` is not zero.  A
+    triple's sum is its rotations' sum, so each orientation is decided
+    once, and both orientations when the three masks differ (a broken
+    bracket need not be super-antisymmetric)."""
+    failed: set = set()
+    for I, J, K in combinations_with_replacement(range(1 << acfg.cfg.N), 3):
+        for m in ((I, J, K), (I, K, J)) if I < J < K else ((I, J, K),):
+            d, cen = jacobi_sum(acfg, m)
+            if any(any(f) for f in d.values()) or any(cen.values()):
+                failed.update((m, m[1:] + m[:1], m[2:] + m[:2]))
+    return failed
 
 
 def bracket_basis(acfg: AlgebraConfig, x, y, params=()) -> AlgebraElement:
@@ -560,7 +397,8 @@ def bracket_basis(acfg: AlgebraConfig, x, y, params=()) -> AlgebraElement:
     coeff2, rk, rI, cen12 = bracket_ints(acfg, p, Im, q, Jm)
     return AlgebraElement(
         params,
-        SuperFunction.monomial(params, rk, rI, Fraction(coeff2, 2)) if coeff2 else None,
+        SuperFunction.monomial(params, rk, rI, as_scalar(params, coeff2).scale_raw(1, 0, 2))
+        if coeff2 else None,
         central=Scalar.const(params, Fraction(cen12, 12)) if cen12 else None)
 
 
@@ -598,7 +436,7 @@ def bracket(acfg: AlgebraConfig, x: AlgebraElement,
             if coeff2 or cen12:
                 c = cx * cy
                 if coeff2:
-                    add_term(d, (rk, rI), c.scale_raw(coeff2, 0, 2))
+                    add_term(d, (rk, rI), times(c, coeff2, 2))
                 if cen12:
                     central = central + c.scale_raw(cen12, 0, 12)
     for u, v, swapped in ((x, y, False), (y, x, True)):
@@ -637,7 +475,7 @@ def phi(acfg: AlgebraConfig, x: AlgebraElement) -> AlgebraElement:
         if acfg.mutation == "drop_phi_coeff":
             n -= cfg.shift_sum(Im)
         if n:
-            add_term(a, (p - 1, Im), c.scale_raw(n, 0))
+            add_term(a, (p - 1, Im), times(c, n))
     return AlgebraElement(x.params, x.d, SuperFunction(x.params, a))
 
 

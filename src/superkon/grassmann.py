@@ -26,10 +26,10 @@ memoises the parts of each unit monomial, like :func:`tau`, :func:`xi_mul`
 and :func:`partial_sign`: a sweep over basis pairs meets each monomial
 once per partner.  It keeps parts, not results: a sweep meets many more
 distinct pairs than monomials, and each pair only a few times.
-:func:`parts_shifts` checks that the parts of a range of monomials are
-affine in the exponent at keys that shift with it (:func:`affine_shifts`),
-one of the conditions under which the pair sweeps of :mod:`superkon.verify`
-decide a class of pairs on a small exponent grid.
+An exponent may be a formal :class:`~superkon.exactnum.Scalar` as well as
+an int: the pair sweeps of :mod:`superkon.verify` compare each class of
+pairs once on formal exponents, and the derivatives branch on an
+exponent-valued factor only to drop a term that is zero.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
-from .exactnum import Scalar, Terms, TextReader, UsageError, add_term, as_scalar
+from .exactnum import Terms, TextReader, UsageError, add_term, as_scalar
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +167,14 @@ class EpsilonConfig:
 # ---------------------------------------------------------------------------
 
 
+def times(c, n, den: int = 1):
+    """The Scalar ``c * n / den`` for an int or a Scalar ``n``: the factor
+    an exponent gives, which is a Scalar when the exponents are formal."""
+    if type(n) is int:
+        return c.scale_raw(n, 0, den)
+    return (c * n).scale_raw(1, 0, den)
+
+
 class SuperFunction(Terms):
     """Finite linear combination of monomials ``t^k xi_I`` with Scalar
     coefficients, keyed by ``(k, imask)``."""
@@ -241,7 +249,7 @@ class SuperFunction(Terms):
         for (k, I), c in self.terms.items():
             num = 2 * k - cfg.eps_sum(I)
             if num:
-                add_term(out, (k - 1, I), c.scale_raw(num, 0, 2))
+                add_term(out, (k - 1, I), times(c, num, 2))
         return SuperFunction(self.params, out)
 
     # -- text form --------------------------------------------------------
@@ -322,47 +330,6 @@ def monomial_parts(cfg: EpsilonConfig, params: tuple, k: int,
     """The parts of the unit monomial ``t^k xi_I`` over ``params``, once
     per key (the module docstring says why parts, not results)."""
     return ContactParts(cfg, SuperFunction.monomial(params, k, imask))
-
-
-def affine_shifts(lines, e0: int, zero):
-    """The shifts ``k - e`` of the keys ``(k, imask)`` in ``lines[a]``, the
-    items ``((k, imask), coeff)`` of a term list that depends on the
-    exponent ``e = e0 + a``, when each coefficient, read at one shift and
-    mask, is affine in ``e`` over the lines (zero second differences; a
-    missing key reads as ``zero``); None otherwise."""
-    coeffs: dict = {}
-    for a, items in enumerate(lines):
-        for (k, imask), c in items:
-            coeffs.setdefault((k - e0 - a, imask), [zero] * len(lines))[a] = c
-    for vals in coeffs.values():
-        if any(v != vals[0] for v in vals):
-            step = vals[1] - vals[0]
-            if any(vals[a] - vals[a - 1] != step for a in range(2, len(vals))):
-                return None
-    return {shift for shift, _ in coeffs}
-
-
-def parts_shifts(cfg: EpsilonConfig, params: tuple, ks: range):
-    """``(least, greatest)`` key shift over the :func:`monomial_parts` of
-    every ``t^k xi_I`` with ``k`` in ``ks`` when each part is affine in
-    ``k`` at keys that shift with it (:func:`affine_shifts`), so that a
-    product of two parts is, at each key shifted by both exponents, of
-    degree at most 1 in each; None otherwise."""
-    zero = Scalar.zero(params)
-    shifts: set = set()
-    for imask in range(1 << cfg.N):
-        parts = [monomial_parts(cfg, params, k, imask) for k in ks]
-        slots = [[f.delta for f in parts], [f.d_eps for f in parts],
-                 [f.xi_degree for f in parts]]
-        for i in range(cfg.N):
-            slots += [[f.partials[i][side] if f.partials[i] else () for f in parts]
-                      for side in (0, 1)]
-        for lines in slots:
-            found = affine_shifts(lines, ks.start, zero)
-            if found is None:
-                return None
-            shifts |= found
-    return (min(shifts), max(shifts)) if shifts else (0, 0)
 
 
 def contact_core(f: ContactParts, g: ContactParts) -> list:

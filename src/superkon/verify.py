@@ -13,24 +13,31 @@ Closures run at concrete Gaussian-rational parameter values; identity
 sweeps keep all parameters symbolic.  An identity sweep runs a fast
 filter, which may flag too much but never too little, and hands each
 flagged case to the library's reference operation, which decides it and
-writes its witness: :func:`~superkon.algebra.bracket_ints`, which reads
-each bracket off one affine form per mask pair, behind the filter over one
-:func:`~superkon.algebra.bracket_table` of :func:`check_jacobi` (run on
-the 10 exponent triples of the degree-2 lattice per mask triple and the
-triples of total degree 0; the reference decides every window triple of
-the mask triples flagged there, or of all unless the table is affine per
-mask pair, graded, central only at total degree 0 and super-antisymmetric,
-which bounds each D-residual's total degree by 2); the per-pair
-comparison of :func:`check_bracket_crosscheck` and of the homomorphism
-sweep under :func:`check_phi` and :func:`check_eps_shift` behind the same
-comparison on the window's first 2 x 2 (crosscheck) or 3 x 3 exponents
-per class of pairs, the rest of a class compared only when it is flagged
-there (run so when the structure constants are polynomial on the window,
-the monomial parts affine in the exponent and the map affine on what it is
-applied to, so that each compared coefficient has degree at most 1 or 2
-in each exponent; see :func:`~superkon.algebra.grid_sweep`);
-:meth:`~superkon.tensmod.TensorModule.act` behind
-the Gaussian-integer residuals of :func:`check_module_axioms` and of
+writes its witness.
+
+The four bracket sweeps (:func:`check_jacobi`,
+:func:`check_bracket_crosscheck`, :func:`check_phi` and
+:func:`check_eps_shift`) share one rule.  Each class of window tuples (an
+ordered mask triple for Jacobi; two kinds and masks, in window order, for
+the others) is decided once with formal exponents, and the reference is
+handed every window tuple of the classes that fail
+(:func:`_class_tuples`): :func:`_jacobi_residual`, which reads each
+bracket from :func:`~superkon.algebra.bracket_ints`, or the sweep's own
+comparison on integer exponents.  The pair sweeps run that comparison on
+symbols whose exponents are ``Scalar.var`` over ``FORMAL``, through the
+library's own bracket, phi and relabeling; Jacobi sums the pair forms that
+``bracket_ints`` reads into integer polynomials
+(:func:`~superkon.algebra.jacobi_sum`).  The rule rests on one condition:
+code run with formal exponents branches on an exponent's value only to
+drop a term that is zero there, so a formal result specialised at integer
+exponents is the concrete one, and a class that passes formally passes at
+every exponent.  The one branch that does not is the central term's gate
+at total degree 0 (never open for a formal exponent); that is why the
+pair sweeps strip the central term and Jacobi checks its central part on
+the plane of total degree 0.
+
+:meth:`~superkon.tensmod.TensorModule.act` is the reference behind the
+Gaussian-integer residuals of :func:`check_module_axioms` and of
 :func:`~superkon.tables.compare_table` (under
 :func:`check_table_agreement`).  Those residuals are summed a batch at a
 time (:class:`~superkon.exactnum._Batch`): one batch per symbol pair, or
@@ -60,12 +67,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from itertools import combinations_with_replacement, product
+from itertools import product
 from math import comb, lcm
 
 from . import algebra
-from .algebra import (AlgebraConfig, AlgebraElement, bracket, bracket_basis,
-                      bracket_table, eps_shift_map, filtration_exponent,
+from .algebra import (FORMAL, FORMAL_EXPONENTS, AlgebraConfig, AlgebraElement,
+                      bracket, bracket_basis, eps_shift_map, filtration_exponent,
                       ideal_exponent, in_ideal_i, in_k_ell, phi, project_k0,
                       tm1_power_d)
 from .exactnum import _Batch, _Memo, _Packer, Scalar, UsageError
@@ -91,17 +98,26 @@ def _parity(imask: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Jacobi sweep (one bracket table per sweep)
+# bracket sweeps: each class decided once with formal exponents
+
+
+def _class_tuples(keys, classes, ordered: bool = False) -> list:
+    """The window tuples a bracket sweep hands to its reference, in window
+    order: the tuples of indices into ``keys`` (non-decreasing unless
+    ``ordered``) whose keys, in that order, are one of ``classes``."""
+    members: dict = {}
+    for i, key in enumerate(keys):
+        members.setdefault(key, []).append(i)
+    return sorted(t for c in classes for t in product(*(members.get(k, ()) for k in c))
+                  if ordered or all(a <= b for a, b in zip(t, t[1:])))
 
 
 def _jacobi_residual(acfg: AlgebraConfig, x, y, z):
     """The reference: 4x the D-part, as ``{(rk, rI): coefficient}``, and
     24x the central part of the graded Jacobi sum of the symbols ``x, y,
     z`` (pairs ``(p, imask)``), each bracket read from
-    :func:`algebra.bracket_ints <superkon.algebra.bracket_ints>`, the
-    binding :func:`~superkon.algebra.bracket_table` is built from.  The
-    D-part may have several keys only if the bracket breaks the
-    grading."""
+    :func:`algebra.bracket_ints <superkon.algebra.bracket_ints>`.  The
+    D-part may have several keys only if the bracket breaks the grading."""
     terms: dict = {}
     cen = 0
     for u, v, t in ((x, y, z), (y, z, x), (z, x, y)):
@@ -121,41 +137,19 @@ def check_jacobi(acfg: AlgebraConfig, w: Window, workers: int | None = None) -> 
     (unordered: the Jacobi sum of homogeneous arguments changes only by a
     global sign under permutations).
 
-    Every bracket is read from one :func:`~superkon.algebra.bracket_table`,
-    and the reference :func:`_jacobi_residual` decides each triple it is
-    given and writes the witness.  When the table is not polynomial
-    (:func:`~superkon.algebra.bracket_table_is_polynomial`), it is given
-    every window triple.  When it is, each inner bracket's ``c2`` is affine
-    in its two exponents and lands at an exponent affine in them, so each
-    term ``c2 * c3`` of the D-residual on masks ``I <= J <= K`` is a product
-    of two affine forms in the exponents ``(p, q, r)``: the residual is one
-    polynomial of total degree at most 2, for every order of the triple (by
-    super-antisymmetry).  Such a polynomial that vanishes on the 10 points
-    ``a + b + c <= 2`` of offsets from the window's first exponent is zero:
-    at ``c = 0`` it is a quadratic in two variables vanishing on 6 lattice
-    points, hence zero, so it is ``c`` times an affine form that vanishes on
-    the 4-point simplex (the principal lattice is unisolvent, Chung and
-    Yao, SIAM J. Numer. Anal. 14, 1977).  On a window of 2 exponents the 7
-    of those points inside it suffice: there such a polynomial is ``sum q_i
-    a_i (a_i - 1)``, zero on the whole window.  The central part vanishes
-    off total degree 0.  So :func:`~superkon.algebra.jacobi_flags` runs the
-    table filter :func:`~superkon.algebra.jacobi_filter` on at most 10
-    triples per mask multiset, and with the central term on every window
-    triple of total degree 0; the reference is given every window triple of
-    the multisets flagged there, and no triple when none is.
-    ``workers`` may only be ``None`` or 1."""
+    :func:`~superkon.algebra.jacobi_failures` decides each ordered mask
+    triple once, with formal exponents, and the reference
+    :func:`_jacobi_residual` decides every window triple whose masks, in
+    window order, form a failing one, and writes the witness; a passing
+    algebra hands it no triple.  ``workers`` may only be ``None`` or 1."""
     if workers not in (None, 1):
         raise UsageError(f"check_jacobi runs in one process; workers={workers!r}")
     t0 = time.monotonic()
     N = acfg.cfg.N
     syms = [(p, im) for p in w.k_values() for im in range(1 << N)]
-    lo, table = bracket_table(acfg, w.k_min, w.k_max)
-    flagged = algebra.jacobi_flags(acfg, w.k_min, lo, table)
     bad = []
-    # None sends every window triple to the reference, an empty set none
-    for x, y, z in combinations_with_replacement(syms, 3) if flagged != set() else ():
-        if flagged is not None and tuple(sorted((x[1], y[1], z[1]))) not in flagged:
-            continue
+    for i, j, k in _class_tuples([im for _, im in syms], algebra.jacobi_failures(acfg)):
+        x, y, z = syms[i], syms[j], syms[k]
         terms, cen = _jacobi_residual(acfg, x, y, z)
         if terms or cen:
             parts = [f"{v}/4*D[t^{rk},m={rI}]" for (rk, rI), v in sorted(terms.items())]
@@ -167,49 +161,47 @@ def check_jacobi(acfg: AlgebraConfig, w: Window, workers: int | None = None) -> 
     return finish(label, bad, comb(len(syms) + 2, 3), t0)
 
 
-# ---------------------------------------------------------------------------
+_P, _Q = FORMAL_EXPONENTS  # of a pair sweep's two symbols
 
 
 def check_bracket_crosscheck(acfg: AlgebraConfig, w: Window) -> Report:
     """Structure constants against the contact bracket through f <-> D_f,
     on every ordered pair of window symbols.  The central term is stripped
-    on the structure-constant side.  Each window monomial is differentiated
-    once (its :func:`~superkon.grassmann.monomial_parts`), and the contact
-    bracket combines those parts once per compared pair.
+    on the structure-constant side.
 
-    Per ordered mask pair, at each result key shifted by the two exponents,
-    both sides are polynomials of degree at most 1 in each exponent when the
-    structure constants are polynomial on the window and the parts affine
-    (:func:`~superkon.algebra.bracket_is_polynomial`).  Then the pairs are
-    compared on the window's first 2 x 2 exponents per mask pair, and a mask
-    pair flagged there, or every one when a condition fails or the window
-    has one exponent, on all its window pairs
-    (:func:`~superkon.algebra.grid_sweep`)."""
+    The comparison runs once per ordered mask pair on the symbols
+    ``D[t^p, xi_I]`` and ``D[t^q, xi_J]`` with formal ``p, q``, and then on
+    every window pair of the mask pairs where the two sides differ, which
+    writes the witnesses.  Each monomial is differentiated once (its
+    :func:`~superkon.grassmann.monomial_parts`)."""
     t0 = time.monotonic()
-    params = ()
     cfg = acfg.cfg
     stripped = replace(acfg, central_enabled=False)
-    syms = [(p, im) for p in w.k_values() for im in range(1 << cfg.N)]
-    ks = range(w.k_min, w.k_max + 1)
-    polynomial = algebra.bracket_is_polynomial(stripped, params, ks, ks) is not None
-    funcs = [monomial_parts(cfg, params, *x) for x in syms]
+    masks = range(1 << cfg.N)
 
-    def compare(i, j):
-        x, y = syms[i], syms[j]
-        bb = bracket_basis(stripped, x, y, params)
-        cb = contact_bracket(cfg, funcs[i], funcs[j])
+    def sides(x, y, params):
+        return (bracket_basis(stripped, x, y, params),
+                contact_bracket(cfg, monomial_parts(cfg, params, *x),
+                                monomial_parts(cfg, params, *y)))
+
+    failing = set()
+    for I, J in product(masks, repeat=2):
+        bb, cb = sides((_P, I), (_Q, J), FORMAL)
         if bb.d != cb:
-            return violation(
+            failing.add((I, J))
+    syms = [(p, im) for p in w.k_values() for im in masks]
+    bad = []
+    for i, j in _class_tuples([im for _, im in syms], failing, ordered=True):
+        x, y = syms[i], syms[j]
+        bb, cb = sides(x, y, ())
+        if bb.d != cb:
+            bad.append(violation(
                 f"x={x} y={y}",
                 lhs=str(bb),
                 rhs=" + ".join(f"D[{format_monomial(*k)}]*({c})"
                                for k, c in sorted(cb.terms.items())),
-                diff="structure constants disagree with the contact bracket")
-        return None
-
+                diff="structure constants disagree with the contact bracket"))
     n = len(syms)
-    bad = algebra.grid_sweep([im for _, im in syms],
-                             lambda: product(range(n), repeat=2), compare, 1, polynomial)
     return finish(f"bracket_crosscheck[N={cfg.N},eps={cfg.eps}]", bad, n * n, t0)
 
 
@@ -482,9 +474,10 @@ def check_submodule_closure(module: TensorModule, name: str, w: Window,
     under every window generator (membership by exact elimination).
 
     Every (generator, op) tuple whose target weight has a space is
-    counted, a zero image included; a target space the span already fills
-    needs no image.  Only the generators at an inner weight or at an op's
-    target from one are evaluated and inserted: no other weight is read.
+    counted, a zero image included; a target outside the window (whose
+    margin is narrower than the ops' shifts) is not.  Only the generators
+    at an inner weight or at an op's target from one are evaluated and
+    inserted: no other weight is read.
     A window whose inner weights hold no basis vector is refused (see
     :meth:`~superkon.tensmod.TensorModule.inner_basis`)."""
     t0 = time.monotonic()
@@ -510,8 +503,6 @@ def check_submodule_closure(module: TensorModule, name: str, w: Window,
                 if t not in spaces:
                     continue
                 n += 1
-                if spaces.settled(t):  # full: every image lies in the span
-                    continue
                 nv = ev.act_vec(p, im, vec)[1]
                 if nv and not spaces.contains(nv):
                     bad.append(violation(
@@ -661,49 +652,49 @@ def check_filtration(acfg: AlgebraConfig, ell_max: int, w: Window) -> Report:
 def _homomorphism_sweep(label: str, src: AlgebraConfig, dst: AlgebraConfig,
                         f, w: Window) -> Report:
     """``f([x, y]_src) == [f(x), f(y)]_dst`` on all pairs of window basis
-    elements (operators and functions); each element is mapped once.  A
-    pair's class is its two kinds and masks.  When both sides are, per
-    class, polynomials of degree at most 2 in each exponent
-    (:func:`~superkon.algebra.homomorphism_is_polynomial`), the pairs are
-    compared on the window's first 3 x 3 exponents per class that occurs,
-    and a class flagged there, or every one when a condition fails or the
-    window has fewer than 3 exponents, on all its window pairs
-    (:func:`~superkon.algebra.grid_sweep`)."""
+    elements (operators and functions).  A pair's class is its two kinds
+    and masks in window order.  The comparison runs once per class on the
+    elements with formal exponents ``p, q``, and then on every window pair
+    of the classes where the two sides differ, which writes the witnesses;
+    each element is mapped once."""
     t0 = time.monotonic()
-    params = ()
-    N = src.cfg.N
-    polynomial = algebra.homomorphism_is_polynomial(src, dst, f, params,
-                                                    range(w.k_min, w.k_max + 1))
-    elems = [AlgebraElement.d_symbol(params, p, im)
-             for p in w.k_values() for im in range(1 << N)]
-    elems += [AlgebraElement.a_monomial(params, k, im)
-              for k in w.k_values() for im in range(1 << N)]
-    images = [f(x) for x in elems]
+    masks = range(1 << src.cfg.N)
+    kinds = [(is_d, im) for is_d in (True, False) for im in masks]
 
-    def compare(i, j):
-        x, y = elems[i], elems[j]
-        lhs = f(bracket(src, x, y))
-        rhs = bracket(dst, images[i], images[j])
+    def elem(kind, e, params):
+        is_d, im = kind
+        return (AlgebraElement.d_symbol if is_d else AlgebraElement.a_monomial)(params, e, im)
+
+    def sides(x, y, fx, fy):
+        return f(bracket(src, x, y)), bracket(dst, fx, fy)
+
+    xs, ys = ({k: elem(k, e, FORMAL) for k in kinds} for e in (_P, _Q))
+    fxs, fys = ({k: f(x) for k, x in e.items()} for e in (xs, ys))
+    failing = set()
+    for a, b in product(kinds, repeat=2):
+        lhs, rhs = sides(xs[a], ys[b], fxs[a], fys[b])
         if lhs != rhs:
-            return violation(f"x={x} y={y}", lhs=str(lhs), rhs=str(rhs),
-                             diff=str(lhs - rhs))
-        return None
-
+            failing.add((a, b))
+    window = [((is_d, im), e) for is_d in (True, False) for e in w.k_values() for im in masks]
+    keys = [k for k, _ in window]
+    elems = [elem(k, e, ()) for k, e in window]
+    images = _Memo(lambda i: f(elems[i]))
+    bad = []
+    for i, j in _class_tuples(keys, failing):
+        x, y = elems[i], elems[j]
+        lhs, rhs = sides(x, y, images[i], images[j])
+        if lhs != rhs:
+            bad.append(violation(f"x={x} y={y}", lhs=str(lhs), rhs=str(rhs),
+                                 diff=str(lhs - rhs)))
     n = len(elems)
-    keys = [(i < n // 2, i % (1 << N)) for i in range(n)]  # (is a D-symbol, mask)
-    bad = algebra.grid_sweep(keys, lambda: combinations_with_replacement(range(n), 2),
-                             compare, 2, polynomial)
     return finish(label, bad, n * (n + 1) // 2, t0)
 
 
 def check_phi(acfg: AlgebraConfig, w: Window) -> Report:
     """The degree-shift automorphism respects brackets on all basis pairs
-    (including mixed operator/function pairs).  phi adds to ``D[t^{k+1},
-    xi_I]`` its degree, affine in ``k``, times ``t^k xi_I``; so when the
-    structure constants are polynomial on the window and the monomial parts
-    affine in the exponent, both sides have degree at most 2 in each
-    exponent per class of pairs, and the window's first 3 x 3 exponents
-    decide a class (see :func:`_homomorphism_sweep`)."""
+    (including mixed operator/function pairs), each class of pairs decided
+    once with formal exponents (see :func:`_homomorphism_sweep`).  The
+    central term is stripped: phi is defined on the extension without C."""
     stripped = replace(acfg, central_enabled=False)
     return _homomorphism_sweep(f"phi[N={acfg.cfg.N},eps={acfg.cfg.eps}]",
                                stripped, stripped, lambda x: phi(stripped, x), w)
@@ -767,10 +758,8 @@ def check_projection(acfg: AlgebraConfig, w: Window) -> Report:
 
 def check_eps_shift(src: EpsilonConfig, dst: EpsilonConfig, w: Window) -> Report:
     """The exponent relabeling between twist vectors with even difference
-    is a bracket homomorphism on all window pairs.  It moves each exponent
-    by a constant per mask, so the sweep takes the grid of
-    :func:`_homomorphism_sweep` when both algebras' brackets are
-    polynomial on what it reads."""
+    is a bracket homomorphism on all window pairs, each class of pairs
+    decided once with formal exponents (see :func:`_homomorphism_sweep`)."""
     return _homomorphism_sweep(f"eps_shift[{src.eps}->{dst.eps}]",
                                AlgebraConfig(src), AlgebraConfig(dst),
                                lambda x: eps_shift_map(src, dst, x), w)

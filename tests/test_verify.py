@@ -1,5 +1,6 @@
 import hashlib
 import re
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import comb
@@ -8,9 +9,8 @@ import pytest
 
 from superkon import algebra, exactnum, grassmann, verify
 from superkon.algebra import (ALGEBRA_MUTATIONS, AlgebraConfig, AlgebraElement,
-                              bracket, bracket_columns, bracket_ints,
-                              bracket_table)
-from superkon.exactnum import GaussRat, Scalar, UsageError
+                              bracket, bracket_ints)
+from superkon.exactnum import GaussRat, Scalar, UsageError, add_term
 from superkon.grassmann import (EpsilonConfig, SuperFunction, format_monomial,
                                 iset, xi_mul)
 from superkon.linalg import WeightSpaces
@@ -439,18 +439,17 @@ def test_failing_algebra_reports_pinned(check, eps, mutation, central, n_bad, di
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-def _reference_residual(a, x, y, z, brackets=bracket_ints):
-    """The per-triple Jacobi residual computed straight from ``brackets``
-    (bracket_ints by default): 4x the D-part and 24x the central part of the
-    graded Jacobi sum."""
+def _reference_residual(a, x, y, z):
+    """The per-triple Jacobi residual computed straight from bracket_ints:
+    4x the D-part and 24x the central part of the graded Jacobi sum."""
     terms = {}
     cen = 0
     for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
         sgn = -1 if (u[1].bit_count() & 1 and w[1].bit_count() & 1) else 1
-        c2, rk, rI, _ = brackets(a, v[0], v[1], w[0], w[1])
+        c2, rk, rI, _ = bracket_ints(a, v[0], v[1], w[0], w[1])
         if not c2:
             continue
-        c3, rk2, rI2, cen12 = brackets(a, u[0], u[1], rk, rI)
+        c3, rk2, rI2, cen12 = bracket_ints(a, u[0], u[1], rk, rI)
         if c3:
             terms[(rk2, rI2)] = terms.get((rk2, rI2), 0) + sgn * c2 * c3
         if cen12:
@@ -458,8 +457,8 @@ def _reference_residual(a, x, y, z, brackets=bracket_ints):
     return {k: v for k, v in terms.items() if v}, cen
 
 
-# twists off {0, 1}, windows on both sides of 0 and one starting above 1
-# (where the window itself widens the table's columns), every mutation
+# twists off {0, 1}, windows on both sides of 0 and one starting above 1,
+# every mutation
 TABLE_ORACLE_CONFIGS = [
     (acfg(1, (1,)), Window(-2, 2)),
     (acfg(1, (1,), central=True), Window(-2, 2)),
@@ -488,144 +487,183 @@ def test_table_oracle_configs_cover_every_mutation():
     assert {a.mutation for a, _ in TABLE_ORACLE_CONFIGS} >= set(ALGEBRA_MUTATIONS)
 
 
+def _form_value(a, p, I, q, J):
+    """What bracket_ints must return, read off the config's forms: the mask
+    pair's affine form (no result where its coefficient is zero) and, with
+    the central term, twice cen12 as the mask's cubic at total degree 0."""
+    form = a._pair_forms[I][J]
+    c2 = 0 if form is None else form[0] + form[1] * p + form[2] * q
+    rk, rI = (p + q + form[3], form[4]) if c2 else (0, 0)
+    d = a.cfg.degree(p, I)
+    cen12 = 0
+    if a.central_enabled and I == J and d + a.cfg.degree(q, J) == 0:
+        cen12 = sum(k * d ** e for e, k in enumerate(algebra.central_form(a, I))) // 2
+    return c2, rk, rI, cen12
+
+
 @pytest.mark.parametrize("a,w", TABLE_ORACLE_CONFIGS)
 def test_jacobi_table_matches_per_triple_brackets(a, w):
+    # what the formal route rests on: bracket_ints is its forms evaluated,
+    # on the window and three exponents beyond it, and a result lands on
+    # mask I ^ J at the summed degree; the reference residual is the one
+    # computed per triple from bracket_ints
     N = a.cfg.N
-    mask = (1 << N) - 1
+    ks = range(w.k_min - 3, w.k_max + 4)
+    for p, I, q, J in product(ks, range(1 << N), ks, range(1 << N)):
+        got = bracket_ints(a, p, I, q, J)
+        assert got == _form_value(a, p, I, q, J)
+        c2, rk, rI, _ = got
+        if c2:
+            assert rI == I ^ J
+            assert a.cfg.degree(rk, rI) == a.cfg.degree(p, I) + a.cfg.degree(q, J)
     syms = [(p, im) for p in w.k_values() for im in range(1 << N)]
-    lo, table = bracket_table(a, w.k_min, w.k_max)
-    hi = lo + (len(table[0]) >> N) - 1
-    assert (lo, hi) == bracket_columns(a.cfg.eps, w.k_min, w.k_max)
-    assert len(table) == len(syms)
-    assert lo <= w.k_min and w.k_max <= hi
-    entries = [e for row in table for e in row]
-    assert len({id(e) for e in entries}) == len(set(entries))  # interned
-    off = (w.k_min - lo) << N
-    n = len(syms)
-    # every entry decodes to its bracket: the result column is None exactly
-    # when there is no D-part, and the result sits at mask J ^ K and at the
-    # summed degree
-    for b, (q, J) in enumerate(syms):
-        for col, (c2, rcol, cen12) in enumerate(table[b]):
-            r, K = lo + (col >> N), col & mask
-            assert (rcol is None) == (c2 == 0)
-            rk, rI = (0, 0) if rcol is None else (lo + (rcol >> N), rcol & mask)
-            assert (c2, rk, rI, cen12) == bracket_ints(a, q, J, r, K)
-            if c2:
-                assert rI == J ^ K
-                assert a.cfg.degree(rk, rI) == a.cfg.degree(q, J) + a.cfg.degree(r, K)
-                # every inner bracket lands inside the columns, so the outer
-                # read exists
-                if off <= col < off + n:
-                    assert lo <= rk <= hi
-    for x in syms:
-        for y in syms:
-            for z in syms:
-                assert (verify._jacobi_residual(a, x, y, z)
-                        == _reference_residual(a, x, y, z))
+    for x, y, z in product(syms, repeat=3):
+        assert verify._jacobi_residual(a, x, y, z) == _reference_residual(a, x, y, z)
 
 
-def _reference_jacobi(a, w, brackets=bracket_ints):
+def _reference_jacobi(a, w):
     """check_jacobi's violations, sweeping every window triple through
     ``_reference_residual``."""
     syms = [(p, im) for p in w.k_values() for im in range(1 << a.cfg.N)]
     expected = []
-    for i, x in enumerate(syms):
-        for j, y in enumerate(syms[i:], i):
-            for z in syms[j:]:
-                terms, cen = _reference_residual(a, x, y, z, brackets)
-                parts = [f"{v}/4*D[t^{rk},m={rI}]" for (rk, rI), v in sorted(terms.items())]
-                if cen:
-                    parts.append(f"{cen}/24*C")
-                if parts:
-                    expected.append(violation(f"x={x} y={y} z={z}", lhs=" + ".join(parts),
-                                              rhs="0", diff=" + ".join(parts)))
+    for x, y, z in combinations_with_replacement(syms, 3):
+        terms, cen = _reference_residual(a, x, y, z)
+        parts = [f"{v}/4*D[t^{rk},m={rI}]" for (rk, rI), v in sorted(terms.items())]
+        if cen:
+            parts.append(f"{cen}/24*C")
+        if parts:
+            expected.append(violation(f"x={x} y={y} z={z}", lhs=" + ".join(parts),
+                                      rhs="0", diff=" + ".join(parts)))
     return sorted(expected, key=lambda v: v["inputs"])
 
 
-def test_jacobi_sweep_finds_residuals_off_the_grading(monkeypatch):
-    # one bracket lands one exponent off, so the D-terms of a triple's Jacobi
-    # sum fall on two symbols: the sweep must not sum them as one integer
-    def shifted(a, p, im, q, jm):
-        c2, rk, rI, cen12 = bracket_ints(a, p, im, q, jm)
-        if (p, im, q, jm) == (0, 1, 0, 2):
-            rk += 1
-        return c2, rk, rI, cen12
+def _edit_forms(monkeypatch, edit, eps=None):
+    """A fault injected where the bracket lives: every config made from
+    now on (a ``replace`` copy of an older one included) reads its pair
+    forms through ``edit(I, J, form)``, or only those of the twist ``eps``
+    when given."""
+    original = algebra._pair_form_table
 
-    monkeypatch.setattr(algebra, "bracket_ints", shifted)
+    def edited(cfg, mutation):
+        table = original(cfg, mutation)
+        if eps is not None and cfg.eps != eps:
+            return table
+        return tuple(tuple(edit(I, J, f) for J, f in enumerate(row))
+                     for I, row in enumerate(table))
+    monkeypatch.setattr(algebra, "_pair_form_table", edited)
+
+
+def _scale_c2(pair, factor):
+    """The forms of one mask pair, in both orders, times ``factor``: the
+    bracket stays graded and super-antisymmetric."""
+    def scaled(I, J, form):
+        if form is None or {I, J} != set(pair):
+            return form
+        return tuple(c * factor for c in form[:3]) + form[3:]
+    return scaled
+
+
+def _tilt(pair, alpha):
+    """``alpha`` times (first exponent - second exponent) added to the forms
+    of one mask pair, in both orders.  With masks {1,2} and {2} at the twist
+    (1, 0) this stays graded and antisymmetric, and phi's residual, the
+    result's degree times this change, vanishes on the first 2 x 2
+    exponents from 0 but not on 3 x 3."""
+    def tilted(I, J, form):
+        if form is None or {I, J} != set(pair):
+            return form
+        c0, cp, cq, shift, rI = form
+        return c0, cp + alpha, cq - alpha, shift, rI
+    return tilted
+
+
+def _bump(pairs, dc0=0, dshift=0):
+    """The forms of the ordered mask pairs ``pairs`` with ``dc0`` added to
+    the constant and the results moved by ``dshift`` exponents."""
+    def bumped(I, J, form):
+        if (I, J) not in pairs:
+            return form
+        c0, cp, cq, shift, rI = form
+        return c0 + dc0, cp, cq, shift + dshift, rI
+    return bumped
+
+
+def _graded_escape(shift):
+    """An affine, graded and antisymmetric bracket of two xi{1,2} symbols,
+    ``2(p - q) D[t^(p+q+shift)]``, which the formula does not have (graded
+    for ``shift = shift_sum({1,2}) - 1``)."""
+    def escaped(I, J, form):
+        return (0, 2, -2, shift, 0) if I == J == 3 else form
+    return escaped
+
+
+def test_jacobi_sweep_finds_residuals_off_the_grading(monkeypatch):
+    # the form of (xi{1}, xi{2}) lands one exponent off, in that order
+    # only, so the D-terms of a triple's Jacobi sum fall on two symbols: the
+    # sweep must not sum them as one integer
+    _edit_forms(monkeypatch, _bump({(1, 2)}, dshift=1))
     a = acfg(2, (1, 0))
     w = Window(-2, 2)
-    expected = _reference_jacobi(a, w, shifted)
+    expected = _reference_jacobi(a, w)
     r = check_jacobi(a, w)
     assert r.status == "fail"
     assert r.violations == expected
     assert any(v["diff"].count("D[") == 2 for v in r.violations)
 
 
-def _scale_c2(pair, factor):
-    """bracket_ints with c2 scaled on one mask pair, in both orders: the
-    table stays affine, graded and super-antisymmetric."""
-    def scaled(a, p, im, q, jm):
-        c2, rk, rI, cen12 = bracket_ints(a, p, im, q, jm)
-        return (c2 * factor if {im, jm} == set(pair) else c2), rk, rI, cen12
-    return scaled
+def _window_triples(a, w, classes):
+    """The window triples whose masks, in window order, are one of
+    ``classes``."""
+    syms = [(p, im) for p in w.k_values() for im in range(1 << a.cfg.N)]
+    return [t for t in combinations_with_replacement(syms, 3)
+            if tuple(im for _, im in t) in classes]
 
 
-def _bump(entries, dc2=0, drk=0, dcen12=0):
-    """bracket_ints with the entries ``(p, I, q, J)`` changed."""
-    def bumped(a, p, im, q, jm):
-        c2, rk, rI, cen12 = bracket_ints(a, p, im, q, jm)
-        if (p, im, q, jm) in entries:
-            return c2 + dc2, rk + drk, rI, cen12 + dcen12
-        return c2, rk, rI, cen12
-    return bumped
-
-
-@pytest.mark.parametrize("a, w, brackets, polynomial", [
-    (acfg(3, (1, 1, 1), central=True), SMALL, _scale_c2((1, 2), 2), True),
-    (acfg(3, (1, 1, 0)), SMALL, _scale_c2((0, 3), 3), True),
-    (acfg(3, (1, 0, 0), central=True), SMALL, _scale_c2((1, 6), -1), True),
-    (acfg(2, (2, -1), central=True), Window(-3, 3), _scale_c2((1, 2), 2), True),
-    # the fallback triggers: not affine (an entry outside the window block,
-    # so still antisymmetric), off the grading (in both orders, above the
-    # grid), a central term off total degree 0, not antisymmetric
-    (acfg(3, (1, 1, 1)), SMALL, _bump({(0, 1, 3, 2)}, dc2=1), False),
-    (acfg(2, (1, 0)), SMALL, _bump({(2, 1, 2, 2), (2, 2, 2, 1)}, drk=1), False),
-    (acfg(3, (1, 1, 1), central=True), SMALL, _bump({(0, 1, 3, 2)}, dcen12=12), False),
-    (acfg(3, (1, 1, 0), mutation="drop_sign_intersection"), SMALL, bracket_ints, False),
-    (acfg(4, (1, 1, 0, 0), mutation="drop_sign_intersection"), Window(-1, 1),
-     bracket_ints, False),
+@pytest.mark.parametrize("a, w, edit", [
+    (acfg(3, (1, 1, 1), central=True), SMALL, _scale_c2((1, 2), 2)),
+    (acfg(3, (1, 1, 0)), SMALL, _scale_c2((0, 3), 3)),
+    (acfg(3, (1, 0, 0), central=True), SMALL, _scale_c2((1, 6), -1)),
+    (acfg(2, (2, -1), central=True), Window(-3, 3), _scale_c2((1, 2), 2)),
+    # not super-antisymmetric (a constant added in one order), off the
+    # grading (in both orders), and the registered mutation at N = 3 and 4
+    (acfg(3, (1, 1, 1)), SMALL, _bump({(1, 2)}, dc0=1)),
+    (acfg(2, (1, 0)), SMALL, _bump({(1, 2), (2, 1)}, dshift=1)),
+    (acfg(3, (1, 1, 0), mutation="drop_sign_intersection"), SMALL, None),
+    (acfg(4, (1, 1, 0, 0), mutation="drop_sign_intersection"), Window(-1, 1), None),
 ], ids=["scale-12", "scale-03", "scale-16", "twist-2-1", "c2-bump", "landing",
-        "cen12-off-degree-0", "sign-n3", "sign-n4"])
-def test_jacobi_grid_path_finds_every_violation(monkeypatch, a, w, brackets, polynomial):
-    # a broken bracket on either path: the Report equals the sweep of every
-    # window triple through the reference.  One fallback rule: a table that
-    # is not polynomial runs no filter and gives the reference every window
-    # triple; a polynomial one gives it every window triple, once each, of
-    # the mask multisets with a violation (those the filter flags), and no
-    # other
-    monkeypatch.setattr(algebra, "bracket_ints", brackets)
-    lo, table = bracket_table(a, w.k_min, w.k_max)
-    assert algebra.bracket_table_is_polynomial(a, w.k_min, lo, table) == polynomial
-    filtered = []
-    original = algebra.jacobi_filter
-    monkeypatch.setattr(algebra, "jacobi_filter",
-                        lambda *args: filtered.append(args) or original(*args))
+        "sign-n3", "sign-n4"])
+def test_jacobi_grid_path_finds_every_violation(monkeypatch, a, w, edit):
+    # a broken bracket: the Report equals the sweep of every window triple
+    # through the reference, which is handed every window triple of the
+    # ordered mask triples that jacobi_failures flags, once each, and no
+    # other; those hold every violation
+    if edit is not None:
+        _edit_forms(monkeypatch, edit)
+    a = replace(a)
     decided = _calls(monkeypatch, "_jacobi_residual")
-    expected = _reference_jacobi(a, w, brackets)
+    expected = _reference_jacobi(a, w)
     r = check_jacobi(a, w)
     assert r.status == "fail" and r.violations == expected
     syms = [(p, im) for p in w.k_values() for im in range(1 << a.cfg.N)]
     assert r.stats["tuples_checked"] == comb(len(syms) + 2, 3)
-    triples = list(combinations_with_replacement(syms, 3))
-    if polynomial:
-        flagged = {tuple(sorted(int(m) for m in re.findall(r", (\d+)\)", v["inputs"])))
-                   for v in expected}
-        triples = [t for t in triples if tuple(sorted(im for _, im in t)) in flagged]
-        assert filtered and 0 < len(triples) < comb(len(syms) + 2, 3)
-    else:
-        assert not filtered
+    triples = _window_triples(a, w, algebra.jacobi_failures(a))
     assert [args[1:] for args in decided] == triples
+    assert 0 < len(triples) < comb(len(syms) + 2, 3)
+    assert {v["inputs"] for v in expected} <= {f"x={x} y={y} z={z}" for x, y, z in triples}
+
+
+def test_jacobi_hands_the_reference_only_the_flagged_triples(monkeypatch):
+    # the doubled cocycle at N=3 with the central term fails 3 of the 120
+    # mask multisets: the sweep builds their 1,215 window triples alone, of
+    # the 64,824 it counts, and the reference decides each once
+    decided = _calls(monkeypatch, "_jacobi_residual")
+    a = acfg(3, (1, 1, 1), central=True, mutation="double_cocycle")
+    w = Window(-4, 4)
+    r = check_jacobi(a, w)
+    assert r.status == "fail" and r.stats["tuples_checked"] == 64824
+    assert len({tuple(sorted(m)) for m in algebra.jacobi_failures(a)}) == 3
+    assert len(decided) == len(set(decided)) == 1215
+    assert r.violations == _reference_jacobi(a, w)
 
 
 # one twist per N = 1..4, the central term where it exists
@@ -638,40 +676,45 @@ JACOBI_DEGREE_CONFIGS = pytest.mark.parametrize("a", [
 
 def _jacobi_terms(a, K):
     """Each of the three terms of each mask triple's Jacobi sum, grouped by
-    result column (rk - p - q - r, rI), as a flat list over the exponent
-    cube -K..K cubed, index ((p + K) * S + q + K) * S + r + K with S = 2K + 1;
-    asserts on the way that its central part vanishes off total degree 0."""
+    result (rk - p - q - r, rI), as a flat list over the exponent cube
+    -K..K cubed, index ((p + K) * S + q + K) * S + r + K with S = 2K + 1;
+    asserts on the way that its central part vanishes off total degree 0.
+    Each bracket is read once from bracket_ints."""
     N = a.cfg.N
     n = 1 << N
     S = 2 * K + 1
-    lo, table = bracket_table(a, -K, K)
-    rows = [table[m::n] for m in range(n)]  # rows[I][p + K]: the row of (p, I)
-    deg = [[a.cfg.degree(p, m) for p in range(-K, K + 1)] for m in range(n)]
+    ks = range(-K, K + 1)
+    inner = {(Y, Z): [(ey, ez, q + r, bracket_ints(a, q, Y, r, Z)[:3])
+                      for ey, q in enumerate(ks) for ez, r in enumerate(ks)]
+             for Y in range(n) for Z in range(n)}
+    outer: dict = {}  # (X, rk, rI) -> [x, D[t^rk, xi_rI]] for x = (p, X), p in ks
     for m in combinations_with_replacement(range(n), 3):
         for u, v, t in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
             X, Y, Z = m[u], m[v], m[t]  # the term [x, [y, z]]
             sgn = -1 if X.bit_count() & Z.bit_count() & 1 else 1
             groups: dict = {}
-            for ey, row in enumerate(rows[Y]):
-                for ez in range(S):
-                    c2, col, _ = row[((ez - K - lo) << N) | Z]
-                    if not c2:
-                        continue
-                    for ex, (c3, rcol, cen12) in enumerate([r[col] for r in rows[X]]):
-                        assert not cen12 or deg[X][ex] + deg[Y][ey] + deg[Z][ez] == 0
-                        if c3:
-                            key = (lo + (rcol >> N) - ex - ey - ez + 3 * K, rcol & (n - 1))
-                            if key not in groups:
-                                groups[key] = [0] * S ** 3
-                            groups[key][(ex * S + ey) * S + ez] = sgn * c2 * c3
+            for ey, ez, qr, (c2, rk, rI) in inner[Y, Z]:
+                if not c2:
+                    continue
+                if (X, rk, rI) not in outer:
+                    outer[X, rk, rI] = [bracket_ints(a, p, X, rk, rI) for p in ks]
+                for ex, (c3, rk2, rI2, cen12) in enumerate(outer[X, rk, rI]):
+                    p = ex - K
+                    assert not cen12 or (a.cfg.degree(p, X) + a.cfg.degree(ey - K, Y)
+                                         + a.cfg.degree(ez - K, Z) == 0)
+                    if c3:
+                        key = (rk2 - p - qr, rI2)
+                        if key not in groups:
+                            groups[key] = [0] * S ** 3
+                        groups[key][(ex * S + ey) * S + ez] = sgn * c2 * c3
             yield from groups.values()
 
 
 @JACOBI_DEGREE_CONFIGS
 def test_jacobi_terms_have_degree_two_in_each_exponent(a):
-    # the bound of a grid per exponent, pinned for the correct algebras: each
-    # term has zero third differences in each exponent over -6..6, and degree
-    # 2 is attained; its central part vanishes off total degree 0
+    # each term of jacobi_sum's quadratic forms, read from the concrete
+    # brackets: zero third differences in each exponent over -6..6, and
+    # degree 2 is attained; its central part vanishes off total degree 0
     K = 6
     S = 2 * K + 1
     # a function on the cube as a flat list over (e_x, e_y, e_z); for each
@@ -691,10 +734,10 @@ def test_jacobi_terms_have_degree_two_in_each_exponent(a):
 
 @JACOBI_DEGREE_CONFIGS
 def test_jacobi_terms_have_total_degree_two(a):
-    # the bound check_jacobi's 10-point lattice rests on, pinned for the
-    # correct algebras: every third-order difference of each term, mixed ones
-    # included, vanishes over -6..6, and some mixed second difference does
-    # not (a product of two exponents is reached)
+    # the same terms, read from the concrete brackets, have total degree 2,
+    # the quadratic forms of jacobi_sum: every third-order difference, mixed
+    # ones included, vanishes over -6..6, and some mixed second difference
+    # does not (a product of two exponents is reached)
     K = 6
     S = 2 * K + 1
     steps = (S * S, S, 1)
@@ -717,84 +760,46 @@ def test_jacobi_terms_have_total_degree_two(a):
     assert mixed
 
 
-def test_jacobi_filter_runs_on_the_grid(monkeypatch):
-    # a passing sweep runs the filter on the 10 lattice triples (offsets a + b
-    # + c <= 2) per mask multiset and on the window triples of total degree
-    # 0, and decides no triple
-    calls = {"jacobi_filter": 0, "_jacobi_residual": 0}
-
-    def spy(module, name):
-        original = getattr(module, name)
-
-        def counted(*args):
-            calls[name] += 1
-            return original(*args)
-        monkeypatch.setattr(module, name, counted)
-
-    spy(algebra, "jacobi_filter")
-    spy(verify, "_jacobi_residual")
-    a = acfg(3, (1, 1, 1), central=True)
-    w = Window(-4, 4)
-    r = check_jacobi(a, w)
-    assert r.status == "pass" and r.stats["tuples_checked"] == 64824
-    degs = [a.cfg.degree(p, im) for p in w.k_values() for im in range(8)]
-    degree0 = sum(1 for i, d in enumerate(degs) for j in range(i, len(degs))
-                  for e in degs[j:] if d + degs[j] + e == 0)
-    assert 0 < calls["jacobi_filter"] <= 10 * comb(8 + 2, 3) + degree0
-    assert calls["_jacobi_residual"] == 0
+def _returns(monkeypatch, name):
+    """The results of every call of ``verify.<name>``, appended as they
+    come."""
+    results = []
+    original = getattr(verify, name)
+    monkeypatch.setattr(verify, name, lambda *args, **kw: results.append(
+        original(*args, **kw)) or results[-1])
+    return results
 
 
 def test_jacobi_computes_each_bracket_once(monkeypatch):
+    # the structure constants of each ordered mask pair are computed once,
+    # as one affine form, for every config and sweep of that twist
     calls = []
-
-    def spy(a, p, im, q, jm):
-        calls.append((p, im, q, jm))
-        return bracket_ints(a, p, im, q, jm)
-
-    monkeypatch.setattr(algebra, "bracket_ints", spy)
-    a = acfg(2, (1, 0), central=True)
-    w = Window(-2, 2)
-    r = check_jacobi(a, w)
-    assert r.status == "pass" and r.stats["tuples_checked"] == 1540
-    lo, hi = bracket_columns(a.cfg.eps, w.k_min, w.k_max)
-    rows, cols = len(w.k_values()) << 2, (hi - lo + 1) << 2
-    # every bracket goes through the table builder, once
-    assert 0 < len(calls) <= rows * cols
-    assert len(set(calls)) == len(calls)
+    original = algebra.pair_form
+    monkeypatch.setattr(algebra, "pair_form",
+                        lambda a, I, J: calls.append((I, J)) or original(a, I, J))
+    algebra._pair_form_table.cache_clear()
+    try:
+        for central in (True, False):
+            r = check_jacobi(acfg(2, (1, 0), central=central), Window(-2, 2))
+            assert r.status == "pass" and r.stats["tuples_checked"] == 1540
+    finally:
+        algebra._pair_form_table.cache_clear()
+    assert sorted(calls) == list(product(range(4), repeat=2))
 
 
-def _moved(s):
-    """bracket_ints with the result of [D[t^0, xi{1}], D[t^1, xi{2}]] moved by
-    ``s`` exponents, in that order only."""
-    def moved(a, p, im, q, jm):
-        c2, rk, rI, cen12 = bracket_ints(a, p, im, q, jm)
-        return c2, rk + s if (p, im, q, jm) == (0, 1, 1, 2) else rk, rI, cen12
-    return moved
-
-
-def _graded_escape(a, p, im, q, jm):
-    """bracket_ints with an affine, graded, antisymmetric bracket of two
-    xi{1,2} symbols, whose result lands outside the table's row for some
-    window pairs."""
-    if im == jm == 3:
-        return 2 * (p - q), p + q + a.cfg.shift_sum(3) - 1, 0, 0
-    return bracket_ints(a, p, im, q, jm)
-
-
-@pytest.mark.parametrize("a, brackets", [
-    *[(acfg(2, (1, 0)), _moved(s)) for s in (-20, -12, -10, -9, -6, 5, 9, 20)],
-    (acfg(2, (-1, -1)), _graded_escape),
+@pytest.mark.parametrize("a, edit", [
+    *[(acfg(2, (1, 0)), _bump({(1, 2)}, dshift=s)) for s in (-20, -12, -10, -9, -6, 5, 9, 20)],
+    (acfg(2, (-1, -1)), _graded_escape(3)),
 ], ids=[*(f"moved{s:+d}" for s in (-20, -12, -10, -9, -6, 5, 9, 20)), "graded"])
-def test_jacobi_flags_results_outside_the_row(monkeypatch, a, brackets):
-    # a bracket whose result column lies outside the table's row fails the
-    # polynomial check, so the reference decides every window triple and
-    # the filter reads no table column: no wrapped read, no IndexError
-    monkeypatch.setattr(algebra, "bracket_ints", brackets)
+def test_jacobi_finds_moved_and_foreign_forms(monkeypatch, a, edit):
+    # a form whose results land far off (in one order only), or a graded
+    # affine bracket that the formula does not have: the formal sums flag
+    # their mask triples, and the Report is the sweep of every window triple
+    _edit_forms(monkeypatch, edit)
+    a = replace(a)
     w = Window(-2, 2)
-    lo, table = bracket_table(a, w.k_min, w.k_max)
-    assert not algebra.bracket_table_is_polynomial(a, w.k_min, lo, table)
-    expected = _reference_jacobi(a, w, brackets)
-    assert len(expected) == (18 if a.cfg.eps == (1, 0) else 216)
+    expected = _reference_jacobi(a, w)
+    assert expected
     assert check_jacobi(a, w).violations == expected
 
 
@@ -808,10 +813,13 @@ def fresh_parts():
 
 
 def _full_sweep(monkeypatch, check, *args):
-    """The Report of ``check`` with every pair compared."""
+    """The Report of ``check`` with every class flagged, so that the
+    reference decides every window tuple."""
+    original = verify._class_tuples
+    size = 3 if check is check_jacobi else 2
     with monkeypatch.context() as m:
-        m.setattr(algebra, "grid_sweep", lambda keys, pairs, compare, *_: [
-            v for v in (compare(i, j) for i, j in pairs()) if v is not None])
+        m.setattr(verify, "_class_tuples", lambda keys, classes, **kw: original(
+            keys, set(product(set(keys), repeat=size)), **kw))
         return check(*args)
 
 
@@ -824,6 +832,12 @@ def _calls(monkeypatch, name):
     return calls
 
 
+def _concrete(calls):
+    """The calls of a pair sweep's reference: those on integer exponents
+    (a formal call's first symbol is over ``verify.FORMAL``)."""
+    return [args for args in calls if args[1].params == ()]
+
+
 def _curved_d_eps(monkeypatch):
     """SuperFunction.d_eps plus k^2 t^{k-1} xi_I on each term t^k xi_I: not
     affine in the exponent."""
@@ -831,122 +845,107 @@ def _curved_d_eps(monkeypatch):
 
     def curved(self, cfg):
         return original(self, cfg) + SuperFunction(self.params, {
-            (k - 1, im): c.scale_raw(k * k, 0) for (k, im), c in self.terms.items()})
+            (k - 1, im): grassmann.times(c, k * k)
+            for (k, im), c in self.terms.items()})
     monkeypatch.setattr(SuperFunction, "d_eps", curved)
 
 
-def _tilt(pair, alpha):
-    """bracket_ints with ``alpha`` times (first exponent - second exponent)
-    added to c2 on one mask pair, in both orders.  With masks {1,2} and {2}
-    at the twist (1, 0) this stays affine, graded and antisymmetric, and
-    phi's residual, the result's degree times this change, vanishes on the
-    first 2 x 2 exponents from 0 but not on 3 x 3."""
-    def tilted(a, p, im, q, jm):
-        c2, rk, rI, cen12 = bracket_ints(a, p, im, q, jm)
-        return (c2 + alpha * (p - q) if {im, jm} == set(pair) else c2), rk, rI, cen12
-    return tilted
+def _patch_forms(edit):
+    return lambda monkeypatch: _edit_forms(monkeypatch, edit)
 
 
-def _patch_brackets(brackets):
-    return lambda monkeypatch: monkeypatch.setattr(algebra, "bracket_ints", brackets)
-
-
-@pytest.mark.parametrize("a, brackets, masks", [
+@pytest.mark.parametrize("a, edit, masks", [
     (acfg(2, (0, 0)), _scale_c2((0, 3), 2), (0, 1, 2)),
     (acfg(3, (1, 1, 0)), _tilt((1, 6), 1), (0, 1, 6)),
 ], ids=["scale-03", "tilt-16"])
-def test_jacobi_lattice_reaches_past_the_cube(monkeypatch, a, brackets, masks):
-    # a fault that keeps the table polynomial and whose residual on one mask
-    # triple vanishes on the offsets {0, 1}^3 from k_min but not on the
-    # lattice: a sweep of that cube alone would miss it; the lattice's
-    # offsets 2 find it, and the Report is the sweep of every window triple
-    monkeypatch.setattr(algebra, "bracket_ints", brackets)
-    N = a.cfg.N
+def test_jacobi_lattice_reaches_past_the_cube(monkeypatch, a, edit, masks):
+    # a fault whose residual on one mask triple vanishes on the offsets
+    # {0, 1}^3 from the window's first exponent but not on the window: the
+    # formal sums flag that mask triple, and the Report is the sweep of
+    # every window triple
+    _edit_forms(monkeypatch, edit)
+    a = replace(a)
     w = Window(0, 3)
-    lo, table = bracket_table(a, w.k_min, w.k_max)
-    assert algebra.bracket_table_is_polynomial(a, w.k_min, lo, table)
-    par = [(i & ((1 << N) - 1)).bit_count() & 1 for i in range(len(table))]
-    off = (w.k_min - lo) << N
 
-    def flagged(offsets):
-        return [t for t in offsets if algebra.jacobi_filter(
-            table, par, off, *((e << N) | m for e, m in zip(t, masks)))]
+    def failing(offsets):
+        return [t for t in offsets if any(_reference_residual(
+            a, *((w.k_min + e, m) for e, m in zip(t, masks))))]
 
-    assert not flagged(product(range(2), repeat=3))
-    assert flagged(t for t in product(range(3), repeat=3) if sum(t) <= 2)
+    assert not failing(product(range(2), repeat=3))
+    assert failing(product(range(3), repeat=3))
+    assert masks in algebra.jacobi_failures(a)
     r = check_jacobi(a, w)
-    assert r.status == "fail" and r.violations == _reference_jacobi(a, w, brackets)
+    assert r.status == "fail" and r.violations == _reference_jacobi(a, w)
     assert any(sorted(int(m) for m in re.findall(r", (\d+)\)", v["inputs"])) == list(masks)
                for v in r.violations)
 
 
 @pytest.mark.parametrize("w", [Window(0, 0), Window(-1, -1), Window(0, 1), Window(-1, 0)],
                          ids=["1-at-0", "1-at-neg1", "2-at-0", "2-at-neg1"])
-@pytest.mark.parametrize("a, brackets", [
+@pytest.mark.parametrize("a, edit", [
     (acfg(3, (1, 1, 0)), _scale_c2((1, 2), 2)),
     (acfg(2, (0, 0)), _scale_c2((0, 3), 2)),
     (acfg(3, (1, 1, 0)), _tilt((1, 6), 1)),
-    (acfg(3, (1, 1, -3), central=True, mutation="double_cocycle"), bracket_ints),
+    (acfg(3, (1, 1, -3), central=True, mutation="double_cocycle"), None),
 ], ids=["scale-12", "scale-03", "tilt-16", "cocycle"])
-def test_jacobi_short_window_gives_the_full_sweep(monkeypatch, a, brackets, w):
-    # a window of 1 or 2 exponents holds 1 or 7 of the lattice's points, and
-    # a residual of total degree <= 2 that vanishes there vanishes on the
-    # whole window: the polynomial path's Report is the full sweep's
-    monkeypatch.setattr(algebra, "bracket_ints", brackets)
-    lo, table = bracket_table(a, w.k_min, w.k_max)
-    assert algebra.bracket_table_is_polynomial(a, w.k_min, lo, table)
+def test_jacobi_short_window_gives_the_full_sweep(monkeypatch, a, edit, w):
+    # a window of 1 or 2 exponents: the formal route decides the same
+    # classes, and its Report is the full sweep's
+    if edit is not None:
+        _edit_forms(monkeypatch, edit)
+    a = replace(a)
     r = check_jacobi(a, w)
-    with monkeypatch.context() as m:
-        m.setattr(algebra, "bracket_table_is_polynomial", lambda *args: False)
-        full = check_jacobi(a, w)
+    full = _full_sweep(monkeypatch, check_jacobi, a, w)
     assert r.to_json(with_timing=False) == full.to_json(with_timing=False)
-    assert r.violations == _reference_jacobi(a, w, brackets)
+    assert r.violations == _reference_jacobi(a, w)
 
 
 # sweep -> (check, the function of verify each compared pair calls, its calls
-# per pair, twist, a window too short for the sweep's grid)
+# per pair, twist, a short window)
 PAIR_SWEEPS = {
     "crosscheck": (check_bracket_crosscheck, "contact_bracket", 1, (1, 1, 0),
                    Window(-1, -1)),
     "phi": (check_phi, "bracket", 2, (1, 0), Window(-1, 0)),
 }
-# case -> (mutation, window (None: the short one), patch, whether the grid runs)
+# case -> (mutation, window (None: the short one), patch)
 PAIR_SWEEP_CASES = {
-    # c2 scaled on one mask pair, in both orders: the table stays polynomial
-    "scale-12": (None, SMALL, _patch_brackets(_scale_c2((1, 2), 2)), True),
-    "scale-03": (None, Window(-3, 3), _patch_brackets(_scale_c2((0, 3), -1)), True),
-    "tilt-32": (None, Window(0, 3), _patch_brackets(_tilt((3, 2), 2)), True),
-    # the fallback triggers: c2 + 1 at one window entry (in both orders, so
-    # still antisymmetric; the grid's exponents miss it), a table that is not
-    # antisymmetric, a d_eps that is not affine in the exponent, a window too
-    # short for the grid
-    "c2-bump": (None, SMALL, _patch_brackets(_bump({(0, 1, 1, 2), (1, 2, 0, 1)},
-                                                   dc2=1)), False),
-    "sign": ("drop_sign_intersection", SMALL, lambda monkeypatch: None, False),
-    "d-eps": (None, SMALL, _curved_d_eps, False),
-    "short": (None, None, _patch_brackets(_scale_c2((0, 3), -1)), False),
+    # the forms of one mask pair scaled or tilted, in both orders
+    "scale-12": (None, SMALL, _patch_forms(_scale_c2((1, 2), 2))),
+    "scale-03": (None, Window(-3, 3), _patch_forms(_scale_c2((0, 3), -1))),
+    "tilt-32": (None, Window(0, 3), _patch_forms(_tilt((3, 2), 2))),
+    # a constant added to one mask pair's forms in both orders, a mutation
+    # that breaks super-antisymmetry, a d_eps that is not affine in the
+    # exponent, a window of one or two exponents
+    "c2-bump": (None, SMALL, _patch_forms(_bump({(1, 2), (2, 1)}, dc0=1))),
+    "sign": ("drop_sign_intersection", SMALL, lambda monkeypatch: None),
+    "d-eps": (None, SMALL, _curved_d_eps),
+    "short": (None, None, _patch_forms(_scale_c2((0, 3), -1))),
 }
 
 
 @pytest.mark.parametrize("sweep", PAIR_SWEEPS)
 @pytest.mark.parametrize("case", PAIR_SWEEP_CASES)
 def test_pair_sweep_grid_finds_every_violation(monkeypatch, fresh_parts, sweep, case):
-    # a broken algebra on either path: the Report equals the sweep that
-    # compares every pair, and only the grid path compares fewer
+    # a broken algebra: the Report equals the sweep that hands the reference
+    # every pair, and the reference compares exactly the window pairs of the
+    # classes the formal comparison flags, once each
     check, spied, per_pair, eps, short = PAIR_SWEEPS[sweep]
-    mutation, w, patch, grid = PAIR_SWEEP_CASES[case]
+    mutation, w, patch = PAIR_SWEEP_CASES[case]
     w = w or short
-    a = acfg(len(eps), eps, mutation=mutation)
     patch(monkeypatch)
+    a = acfg(len(eps), eps, mutation=mutation)
     full = _full_sweep(monkeypatch, check, a, w)
     calls = _calls(monkeypatch, spied)
+    handed = _returns(monkeypatch, "_class_tuples")
     r = check(a, w)
     assert r.status == "fail"
     assert r.to_json(with_timing=False) == full.to_json(with_timing=False)
     n = len(w.k_values()) << a.cfg.N
     pairs = n * n if sweep == "crosscheck" else n * (2 * n + 1)
     assert r.stats["tuples_checked"] == pairs
-    assert (len(calls) < per_pair * pairs) == grid
+    (tuples,) = handed
+    assert 0 < len(tuples) == len(set(tuples))
+    assert len(_concrete(calls)) == per_pair * len(tuples)
 
 
 def _grid_degree(groups, bound):
@@ -991,10 +990,10 @@ ORACLE_TWISTS = sorted({a.cfg.eps for a, _ in TABLE_ORACLE_CONFIGS if a.mutation
 @pytest.mark.parametrize("eps", [e for e in ORACLE_TWISTS if len(e) < 4 or e == (1, 1, 0, 0)],
                          ids=lambda eps: ",".join(map(str, eps)))
 def test_crosscheck_sides_have_degree_one_in_each_exponent(eps):
-    # the bound check_bracket_crosscheck's 2 x 2 grid rests on: per ordered
-    # mask pair, both sides (structure constants and contact bracket),
-    # grouped by output offset, have zero second differences in each exponent
-    # over -6..6, and degree 1 is attained
+    # the shape of the crosscheck's formal comparison, seen on the concrete
+    # sides: per ordered mask pair, both sides (structure constants and
+    # contact bracket), grouped by output offset, have zero second
+    # differences in each exponent over -6..6, and degree 1 is attained
     K = 6
     a = acfg(len(eps), eps)
     n = 1 << a.cfg.N
@@ -1013,10 +1012,10 @@ def test_crosscheck_sides_have_degree_one_in_each_exponent(eps):
 @pytest.mark.parametrize("eps", [e for e in ORACLE_TWISTS if len(e) < 3 or e == (1, 1, 1)],
                          ids=lambda eps: ",".join(map(str, eps)))
 def test_phi_sides_have_degree_two_in_each_exponent(eps):
-    # the bound check_phi's 3 x 3 grid rests on: per class the sweep meets (a
-    # D-symbol, then a D-symbol or a function), both sides' D- and A-parts,
-    # grouped by output offset, have zero third differences in each exponent
-    # over -6..6, and degree 2 is attained
+    # the same for phi's two sides, per class the sweep meets (a D-symbol,
+    # then a D-symbol or a function): their D- and A-parts, grouped by
+    # output offset, have zero third differences in each exponent over
+    # -6..6, and degree 2 is attained
     K = 6
     a = acfg(len(eps), eps)
     n = 1 << a.cfg.N
@@ -1040,81 +1039,167 @@ def test_phi_sides_have_degree_two_in_each_exponent(eps):
     assert top == 2
 
 
-@pytest.mark.parametrize("brackets, grid", [
-    (_tilt((3, 2), 2), True),  # the two twists see a different p - q
-    (_bump({(0, 1, 1, 2), (1, 2, 0, 1)}, dc2=1), False),
+@pytest.mark.parametrize("edit, eps", [
+    (_tilt((3, 2), 2), None),  # the two twists see a different p - q
+    (_bump({(1, 2), (2, 1)}, dc0=1), (0, 0)),  # on the target's forms only
 ], ids=["tilt-32", "c2-bump"])
-def test_eps_shift_grid_finds_every_violation(monkeypatch, brackets, grid):
-    monkeypatch.setattr(algebra, "bracket_ints", brackets)
+def test_eps_shift_grid_finds_every_violation(monkeypatch, edit, eps):
+    _edit_forms(monkeypatch, edit, eps)
     args = (EpsilonConfig(2, (2, 0)), EpsilonConfig(2, (0, 0)), SMALL)
     full = _full_sweep(monkeypatch, check_eps_shift, *args)
     calls = _calls(monkeypatch, "bracket")
     r = check_eps_shift(*args)
     assert r.status == "fail"
     assert r.to_json(with_timing=False) == full.to_json(with_timing=False)
-    assert (len(calls) < 2 * r.stats["tuples_checked"]) == grid
+    assert 0 < len(_concrete(calls)) < 2 * r.stats["tuples_checked"]
 
 
 def test_phi_grid_needs_an_affine_coefficient(monkeypatch):
-    # a phi whose added coefficient has an extra p^2: the sweep compares
-    # every pair, and its Report is the full sweep's
+    # a phi whose added coefficient has an extra p^2: the formal comparison
+    # flags the classes it breaks, and the Report is the full sweep's
     def curved(a, x):
-        extra = {(p - 1, im): c.scale_raw(p * p, 0) for (p, im), c in x.d.terms.items()}
+        extra = {(p - 1, im): grassmann.times(c, p * p)
+                 for (p, im), c in x.d.terms.items()}
         return algebra.phi(a, x) + AlgebraElement(x.params, a=SuperFunction(x.params, extra))
 
     monkeypatch.setattr(verify, "phi", curved)
     a = acfg(2, (1, 0))
     full = _full_sweep(monkeypatch, check_phi, a, SMALL)
-    calls = _calls(monkeypatch, "bracket")
     r = check_phi(a, SMALL)
     assert r.status == "fail"
     assert r.to_json(with_timing=False) == full.to_json(with_timing=False)
-    assert len(calls) == 2 * r.stats["tuples_checked"] == 2 * 20 * 41
+    assert r.stats["tuples_checked"] == 20 * 41
 
 
-@pytest.mark.parametrize("check, eps, spied, most, tuples", [
-    (check_bracket_crosscheck, (1, 1, 0), "contact_bracket", 4 * 8 ** 2, 56 * 56),
-    (check_phi, (1, 0), "bracket", 2 * 9 * (2 * 4) ** 2, 56 * 57 // 2),
+@pytest.mark.parametrize("check, eps, spied, classes, tuples", [
+    (check_bracket_crosscheck, (1, 1, 0), "contact_bracket", 8 ** 2, 56 * 56),
+    (check_phi, (1, 0), "bracket", 2 * (2 * 4) ** 2, 56 * 57 // 2),
 ], ids=["crosscheck", "phi"])
-def test_passing_pair_sweep_compares_the_grid(monkeypatch, check, eps, spied, most,
+def test_passing_pair_sweep_compares_the_grid(monkeypatch, check, eps, spied, classes,
                                               tuples):
-    # a passing sweep compares (d + 1)^2 pairs per class: at most 4 (2**N)^2
-    # contact brackets for the crosscheck, 2 brackets on 9 pairs of each of
-    # the (2 * 2**N)^2 ordered classes for phi
+    # a passing sweep compares each class once, with formal exponents: one
+    # contact bracket per ordered mask pair for the crosscheck, 2 brackets
+    # per ordered pair of kinds and masks for phi, and no window pair
     calls = _calls(monkeypatch, spied)
     r = check(acfg(len(eps), eps), Window(-3, 3))
     assert r.status == "pass" and r.stats["tuples_checked"] == tuples
-    assert 0 < len(calls) <= most
+    assert len(calls) == classes and not _concrete(calls)
 
 
-def test_pair_sweep_builds_only_the_window_block(monkeypatch):
-    # the crosscheck's polynomial test reads the window x window block of the
-    # bracket table (56 x 56 entries at N=3 on 7 exponents), not its columns
-    # beyond, and the grid compares at most 2 x 2 pairs per mask pair
-    calls = []
+def _specialised(x, at):
+    """A formal SuperFunction or AlgebraElement (keys and coefficients
+    Scalars over ``verify.FORMAL``) at the integer exponents ``at``, over
+    no parameters."""
+    def value(s):
+        return s.at(at).as_gaussrat()
 
-    def spy(a, *args):
-        calls.append(args)
-        return bracket_ints(a, *args)
+    def function(f):
+        out: dict = {}
+        for (k, im), c in f.terms.items():
+            k = k if isinstance(k, int) else value(k).re
+            add_term(out, (int(k), im), Scalar.const((), value(c)))
+        return SuperFunction((), out)
 
-    monkeypatch.setattr(algebra, "bracket_ints", spy)
-    r = check_bracket_crosscheck(acfg(3, (1, 1, 0)), Window(-3, 3))
-    assert r.status == "pass"
-    assert 0 < len(calls) <= 56 * 56 + 4 * 8 ** 2
+    if isinstance(x, SuperFunction):
+        return function(x)
+    return AlgebraElement((), function(x.d), function(x.a), Scalar.const((), value(x.central)))
 
 
-@pytest.mark.parametrize("a, brackets, reach", [
-    (acfg(2, (1, 0)), bracket_ints, range(-6, 5)),
-    (acfg(2, (2, -1)), bracket_ints, range(-8, 7)),
-    (acfg(2, (-1, -1)), _graded_escape, None),
-], ids=["correct-10", "correct-2-1", "graded-escape"])
-def test_pair_sweep_table_lands_in_the_columns(monkeypatch, a, brackets, reach):
-    # the window block's brackets land in bracket_columns, which is the range
-    # the pair sweeps check the map on; a graded, affine and antisymmetric
-    # bracket that lands beyond it fails the test
-    monkeypatch.setattr(algebra, "bracket_ints", brackets)
-    ks = range(-2, 3)
-    assert algebra.bracket_is_polynomial(a, (), ks, ks) == reach
+@pytest.mark.parametrize("eps", ORACLE_TWISTS, ids=lambda eps: ",".join(map(str, eps)))
+def test_formal_sweeps_specialise_to_the_concrete_ones(eps):
+    # the condition the formal route rests on: the library run on formal
+    # exponents and then specialised (Scalar.at) gives what it gives on the
+    # integers, for both sides of the crosscheck, of phi and of the shift to
+    # the 0/1 twist, and for the Jacobi sum with its central part where it
+    # exists
+    N = len(eps)
+    a = acfg(N, eps, central=N <= 3)
+    cfg, stripped = a.cfg, replace(a, central_enabled=False)
+    F = verify.FORMAL
+    P, Q = (Scalar.var(F, x) for x in F)
+    points = [(-1, 2), (0, 0), (2, -1)]
+    masks = range(1 << N)
+    for I, J in product(masks, repeat=2):
+        formal = (algebra.bracket_basis(stripped, (P, I), (Q, J), F).d,
+                  grassmann.contact_bracket(cfg, grassmann.monomial_parts(cfg, F, P, I),
+                                            grassmann.monomial_parts(cfg, F, Q, J)))
+        for p, q in points:
+            assert tuple(_specialised(s, {"p": p, "q": q}) for s in formal) == (
+                algebra.bracket_basis(stripped, (p, I), (q, J)).d,
+                grassmann.contact_bracket(cfg, SuperFunction.monomial((), p, I),
+                                          SuperFunction.monomial((), q, J)))
+    dst = EpsilonConfig(N, tuple(e % 2 for e in eps))
+    maps = [(stripped, lambda x: algebra.phi(stripped, x)),
+            (AlgebraConfig(dst), lambda x: algebra.eps_shift_map(cfg, dst, x))]
+    kinds = [(make, im) for make in (AlgebraElement.d_symbol, AlgebraElement.a_monomial)
+             for im in masks]
+    for target, f in maps if N < 4 else ():
+        for (mx, I), (my, J) in product(kinds, repeat=2):
+            def sides(p, q, params):
+                x, y = mx(params, p, I), my(params, q, J)
+                return f(bracket(stripped, x, y)), bracket(target, f(x), f(y))
+            formal = sides(P, Q, F)
+            for p, q in points:
+                assert tuple(_specialised(s, {"p": p, "q": q}) for s in formal) == sides(p, q, ())
+    cube = list(product((-1, 0, 2), repeat=3))
+    for m in product(masks, repeat=3) if N < 4 else combinations_with_replacement(masks, 3):
+        d, cen = algebra.jacobi_sum(a, m)
+        for T, value in cen.items():
+            for p, q in points:
+                at = (p, q, T - p - q)
+                got = verify._jacobi_residual(a, *zip(at, m))[1]
+                assert value.at({"p": p, "q": q}) == got
+        for at in cube:
+            terms, c = verify._jacobi_residual(a, *zip(at, m))
+            v = (1, *at)
+            want = {(sum(at) + shift, mask): sum(k * v[i] * v[j] for k, (i, j)
+                                                 in zip(coeffs, algebra.QUADRATIC))
+                    for (shift, mask), coeffs in d.items()}
+            assert terms == {key: x for key, x in want.items() if x}
+            assert c == (cen[sum(at)].at({"p": at[0], "q": at[1]}) if sum(at) in cen else 0)
+
+
+PASSING_BENCHMARK_SWEEPS = [
+    (check_jacobi, acfg(3, (1, 1, 1), central=True), Window(-4, 4)),
+    (check_jacobi, acfg(4, (1, 1, 0, 0)), Window(-3, 3)),
+    (check_bracket_crosscheck, acfg(3, (1, 1, 0)), Window(-3, 3)),
+    (check_phi, acfg(2, (1, 0)), Window(-3, 3)),
+]
+
+
+def test_passing_bracket_sweeps_hand_the_reference_nothing(monkeypatch):
+    # the bracket checks of the benchmark's bracket_sweep: each passes on
+    # formal exponents alone, no window tuple reaches _jacobi_residual or a
+    # pair comparison on integer exponents, and no bracket is computed at
+    # integer exponents
+    decided = _calls(monkeypatch, "_jacobi_residual")
+    compared = {name: _calls(monkeypatch, name) for name in ("contact_bracket", "bracket")}
+    handed = _returns(monkeypatch, "_class_tuples")
+    computed = []
+    monkeypatch.setattr(algebra, "bracket_ints",
+                        lambda *args: computed.append(args) or bracket_ints(*args))
+    for check, a, w in PASSING_BENCHMARK_SWEEPS:
+        assert check(a, w).status == "pass"
+    assert handed == [[]] * len(PASSING_BENCHMARK_SWEEPS)
+    assert not decided and not any(_concrete(c) for c in compared.values())
+    assert computed and not any(isinstance(args[1], int) for args in computed)
+
+
+@pytest.mark.parametrize("eps", [(1,) * 5, (0,) * 5], ids=["ramond", "ns"])
+def test_bracket_sweeps_at_n5(eps):
+    # N = 5, in the paper's range N != 4: Jacobi, the crosscheck and phi
+    # pass, and their mutations fail on one exponent; on the Ramond twist
+    # every shift_sum is 0, so there drop_phi_coeff changes nothing
+    w = Window(-2, 2)
+    for check in (check_jacobi, check_bracket_crosscheck, check_phi):
+        assert check(acfg(5, eps), w).status == "pass"
+    one = Window(0, 0)
+    for check, mutation, fails in (
+            (check_bracket_crosscheck, "drop_sign_intersection", True),
+            (check_jacobi, "drop_sign_intersection", True),
+            (check_phi, "drop_phi_coeff", eps == (0,) * 5)):
+        r = check(acfg(5, eps, mutation=mutation), one)
+        assert (r.status == "fail") == fails == bool(r.violations)
 
 
 @pytest.mark.parametrize("check, eps, monomials", [
@@ -1123,9 +1208,10 @@ def test_pair_sweep_table_lands_in_the_columns(monkeypatch, a, brackets, reach):
 ])
 def test_superfunction_sweeps_differentiate_each_monomial_once(monkeypatch, check,
                                                                 eps, monomials):
-    # each of the window's unit monomials (7 exponents, 2**N masks; phi's
-    # images add one exponent below) is differentiated once, however many
-    # pairs it meets: at most 3N partial calls and one d_eps call each
+    # each unit monomial, formal or of the window (7 exponents, 2**N masks;
+    # phi's images add one exponent below), is differentiated once, however
+    # many pairs it meets, also when the reference is handed every window
+    # pair: at most 3N partial calls and one d_eps call each
     calls = {"partial": 0, "d_eps": 0}
 
     def spy(name):
@@ -1139,11 +1225,14 @@ def test_superfunction_sweeps_differentiate_each_monomial_once(monkeypatch, chec
     for name in calls:
         monkeypatch.setattr(SuperFunction, name, spy(name))
     grassmann.monomial_parts.cache_clear()
-    r = check(acfg(len(eps), eps), Window(-3, 3))
-    assert r.status == "pass"
-    assert grassmann.monomial_parts.cache_info().currsize == monomials
-    assert 0 < calls["partial"] <= 3 * len(eps) * monomials
-    assert 0 < calls["d_eps"] <= monomials
+    a = acfg(len(eps), eps)
+    assert check(a, Window(-3, 3)).status == "pass"
+    formal = grassmann.monomial_parts.cache_info().currsize
+    assert _full_sweep(monkeypatch, check, a, Window(-3, 3)).status == "pass"
+    size = grassmann.monomial_parts.cache_info().currsize
+    assert size == formal + monomials
+    assert 0 < calls["partial"] <= 3 * len(eps) * size
+    assert 0 < calls["d_eps"] <= size
 
 
 def test_unknown_mutation_rejected():
@@ -1338,6 +1427,18 @@ def test_window_without_inner_basis_is_a_usage_error(run):
     # a check over no inner basis vector checks nothing: it refuses the window
     with pytest.raises(UsageError, match=r"inner weights 1\.\.1 .* hold no basis"):
         run()
+
+
+def test_submodule_closure_counts_only_targets_in_the_window():
+    # a window whose margin (1) is narrower than the ops' shifts (down to
+    # -4): from the inner weight -4 the 8 ops of shift -4 land at -8,
+    # outside -6..6, and these 128 tuples (16 generators there) are not
+    # counted; the window of margin 4 over the same inner weights counts them
+    M = _n3(2, Fraction(-1))
+    narrow = check_submodule_closure(M, "F_prime", Window(-1, 1, -6, 6, 1), ORIGIN_ONLY)
+    wide = check_submodule_closure(M, "F_prime", Window(-1, 1, -9, 9, 4), ORIGIN_ONLY)
+    assert narrow.status == wide.status == "pass"
+    assert (narrow.stats["tuples_checked"], wide.stats["tuples_checked"]) == (1792, 1920)
 
 
 def test_simplicity_middle_must_be_positive():

@@ -10,12 +10,13 @@ line per check: workload, seed, check name and the sha256 of the Report's
 runs one negative control per registered mutation, at a small window, and
 prints ``negative_control``, the mutation, its target check and the digest:
 these failing Reports are the ones that carry witness text.  Three more
-lines, ``jacobi_control``, pin failing ``check_jacobi`` Reports at N=3 on
-the sweep's fallback path (the reference on every window triple), on its
-total-degree-0 path and on a two-exponent window, where the polynomial path
-reads 7 lattice points; two lines,
-``pair_control``, failing ``check_bracket_crosscheck`` and ``check_phi``
-Reports at N=3, one on each path of the pair sweeps.  No workload runs W-,
+lines, ``jacobi_control``, pin failing ``check_jacobi`` Reports at N=3:
+a bracket that is not super-antisymmetric (both orientations of a mask
+triple decided), a cocycle that fails in the central part alone (decided
+on the plane of total degree 0) and a window of two exponents.  Two lines,
+``pair_control``, pin failing ``check_bracket_crosscheck`` and
+``check_phi`` Reports at N=3, where the formal comparison flags some
+classes and the reference decides their window pairs.  No workload runs W-,
 so two lines, ``w_minus``, pin its ``check_submodule_closure`` Report and
 its ``quotient_wminus`` map on ``b = -i c``, which read the sign -1 branch
 of the W displays.  Nothing under
@@ -75,12 +76,11 @@ CONTROLS = {
 }
 
 
-# three more Jacobi controls, each on one path of check_jacobi: the fallback,
-# which runs no filter and gives the reference every window triple (an
-# antisymmetry-breaking mutation at N=3), the total-degree-0 filter pass of
-# the central term at N=3, and a window of two exponents, which holds 7 of
-# the 10 lattice points (the twist -3 gives a degree -4 plain symbol there,
-# where the doubled cocycle is nonzero)
+# three more Jacobi controls at N=3: an antisymmetry-breaking mutation, whose
+# formal sums fail in one orientation of a mask triple and not always in the
+# other; a doubled cocycle, which fails only in the central part, on the
+# plane of total degree 0; and a window of two exponents (the twist -3 gives
+# a degree -4 plain symbol there, where the doubled cocycle is nonzero)
 JACOBI_CONTROLS = [
     ("drop_sign_intersection", lambda: verify.check_jacobi(
         _algebra((1, 1, 0), "drop_sign_intersection"), SMALL)),
@@ -91,10 +91,9 @@ JACOBI_CONTROLS = [
 ]
 
 
-# one control on each path of the pair sweeps at N=3: the crosscheck under an
-# antisymmetry-breaking mutation (the fallback over every pair) and phi
-# under a wrong but affine coefficient (the 3 x 3 grid, then the flagged
-# classes)
+# the pair sweeps at N=3: the crosscheck under an antisymmetry-breaking
+# mutation and phi under a wrong coefficient; the formal comparison flags
+# the classes each breaks, and the reference decides their window pairs
 PAIR_CONTROLS = {
     "drop_sign_intersection": ("check_bracket_crosscheck", lambda: verify.check_bracket_crosscheck(
         _algebra((1, 1, 0), "drop_sign_intersection"), SMALL)),
