@@ -329,6 +329,10 @@ def test_quotient_map_wrong_target_fails():
     assert len(rpt.violations) == 192
     assert all(v["diff"] == "image conflicts with previously derived relations"
                for v in rpt.violations)
+    # every witness's pair text, pinned byte for byte
+    text = rpt.to_json(with_timing=False)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "ad03caed659eaf89c51c55597a4ca45e3aa34435cee35dc25ccb77ff855cce9d"
 
 
 def test_sector_shift_swap_tau_fails():

@@ -1405,6 +1405,30 @@ def test_submodule_closure_reports_images_outside_the_span(monkeypatch):
     assert witness["rhs"] == "span of W_plus at weight -4"
 
 
+def test_failing_submodule_closure_report_pinned(monkeypatch):
+    # F' at N=3 with its first generator at weight 0 moved off the span by
+    # a basis vector: the witness of every image that leaves the span is
+    # pinned byte for byte
+    named = verify.named_submodule
+
+    def perturbed(module, name, l_range):
+        gens = named(module, name, l_range)
+        i = next(i for i, g in enumerate(gens) if {bv.l for bv in g.terms} == {0})
+        gens[i] = gens[i] + ModVec.basis(module.params, ModBasisVec(0, 0, 0))
+        return gens
+
+    monkeypatch.setattr(verify, "named_submodule", perturbed)
+    M = _n3(2, Fraction(-1))
+    r = check_submodule_closure(M, "F_prime", module_window(-1, 1, M, inner_width=2),
+                                {"a": Fraction(5, 7)})
+    assert r.status == "fail"
+    assert (len(r.violations), r.stats["tuples_checked"]) == (33, 384)
+    assert r.violations[0]["inputs"] == "gen[0][0] under op=(-1,0)"
+    text = r.to_json(with_timing=False)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "747d37ced3293a46c91a123e04a66f6b192d1b968433b02d721a942dfb646d2b"
+
+
 # inner weight 1 only, which is off the even lattice of the all-ones twist
 NO_INNER_BASIS = Window(-1, 1, -7, 9, 8)
 ORIGIN_ONLY = {"a": Fraction(5, 7)}
