@@ -1,17 +1,19 @@
 """Exact linear algebra over Gaussian rationals.
 
-Exact row vectors are lists of Gaussian-integer pairs ``(re, im)`` with
-any common denominator already cleared.  An :class:`Echelon` keeps its
-rows in reduced row-echelon form scaled by one shared positive integer
-``den``: every stored row holds ``den`` at its own pivot column and zero
-at every other pivot column.  A row then lies in the span exactly when, on
-every free (non-pivot) column, ``den`` times its entry equals the
-combination of the stored rows weighted by its pivot entries.  Membership
-touches only the free columns and needs no gcd, and ranks and memberships
-carry no rounding or pivot-threshold questions.
+Exact rows are sparse dicts ``column index -> (re, im)`` of nonzero
+Gaussian-integer pairs, any common denominator already cleared.  An
+:class:`Echelon` keeps its rows in reduced row-echelon form scaled by one
+shared positive integer ``den``, each stored as sparsely: ``den`` at its
+own pivot column, its nonzero entries on the free (non-pivot) columns, and
+nothing at the other pivot columns.  A row then lies in the span exactly
+when ``den`` times it equals the combination of the stored rows weighted
+by its entries at their pivots; the difference vanishes on every pivot
+column, so membership needs no gcd and touches only the entries the rows
+hold.  Ranks and memberships carry no rounding or pivot-threshold
+questions.
 
-:class:`WeightSpaces` keeps one echelon per weight space of a window; it
-is the one place where module vectors become rows.
+:class:`WeightSpaces` keeps one echelon per weight space of a window, with
+rows keyed by the index of a basis vector within its weight space.
 
 Also a few small helpers for dense matrices of Scalars (used for the
 orthogonal-algebra relation checks and the degree-zero projection).
@@ -22,7 +24,7 @@ from __future__ import annotations
 from collections import deque
 from itertools import chain
 
-from .exactnum import Scalar, UsageError, pair_content
+from .exactnum import Scalar, pair_content
 
 
 # ---------------------------------------------------------------------------
@@ -32,11 +34,11 @@ from .exactnum import Scalar, UsageError, pair_content
 class Echelon:
     """Growing reduced row-echelon basis with exact membership tests.
 
-    ``rows`` maps each pivot column to its row, in insertion order (the
-    last entry is the row stored last); each row holds ``(den, 0)`` at its
-    pivot and ``(0, 0)`` at the other pivots.  A row ``r`` is in the span
-    iff ``den*r[c] == sum_p r[p]*rows[p][c]`` on every free column ``c``;
-    the first free column where this fails decides whether ``r`` is new.
+    Rows are sparse dicts ``column -> (re, im)``.  Each stored row holds
+    ``(den, 0)`` at its pivot and nothing at the other pivots.  A row ``r``
+    is in the span iff ``den*r - sum_p r[p]*row_p`` is zero; it is zero on
+    every pivot column, and its first nonzero (free) column decides whether
+    ``r`` is new.
 
     ``pivot_limit`` (if set) restricts pivot columns to ``< pivot_limit``;
     inserting a row whose first failing column lies at or beyond the limit
@@ -48,32 +50,36 @@ class Echelon:
     def __init__(self, ncols: int, pivot_limit: int | None = None):
         self.ncols = ncols
         self.pivot_limit = ncols if pivot_limit is None else pivot_limit
-        self.rows: dict[int, list] = {}  # pivot column -> row
+        self._rows: dict = {}  # pivot column -> stored row, in insertion order
         self.den = 1
-        self._free = list(range(ncols))  # non-pivot columns, ascending
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
 
-    def _residual(self, row: list):
-        """Yield ``(c, re, im)`` of ``den*row - sum_p row[p]*rows[p]`` on
-        each free column ``c`` in order; it vanishes on the pivot columns,
-        so ``row`` lies in the span iff every yielded value is zero."""
-        terms = [(row[p], prow) for p, prow in self.rows.items()
-                 if row[p] != (0, 0)]
+    @property
+    def rows(self) -> dict:
+        """Each pivot column -> the entries ``(re, im)`` its row stores,
+        its ``(den, 0)`` among them, in insertion order (the row stored
+        last comes last)."""
+        return {p: row.values() for p, row in self._rows.items()}
+
+    def _residual(self, row: dict) -> dict:
+        """The nonzero entries of ``den*row - sum_p row[p]*rows[p]``: none
+        at a pivot column, none at all iff ``row`` lies in the span."""
         den = self.den
-        for c in self._free:
-            x, y = row[c]
-            x *= den
-            y *= den
-            for (a, b), prow in terms:
-                u, v = prow[c]
-                x -= a * u - b * v
-                y -= a * v + b * u
-            yield c, x, y
+        acc = {c: (x * den, y * den) for c, (x, y) in row.items()}
+        get = acc.get
+        rows = self._rows
+        for p, (a, b) in row.items():
+            prow = rows.get(p)
+            if prow is not None:
+                for c, (u, v) in prow.items():
+                    x, y = get(c, (0, 0))
+                    acc[c] = (x - a * u + b * v, y - a * v - b * u)
+        return {c: xy for c, xy in acc.items() if xy != (0, 0)}
 
-    def insert(self, row: list) -> str:
+    def insert(self, row: dict) -> str:
         """Store ``row`` if it is new.  Returns one of:
 
         * ``"new"`` -- increased the rank;
@@ -83,128 +89,98 @@ class Echelon:
 
         The first free column where ``row`` leaves the span decides.
         """
-        residual = self._residual(row)
-        for pivot, x, y in residual:
-            if x or y:
-                break
-        else:
+        res = self._residual(row)
+        if not res:
             return "dependent"
+        pivot = min(res)
         if pivot >= self.pivot_limit:
             return "inconsistent"
-        new = [(0, 0)] * self.ncols
-        new[pivot] = (x, y)
-        for c, x, y in residual:
-            new[c] = (x, y)
-        self._store(new, pivot)
+        self._store(res, pivot)
         return "new"
 
-    def _store(self, new: list, pivot: int) -> None:
+    def _store(self, new: dict, pivot: int) -> None:
         """Add the residual ``new`` of a row, nonzero at ``pivot``."""
         # times the conjugate of its pivot entry: the pivot becomes pv > 0
         a, b = new[pivot]
-        new = [(x * a + y * b, y * a - x * b) for x, y in new]
+        new = {c: (x * a + y * b, y * a - x * b) for c, (x, y) in new.items()}
         pv = a * a + b * b
         # clear the pivot column from the stored rows; all pivots -> den*pv
+        rows = self._rows
+        for p, prow in rows.items():
+            e, f = prow.get(pivot, (0, 0))
+            if e or f:
+                out = {c: (pv * u, pv * v) for c, (u, v) in prow.items()}
+                for c, (x, y) in new.items():
+                    u, v = out.get(c, (0, 0))
+                    out[c] = (u - e * x + f * y, v - e * y - f * x)
+                rows[p] = {c: uv for c, uv in out.items() if uv[0] or uv[1]}
+            elif pv != 1:
+                rows[p] = {c: (pv * u, pv * v) for c, (u, v) in prow.items()}
         den = self.den
-        for p, prow in self.rows.items():
-            e, f = prow[pivot]
-            self.rows[p] = [(pv * u - (e * x - f * y), pv * v - (e * y + f * x))
-                            for (u, v), (x, y) in zip(prow, new)]
-        self.rows[pivot] = [(den * x, den * y) for x, y in new]
-        self._free.remove(pivot)
+        rows[pivot] = {c: (den * x, den * y) for c, (x, y) in new.items()}
         den *= pv
-        g = pair_content(chain.from_iterable(self.rows.values()), den)
+        g = pair_content(chain.from_iterable(r.values() for r in rows.values()),
+                         den)
         if g > 1:
-            for p, prow in self.rows.items():
-                self.rows[p] = [(x // g, y // g) for x, y in prow]
+            for p, prow in rows.items():
+                rows[p] = {c: (x // g, y // g) for c, (x, y) in prow.items()}
             den //= g
         self.den = den
 
-    def contains(self, row: list) -> bool:
-        return not any(x or y for _, x, y in self._residual(row))
-
-
-def _weight(vec: dict) -> int:
-    ws = {bv.l for bv in vec}
-    if len(ws) > 1:
-        raise UsageError(f"a row must lie in one weight space, not {sorted(ws)}")
-    return ws.pop()
+    def contains(self, row: dict) -> bool:
+        return not self._residual(row)
 
 
 class WeightSpaces:
     """One :class:`Echelon` per weight space of a window.
 
-    Vectors are dicts ``basis vector -> (re, im)`` whose basis vectors
-    carry their weight as ``.l``; a vector must lie in one weight space.
-    ``basis_at(l)`` lists the basis at weight ``l``, and only weights in
-    ``weights`` with a nonempty basis get a space.  A vector at such a
-    weight with a term outside that basis (off the module's lattice)
-    raises UsageError.
+    A row at weight ``l`` is a sparse dict ``index -> (re, im)`` over the
+    basis of that weight space, indexed as the caller lists it; ``dim(l)``
+    is that basis's size, and only weights in ``weights`` with a nonempty
+    basis get a space.
 
-    With ``image_basis`` the rows are pairs ``[vec | image]`` with pivots
+    With ``image_dim`` the rows are pairs ``[vec | image]`` with pivots
     limited to the ``vec`` columns (an intertwining-map checker, see
     :class:`Echelon`); the image of a vector at weight ``l`` lies at
-    ``l - shift`` of ``image_basis``.  Source and image keep separate
-    column maps because the two modules share basis labels.
+    ``l - shift``, in a basis of ``image_dim(l - shift)`` vectors, whose
+    columns follow the source ones.
     """
 
-    def __init__(self, basis_at, weights, image_basis=None, shift: int = 0):
+    def __init__(self, dim, weights, image_dim=None, shift: int = 0):
         self.shift = shift
-        self._pairs = image_basis is not None
-        self._cols: dict = {}    # weight -> (source columns, image columns)
         self._spaces: dict = {}
         for l in weights:
-            cols = {bv: i for i, bv in enumerate(basis_at(l))}
-            image = image_basis(l - shift) if image_basis is not None else []
-            if cols or image:
-                self._cols[l] = (cols, {bv: len(cols) + i
-                                        for i, bv in enumerate(image)})
-                self._spaces[l] = Echelon(len(cols) + len(image),
-                                          pivot_limit=len(cols))
+            n = dim(l)
+            m = image_dim(l - shift) if image_dim is not None else 0
+            if n or m:
+                self._spaces[l] = Echelon(n + m, pivot_limit=n)
 
-    def weight(self, vec: dict, image: dict | None = None):
-        """The weight of a nonzero ``vec``; for a zero one, the weight of
-        a nonzero ``image`` plus ``shift``; None when both are zero."""
-        if vec:
-            l = _weight(vec)
-            if image and _weight(image) + self.shift != l:
-                raise UsageError("a pair row's image must lie at its weight "
-                                 "minus the shift")
-            return l
-        return _weight(image) + self.shift if image else None
-
-    def _space_row(self, vec: dict, image: dict | None):
-        """(Echelon, row) at the row's weight; (None, None) outside."""
-        l = self.weight(vec, image)
-        if l not in self._spaces:
+    def _space_row(self, l, vec: dict, image: dict | None):
+        """(Echelon, row) at weight ``l``; (None, None) when ``l`` has no
+        space or both parts are zero."""
+        space = self._spaces.get(l)
+        if space is None or not (vec or image):
             return None, None
-        space = self._spaces[l]
-        cols, icols = self._cols[l]
-        row = [(0, 0)] * space.ncols
-        try:
-            for bv, rm in vec.items():
-                row[cols[bv]] = rm
-            for bv, rm in (image or {}).items():
-                row[icols[bv]] = rm
-        except KeyError as exc:
-            raise UsageError(f"{exc.args[0]!r} is not in the basis of its "
-                             "weight space") from exc
-        return space, row
+        if image:
+            n = space.pivot_limit
+            vec = {**vec, **{n + j: xy for j, xy in image.items()}}
+        return space, vec
 
-    def insert(self, vec: dict, image: dict | None = None):
-        """The :meth:`Echelon.insert` outcome, or None when the row's
-        weight is outside the window (or both parts are zero)."""
-        space, row = self._space_row(vec, image)
+    def insert(self, l, vec: dict, image: dict | None = None):
+        """The :meth:`Echelon.insert` outcome of the row at weight ``l``,
+        or None when ``l`` has no space (or both parts are zero)."""
+        space, row = self._space_row(l, vec, image)
         return None if space is None else space.insert(row)
 
     def grow(self, work: list, ops, act, inner):
         """The worklist loop of every closure, inner weights first.  Each
-        row of ``work`` (stored already; a vector, or with ``image_basis``
-        a pair ``(vec, image)``), appended ones included, meets each op
-        ``(p, imask, shift)`` whose target weight ``l + shift`` is not
-        settled: the image ``act(p, imask, row)`` is inserted, appended
-        when new, and ``(op, l, image, outcome)`` yielded for a non-None
-        outcome.  The caller may stop early by leaving the loop.
+        row of ``work`` (stored already; a tuple ``(l, vec)``, or with
+        ``image_dim`` ``(l, vec, image)``), appended ones included, meets
+        each op ``(p, imask, shift)`` whose target weight ``l + shift`` is
+        not settled: its image row ``act(op, row)``, at that weight, is
+        inserted, appended when new, and ``(op, l, image, outcome)``
+        yielded for a non-None outcome.  The caller may stop early by
+        leaving the loop.
 
         The ops into the weights of ``inner`` (the window's inner range)
         meet every row before any op into another weight runs: the ops
@@ -214,34 +190,31 @@ class WeightSpaces:
         full thus computes no image at an outer weight that the inner
         ones did not need.  Run to the end, every order gives the same
         span."""
-        pairs = self._pairs
         served = 0  # rows that have met their ops into inner weights
-        later: deque = deque()  # (op, l, row) into other weights, in turn
+        later: deque = deque()  # (op, row) into other weights, in turn
         while served < len(work) or later:
             if served < len(work):
                 row = work[served]
                 served += 1
-                l = self.weight(*row) if pairs else self.weight(row)
                 now = []
                 for op in ops:
-                    (now if l + op[2] in inner else later).append((op, l, row))
+                    (now if row[0] + op[2] in inner else later).append((op, row))
             else:
                 now = [later.popleft()]
-            for op, l, row in now:
-                p, im, shift = op
-                if self.settled(l + shift):
+            for op, row in now:
+                if self.settled(row[0] + op[2]):
                     continue
-                image = act(p, im, row)
-                outcome = self.insert(*image) if pairs else self.insert(image)
+                image = act(op, row)
+                outcome = self.insert(*image)
                 if outcome is not None:
                     if outcome == "new":
                         work.append(image)
-                    yield op, l, image, outcome
+                    yield op, row[0], image, outcome
 
-    def contains(self, vec: dict):
-        """Whether ``vec`` lies in the span at its weight, or None when
-        that weight is outside the window (or ``vec`` is zero)."""
-        space, row = self._space_row(vec, None)
+    def contains(self, l, vec: dict):
+        """Whether ``vec`` lies in the span at weight ``l``, or None when
+        ``l`` has no space (or ``vec`` is zero)."""
+        space, row = self._space_row(l, vec, None)
         return None if space is None else space.contains(row)
 
     def __contains__(self, l: int) -> bool:

@@ -282,41 +282,48 @@ def _check_quotient_map(source, target, name, w, params, t0):
     subgens = named_submodule(src_eval.module, sub_name, l_range)
     shift = _weight_offset(source, target)
 
-    spaces = WeightSpaces(source.basis_at, l_range, target.basis_at, shift)
+    spaces = WeightSpaces(src_eval.dim, l_range, tgt_eval.dim, shift)
 
-    def cross(sd, sv, td, tv):
-        # true pair (sv/sd, tv/td); projectively store (sv*td, tv*sd)
-        a = {bv: (r * td, m * td) for bv, (r, m) in sv.items()}
-        b = {bv: (r * sd, m * sd) for bv, (r, m) in tv.items()}
+    def cross(l, sd, sv, td, tv):
+        # true pair (sv/sd, tv/td) at weight l; projectively (sv*td, tv*sd)
+        a = {i: (r * td, m * td) for i, (r, m) in sv.items()}
+        b = {i: (r * sd, m * sd) for i, (r, m) in tv.items()}
         g = pair_content([*a.values(), *b.values()])
         if g > 1:
-            a = {bv: (r // g, m // g) for bv, (r, m) in a.items()}
-            b = {bv: (r // g, m // g) for bv, (r, m) in b.items()}
-        return a, b
+            a = {i: (r // g, m // g) for i, (r, m) in a.items()}
+            b = {i: (r // g, m // g) for i, (r, m) in b.items()}
+        return l, a, b
 
     bad = []
     n = 0
     work = []
     for g in subgens:
-        spaces.insert(src_eval.eval_modvec(g)[1])
+        spaces.insert(*src_eval.row(src_eval.eval_modvec(g)[1]))
     for s, t in _quotient_seeds(source, target, name, l_range):
-        sv, tv = cross(*src_eval.eval_modvec(s), *tgt_eval.eval_modvec(t))
-        if sv and spaces.insert(sv, tv) == "new":
-            work.append((sv, tv))
+        sd, sv = src_eval.eval_modvec(s)
+        if sv:
+            l, sv = src_eval.row(sv)
+            td, tv = tgt_eval.eval_modvec(t)
+            row = cross(l, sd, sv, td, tgt_eval.row(tv, l - shift)[1])
+            if spaces.insert(*row) == "new":
+                work.append(row)
     ops = source.window_ops(w)
 
-    def act(p, im, row):
-        return cross(*src_eval.act_vec(p, im, row[0]),
-                     *tgt_eval.act_vec(p, im, row[1]))
+    def act(op, row):
+        p, im, deg = op
+        l, sv, tv = row
+        return cross(l + deg, *src_eval.act_vec(p, im, l, sv),
+                     *tgt_eval.act_vec(p, im, l - shift, tv))
 
     inner = range(w.inner_l_min, w.inner_l_max + 1)
-    for (p, im, _), l, (sv2, tv2), outcome in spaces.grow(work, ops, act,
-                                                          inner):
+    for (p, im, _), l, (t, sv2, tv2), outcome in spaces.grow(work, ops, act,
+                                                             inner):
         n += 1
         if outcome == "inconsistent":
             bad.append(violation(
                 f"op=({p},{im}) from weight {l}",
-                lhs=pairs_text(sv2), rhs=pairs_text(tv2),
+                lhs=pairs_text(src_eval.vector(t, sv2)),
+                rhs=pairs_text(tgt_eval.vector(t - shift, tv2)),
                 diff=("image conflicts with previously derived relations"
                       if sv2 else "zero class maps to a nonzero image")))
     details = {"relations_derived": len(work)}

@@ -283,11 +283,40 @@ class TensorModule:
 ORIGIN = ("u",)
 
 
+class _OffBasis:
+    """The column of a basis vector whose image has a term off the
+    module's basis (see :meth:`EvaluatedAction.table`): reading it raises
+    UsageError naming the first such term."""
+
+    __slots__ = ("bv",)
+
+    def __init__(self, bv: ModBasisVec):
+        self.bv = bv
+
+    def __iter__(self):
+        raise UsageError(f"{self.bv!r} is not in the basis of its weight space")
+
+
 class EvaluatedAction:
-    """Action tables of a module with all formal parameters evaluated.
+    """The action of a module with all formal parameters evaluated, as one
+    integer kernel keyed by basis index.
 
     ``module`` is the given module evaluated at the assignment
-    (:meth:`TensorModule.at`): its inputs are substituted once.
+    (:meth:`TensorModule.at`): its inputs are substituted once.  A vector
+    at weight ``l`` is a row: a sparse dict ``index -> (re, im)`` of
+    Gaussian-integer pairs over :meth:`basis` ``(l)``, exact up to a
+    separately kept positive denominator.  Closure/rank sweeps drop the
+    denominator (spans are scale-invariant); the intertwining checks keep
+    it to cross-scale row pairs.  :meth:`row` makes a row of an evaluated
+    seed or generator (:meth:`eval_modvec`) and :meth:`vector` turns one
+    back into basis vectors for a witness; nothing else names a
+    :class:`ModBasisVec`.
+
+    The action of ``D[t^p, xi_I]`` at weight ``l`` is one block
+    (:meth:`table`, memoised per ``(p, I, l)``): a column per basis vector
+    of the weight, all over one denominator.  :meth:`act_vec` reads a
+    row's columns from it and returns the image in canonical lowest terms,
+    whatever the block's denominator.
 
     The action at weight ``l`` depends on ``l`` only through ``a + l``: the
     recursion reads a weight only in the plain-series scalar ``a + l + 2k +
@@ -295,64 +324,92 @@ class EvaluatedAction:
     from one more module, the evaluated representation with the formal
     origin ``u`` (parameter list :data:`ORIGIN`, apart from the caller's).
     Its column ``act_basis_d(p, I, (0, J, r))`` is a family, a polynomial in
-    ``u`` per output vector, memoised here per ``(p, I, J, r)``;
-    :meth:`table` evaluates it at ``u = a + l`` by
+    ``u`` per output vector, memoised here per ``(p, I, J, r)``; a block
+    evaluates its families at ``u = a + l`` by
     :func:`~superkon.exactnum.term_sum`, the loop of :meth:`Scalar.at
     <superkon.exactnum.Scalar.at>`, from powers of ``a + l`` made once per
-    weight, and shifts its output weights by ``l``.  A window's columns run
-    the recursion once per family, however many weights the window has.
-
-    The hot representation is projective-integer: a vector is a dict
-    ``basis -> (re, im)`` of Gaussian-integer pairs, exact up to the
-    separately returned positive denominator.  Closure/rank sweeps drop the
-    denominator (spans are scale-invariant); the intertwining checks keep it
-    to cross-scale row pairs.  :meth:`table`'s memo is the one copy of each
-    column; every closure reads it through :meth:`act_vec`.  The columns
-    share one :class:`ModBasisVec` per basis vector they name and one copy
-    of each coefficient pair, which holds a closure's peak memory down.
+    block and degree.  A window's blocks run the recursion once per family,
+    however many weights the window has.  The blocks hold one copy of each
+    entry ``(target index, re, im)`` and of each coefficient pair, which
+    holds a closure's peak memory down.
     """
 
     def __init__(self, module: TensorModule, assignment: dict):
         self.module = module.at(assignment)
         self._assignment = assignment
-        self._memo: dict = {}
+        self._memo: dict = {}  # (p, imask, l) -> block
         m = self.module
         self._origin = m.a.const_parts()
         self._family_module = TensorModule(
             m.cfg, m.rep.constant_over(ORIGIN), Scalar.var(ORIGIN, "u"),
             m.sector_delta, m.mutation)
         self._families: dict = {}
-        self._powers: dict = {}
-        self._shared: dict = {}  # basis vector or coefficient pair -> its one copy
+        self._bases: dict = {}  # l -> (basis, basis vector -> index)
+        self._shared: dict = {}  # coefficient pair or entry -> its one copy
 
-    def table(self, p: int, imask: int, bv: ModBasisVec):
-        """(den, ((bv2, (re, im)), ...)): the evaluated column of a
-        D-symbol, with one shared denominator."""
-        key = (p, imask, bv)
-        hit = self._memo.get(key)
+    def _basis(self, l: int):
+        hit = self._bases.get(l)
         if hit is None:
-            deg, den, family = self._family(p, imask, bv.J, bv.r)
-            pkey = (bv.l, deg)
-            if pkey not in self._powers:
-                re, im, d = self._origin
-                self._powers[pkey] = ({0: lifted_powers(re + bv.l * d, im, d,
-                                                        deg)}, d ** deg)
-            powers, lift = self._powers[pkey]
-            shared = self._shared
-            col = {}
-            for l2, J2, r2, terms, f in family:
-                re, im = term_sum(terms, powers)
-                bv2 = ModBasisVec(l2 + bv.l, J2, r2)
-                col[shared.setdefault(bv2, bv2)] = (re * f, im * f)
-            den, col = norm_pairs(col, den * lift)
-            hit = self._memo[key] = (den, tuple(
-                [(bv2, shared.setdefault(pair, pair)) for bv2, pair in col.items()]))
+            basis = tuple(self.module.basis_at(l))
+            hit = self._bases[l] = (basis, {(bv.J, bv.r): i
+                                            for i, bv in enumerate(basis)})
         return hit
 
+    def basis(self, l: int) -> tuple:
+        """The module's basis at weight ``l``, which rows index."""
+        return self._basis(l)[0]
+
+    def dim(self, l: int) -> int:
+        return len(self._basis(l)[0])
+
+    def table(self, p: int, imask: int, l: int):
+        """(den, columns): the block of ``D[t^p, xi_I]`` at weight ``l``.
+        ``columns[i]``, the image of ``basis(l)[i]``, is a tuple of entries
+        ``(target index, re, im)`` over ``basis(l + degree)``, all over the
+        one ``den``.  A column with a term off that basis raises
+        UsageError when it is read, not before."""
+        key = (p, imask, l)
+        hit = self._memo.get(key)
+        if hit is None:
+            hit = self._memo[key] = self._block(p, imask, l)
+        return hit
+
+    def _block(self, p: int, imask: int, l: int):
+        """:meth:`table`: each family evaluated at ``u = a + l`` from one
+        list of powers of ``a + l``, lifted to the block's top degree, and
+        put over the least common denominator of the families."""
+        t = l + self.module.cfg.degree(p, imask)
+        index = self._basis(t)[1]
+        fams = [self._family(p, imask, bv.J, bv.r) for bv in self.basis(l)]
+        re0, im0, d = self._origin
+        top = max((deg for deg, _, _ in fams), default=0)
+        powers = {0: lifted_powers(re0 + l * d, im0, d, top)}
+        den = lcm(*(fden for _, fden, _ in fams))
+        shared = self._shared
+        cols = []
+        for _, fden, family in fams:
+            s = den // fden
+            col = []
+            for key, terms, f in family:
+                re, im = term_sum(terms, powers)
+                if re or im:
+                    j = index.get(key)
+                    if j is None:
+                        cols.append(_OffBasis(ModBasisVec(t, *key)))
+                        break
+                    pair = (re * f * s, im * f * s)
+                    entry = (j, *shared.setdefault(pair, pair))
+                    col.append(shared.setdefault(entry, entry))
+            else:
+                cols.append(tuple(col))
+        return den * d ** top, tuple(cols)
+
     def _family(self, p: int, imask: int, J: int, r: int):
-        """(degree in ``u``, den, ((l2, J2, r2, terms, f), ...)): the column
+        """(degree in ``u``, den, (((J2, r2), terms, f), ...)): the column
         of ``D[t^p, xi_I]`` on ``(0, J, r)`` at the formal origin ``u``, each
-        coefficient ``terms`` over ``den / f``."""
+        coefficient ``terms`` over ``den / f``.  Every output vector lies
+        at the weight ``degree(p, I)``, as the symbol moves weights by its
+        degree."""
         key = (p, imask, J, r)
         if key not in self._families:
             col = self._family_module.act_basis_d(p, imask,
@@ -360,32 +417,29 @@ class EvaluatedAction:
             deg = max((e for s in col.values() for e, in s.terms), default=0)
             den = lcm(*(s.den for s in col.values()))
             self._families[key] = (deg, den, tuple(
-                (*bv2, s.terms, den // s.den) for bv2, s in col.items()))
+                ((bv2.J, bv2.r), s.terms, den // s.den) for bv2, s in col.items()))
         return self._families[key]
 
     def act_d(self, p: int, imask: int, bv: ModBasisVec):
-        """:meth:`table` as ``[(bv2, GaussRat), ...]``.  No library check
-        calls it; ``bench/tracer.py`` wraps it by name."""
-        den, pairs = self.table(p, imask, bv)
-        return [(bv2, GaussRat(Fraction(r, den), Fraction(m, den)))
-                for bv2, (r, m) in pairs]
+        """:meth:`table`'s column of ``bv`` as ``[(bv2, GaussRat), ...]``.
+        No library check calls it; ``bench/tracer.py`` wraps it by name."""
+        den, cols = self.table(p, imask, bv.l)
+        basis = self.basis(bv.l + self.module.cfg.degree(p, imask))
+        return [(basis[j], GaussRat(Fraction(r, den), Fraction(m, den)))
+                for j, r, m in cols[self._basis(bv.l)[1][bv.J, bv.r]]]
 
-    def act_vec(self, p: int, imask: int, vec: dict):
-        """Integer-pair action of a D-symbol; returns (den, dict) with the
-        true image equal to dict/(den) relative to the input."""
-        den = 1
-        cols = {}
-        for bv in vec:
-            cols[bv] = self.table(p, imask, bv)
-            den = lcm(den, cols[bv][0])
+    def act_vec(self, p: int, imask: int, l: int, vec: dict):
+        """(den, image): the image of the row ``vec`` at weight ``l`` under
+        ``D[t^p, xi_I]``, a row at ``l + degree``, equal to ``image/den``
+        relative to the input and in canonical lowest terms
+        (:func:`~superkon.exactnum.norm_pairs`)."""
+        den, cols = self.table(p, imask, l)
         out: dict = {}
-        for bv, (r, m) in vec.items():
-            d2, pairs = cols[bv]
-            s = den // d2
-            for bv2, (r2, m2) in pairs:
-                pr, pm = out.get(bv2, (0, 0))
-                out[bv2] = (pr + (r * r2 - m * m2) * s,
-                            pm + (r * m2 + m * r2) * s)
+        get = out.get
+        for i, (r, m) in vec.items():
+            for j, r2, m2 in cols[i]:
+                pr, pm = get(j, (0, 0))
+                out[j] = (pr + r * r2 - m * m2, pm + r * m2 + m * r2)
         return norm_pairs(out, den)
 
     def eval_modvec(self, v: ModVec):
@@ -395,6 +449,28 @@ class EvaluatedAction:
         den = lcm(*(d for *_, d in vals))
         return norm_pairs({bv: (re * (den // d), im * (den // d))
                            for bv, re, im, d in vals}, den)
+
+    def row(self, vec: dict, l: int | None = None):
+        """``(l, row)``: the integer-pair vector ``vec`` (``ModBasisVec ->
+        (re, im)``) as a row over :meth:`basis` ``(l)``.  Every term must
+        lie at one weight, ``l`` when it is given, and in the basis there;
+        UsageError otherwise.  A zero vector is ``(l, {})``."""
+        ws = {bv.l for bv in vec} | ({l} if l is not None else set())
+        if len(ws) > 1:
+            raise UsageError(f"a row must lie in one weight space, not {sorted(ws)}")
+        if not vec:
+            return l, {}
+        l, = ws
+        index = self._basis(l)[1]
+        for bv in vec:
+            if (bv.J, bv.r) not in index:
+                raise UsageError(f"{bv!r} is not in the basis of its weight space")
+        return l, {index[bv.J, bv.r]: pair for bv, pair in vec.items()}
+
+    def vector(self, l: int, row: dict) -> dict:
+        """The row ``row`` at weight ``l`` as ``ModBasisVec -> (re, im)``."""
+        basis = self.basis(l)
+        return {basis[i]: pair for i, pair in row.items()}
 
 
 def pairs_text(vec: dict) -> str:

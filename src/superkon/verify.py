@@ -328,14 +328,14 @@ class ClosureResult:
         return {l: self.dims[l] for l in self.inner_weights()}
 
 
-def _close(spaces: WeightSpaces, ops, act, vecs, w: Window,
+def _close(spaces: WeightSpaces, ops, act, rows, w: Window,
            stop) -> ClosureResult:
-    """Every closure: insert the seed vectors ``vecs``, then grow their
-    span under ``ops`` by ``act(p, imask, vec)``, inner weights first (see
+    """Every closure: insert the seed rows ``(l, vec)``, then grow their
+    span under ``ops`` by ``act(op, row)``, inner weights first (see
     :meth:`~superkon.linalg.WeightSpaces.grow`), until nothing new
     appears, or until ``stop(l)`` holds after a new vector at weight
     ``l``."""
-    work = [vec for vec in vecs if spaces.insert(vec) == "new"]
+    work = [row for row in rows if spaces.insert(*row) == "new"]
     inner = range(w.inner_l_min, w.inner_l_max + 1)
     for (_, _, shift), l, _, outcome in spaces.grow(work, ops, act, inner):
         if outcome == "new" and stop(l + shift):
@@ -364,16 +364,16 @@ def closure(module: TensorModule, seeds, w: Window, params: dict,
         raise UsageError("closure requires at least one seed vector")
     if ev is None:
         ev = module.eval_cache(params)
-    spaces = WeightSpaces(module.basis_at, range(w.l_min, w.l_max + 1))
+    spaces = WeightSpaces(ev.dim, range(w.l_min, w.l_max + 1))
     return _close(spaces, module.window_ops(w), _act(ev),
-                  [ev.eval_modvec(s)[1] for s in seeds], w,
+                  [ev.row(ev.eval_modvec(s)[1]) for s in seeds], w,
                   lambda _: _inner_full(spaces, w))
 
 
 def _act(ev):
-    """The closures' action: the integer pairs of an image, its
-    denominator dropped (spans are scale-invariant)."""
-    return lambda p, im, vec: ev.act_vec(p, im, vec)[1]
+    """The closures' action: the image row of an op, its denominator
+    dropped (spans are scale-invariant)."""
+    return lambda op, row: (row[0] + op[2], ev.act_vec(op[0], op[1], *row)[1])
 
 
 def _inner_full(spaces: WeightSpaces, w: Window) -> bool:
@@ -432,25 +432,24 @@ def window_simplicity(module: TensorModule, w: Window, params: dict,
     ops = module.window_ops(w)
     act = _act(ev)
     l_range = range(w.l_min, w.l_max + 1)
-    bases = {l: module.basis_at(l) for l in l_range}  # listed once, for all seeds
     worst = None  # (inner dimension sum, seed index, closure)
-    earlier: dict = {}  # weight -> the vectors of the seeds closed so far
+    earlier: dict = {}  # weight -> the rows of the seeds closed so far
     for i, (_, seed) in enumerate(unique):
-        vec = ev.eval_modvec(seed)[1]
-        spaces = WeightSpaces(bases.get, l_range)
-        held = []  # the earlier seed vectors the span holds
+        l, vec = ev.row(ev.eval_modvec(seed)[1])
+        spaces = WeightSpaces(ev.dim, l_range)
+        held = []  # the earlier seed rows the span holds
 
-        def stop(l):
-            held.extend(g for g in earlier.get(l, ()) if spaces.contains(g))
+        def stop(t):
+            held.extend(g for g in earlier.get(t, ()) if spaces.contains(t, g))
             return bool(held) or _inner_full(spaces, w)
 
-        res = _close(spaces, ops, act, [vec], w, stop)
+        res = _close(spaces, ops, act, [(l, vec)], w, stop)
         if not (held or res.inner_full):
             size = sum(res.inner_dims().values())
             if worst is None or size < worst[0]:
                 worst = (size, i, res)
         if vec:
-            earlier.setdefault(spaces.weight(vec), []).append(vec)
+            earlier.setdefault(l, []).append(vec)
     details = {"seeds": len(seeds), "middle_weights": mids,
                "note": "window-scale evidence, not a proof of simplicity"}
     if worst is None:
@@ -488,12 +487,12 @@ def check_submodule_closure(module: TensorModule, name: str, w: Window,
     read = inner | {l + shift for l in inner for _, _, shift in ops}
     gens = [g for g in named_submodule(ev.module, name, l_range)
             if any(bv.l in read for bv in g.terms)]
-    spaces = WeightSpaces(module.basis_at, l_range)
+    spaces = WeightSpaces(ev.dim, l_range)
     buckets: dict = {}
     for g in gens:
-        vec = ev.eval_modvec(g)[1]
-        if spaces.insert(vec) is not None:
-            buckets.setdefault(spaces.weight(vec), []).append(vec)
+        l, vec = ev.row(ev.eval_modvec(g)[1])
+        if spaces.insert(l, vec) is not None:
+            buckets.setdefault(l, []).append(vec)
     bad = []
     n = 0
     for l in sorted(buckets.keys() & inner):
@@ -503,12 +502,12 @@ def check_submodule_closure(module: TensorModule, name: str, w: Window,
                 if t not in spaces:
                     continue
                 n += 1
-                nv = ev.act_vec(p, im, vec)[1]
-                if nv and not spaces.contains(nv):
+                nv = ev.act_vec(p, im, l, vec)[1]
+                if nv and not spaces.contains(t, nv):
                     bad.append(violation(
                         f"gen[{l}][{vi}] under op=({p},{im})",
-                        lhs=pairs_text(nv),
-                        rhs=f"span of {name} at weight {spaces.weight(nv)}",
+                        lhs=pairs_text(ev.vector(t, nv)),
+                        rhs=f"span of {name} at weight {t}",
                         diff="image leaves the submodule span"))
     return finish(f"submodule_closure[{name}]", bad, n, t0)
 
@@ -518,18 +517,22 @@ def check_submodule_closure(module: TensorModule, name: str, w: Window,
 
 
 def _omega_image_is_zero(ev, signed: list, k: int, p: int, imask: int,
-                         bv) -> bool:
-    """Whether ``sum_i signed[i] D[t^{k-i}, xi_I] D[t^{p+i}]`` kills ``bv``:
-    the products of the evaluated columns ``ev.table`` are summed in
-    integer pairs over their least common denominator."""
-    terms = []  # (den, bv3, re, im) of each product
+                         l: int, col: int) -> bool:
+    """Whether ``sum_i signed[i] D[t^{k-i}, xi_I] D[t^{p+i}]`` kills the
+    basis vector ``col`` of weight ``l``: the products of the evaluated
+    blocks ``ev.table`` are summed in integer pairs over their least
+    common denominator.  Every product lands at the one weight
+    ``l + degree(p + k, I)``."""
+    degree = ev.module.cfg.degree
+    terms = []  # (den, target index, re, im) of each product
     for i, s in enumerate(signed):
-        d2, inner = ev.table(p + i, 0, bv)
-        for bv2, (r2, m2) in inner:
-            d3, outer = ev.table(k - i, imask, bv2)
-            r2, m2, d = s * r2, s * m2, d2 * d3
-            for bv3, (r3, m3) in outer:
-                terms.append((d, bv3, r2 * r3 - m2 * m3, r2 * m3 + m2 * r3))
+        d2, inner = ev.table(p + i, 0, l)
+        d3, outer = ev.table(k - i, imask, l + degree(p + i, 0))
+        d = d2 * d3
+        for j, r2, m2 in inner[col]:
+            r2, m2 = s * r2, s * m2
+            for t, r3, m3 in outer[j]:
+                terms.append((d, t, r2 * r3 - m2 * m3, r2 * m3 + m2 * r3))
     den = lcm(*(t[0] for t in terms))
     acc: dict = {}
     for d, bv3, r, m in terms:
@@ -554,16 +557,16 @@ def check_omega(module: TensorModule, m_max: int, w: Window,
         raise UsageError("m_max must be at least 1")
     t0 = time.monotonic()
     ev = module.eval_cache(params)
-    vecs = module.inner_basis(w)
+    vecs = [(bv.l, ev.basis(bv.l).index(bv)) for bv in module.inner_basis(w)]
     found = {}
     n = 0
     for imask in range(1 << module.cfg.N):
         found[imask] = None
         for m in range(1, m_max + 1):
             signed = [(-1) ** i * comb(m, i) for i in range(m + 1)]
-            for k, p, bv in product(w.k_values(), w.k_values(), vecs):
+            for k, p, (l, i) in product(w.k_values(), w.k_values(), vecs):
                 n += 1
-                if not _omega_image_is_zero(ev, signed, k, p, imask, bv):
+                if not _omega_image_is_zero(ev, signed, k, p, imask, l, i):
                     break
             else:
                 found[imask] = m

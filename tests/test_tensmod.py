@@ -1,4 +1,5 @@
 import hashlib
+import re
 from fractions import Fraction
 
 import pytest
@@ -422,10 +423,9 @@ def test_sector_lattice():
     assert {bv.J for bv in at1} == {iset(2), iset(1, 2)}
 
 
-def table_columns(M, ls, ps):
-    """Every (p, I, basis vector) column of a window's action table."""
-    return [(p, im, bv) for l in ls for bv in M.basis_at(l)
-            for p in ps for im in range(1 << M.cfg.N)]
+def table_blocks(M, ls, ps):
+    """Every (p, I, l) block of a window's action table."""
+    return [(p, im, l) for l in ls for p in ps for im in range(1 << M.cfg.N)]
 
 
 XY = ("x", "y")
@@ -434,6 +434,7 @@ XY = ("x", "y")
 @pytest.mark.parametrize("make,asn", [
     (lambda: n3_module(two_m=2, c=Fraction(3, 11)), {"a": Fraction(5, 7)}),
     (lambda: n2_module(b=GaussRat(0, 1), c=1), {"a": "4/7-2/3*i"}),
+    # the so_2 generator moves a sector-1 vector off its lattice
     (lambda: n2_module(eps=(1, 0), b=Fraction(1, 3), c=Fraction(2, 5),
                        sector=1), {"a": Fraction(5, 7)}),
     # no parameters at all
@@ -447,15 +448,34 @@ XY = ("x", "y")
      {"x": Fraction(2, 3), "y": "1/5+i"}),
 ])
 def test_table_matches_gaussrat_route(gaussrat_route, make, asn):
+    # every column of every block against the GaussRat route, in its order;
+    # the image of a basis vector in canonical lowest terms; and a column
+    # with a term off the module's basis raises, naming that term, only
+    # when it is read
     fraction_eval, clear_denominators = gaussrat_route
     M = make()
     ev = EvaluatedAction(M, asn)
-    for p, im, bv in table_columns(M, range(-2, 3), range(-1, 3)):
-        vals = [(bv2, fraction_eval(c, asn))
-                for bv2, c in M.act_basis_d(p, im, bv).items()]
-        vals = [(bv2, g) for bv2, g in vals if g]
-        den, pairs = clear_denominators([g for _, g in vals])
-        assert ev.table(p, im, bv) == (den, tuple(zip((b for b, _ in vals), pairs)))
+    off = 0
+    for p, im, l in table_blocks(M, range(-2, 3), range(-1, 3)):
+        den, cols = ev.table(p, im, l)
+        assert len(cols) == len(ev.basis(l)) == len(M.basis_at(l))
+        target = ev.basis(l + M.cfg.degree(p, im))
+        for i, (bv, col) in enumerate(zip(M.basis_at(l), cols)):
+            vals = [(bv2, fraction_eval(c, asn))
+                    for bv2, c in M.act_basis_d(p, im, bv).items()]
+            vals = [(bv2, g) for bv2, g in vals if g]
+            outside = [bv2 for bv2, _ in vals if bv2 not in target]
+            if outside:
+                off += 1
+                with pytest.raises(UsageError, match=re.escape(repr(outside[0]))):
+                    ev.act_vec(p, im, l, {i: (1, 0)})
+                continue
+            assert [(target[j], GaussRat(Fraction(r, den), Fraction(m, den)))
+                    for j, r, m in col] == vals
+            want_den, pairs = clear_denominators([g for _, g in vals])
+            assert ev.act_vec(p, im, l, {i: (1, 0)}) == (want_den, {
+                target.index(bv2): pair for (bv2, _), pair in zip(vals, pairs)})
+    assert (off > 0) == (M.sector_delta is not None)
 
 
 def test_filling_a_table_constructs_no_fraction(monkeypatch):
@@ -470,25 +490,29 @@ def test_filling_a_table_constructs_no_fraction(monkeypatch):
 
     monkeypatch.setattr(Fraction, "__new__", spy)
     ev = M.eval_cache(asn)
-    for col in table_columns(M, range(-2, 3), range(-1, 3)):
-        ev.table(*col)
-    assert ev.table(2, 0, ModBasisVec(0, 0, 0))[1]
+    for block in table_blocks(M, range(-2, 3), range(-1, 3)):
+        ev.table(*block)
+    assert ev.table(2, 0, 0)[1][0]
     assert made == []
 
 
 def test_table_columns_share_equal_parts():
-    # the evaluated columns hold one copy of each basis vector and of each
-    # coefficient pair they name
+    # the evaluated blocks hold one copy of each entry (target index, re,
+    # im) and of each coefficient pair they name
     M = n3_module(two_m=2, c=Fraction(3, 11))
     ev = M.eval_cache({"a": Fraction(5, 7)})
-    items = [it for col in table_columns(M, range(-2, 3), range(-1, 3))
-             for it in ev.table(*col)[1]]
-    for parts in ([b for b, _ in items], [p for _, p in items]):
-        assert len({id(x) for x in parts}) == len(set(parts)) < len(parts)
+    entries = [e for block in table_blocks(M, range(-2, 3), range(-1, 3))
+               for col in ev.table(*block)[1] for e in col]
+    assert len({id(e) for e in entries}) == len(set(entries)) < len(entries)
+    copies: dict = {}
+    for _, re, im in entries:
+        copies.setdefault((re, im), set()).add((id(re), id(im)))
+    assert all(len(ids) == 1 for ids in copies.values())
+    assert len(copies) < len(set(entries))
 
 
 def test_table_runs_the_recursion_once_per_family(monkeypatch):
-    # the columns of every weight come from the families at weight 0, so a
+    # the blocks of every weight come from the families at weight 0, so a
     # wider window runs the prefix recursion no more often
     calls = []
     act_basis_d = TensorModule.act_basis_d
@@ -503,8 +527,8 @@ def test_table_runs_the_recursion_once_per_family(monkeypatch):
     for ls in (range(-2, 3), range(-6, 7)):
         calls.clear()
         ev = M.eval_cache({"a": Fraction(5, 7)})
-        for col in table_columns(M, ls, range(-1, 3)):
-            ev.table(*col)
+        for block in table_blocks(M, ls, range(-1, 3)):
+            ev.table(*block)
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
 

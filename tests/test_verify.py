@@ -1529,11 +1529,11 @@ def test_closures_compute_no_image_for_a_settled_target(monkeypatch):
 
     act_vec = EvaluatedAction.act_vec
 
-    def spy(self, p, im, vec):
+    def spy(self, p, im, l, vec):
         spaces = made[-1]
-        t = spaces.weight(vec) + self.module.cfg.degree(p, im)
+        t = l + self.module.cfg.degree(p, im)
         settled_targets.append(spaces.rank(t) == spaces.dim(t))
-        return act_vec(self, p, im, vec)
+        return act_vec(self, p, im, l, vec)
 
     monkeypatch.setattr(verify, "WeightSpaces", Recording)
     monkeypatch.setattr(EvaluatedAction, "act_vec", spy)
@@ -1556,8 +1556,8 @@ def test_submodule_closure_counts_zero_images(monkeypatch):
     images = []
     act_vec = EvaluatedAction.act_vec
 
-    def spy(self, p, im, vec):
-        out = act_vec(self, p, im, vec)
+    def spy(self, p, im, l, vec):
+        out = act_vec(self, p, im, l, vec)
         images.append(out[1])
         return out
 
