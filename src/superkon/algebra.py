@@ -76,6 +76,9 @@ from .grassmann import (EpsilonConfig, SuperFunction, as_parts, contact_core,
 
 # Negative-control mutations an AlgebraConfig accepts, each with the check
 # it is meant to break (the module-side one is in tensmod.MODULE_MUTATIONS).
+# drop_phi_coeff subtracts shift sums, which are all 0 on a Ramond twist
+# (every eps_i = 1), so there it changes nothing; on those twists the
+# control that breaks check_phi is drop_sign_intersection.
 ALGEBRA_MUTATIONS = {
     "drop_sign_intersection": "check_bracket_crosscheck",
     "double_cocycle": "check_jacobi",

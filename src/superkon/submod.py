@@ -202,8 +202,9 @@ def iso_check_map(source: TensorModule, name: str, w: Window,
     (sector_shift, identity) are checked symbolically key by key.
     Quotient maps need a concrete parameter assignment: the displayed seed
     images are propagated by the worklist every closure shares, inner
-    weights first (:meth:`~superkon.linalg.WeightSpaces.grow`), reading the
-    one column memo of ``EvaluatedAction.table``, and each relation is
+    weights first (:meth:`~superkon.linalg.WeightSpaces.grow`), on the
+    index-keyed kernel every closure shares (the action blocks of
+    ``EvaluatedAction.table`` of source and target), and each relation is
     inserted into a pivot-limited echelon, so any inconsistency is
     reported with its witness.
     """

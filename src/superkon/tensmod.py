@@ -367,17 +367,15 @@ class EvaluatedAction:
         ``columns[i]``, the image of ``basis(l)[i]``, is a tuple of entries
         ``(target index, re, im)`` over ``basis(l + degree)``, all over the
         one ``den``.  A column with a term off that basis raises
-        UsageError when it is read, not before."""
+        UsageError when it is read, not before.
+
+        Each family is evaluated at ``u = a + l`` from one list of powers
+        of ``a + l``, lifted to the block's top degree, and put over the
+        least common denominator of the families."""
         key = (p, imask, l)
         hit = self._memo.get(key)
-        if hit is None:
-            hit = self._memo[key] = self._block(p, imask, l)
-        return hit
-
-    def _block(self, p: int, imask: int, l: int):
-        """:meth:`table`: each family evaluated at ``u = a + l`` from one
-        list of powers of ``a + l``, lifted to the block's top degree, and
-        put over the least common denominator of the families."""
+        if hit is not None:
+            return hit
         t = l + self.module.cfg.degree(p, imask)
         index = self._basis(t)[1]
         fams = [self._family(p, imask, bv.J, bv.r) for bv in self.basis(l)]
@@ -390,19 +388,20 @@ class EvaluatedAction:
         for _, fden, family in fams:
             s = den // fden
             col = []
-            for key, terms, f in family:
+            for jkey, terms, f in family:
                 re, im = term_sum(terms, powers)
                 if re or im:
-                    j = index.get(key)
+                    j = index.get(jkey)
                     if j is None:
-                        cols.append(_OffBasis(ModBasisVec(t, *key)))
+                        cols.append(_OffBasis(ModBasisVec(t, *jkey)))
                         break
                     pair = (re * f * s, im * f * s)
                     entry = (j, *shared.setdefault(pair, pair))
                     col.append(shared.setdefault(entry, entry))
             else:
                 cols.append(tuple(col))
-        return den * d ** top, tuple(cols)
+        hit = self._memo[key] = (den * d ** top, tuple(cols))
+        return hit
 
     def _family(self, p: int, imask: int, J: int, r: int):
         """(degree in ``u``, den, (((J2, r2), terms, f), ...)): the column

@@ -48,19 +48,26 @@ as soon as its inner window is full or its span holds an earlier seed
 (see :func:`window_simplicity`).  Every closure, here and in the
 quotient-map checks of :mod:`~superkon.submod`, runs the one worklist
 :meth:`~superkon.linalg.WeightSpaces.grow` over the generators of
-:meth:`~superkon.tensmod.TensorModule.window_ops`, inner weights first,
-reading action columns from the one memo of
-:meth:`~superkon.tensmod.EvaluatedAction.table`.
-The action at weight ``l`` depends on ``l`` only through ``a + l``, so
-that memo is filled from column families at a formal origin, memoised per
-``(p, I, J, r)`` in the same :class:`~superkon.tensmod.EvaluatedAction`
-and each evaluated at ``a + l``: a window's columns run the prefix
-recursion once per family, not once per weight.  :meth:`Scalar.at
-<superkon.exactnum.Scalar.at>` is applied to the module's inputs once and
-to each seed coefficient, never to an action column; the probe test
-``test_proper_probe_evaluates_each_coefficient_once`` pins that.  The
-simplicity probe is evidence at window scale, never a proof, and its
-report says so.
+:meth:`~superkon.tensmod.TensorModule.window_ops`, inner weights first, on
+one integer kernel keyed by basis index.  A vector at weight ``l`` is a
+row, a sparse dict from the index of a basis vector within the weight
+space to a Gaussian-integer pair; the action of one op at one weight is
+one block of :meth:`~superkon.tensmod.EvaluatedAction.table` (a column
+per basis vector, one denominator), memoised per ``(p, I, l)``;
+:meth:`~superkon.tensmod.EvaluatedAction.act_vec` reads an image from it
+in canonical lowest terms; and each weight space is a sparse reduced
+echelon (:class:`~superkon.linalg.Echelon`).  A basis vector is named only
+where a seed or generator is evaluated and made a row, and where a
+witness is printed.  The action at weight ``l`` depends on ``l`` only
+through ``a + l``, so the blocks are filled from column families at a
+formal origin, memoised per ``(p, I, J, r)`` in the same
+:class:`~superkon.tensmod.EvaluatedAction` and each evaluated at ``a +
+l``: a window's blocks run the prefix recursion once per family, not once
+per weight.  :meth:`Scalar.at <superkon.exactnum.Scalar.at>` is applied to
+the module's inputs once and to each seed coefficient, never to an action
+column; the probe test ``test_proper_probe_evaluates_each_coefficient_once``
+pins that.  The simplicity probe is evidence at window scale, never a
+proof, and its report says so.
 """
 
 from __future__ import annotations
@@ -521,8 +528,9 @@ def _omega_image_is_zero(ev, signed: list, k: int, p: int, imask: int,
     """Whether ``sum_i signed[i] D[t^{k-i}, xi_I] D[t^{p+i}]`` kills the
     basis vector ``col`` of weight ``l``: the products of the evaluated
     blocks ``ev.table`` are summed in integer pairs over their least
-    common denominator.  Every product lands at the one weight
-    ``l + degree(p + k, I)``."""
+    common denominator, keyed by target index: the degrees of the two
+    factors add up to one free of ``i``, so every product lands at one
+    weight."""
     degree = ev.module.cfg.degree
     terms = []  # (den, target index, re, im) of each product
     for i, s in enumerate(signed):
@@ -535,10 +543,10 @@ def _omega_image_is_zero(ev, signed: list, k: int, p: int, imask: int,
                 terms.append((d, t, r2 * r3 - m2 * m3, r2 * m3 + m2 * r3))
     den = lcm(*(t[0] for t in terms))
     acc: dict = {}
-    for d, bv3, r, m in terms:
+    for d, t, r, m in terms:
         q = den // d
-        pr, pm = acc.get(bv3, (0, 0))
-        acc[bv3] = (pr + r * q, pm + m * q)
+        pr, pm = acc.get(t, (0, 0))
+        acc[t] = (pr + r * q, pm + m * q)
     return not any(r or m for r, m in acc.values())
 
 
@@ -550,8 +558,8 @@ def check_omega(module: TensorModule, m_max: int, w: Window,
     ``sum_i (-1)^i binom(m,i) D[t^{k-i}, xi_I] D[t^{p+i}]`` killing every
     inner-window basis vector for all ``k, p`` in the window.  ``none``
     within the bound is reported as such (status info), not as a failure.
-    Each sum is read from the evaluated action columns (one denominator
-    and Gaussian-integer pairs each) and tested for zero in integers.
+    Each sum is read from the evaluated action blocks (one denominator and
+    Gaussian-integer pairs each) and tested for zero in integers.
     """
     if m_max < 1:
         raise UsageError("m_max must be at least 1")
@@ -697,7 +705,11 @@ def check_phi(acfg: AlgebraConfig, w: Window) -> Report:
     """The degree-shift automorphism respects brackets on all basis pairs
     (including mixed operator/function pairs), each class of pairs decided
     once with formal exponents (see :func:`_homomorphism_sweep`).  The
-    central term is stripped: phi is defined on the extension without C."""
+    central term is stripped: phi is defined on the extension without C.
+
+    Its registered control ``drop_phi_coeff`` changes nothing on a Ramond
+    twist (every ``eps_i = 1``), where every shift sum it subtracts is 0;
+    there ``drop_sign_intersection`` is the control that makes it fail."""
     stripped = replace(acfg, central_enabled=False)
     return _homomorphism_sweep(f"phi[N={acfg.cfg.N},eps={acfg.cfg.eps}]",
                                stripped, stripped, lambda x: phi(stripped, x), w)

@@ -3,8 +3,8 @@ every name it defines at its top level is used somewhere, every method of
 its classes is called somewhere, every named parameter of every
 function it defines is read in that function, no module imports a
 process or thread module or reads the environment, every absolute import
-is of the standard library, and every name the benchmark's tracer wraps
-still exists.
+is of the standard library, every name the benchmark's tracer wraps
+still exists, and the row the tracer reads after an insert is int pairs.
 
 Stdlib ``ast`` only, but for the tracer, whose tables are read by loading
 the file.  A name counts as used in a module when it appears as a load
@@ -16,6 +16,8 @@ import importlib
 import importlib.util
 import sys
 from pathlib import Path
+
+from superkon.linalg import Echelon
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "superkon"
@@ -318,15 +320,20 @@ def test_stdlib_detector_flags_a_third_party_import(tmp_path):
     assert non_stdlib_imports(mod) == ["m.py:3: numpy", "m.py:5: sympy.core"]
 
 
+def _load_tracer(path):
+    """A tracer file loaded as a module of its own; nothing is installed."""
+    spec = importlib.util.spec_from_file_location("tracer_tables", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
 def traced_names_missing(path) -> list:
     """The names a tracer file wraps that do not exist: each ``(module,
     attr, name)`` of its ``FUNCTIONS`` by ``getattr`` on the module, each
     ``(cls, attr, name)`` of its ``METHODS`` in ``cls.__dict__`` (where the
-    tracer replaces it).  The file is loaded as a module of its own; nothing
-    is installed."""
-    spec = importlib.util.spec_from_file_location("tracer_tables", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer replaces it)."""
+    tracer = _load_tracer(path)
     missing = [f"{mod}.{attr}" for mod, attr, _ in tracer.FUNCTIONS
                if not hasattr(importlib.import_module(mod), attr)]
     return missing + [f"{cls.__name__}.{attr}" for cls, attr, _ in tracer.METHODS
@@ -346,3 +353,21 @@ def test_traced_name_detector_flags_a_missing_name(tmp_path):
                    "METHODS = ((Scalar, 'at', 'z'), (Scalar, '__radd__', 'w'),\n"
                    "           (Scalar, 'gone', 'v'))\n")
     assert traced_names_missing(mod) == ["superkon.algebra.gone", "Scalar.gone"]
+
+
+def test_tracer_reads_the_row_an_insert_stores():
+    # after a "new" insert the tracer's outcome counter reads the last value
+    # of Echelon.rows as int pairs: a unit row stores no free entry, and its
+    # pivot's (den, 0) keeps that value nonempty
+    tracer = _load_tracer(ROOT / "bench" / "tracer.py")
+    t = tracer.Tracer()
+    name = "linalg.Echelon.insert"
+    t.stats[name] = {"calls": 0, "self_s": 0.0}
+    e = Echelon(4, pivot_limit=3)
+    for row in ({0: (1, 0)}, {1: (2, 1), 3: (-9, 0)}, {1: (0, 3), 2: (1, 0)}):
+        outcome = e.insert(row)
+        assert outcome == "new"
+        last = list(next(reversed(e.rows.values())))
+        assert last and all(type(x) is int and type(y) is int for x, y in last)
+        t._count_insert(name, (e, row), outcome)
+    assert t.stats[name]["new"] == 3 and t.max_coeff_bits > 1

@@ -1202,6 +1202,19 @@ def test_bracket_sweeps_at_n5(eps):
         assert (r.status == "fail") == fails == bool(r.violations)
 
 
+@pytest.mark.parametrize("eps, n_bad", [
+    ((1,), 5), ((1, 1), 20), ((1, 1, 1), 69), ((1,) * 5, 845),
+], ids=["n1", "n2", "n3", "n5"])
+def test_phi_control_on_ramond_twists(eps, n_bad):
+    # every shift_sum of a Ramond twist is 0, so drop_phi_coeff leaves phi
+    # correct there; drop_sign_intersection is the control that makes
+    # check_phi fail on those twists
+    w = Window(-1, 1)
+    assert check_phi(acfg(len(eps), eps, mutation="drop_phi_coeff"), w).status == "pass"
+    r = check_phi(acfg(len(eps), eps, mutation="drop_sign_intersection"), w)
+    assert r.status == "fail" and len(r.violations) == n_bad
+
+
 @pytest.mark.parametrize("check, eps, monomials", [
     (check_bracket_crosscheck, (1, 1, 0), 56),
     (check_phi, (1, 0), 32),
