@@ -623,16 +623,21 @@ class _Packer:
         f = den // s.den
         return den, [(self.exponent(e), r * f, m * f) for e, (r, m) in s.terms.items()]
 
+    def key(self, key) -> int:
+        """The packed key of ``key``: its index above the exponent fields."""
+        idx = self.index.setdefault(key, len(self.index))
+        if idx >> _INDEX_BITS:
+            raise UsageError(f"more than 2^{_INDEX_BITS} keys to pack")
+        return idx << self.shift
+
     def image(self, terms: dict) -> tuple:
         den = lcm(*(c.den for c in terms.values()))
         flat, groups = [], []
         for key, c in terms.items():
-            idx = self.index.setdefault(key, len(self.index))
-            if idx >> _INDEX_BITS:
-                raise UsageError(f"more than 2^{_INDEX_BITS} keys to pack")
+            base = self.key(key)
             cden, cterms = self.coeff(c, den)
             cterms = [self._shared.setdefault(t, t) for t in cterms]
-            flat.extend(((idx << self.shift) + e, r, m) for e, r, m in cterms)
+            flat.extend((base + e, r, m) for e, r, m in cterms)
             groups.append((key, (cden, cterms)))
         return den, flat, groups
 

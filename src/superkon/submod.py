@@ -224,7 +224,11 @@ def _check_total_map(source, target, name, w, t0):
     """Both sides of the intertwining relation from the images of basis
     vectors under the window's symbols (see
     :meth:`~superkon.tensmod.TensorModule.act_basis`); the map lowers
-    weights by ``shift``."""
+    weights by ``shift``.  Both run on check-local copies
+    (:meth:`~superkon.tensmod.TensorModule.fresh`); the identity map's two
+    sides share one."""
+    local = source.fresh()
+    source, target = local, local if target is source else target.fresh()
     shift = 1 if name == "sector_shift" else 0
     ops = source.window_ops(w)
     syms = [(p, im, is_d) for is_d in (True, False) for p, im, _ in ops]

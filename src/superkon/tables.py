@@ -539,17 +539,21 @@ def compare_table(module: TensorModule, table, k_range, table_l_range):
     and packed once, minus the table's stated terms, each symbol's vector
     packed once.  A flagged tuple goes to the reference,
     :meth:`~superkon.tensmod.TensorModule.act` against the stated terms as
-    ModVecs, which decides it and writes the witness.
+    ModVecs, which decides it and writes the witness.  The sweep runs on a
+    check-local copy of ``module``
+    (:meth:`~superkon.tensmod.TensorModule.fresh`).
     """
+    module = module.fresh()
     params = module.params
     packer = _Packer(params)
-    packed = _Memo(lambda sym: packer.image(table.to_modvec(sym).terms))
+    # packed images are read whole, so only their (den, flat) is kept
+    packed = _Memo(lambda sym: packer.image(table.to_modvec(sym).terms)[:2])
     # scaled[sym, c]: the symbol's vector times the prefix coefficient c,
     # as (basis vector, packed coefficient) pairs
     scaled = _Memo(lambda key: [
         (bv, packer.coeff(cv * table.coeff[key[1]]))
         for bv, cv in table.to_modvec(key[0]).terms.items()])
-    images = _Memo(lambda key: packer.image(module.act_basis_d(*key)))
+    images = _Memo(lambda key: packer.image(module.act_basis_d(*key))[:2])
     syms = [sym for tl in table_l_range for sym in table.syms_at_table_l(tl)]
     bad = []
     checked = 0

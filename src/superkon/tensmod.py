@@ -103,6 +103,11 @@ class TensorModule:
     ``(l + sum_{i in J}(1 - eps_i)) mod 2 == sector_delta``; for the
     all-ones twist the weight lattice is the even sublattice instead.
     ``mutation`` names a negative control from ``MODULE_MUTATIONS``.
+
+    :meth:`act_basis_d` memoises the prefix recursion on the module.  A
+    check runs on a copy of its own (:meth:`fresh`), so the memo it fills
+    is dropped when it returns: callers running several checks on one
+    module do not share that memo, and holding a module holds no check's.
     """
 
     def __init__(self, cfg: EpsilonConfig, rep: SoRep, a: Scalar,
@@ -130,6 +135,11 @@ class TensorModule:
         self._acfg = AlgebraConfig(cfg, central_enabled=False)
         self._one = Scalar.const(self.params, 1)
         self._memo: dict = {}
+
+    def fresh(self) -> "TensorModule":
+        """This module with an empty :meth:`act_basis_d` memo."""
+        return TensorModule(self.cfg, self.rep, self.a, self.sector_delta,
+                            self.mutation)
 
     # -- basis bookkeeping -------------------------------------------
     def in_lattice(self, bv: ModBasisVec) -> bool:

@@ -10,7 +10,13 @@ inner basis vectors refuses a window whose inner weights hold none (see
 :meth:`~superkon.tensmod.TensorModule.inner_basis`).
 
 Closures run at concrete Gaussian-rational parameter values; identity
-sweeps keep all parameters symbolic.  An identity sweep runs a fast
+sweeps keep all parameters symbolic.  Every memo a check fills lives in
+objects the check builds and is dropped when it returns: a closure's in
+its own :class:`~superkon.tensmod.EvaluatedAction`, a symbolic sweep's in
+a check-local copy of the caller's module
+(:meth:`~superkon.tensmod.TensorModule.fresh`).  So callers running
+several checks on one module no longer share its memo, and a suite's peak
+memory is its largest check's, not their sum.  An identity sweep runs a fast
 filter, which may flag too much but never too little, and hands each
 flagged case to the library's reference operation, which decides it and
 writes its witness.
@@ -216,6 +222,7 @@ def check_bracket_crosscheck(acfg: AlgebraConfig, w: Window) -> Report:
 
 
 _ONE = (1, [(0, 1, 0)])  # the coefficient 1, packed as by _Packer.coeff
+_NO_IMAGE = (1, [], [])  # the zero image, packed as by _Packer.image
 
 
 def check_module_axioms(module: TensorModule, w: Window) -> Report:
@@ -223,8 +230,12 @@ def check_module_axioms(module: TensorModule, w: Window) -> Report:
     compatibility identities, fully symbolic in the parameters.
 
     The filter: each window symbol's image of each basis vector is
-    computed once, by :meth:`~superkon.tensmod.TensorModule.act_basis`,
-    and packed once into integer pairs (:class:`~superkon.exactnum._Packer`).
+    computed once and packed once into integer pairs
+    (:class:`~superkon.exactnum._Packer`): a D-symbol's from
+    :meth:`~superkon.tensmod.TensorModule.act_basis_d`, and a function
+    monomial's, a sign times one basis vector, straight from
+    :meth:`~superkon.tensmod.TensorModule.act_function` into one shared
+    packed image per ``(sign, target)``, with no Scalar.
     The identities of one symbol pair ``(x, y)``, or of one pair ``(f, g)``
     of function monomials, form one :class:`~superkon.exactnum._Batch`, one
     identity per inner basis vector: each part of its residual lhs - rhs is
@@ -234,15 +245,26 @@ def check_module_axioms(module: TensorModule, w: Window) -> Report:
     vectors, and their difference, when nonzero, is the violation with its
     witness."""
     t0 = time.monotonic()
+    module = module.fresh()
     params = module.params
     acfg = AlgebraConfig(module.cfg)
     ops = module.window_ops(w)
     syms = [(p, im, is_d) for is_d in (True, False) for p, im, _ in ops]
     vecs = module.inner_basis(w)
     packer = _Packer(params)
+    # signed[sign, bv]: sign times the basis vector bv, packed
+    signed = _Memo(lambda st: (1, [(packer.key(st[1]), st[0], 0)],
+                               [(st[1], (1, [(0, st[0], 0)]))]))
+
+    def pack(sym, bv):
+        p, im, is_d = sym
+        if is_d:
+            return packer.image(module.act_basis_d(p, im, bv))
+        res = module.act_function(p, im, bv)
+        return _NO_IMAGE if res is None else signed[res]
+
     # images[sym][bv]: the symbol (p, imask, is_d) on a basis vector, packed
-    images = _Memo(lambda sym: _Memo(
-        lambda bv: packer.image(module.act_basis(sym, bv))))
+    images = _Memo(lambda sym: _Memo(lambda bv: pack(sym, bv)))
     bad = []
     n = 0
 

@@ -4,10 +4,11 @@ its classes is called somewhere, every named parameter of every
 function it defines is read in that function, no module imports a
 process or thread module or reads the environment, every absolute import
 is of the standard library, every name the benchmark's tracer wraps
-still exists, and the row the tracer reads after an insert is int pairs.
+still exists, the row the tracer reads after an insert is int pairs, and
+every console script ``pyproject.toml`` declares imports and is callable.
 
 Stdlib ``ast`` only, but for the tracer, whose tables are read by loading
-the file.  A name counts as used in a module when it appears as a load
+the file, and the scripts, whose targets are imported.  A name counts as used in a module when it appears as a load
 anywhere in it, including inside string annotations.
 """
 
@@ -371,3 +372,60 @@ def test_tracer_reads_the_row_an_insert_stores():
         assert last and all(type(x) is int and type(y) is int for x, y in last)
         t._count_insert(name, (e, row), outcome)
     assert t.stats[name]["new"] == 3 and t.max_coeff_bits > 1
+
+
+def script_targets(pyproject: Path) -> list:
+    """``(name, "module:attr")`` of every entry of the ``[project.scripts]``
+    table of ``pyproject``, one ``name = "target"`` line each (read by
+    hand: ``tomllib`` is not in Python 3.10)."""
+    found, section = [], None
+    for line in pyproject.read_text().splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line.startswith("["):
+            section = line
+        elif section == "[project.scripts]" and "=" in line:
+            name, target = (x.strip().strip("\"'") for x in line.split("=", 1))
+            found.append((name, target))
+    return found
+
+
+def broken_scripts(pyproject: Path) -> list:
+    """``name = target: reason`` for every declared script whose target
+    does not import or is not callable."""
+    found = []
+    for name, target in script_targets(pyproject):
+        module, _, attr = target.partition(":")
+        try:
+            fn = importlib.import_module(module)
+            for part in attr.split("."):
+                fn = getattr(fn, part)
+        except (ImportError, AttributeError) as e:
+            found.append(f"{name} = {target}: {type(e).__name__}")
+            continue
+        if not callable(fn):
+            found.append(f"{name} = {target}: not callable")
+    return found
+
+
+def test_every_declared_script_imports_and_is_callable():
+    found = broken_scripts(ROOT / "pyproject.toml")
+    assert not found, "console scripts that cannot run:\n" + "\n".join(found)
+
+
+def test_script_detector_flags_a_missing_module_and_an_uncallable_target(tmp_path):
+    pyproject = tmp_path / "pyproject.toml"
+    pyproject.write_text("[project]\n"
+                         "name = \"x\"\n"
+                         "\n"
+                         "[project.scripts]\n"
+                         "ok = \"json:dumps\"  # a callable\n"
+                         "gone = \"superkon.no_such_module:main\"\n"
+                         "attr = \"superkon.report:no_such_name\"\n"
+                         "flat = 'math:pi'\n"
+                         "\n"
+                         "[tool.other]\n"
+                         "main = \"math:pi\"\n")
+    assert broken_scripts(pyproject) == [
+        "gone = superkon.no_such_module:main: ModuleNotFoundError",
+        "attr = superkon.report:no_such_name: AttributeError",
+        "flat = math:pi: not callable"]

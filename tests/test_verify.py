@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from superkon import algebra, exactnum, grassmann, verify
+from superkon import algebra, exactnum, grassmann, tables, verify
 from superkon.algebra import (ALGEBRA_MUTATIONS, AlgebraConfig, AlgebraElement,
                               bracket, bracket_ints)
 from superkon.exactnum import GaussRat, Scalar, UsageError, add_term
@@ -219,6 +219,88 @@ def test_passing_module_axioms_build_no_modvec(monkeypatch):
     r = check_module_axioms(M, module_window(-1, 1, M, inner_width=2))
     assert r.status == "pass" and r.stats["tuples_checked"] > 0
     assert calls == []
+
+
+def test_module_axioms_build_no_scalar_for_a_function_image(monkeypatch):
+    # a function monomial's image is a sign times one basis vector: the
+    # sweep packs it straight from act_function, so no sign act_function
+    # returns reaches Scalar.const
+    class Sign(int):
+        pass
+
+    returned, made = [], []
+    act_function, const = TensorModule.act_function, Scalar.const.__func__
+
+    def spy_function(self, k, imask, bv):
+        res = act_function(self, k, imask, bv)
+        if res is None:
+            return None
+        returned.append(Sign(res[0]))
+        return returned[-1], res[1]
+
+    def spy_const(cls, params, value):
+        if type(value) is Sign:
+            made.append(value)
+        return const(cls, params, value)
+
+    monkeypatch.setattr(TensorModule, "act_function", spy_function)
+    monkeypatch.setattr(Scalar, "const", classmethod(spy_const))
+    M = n2(eps=(1, 0))
+    r = check_module_axioms(M, module_window(-1, 1, M, inner_width=2))
+    assert r.status == "pass" and r.stats["tuples_checked"] > 0
+    assert returned and made == []
+
+
+def test_compare_table_keeps_no_composition_groups(monkeypatch):
+    # the table comparison reads each packed image whole: its memos hold
+    # (den, flat) pairs, never the groups a factor would need
+    memos = []
+
+    class Recorded(exactnum._Memo):
+        __slots__ = ()
+
+        def __init__(self, compute):
+            super().__init__(compute)
+            memos.append(self)
+
+    monkeypatch.setattr(tables, "_Memo", Recorded)
+    r = check_table_agreement(_n3(2), Window(-1, 1, -2, 2, 0))
+    assert r.status == "pass"
+    images = [v for memo in memos for v in memo.values() if type(v) is tuple]
+    assert images and all(len(v) == 2 for v in images)
+
+
+# a symbolic sweep on a module: the check, and how to build the module
+SYMBOLIC_SWEEPS = {
+    "module_axioms": (lambda M: check_module_axioms(
+        M, module_window(-1, 1, M, inner_width=2)), lambda: n2(eps=(1, 0))),
+    "module_axioms_swap_tau": (lambda M: check_module_axioms(
+        M, module_window(-1, 1, M, inner_width=2)),
+        lambda: TensorModule(EpsilonConfig(2, (1, 0)), build_so2(B, C, P), A,
+                             mutation="swap_tau")),
+    "table_agreement": (lambda M: check_table_agreement(
+        M, Window(-1, 1, -2, 2, 0)), lambda: _n3(2)),
+    "sector_shift": (lambda M: iso_check_map(
+        M, "sector_shift", Window(-2, 2, -7, 7, 4)),
+        lambda: n2(eps=(0, 0), sector=1)),
+    "identity": (lambda M: iso_check_map(M, "identity", Window(-2, 2, -6, 6, 4)),
+                 lambda: n2(eps=(1, 0))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYMBOLIC_SWEEPS))
+def test_symbolic_sweeps_leave_the_callers_memo_empty(name):
+    # every memo a check fills lives in objects the check builds: the
+    # caller's module holds none of it afterwards, and each Report equals
+    # the one from a freshly built module
+    run, make = SYMBOLIC_SWEEPS[name]
+    M = make()
+    first = run(M)
+    assert M._memo == {}
+    assert first.stats["tuples_checked"] > 0
+    want = run(make()).to_json(with_timing=False)
+    assert first.to_json(with_timing=False) == want
+    assert run(M).to_json(with_timing=False) == want and M._memo == {}
 
 
 @pytest.mark.parametrize("mutation, violations, digest", [
